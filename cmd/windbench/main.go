@@ -38,8 +38,6 @@ func run() int {
 	faults := flag.String("faults", "", `fault plan for ext-faults and -trace, e.g. "crash:d0@60; degrade@90x0.5+30"`)
 	fleetN := flag.Int("fleet", 16, "replica count for ext-fleet-chaos (and ext-fleet-scale when set explicitly)")
 	shards := flag.Int("shards", 0, "shard count for fleet runs: partitions replicas across parallel shard simulators; results are byte-identical at any value (0 = sequential; for ext-fleet-scale, restricts the sweep to {1, N})")
-	lookahead := flag.String("lookahead", "", "shard-barrier mode for fleet runs: adaptive (default) derives each window end from the global event horizon and runs single-shard windows without a barrier; fixed uses the static lookahead grid; results are byte-identical either way")
-	placement := flag.String("placement", "", "replica→shard layout for sharded fleet runs: round-robin (default) or cost (LPT greedy over measured per-replica message counts); placement changes wall clock only, never output")
 	scenarioName := flag.String("scenario", "", "restrict ext-scenarios to one named workload scenario (chat, rag, agentic, reasoning, diurnal, mixshift)")
 	prefixCache := flag.Bool("prefixcache", false, "restrict ext-scenarios to its prefix-caching-on configurations")
 	elasticFlag := flag.Bool("elastic", false, "run ext-fleet-chaos's fleets with the default elastic role-flipping policy (ext-elastic always compares elastic vs static)")
@@ -69,8 +67,6 @@ func run() int {
 	o.Scenario = *scenarioName
 	o.PrefixCache = *prefixCache
 	o.Elastic = *elasticFlag
-	o.Lookahead = *lookahead
-	o.Placement = *placement
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "n":
@@ -315,13 +311,9 @@ extensions (not paper exhibits):
   ext-fleet-scale  parallel-in-time scaling: one 64-replica fleet run at
                  shard counts {1, 4, 8, NumCPU}, reporting wall seconds,
                  sim req/s, speedup, barrier windows/crossings, and a
-                 result digest proving the runs byte-identical; plus a
-                 lookahead section (adaptive vs fixed barrier crossings
-                 on an idle-heavy diurnal) and a single-testbed section
-                 (one DistServe testbed sharded across {1, 2, 4}
-                 simulators) (not part of "all"; size with -n and
-                 -fleet, pin the sweep with -shards, pick the barrier
-                 with -lookahead and placement with -placement)
+                 result digest proving the runs byte-identical (not part
+                 of "all"; size with -n and -fleet, pin the sweep with
+                 -shards)
   ext-elastic    elastic role flipping on the mixshift scenario: static
                  2P/2D, 3P/1D, and 1P/3D splits vs an elastic 2P/2D fleet
                  whose controller flips instances between prefill and

@@ -54,14 +54,6 @@ type Options struct {
 	FleetScaleRequests int
 	// FleetScaleReplicas sets ExpFleetScale's replica count; <= 0 means 64.
 	FleetScaleReplicas int
-	// Lookahead picks the shard-barrier mode for fleet runs: "adaptive"
-	// (default) or "fixed". Results are byte-identical either way
-	// (windbench -lookahead).
-	Lookahead string
-	// Placement picks the replica→shard layout for fleet runs:
-	// "round-robin" (default) or "cost". Placement moves actors between
-	// shards, never bytes of output (windbench -placement).
-	Placement string
 	// ScenarioRequests sizes ExpScenarios's runs; <= 0 means 5,000.
 	ScenarioRequests int
 	// ElasticRequests sizes ExpElastic's runs; <= 0 means 20,000.

@@ -94,8 +94,6 @@ func ExpElastic(o Options, w io.Writer) ([]ElasticRow, error) {
 				NumReplicas: replicas,
 				Policy:      "least-loaded",
 				Shards:      o.FleetShards,
-				Lookahead:   o.Lookahead,
-				Placement:   o.Placement,
 			}
 			cfg.Replica.NumPrefill = sp.np
 			cfg.Replica.NumDecode = sp.nd

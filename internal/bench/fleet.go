@@ -143,8 +143,6 @@ func ExpFleetChaos(o Options, w io.Writer, plan *fault.Plan) ([]FleetRow, error)
 				Replica:         rcfg,
 				NumReplicas:     replicas,
 				Shards:          o.FleetShards,
-				Lookahead:       o.Lookahead,
-				Placement:       o.Placement,
 				Policy:          j.policy,
 				FailoverTimeout: sim.Seconds(10),
 				MaxQueueDepth:   32 * replicas,

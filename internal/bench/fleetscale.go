@@ -17,13 +17,7 @@ import (
 
 // FleetScaleRow is one measurement of the fleet-scale exhibit.
 type FleetScaleRow struct {
-	// Kind tags which section of the exhibit the row belongs to: "sweep"
-	// (shard-count scaling), "lookahead" (adaptive vs fixed on the
-	// idle-heavy scenario), or "testbed" (single-testbed sharding).
-	Kind   string
 	Shards int
-	// Mode is the lookahead mode for "lookahead" rows; empty elsewhere.
-	Mode string
 	// WallSec is host wall-clock time for the run; SimReqPerSec is
 	// requests simulated per wall second; Speedup is vs the 1-shard row.
 	// These three are the only host-dependent numbers in the exhibit.
@@ -45,27 +39,18 @@ type FleetScaleRow struct {
 	Unfinished int
 }
 
-// ExpFleetScale is the parallel-in-time scaling exhibit, in three parts:
-//
-//  1. One fleet configuration (default 64 OPT-13B replicas serving a
-//     million streamed ShareGPT requests under least-loaded routing)
-//     executed at increasing shard counts — shards ∈ {1, 4, 8, NumCPU} —
-//     with every run checked to produce the same virtual-time Result.
-//     Wall seconds and sim req/s are host measurements (the one windbench
-//     exhibit whose output legitimately varies across machines); the
-//     digest column is the determinism proof, and the windows/crossings
-//     columns show how often the shards actually synchronized.
-//  2. Adaptive vs fixed lookahead on an idle-heavy diurnal workload:
-//     both modes must produce byte-identical results while the adaptive
-//     barrier, which runs single-shard windows on the coordinator without
-//     a cross-shard handshake, crosses far less often.
-//  3. Single-testbed sharding: one DistServe testbed's prefill/decode
-//     instances partitioned across shard counts, digests compared.
+// ExpFleetScale is the parallel-in-time scaling exhibit: one fleet
+// configuration (default 64 OPT-13B replicas serving a million streamed
+// ShareGPT requests under least-loaded routing) executed at increasing
+// shard counts — shards ∈ {1, 4, 8, NumCPU} — with every run checked to
+// produce the same virtual-time Result. Wall seconds and sim req/s are
+// host measurements (the one windbench exhibit whose output legitimately
+// varies across machines); the digest column is the determinism proof,
+// and the windows/crossings columns show how often the shards actually
+// synchronized.
 //
 // (Extension — not a paper exhibit; excluded from `windbench all`. Size
-// with -n and -fleet, pin a single shard count with -shards, pick the
-// sweep's barrier mode with -lookahead and its actor layout with
-// -placement.)
+// with -n and -fleet, pin a single shard count with -shards.)
 func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 	o = o.withDefaults()
 	n := o.FleetScaleRequests
@@ -114,7 +99,7 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 
 	// Runs execute serially — each one owns the whole machine, since
 	// wall-clock speedup is the measurement.
-	rows := make([]FleetScaleRow, 0, len(sweep)+5)
+	rows := make([]FleetScaleRow, 0, len(sweep))
 	var base float64
 	for _, shards := range sweep {
 		var st shard.Stats
@@ -123,8 +108,6 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 			NumReplicas: replicas,
 			Policy:      "least-loaded",
 			Shards:      shards,
-			Lookahead:   o.Lookahead,
-			Placement:   o.Placement,
 			ShardStats:  &st,
 		}
 		g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: rate}, o.Seed)
@@ -139,7 +122,6 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 			base = wall
 		}
 		rows = append(rows, FleetScaleRow{
-			Kind:         "sweep",
 			Shards:       shards,
 			WallSec:      wall,
 			SimReqPerSec: float64(res.Requests) / wall,
@@ -153,9 +135,8 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 		})
 	}
 
-	fmt.Fprintf(w, "Fleet scale: %d replicas × OPT-13B [%dP,%dD], %d ShareGPT reqs streamed, least-loaded routing, %s lookahead, %s placement; host: %d CPUs, GOMAXPROCS=%d\n",
+	fmt.Fprintf(w, "Fleet scale: %d replicas × OPT-13B [%dP,%dD], %d ShareGPT reqs streamed, least-loaded routing; host: %d CPUs, GOMAXPROCS=%d\n",
 		replicas, rcfg.NumPrefill, rcfg.NumDecode, n,
-		orDefault(o.Lookahead, "adaptive"), orDefault(o.Placement, fleet.PlaceRoundRobin),
 		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	tw := table(w)
 	fmt.Fprintln(tw, "shards\twall s\tsim req/s\tspeedup\twindows\tcrossings\tresult digest\tcompleted\tunfinished")
@@ -175,162 +156,5 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 	} else {
 		fmt.Fprintln(w, "WARNING: result digests differ across shard counts — determinism violated")
 	}
-
-	la, err := lookaheadSection(o, w, rcfg, n)
-	if err != nil {
-		return rows, err
-	}
-	rows = append(rows, la...)
-
-	tb, err := testbedSection(o, w, n)
-	if err != nil {
-		return rows, err
-	}
-	return append(rows, tb...), nil
-}
-
-// lookaheadSection runs the adaptive-vs-fixed comparison on an idle-heavy
-// diurnal workload: long quiet troughs where the fleet's activity sits on
-// one shard at a time, so the adaptive barrier's solo-window fast path —
-// not available to the fixed grid — carries most of the run.
-func lookaheadSection(o Options, w io.Writer, rcfg serve.Config, n int) ([]FleetScaleRow, error) {
-	const replicas, shards = 4, 4
-	nIdle := n / 10
-	if nIdle > 20_000 {
-		nIdle = 20_000
-	}
-	if nIdle < 500 {
-		nIdle = 500
-	}
-	sc, err := workload.ScenarioByName("diurnal")
-	if err != nil {
-		return nil, err
-	}
-	// A low mean rate leaves the overnight troughs nearly empty — the
-	// regime the adaptive window derivation is for.
-	rate := 0.02 * float64(rcfg.TotalGPUs()) * replicas
-
-	rows := make([]FleetScaleRow, 0, 2)
-	for _, mode := range []string{"adaptive", "fixed"} {
-		var st shard.Stats
-		cfg := fleet.Config{
-			Replica:     rcfg,
-			NumReplicas: replicas,
-			Policy:      "least-loaded",
-			Shards:      shards,
-			Lookahead:   mode,
-			ShardStats:  &st,
-		}
-		res, err := fleet.RunFrom(cfg, sc.Source(nIdle, rate, o.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("bench: fleet-scale lookahead %s: %w", mode, err)
-		}
-		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))
-		rows = append(rows, FleetScaleRow{
-			Kind: "lookahead", Shards: shards, Mode: mode,
-			Windows: st.Windows, Crossings: st.Crossings, Solo: st.SoloWindows,
-			Digest:    fmt.Sprintf("%x", sum[:6]),
-			Completed: res.Completed, Unfinished: res.Unfinished,
-		})
-	}
-
-	fmt.Fprintf(w, "\nLookahead: %d replicas on diurnal (idle-heavy), %d reqs @ %.2f req/s, %d shards\n",
-		replicas, nIdle, rate, shards)
-	tw := table(w)
-	fmt.Fprintln(tw, "lookahead\twindows\tcrossings\tsolo\tresult digest\tcompleted\tunfinished")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%d\t%d\n",
-			r.Mode, r.Windows, r.Crossings, r.Solo, r.Digest, r.Completed, r.Unfinished)
-	}
-	if err := tw.Flush(); err != nil {
-		return rows, err
-	}
-	ad, fx := rows[0], rows[1]
-	switch {
-	case ad.Digest != fx.Digest:
-		fmt.Fprintln(w, "WARNING: adaptive and fixed lookahead results differ — determinism violated")
-	case ad.Crossings == 0:
-		fmt.Fprintf(w, "adaptive lookahead crossed the barrier 0 times (fixed: %d); results byte-identical\n", fx.Crossings)
-	default:
-		fmt.Fprintf(w, "adaptive lookahead crossed the barrier %.1fx fewer times than fixed (%d vs %d); results byte-identical\n",
-			float64(fx.Crossings)/float64(ad.Crossings), ad.Crossings, fx.Crossings)
-	}
 	return rows, nil
-}
-
-// testbedSection shards one DistServe testbed — not a fleet — across
-// shard counts: 2 prefill + 2 decode instances with the KV-transfer links
-// as the cross-shard wire, digests compared across every count.
-func testbedSection(o Options, w io.Writer, n int) ([]FleetScaleRow, error) {
-	nTB := n / 100
-	if nTB > 5_000 {
-		nTB = 5_000
-	}
-	if nTB < 200 {
-		nTB = 200
-	}
-	scfg, err := o.config(model.OPT13B)
-	if err != nil {
-		return nil, err
-	}
-	scfg.NumPrefill, scfg.NumDecode = 2, 2
-	const perGPURate = 3.0
-	rate := perGPURate * float64(scfg.TotalGPUs())
-	ds := workload.ShareGPT()
-	if ds.MaxContext > model.OPT13B.MaxContext {
-		ds.MaxContext = model.OPT13B.MaxContext
-	}
-
-	rows := make([]FleetScaleRow, 0, 3)
-	for _, shards := range []int{1, 2, 4} {
-		var st shard.Stats
-		cfg := serve.ShardedConfig{
-			Serve:      scfg,
-			Shards:     shards,
-			Lookahead:  o.Lookahead,
-			ShardStats: &st,
-		}
-		g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: rate}, o.Seed)
-		res, err := serve.RunShardedDistServeFrom(cfg, g.Source(nTB))
-		if err != nil {
-			return nil, fmt.Errorf("bench: fleet-scale testbed %d shards: %w", shards, err)
-		}
-		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))
-		rows = append(rows, FleetScaleRow{
-			Kind: "testbed", Shards: shards,
-			Windows: st.Windows, Crossings: st.Crossings, Solo: st.SoloWindows,
-			Digest:    fmt.Sprintf("%x", sum[:6]),
-			Completed: len(res.Records), Unfinished: res.Unfinished,
-		})
-	}
-
-	fmt.Fprintf(w, "\nSingle-testbed sharding: one DistServe testbed (2P/2D OPT-13B), %d reqs @ %.0f req/s, xfer links as the cross-shard wire\n",
-		nTB, rate)
-	tw := table(w)
-	fmt.Fprintln(tw, "shards\twindows\tcrossings\tresult digest\tcompleted\tunfinished")
-	identical := true
-	for _, r := range rows {
-		if r.Digest != rows[0].Digest {
-			identical = false
-		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%d\t%d\n",
-			r.Shards, r.Windows, r.Crossings, r.Digest, r.Completed, r.Unfinished)
-	}
-	if err := tw.Flush(); err != nil {
-		return rows, err
-	}
-	if identical {
-		fmt.Fprintln(w, "single-testbed shard counts produced byte-identical results")
-	} else {
-		fmt.Fprintln(w, "WARNING: single-testbed result digests differ across shard counts — determinism violated")
-	}
-	return rows, nil
-}
-
-// orDefault returns s, or def when s is empty.
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -191,6 +192,9 @@ func (p *Plan) String() string {
 // window, silently resurrecting a target that should still be down.
 func (p *Plan) Validate() error {
 	for i, e := range p.Events {
+		if !finite(float64(e.At)) || !finite(float64(e.Duration)) || !finite(e.Factor) {
+			return fmt.Errorf("fault: event %d (%s): time, factor and duration must be finite", i, e)
+		}
 		if e.At < 0 {
 			return fmt.Errorf("fault: event %d (%s): negative time", i, e)
 		}
@@ -227,6 +231,8 @@ func (p *Plan) Validate() error {
 	}
 	return p.validateWindows()
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // validateWindows rejects overlapping crash (or partition) windows on the
 // same target. A zero Duration is permanent and overlaps everything later

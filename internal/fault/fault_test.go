@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"windserve/internal/sim"
@@ -293,4 +294,50 @@ func mustParse(t *testing.T, spec string) *Plan {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
 	return p
+}
+
+// FuzzParse feeds arbitrary specs through Parse, Validate and
+// ValidateTargets: no input may panic, every rejection must carry a
+// message, and an accepted plan must hold only finite numbers. The seeds
+// are the plan strings the exhibits, CI and the benchmark use, plus the
+// malformed specs the CLI must reject by name.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"rcrash:r0@52+78; rpart:r5@182+52; cancel@234x0.05; rslow:r10@286x8+78",
+		"rcrash:r1@10+20; rpart:r3@25+10; cancel@30x0.1",
+		"rcrash:r0@60+30; rslow:r1@90x8+60",
+		"crash:d0@20; cancel@40x0.2",
+		"crash:d0@60; degrade@90x0.5+30",
+		"crash:d0@15+10; slow:p1@10x1.5+20; degrade@20x0.25+30; cancel@12x0.2",
+		"garbage",
+		"crash:x9@5",
+		"crash:d5@5",
+		"slow:...x0.5",
+		"crash:d0@NaN",
+		"",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatalf("Parse(%q): empty error message", spec)
+			}
+			return
+		}
+		for i, e := range p.Events {
+			for _, v := range []float64{float64(e.At), float64(e.Duration), e.Factor} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Parse(%q) accepted event %d with a non-finite number: %+v", spec, i, e)
+				}
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted a plan Validate rejects: %v", spec, err)
+		}
+		if err := p.ValidateTargets(2, 2, 4); err != nil && err.Error() == "" {
+			t.Fatalf("ValidateTargets on %q: empty error message", spec)
+		}
+	})
 }

@@ -83,21 +83,15 @@ type replicaActor struct {
 	lastSig       loadInfo
 	reporting     bool
 	reportFn      func()
-	// msgs counts messages this actor handled and sent — the measured
-	// per-replica cost surfaced through Config.CostsOut for cost-based
-	// placement of a repeat run.
-	msgs int64
 }
 
 // send posts a message to the router.
 func (ra *replicaActor) send(m msg) {
 	m.to = 0
-	ra.msgs++
 	ra.sh.Send(0, ra.idx+1, ra.f.cfg.NetDelay, m)
 }
 
 func (ra *replicaActor) handle(m msg) {
-	ra.msgs++
 	switch m.kind {
 	case mSubmit:
 		ra.rp.Submit(m.w)

@@ -47,33 +47,15 @@ type Config struct {
 	NumReplicas int
 
 	// Shards partitions the replicas across this many shard simulators
-	// (the router on shard 0; replicas wherever Placement puts them).
-	// With Shards > 1 the shards execute on separate goroutines. Results
-	// are byte-identical at any value. Default 1; clamped to NumReplicas.
+	// (the router on shard 0, replica i on shard i % Shards). With
+	// Shards > 1 the shards execute on separate goroutines. Results are
+	// byte-identical at any value. Default 1; clamped to NumReplicas.
 	Shards int
-	// Lookahead selects the shard barrier's window derivation: "adaptive"
-	// (default — windows run to the earliest-output-time bound tmin+L and
-	// single-shard windows skip the worker barrier) or "fixed" (the
-	// original fixed L-width grid). Output is byte-identical either way;
-	// only wall-clock barrier counts differ.
-	Lookahead string
-	// Placement maps replicas to shards: "round-robin" (default, replica
-	// i on shard i % Shards) or "cost" (LPT greedy over ReplicaCosts).
-	// Placement affects wall-clock balance only, never output.
-	Placement string
-	// ReplicaCosts optionally weighs replicas for cost placement — e.g.
-	// the CostsOut measured by a prior calibration run. Empty means
-	// uniform weights.
-	ReplicaCosts []float64
 	// ShardStats, when non-nil, receives the shard group's window/barrier
 	// counters after the run. They are reported out of band because they
-	// depend on the shard count and lookahead mode — folding them into
-	// Result would break digest identity across configurations.
+	// depend on the shard count — folding them into Result would break
+	// digest identity across configurations.
 	ShardStats *shard.Stats
-	// CostsOut, when non-nil, receives the per-replica measured activity
-	// (messages handled and sent) after the run — feed it back as
-	// ReplicaCosts to let cost placement balance a repeat run.
-	CostsOut *[]float64
 	// NetDelay is the virtual router↔replica message latency: every
 	// dispatch, eviction, load report, and ledger write crosses it. It is
 	// also the shard group's conservative lookahead — larger values mean
@@ -218,8 +200,7 @@ type fleet struct {
 	cfg Config
 	dec *sched.DecisionLog // router's private log; nil if cfg.Decisions is
 
-	acts  []*replicaActor
-	place Placement
+	acts []*replicaActor
 	// replicas is the router's delayed load view, one handle per replica
 	// — the surface the routing policies read.
 	replicas    []*replicaHandle
@@ -253,9 +234,11 @@ type fleet struct {
 	src         workload.Source
 	arrivalFn   func()
 	nextReq     workload.Request
-	haveNext    bool
 	arrivals    int
 	lastArrival sim.Time
+	// err ends the arrival chain: set when the source yields an arrival
+	// earlier than its predecessor, surfaced by RunFrom.
+	err error
 }
 
 func (c *Config) validate() error {
@@ -276,14 +259,6 @@ func (c *Config) validate() error {
 	}
 	if c.Shards > 1 && c.Replica.Tracer != nil {
 		return fmt.Errorf("fleet: tracing is single-threaded; run with Shards <= 1")
-	}
-	switch c.Lookahead {
-	case "", "adaptive", "fixed":
-	default:
-		return fmt.Errorf("fleet: unknown lookahead mode %q (want adaptive or fixed)", c.Lookahead)
-	}
-	if _, err := NewPlacement(c.Placement, c.NumReplicas, 1, c.ReplicaCosts); err != nil {
-		return err
 	}
 	if c.Replica.Elastic {
 		return fmt.Errorf("fleet: set Config.Elastic (the policy), not Replica.Elastic; the fleet wires replicas itself")
@@ -321,12 +296,6 @@ func (c *Config) fillDefaults() {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.Lookahead == "" {
-		c.Lookahead = "adaptive"
-	}
-	if c.Placement == "" {
-		c.Placement = PlaceRoundRobin
-	}
 	if c.Shards > c.NumReplicas {
 		c.Shards = c.NumReplicas
 	}
@@ -356,20 +325,13 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 	cfg.fillDefaults()
 
 	g := shard.NewGroup[msg](cfg.Shards, cfg.NetDelay)
-	if cfg.Lookahead == "fixed" {
-		g.SetMode(shard.FixedGrid)
-	}
-	place, err := NewPlacement(cfg.Placement, cfg.NumReplicas, cfg.Shards, cfg.ReplicaCosts)
-	if err != nil {
-		return nil, err
-	}
 	g.GrowActors(cfg.NumReplicas + 1)
 	rec := metrics.NewRecorder()
 	if cfg.Replica.Stream.Enabled {
 		rec = metrics.NewStreamingRecorder(cfg.Replica.SLO, cfg.Replica.Stream.MaxRecords)
 	}
 	f := &fleet{
-		g: g, s: g.Shard(0).Sim(), rec: rec, cfg: cfg, place: place,
+		g: g, s: g.Shard(0).Sim(), rec: rec, cfg: cfg,
 		down:        make([]bool, cfg.NumReplicas),
 		partitioned: make([]bool, cfg.NumReplicas),
 		state:       make(map[uint64]*reqState),
@@ -380,7 +342,7 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 	}
 	f.pol, _ = newPolicy(cfg.Policy)
 	for i := 0; i < cfg.NumReplicas; i++ {
-		ra := &replicaActor{f: f, idx: i, sh: g.Shard(place.ShardOf(i))}
+		ra := &replicaActor{f: f, idx: i, sh: g.Shard(i % cfg.Shards)}
 		ra.reportFn = ra.report
 		rcfg := cfg.Replica
 		rcfg.NamePrefix = fmt.Sprintf("r%d/", i)
@@ -414,24 +376,15 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 
 	f.src = src
 	f.arrivalFn = f.arrive
-	if w, ok := src.Next(); ok {
-		f.nextReq, f.haveNext = w, true
-		f.s.At(w.Arrival, f.arrivalFn)
-	} else {
-		g.SetEnd(sim.Time(0).Add(cfg.Horizon))
-	}
+	f.pull()
 
 	g.Run(cfg.Shards > 1)
 
+	if f.err != nil {
+		return nil, f.err
+	}
 	if cfg.ShardStats != nil {
 		*cfg.ShardStats = g.Stats()
-	}
-	if cfg.CostsOut != nil {
-		costs := make([]float64, len(f.acts))
-		for i, ra := range f.acts {
-			costs[i] = float64(ra.msgs)
-		}
-		*cfg.CostsOut = costs
 	}
 	return f.finish(), nil
 }
@@ -449,7 +402,7 @@ func (f *fleet) dispatch(src int, m msg) {
 // sendTo posts a message from the router to replica idx.
 func (f *fleet) sendTo(idx int, m msg) {
 	m.to = idx + 1
-	f.g.Shard(0).Send(f.place.ShardOf(idx), 0, f.cfg.NetDelay, m)
+	f.g.Shard(0).Send(idx%f.cfg.Shards, 0, f.cfg.NetDelay, m)
 }
 
 // routerMsg handles one replica→router message. idx is the sender.
@@ -494,20 +447,33 @@ func (f *fleet) routerMsg(idx int, m msg) {
 	}
 }
 
-// arrive admits or sheds one arrival, then chains the next; when the
-// source dries up, the drain horizon becomes the group's end cap.
+// arrive admits or sheds one arrival, then chains the next.
 func (f *fleet) arrive() {
 	w := f.nextReq
 	f.arrivals++
 	f.lastArrival = w.Arrival
 	f.admit(w)
-	if nw, ok := f.src.Next(); ok {
-		f.nextReq = nw
-		f.s.At(nw.Arrival, f.arrivalFn)
-	} else {
-		f.haveNext = false
-		f.g.SetEnd(f.lastArrival.Add(f.cfg.Horizon))
+	f.pull()
+}
+
+// pull takes the next request from the source and schedules its arrival.
+// When the source dries up, the drain horizon becomes the group's end cap;
+// an arrival earlier than its predecessor ends the run at once with an
+// error.
+func (f *fleet) pull() {
+	w, ok := f.src.Next()
+	if ok && w.Arrival < f.lastArrival {
+		f.err = fmt.Errorf("fleet: request %d arrives at %v, before the previous arrival at %v; arrivals must be non-decreasing",
+			w.ID, w.Arrival, f.lastArrival)
+		f.g.SetEnd(f.s.Now())
+		return
 	}
+	if !ok {
+		f.g.SetEnd(f.lastArrival.Add(f.cfg.Horizon))
+		return
+	}
+	f.nextReq = w
+	f.s.At(w.Arrival, f.arrivalFn)
 }
 
 func (f *fleet) admit(w workload.Request) {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"windserve/internal/fault"
@@ -39,6 +40,47 @@ func checkPartition(t *testing.T, res *Result) {
 	if got := res.Completed + res.Aborted + res.Rejected + res.Unfinished; got != res.Requests {
 		t.Fatalf("lifecycle partition broken: %d completed + %d aborted + %d rejected + %d unfinished != %d requests",
 			res.Completed, res.Aborted, res.Rejected, res.Unfinished, res.Requests)
+	}
+}
+
+// TestUnsortedArrivalsError: a source whose arrivals go backwards must make
+// every Run entry point return an error naming the offending request, not
+// panic inside the event kernel.
+func TestUnsortedArrivalsError(t *testing.T) {
+	rcfg, err := serve.DefaultConfig(model.OPT13B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetRun := func(shards int) func([]workload.Request) error {
+		return func(reqs []workload.Request) error {
+			cfg := testConfig(t, 2)
+			cfg.Shards = shards
+			_, err := Run(cfg, reqs)
+			return err
+		}
+	}
+	runs := map[string]func([]workload.Request) error{
+		"DistServe": func(reqs []workload.Request) error { _, err := serve.RunDistServe(rcfg, reqs); return err },
+		"WindServe": func(reqs []workload.Request) error { _, err := serve.RunWindServe(rcfg, reqs); return err },
+		"fleet":     fleetRun(1),
+		"fleet-2sh": fleetRun(2),
+	}
+	req := func(id uint64, at sim.Time) workload.Request {
+		return workload.Request{ID: id, Arrival: at, PromptTokens: 64, OutputTokens: 8}
+	}
+	traces := map[string][]workload.Request{
+		"backwards": {req(1, 5), req(2, 1)},
+		"midstream": {req(1, 1), req(2, 2), req(3, 3), req(4, 2.5)},
+		"negative":  {req(7, -1)},
+	}
+	for sys, run := range runs {
+		for name, reqs := range traces {
+			err := run(reqs)
+			id := fmt.Sprintf("request %d ", reqs[len(reqs)-1].ID)
+			if err == nil || !strings.Contains(err.Error(), id) {
+				t.Errorf("%s/%s: err = %v, want one naming %q", sys, name, err, id)
+			}
+		}
 	}
 }
 

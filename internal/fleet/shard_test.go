@@ -29,10 +29,10 @@ func digest(t *testing.T, cfg Config, seed int64) (string, [32]byte) {
 
 // TestShardedDeterminism is the tentpole property: partitioning the fleet
 // across shard simulators on worker goroutines must not change a single
-// byte of output. Every seed runs sequentially (Shards=1, adaptive
-// lookahead — the default) and then at 2/4/8 shards in both lookahead
-// modes under the same rcrash+rpart+cancel chaos; the printed Result and
-// the decision-log digest must match exactly across every combination.
+// byte of output. Every seed runs sequentially (Shards=1) and then at
+// 2/4/8 shards under the same rcrash+rpart+cancel chaos; the printed
+// Result and the decision-log digest must match exactly across every
+// shard count.
 func TestShardedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
@@ -48,93 +48,17 @@ func TestShardedDeterminism(t *testing.T) {
 		cfg.Faults.Seed = seed
 		cfg.Shards = 1
 		wantRes, wantDig := digest(t, cfg, seed)
-		for _, mode := range []string{"adaptive", "fixed"} {
-			cfg.Lookahead = mode
-			for _, shards := range []int{1, 2, 4, 8} {
-				cfg.Shards = shards
-				gotRes, gotDig := digest(t, cfg, seed)
-				if gotRes != wantRes {
-					t.Fatalf("seed %d: result diverges at %d shards (%s lookahead):\nsequential: %s\ngot:        %s",
-						seed, shards, mode, wantRes, gotRes)
-				}
-				if gotDig != wantDig {
-					t.Fatalf("seed %d: decision log diverges at %d shards (%s lookahead)", seed, shards, mode)
-				}
+		for _, shards := range []int{2, 4, 8} {
+			cfg.Shards = shards
+			gotRes, gotDig := digest(t, cfg, seed)
+			if gotRes != wantRes {
+				t.Fatalf("seed %d: result diverges at %d shards:\nsequential: %s\ngot:        %s",
+					seed, shards, wantRes, gotRes)
+			}
+			if gotDig != wantDig {
+				t.Fatalf("seed %d: decision log diverges at %d shards", seed, shards)
 			}
 		}
-	}
-}
-
-// TestPlacementInvariance pins the placement theorem: the replica→shard
-// map changes where actors execute, never what they produce. Round-robin
-// (the historical idx % Shards layout) is the reference; cost placement
-// with wildly skewed synthetic costs, and with costs actually measured by
-// a calibration run (CostsOut → ReplicaCosts), must reproduce its Result
-// and decision log byte-for-byte.
-func TestPlacementInvariance(t *testing.T) {
-	cfg := testConfig(t, 8)
-	cfg.Policy = "least-loaded"
-	cfg.FailoverTimeout = sim.Seconds(10)
-	cfg.Faults = mustPlan(t, "rcrash:r1@10+20; cancel@30x0.1")
-	cfg.Faults.Seed = 5
-	cfg.Shards = 4
-
-	var costs []float64
-	cfg.Placement = PlaceRoundRobin
-	cfg.CostsOut = &costs
-	wantRes, wantDig := digest(t, cfg, 5)
-	cfg.CostsOut = nil
-	if len(costs) != 8 {
-		t.Fatalf("calibration run measured %d costs, want 8", len(costs))
-	}
-	nonzero := 0
-	for _, c := range costs {
-		if c > 0 {
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
-		t.Fatal("calibration run measured no replica activity")
-	}
-
-	cases := map[string][]float64{
-		"cost-skewed":   {100, 1, 1, 90, 2, 80, 3, 70},
-		"cost-measured": costs,
-		"cost-uniform":  nil,
-	}
-	for name, rc := range cases {
-		cfg.Placement = PlaceCost
-		cfg.ReplicaCosts = rc
-		gotRes, gotDig := digest(t, cfg, 5)
-		if gotRes != wantRes {
-			t.Errorf("%s: result diverges from round-robin:\nwant %s\ngot  %s", name, wantRes, gotRes)
-		}
-		if gotDig != wantDig {
-			t.Errorf("%s: decision log diverges from round-robin", name)
-		}
-	}
-}
-
-// TestPlacementLPT pins the greedy balancer itself: descending-cost
-// assignment onto the lightest shard, deterministic tie-breaks.
-func TestPlacementLPT(t *testing.T) {
-	p, err := NewPlacement(PlaceCost, 5, 2, []float64{10, 9, 2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10→s0, 9→s1, 2→s1 (11 vs 10... s1=9 lighter), 2→s0? loads: s0=10,
-	// s1=9 → r2(2)→s1 (11); r3(2)→s0 (12)? s0=10 < s1=11 → s0; r4(1)→s1.
-	want := []int{0, 1, 1, 0, 1}
-	for i, w := range want {
-		if got := p.ShardOf(i); got != w {
-			t.Errorf("replica %d on shard %d, want %d", i, got, w)
-		}
-	}
-	if _, err := NewPlacement("bogus", 2, 2, nil); err == nil {
-		t.Error("unknown placement kind accepted")
-	}
-	if _, err := NewPlacement(PlaceCost, 3, 2, []float64{1}); err == nil {
-		t.Error("mismatched cost vector accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -78,6 +79,9 @@ type runner struct {
 	haveNext    bool
 	arrivals    int
 	lastArrival sim.Time
+	// err ends the arrival chain: set when the source yields an arrival
+	// earlier than its predecessor, surfaced by run.
+	err error
 }
 
 func newRunner(cfg Config) (*runner, error) {
@@ -116,16 +120,11 @@ func (r *runner) scheduleArrivals(reqs []workload.Request, submit func(*engine.R
 // scheduleStream feeds a request source into the system via submit,
 // scheduling only the first arrival; each arrival event then pulls its
 // successor from the source on demand. Sources must yield non-decreasing
-// arrival times (generator streams and validated traces do).
+// arrival times; the first one that does not ends the run with an error.
 func (r *runner) scheduleStream(src workload.Source, submit func(*engine.Req)) {
 	r.src, r.submit = src, submit
 	r.arrivalFn = r.arrive
-	w, ok := src.Next()
-	if !ok {
-		return
-	}
-	r.nextReq, r.haveNext = w, true
-	r.s.At(w.Arrival, r.arrivalFn)
+	r.pull()
 }
 
 // arrive handles one arrival event: admit (or shed) the due request, then
@@ -135,11 +134,20 @@ func (r *runner) arrive() {
 	r.arrivals++
 	r.lastArrival = w.Arrival
 	r.admit(w)
-	if nw, ok := r.src.Next(); ok {
-		r.nextReq = nw
-		r.s.At(nw.Arrival, r.arrivalFn)
-	} else {
-		r.haveNext = false
+	r.pull()
+}
+
+// pull takes the next request from the source and schedules its arrival.
+func (r *runner) pull() {
+	w, ok := r.src.Next()
+	if ok && w.Arrival < r.lastArrival {
+		r.err = fmt.Errorf("serve: request %d arrives at %v, before the previous arrival at %v; arrivals must be non-decreasing",
+			w.ID, w.Arrival, r.lastArrival)
+		ok = false
+	}
+	r.nextReq, r.haveNext = w, ok
+	if ok {
+		r.s.At(w.Arrival, r.arrivalFn)
 	}
 }
 
@@ -216,11 +224,14 @@ func (r *runner) markRecovered(q *engine.Req) { r.recovered[q.W.ID] = true }
 // phases: step until the arrival chain ends (every event fired in this
 // phase is at or before the final arrival, exactly as a bounded run would
 // fire it), then drain the tail under the configured horizon.
-func (r *runner) run(system string) *Result {
+func (r *runner) run(system string) (*Result, error) {
 	for r.haveNext {
 		if !r.s.Step() {
 			break
 		}
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	r.s.Run(r.lastArrival.Add(r.cfg.Horizon))
 	res := &Result{
@@ -240,7 +251,7 @@ func (r *runner) run(system string) *Result {
 	} else {
 		res.Summary = metrics.Summarize(res.Records, r.cfg.SLO)
 	}
-	return res
+	return res, nil
 }
 
 // recorderHooks builds the metric-recording half of an instance's hooks;

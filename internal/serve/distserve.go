@@ -47,7 +47,10 @@ func RunDistServeFrom(cfg Config, src workload.Source) (*Result, error) {
 	r.scheduleStream(src, func(q *engine.Req) {
 		d.prefillRR(q)
 	})
-	res := r.run("DistServe")
+	res, err := r.run("DistServe")
+	if err != nil {
+		return nil, err
+	}
 	d.finalize(res)
 	return res, nil
 }

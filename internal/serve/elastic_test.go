@@ -48,7 +48,10 @@ func TestFlipToDecodeRequeuesQueuedPrefills(t *testing.T) {
 	var fr FlipResult
 	r.s.At(sim.Time(0).Add(sim.Seconds(0.3)), func() { fr = d.flip(true) })
 	r.scheduleStream(workload.NewSliceSource(burst(80, 1500, 8, sim.Seconds(0.002))), d.prefillRR)
-	res := r.run("elastic-test")
+	res, err := r.run("elastic-test")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !fr.OK || !fr.ToDecode {
 		t.Fatalf("flip did not execute: %+v", fr)
 	}
@@ -75,7 +78,10 @@ func TestFlipToPrefillMigratesRunningStreams(t *testing.T) {
 	var fr FlipResult
 	r.s.At(sim.Time(0).Add(sim.Seconds(1.5)), func() { fr = d.flip(false) })
 	r.scheduleStream(workload.NewSliceSource(burst(40, 200, 300, sim.Seconds(0.01))), d.prefillRR)
-	res := r.run("elastic-test")
+	res, err := r.run("elastic-test")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !fr.OK || fr.ToDecode {
 		t.Fatalf("flip did not execute: %+v", fr)
 	}
@@ -107,7 +113,10 @@ func TestFlipRoundTrip(t *testing.T) {
 	flipAt(1.5, false) // back to 2P/2D: must unflip that same instance
 	flipAt(2.5, false) // 3P/1D: a home decode flips to prefill
 	r.scheduleStream(workload.NewSliceSource(burst(60, 800, 100, sim.Seconds(0.01))), d.prefillRR)
-	res := r.run("elastic-test")
+	res, err := r.run("elastic-test")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 3 {
 		t.Fatalf("expected 3 flips, got %d", len(results))
 	}
@@ -147,7 +156,10 @@ func TestFlipFloorNeverEmptiesRole(t *testing.T) {
 		frs[2] = d.flip(true)
 	})
 	r.scheduleStream(workload.NewSliceSource(burst(10, 400, 20, sim.Seconds(0.01))), d.prefillRR)
-	res := r.run("elastic-test")
+	res, err := r.run("elastic-test")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !frs[0].OK {
 		t.Fatalf("first flip refused: %+v", frs[0])
 	}

@@ -118,7 +118,10 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 		return nil, err
 	}
 	r.scheduleStream(src, route)
-	res := r.run("vLLM")
+	res, err := r.run("vLLM")
+	if err != nil {
+		return nil, err
+	}
 
 	// Aggregate replica telemetry.
 	var stats kvcache.Stats

@@ -89,7 +89,10 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 	prof.WarmStartTransfer(d.nominalP2DRate())
 
 	r.scheduleStream(src, w.submit)
-	res := r.run(w.systemName())
+	res, err := r.run(w.systemName())
+	if err != nil {
+		return nil, err
+	}
 	d.finalize(res)
 	res.Dispatched = w.dispatched
 	res.Rescheduled = w.rescheduled

@@ -15,19 +15,16 @@
 // inside the window being executed, so no shard can observe an effect
 // before the barrier that publishes it.
 //
-// Window ends are derived in one of two modes. Adaptive (the default)
-// uses the Chandy–Misra earliest-output-time bound directly: outboxes are
-// empty at every window start, so no shard can emit a cross-shard effect
-// before tmin+L, and the window runs to exactly wend = tmin+L. FixedGrid
-// (the original model) aligns wend to the fixed grid of [kL, (k+1)L)
-// windows containing tmin. Both ends are functions of (tmin, L) only —
-// global, shard-count-invariant quantities — so the window sequence, and
-// therefore all output, is identical at any shard count. Adaptive mode
-// additionally skips the worker barrier for windows whose in-window
-// events all live on a single shard: the coordinating goroutine executes
-// the window itself (workers stay parked between channel handshakes, so
-// the access is ordered), which turns idle-heavy stretches from one
-// barrier per window into none.
+// Each window end is the Chandy–Misra earliest-output-time bound:
+// outboxes are empty at every window start, so no shard can emit a
+// cross-shard effect before tmin+L, and the window runs to exactly
+// wend = tmin+L. That end is a function of (tmin, L) only — global,
+// shard-count-invariant quantities — so the window sequence, and therefore
+// all output, is identical at any shard count. Windows whose in-window
+// events all live on a single shard skip the worker barrier: the
+// coordinating goroutine executes the window itself (workers stay parked
+// between channel handshakes, so the access is ordered), which turns
+// idle-heavy stretches from one barrier per window into none.
 //
 // At each barrier the group gathers every shard's outbox, sorts each
 // destination's inbound messages by (deliverAt, sentAt, srcActor, srcSeq),
@@ -47,27 +44,10 @@ import (
 	"windserve/internal/sim"
 )
 
-// LookaheadMode selects how window ends are derived from the global state.
-type LookaheadMode int
-
-const (
-	// Adaptive derives each window end as tmin + L — the Chandy–Misra
-	// earliest-output-time bound over all shards (outboxes are empty at
-	// window start, so shard i cannot emit before NextAt_i + L, and the
-	// minimum over shards is tmin + L). Quiet stretches are crossed in
-	// one window instead of ⌈gap/L⌉ grid steps, and single-shard windows
-	// skip the worker barrier entirely.
-	Adaptive LookaheadMode = iota
-	// FixedGrid steps the fixed grid of [kL, (k+1)L) windows. Kept as a
-	// fallback and as the baseline for the adaptive-vs-fixed digest
-	// equality gate.
-	FixedGrid
-)
-
 // Stats counts window and barrier work performed by Run. Windows =
-// Crossings + SoloWindows. The counts depend on the shard count and
-// lookahead mode (that is their purpose) and must therefore never be
-// folded into digested simulation output.
+// Crossings + SoloWindows. The counts depend on the shard count (that is
+// their purpose) and must therefore never be folded into digested
+// simulation output.
 type Stats struct {
 	Windows     int64 // windows executed in total
 	Crossings   int64 // windows synchronized across all shards (full barrier)
@@ -139,8 +119,10 @@ type Group[M any] struct {
 	actorSeq []uint64
 	end      sim.Time
 	endSet   bool
-	mode     LookaheadMode
 	stats    Stats
+	// windowEnd, when set, replaces the adaptive window-end derivation.
+	// Only tests set it, to run a reference grid through the same step.
+	windowEnd func(tmin, L sim.Time) sim.Time
 
 	// Persistent window workers for shards 1..N-1 (shard 0 runs on the
 	// coordinating goroutine). Nil until Run starts them.
@@ -169,21 +151,8 @@ func NewGroup[M any](n int, lookahead sim.Duration) *Group[M] {
 	return g
 }
 
-// Shards returns the number of shards.
-func (g *Group[M]) Shards() int { return len(g.shards) }
-
 // Shard returns shard i.
 func (g *Group[M]) Shard(i int) *Shard[M] { return g.shards[i] }
-
-// Lookahead returns the group lookahead.
-func (g *Group[M]) Lookahead() sim.Duration { return g.lookahead }
-
-// SetMode selects the lookahead mode. Call before Run; the default is
-// Adaptive.
-func (g *Group[M]) SetMode(m LookaheadMode) { g.mode = m }
-
-// Mode returns the lookahead mode.
-func (g *Group[M]) Mode() LookaheadMode { return g.mode }
 
 // Stats returns window/barrier counters accumulated by Run. They describe
 // wall-clock work only — virtual-time output is independent of them.
@@ -263,28 +232,15 @@ func (g *Group[M]) step(parallel bool) bool {
 	}
 	L := sim.Time(g.lookahead)
 	var wend sim.Time
-	if g.mode == FixedGrid {
-		// Jump to the grid window containing tmin; every executed
-		// window fires at least one event. When tmin sits on a grid
-		// boundary within float rounding, tmin/L can round down and
-		// leave tmin at (not before) wend — bump until the window
-		// strictly contains it. wend <= tmin + L keeps every in-window
-		// send (sentAt >= tmin) delivering at >= sentAt + L >= wend,
-		// outside the window.
-		k := sim.Time(int64(tmin / L))
-		wend = (k + 1) * L
-		for wend <= tmin {
-			k++
-			wend = (k + 1) * L
-		}
+	if g.windowEnd != nil {
+		wend = g.windowEnd(tmin, L)
 	} else {
-		// Adaptive: the earliest-output-time bound. No shard can emit a
-		// cross-shard effect before tmin + L (outboxes are empty here,
-		// and any in-window send has sentAt >= tmin, delay >= L), so
-		// the window safely runs all the way to wend = tmin + L — one
-		// window per event cluster instead of one per grid cell. When
-		// L underflows an ulp of tmin, widen to the next representable
-		// time so the window still contains tmin.
+		// The earliest-output-time bound. No shard can emit a cross-shard
+		// effect before tmin + L (outboxes are empty here, and any
+		// in-window send has sentAt >= tmin, delay >= L), so the window
+		// safely runs all the way to wend = tmin + L — one window per
+		// event cluster. When L underflows an ulp of tmin, widen to the
+		// next representable time so the window still contains tmin.
 		wend = tmin + L
 		if wend <= tmin {
 			wend = sim.Time(math.Nextafter(float64(tmin), math.Inf(1)))
@@ -301,7 +257,7 @@ func (g *Group[M]) step(parallel bool) bool {
 		last = true
 	}
 	g.stats.Windows++
-	if g.mode == Adaptive && g.activeShards(cmd) <= 1 {
+	if g.activeShards(cmd) <= 1 {
 		// Every in-window event lives on one shard: execute the window
 		// on the coordinating goroutine without waking the workers.
 		// Idle shards still get their clocks parked at the window end

@@ -156,3 +156,41 @@ func TestTraceReaderStreams(t *testing.T) {
 		t.Error("unsorted trace streamed without error")
 	}
 }
+
+// FuzzTraceReader streams arbitrary bytes as a JSON trace: no input may
+// panic, a failed stream must report an error with a message, and every
+// request it yields must arrive no earlier than its predecessor. The seeds
+// are the well-formed, truncated, mistyped and unsorted traces above.
+func FuzzTraceReader(f *testing.F) {
+	full := `[{"id":1,"arrival":0.5,"prompt_tokens":10,"output_tokens":2},
+{"id":2,"arrival":1.5,"prompt_tokens":20,"output_tokens":3}]`
+	for _, seed := range []string{
+		full,
+		full[:len(full)/3],
+		full[:len(full)-1],
+		"",
+		`[{"id":1,"arrival":"soon","prompt_tokens":10,"output_tokens":2}]`,
+		`[{"id":1,"arrival":0.5,"prompt_tokens":"many","output_tokens":2}]`,
+		`{"id":1}`,
+		`[{"id":1,"arrival":5},{"id":2,"arrival":1}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := NewTraceReader(strings.NewReader(string(data)))
+		var last sim.Time
+		for i := 0; ; i++ {
+			r, ok := tr.Next()
+			if !ok {
+				break
+			}
+			if i > 0 && r.Arrival < last {
+				t.Fatalf("request %d arrives at %v, before %v", i, r.Arrival, last)
+			}
+			last = r.Arrival
+		}
+		if err := tr.Err(); err != nil && err.Error() == "" {
+			t.Fatal("trace error with an empty message")
+		}
+	})
+}

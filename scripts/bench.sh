@@ -88,10 +88,6 @@ echo "== ext-fleet-scale: 64-replica fleet across shard counts ==" >&2
 /tmp/windbench.bench "${scale_args[@]}" | tee "$scale_txt" >&2
 grep -q "byte-identical virtual-time results" "$scale_txt" \
     || { echo "bench.sh: sharded fleet results diverged" >&2; exit 1; }
-grep -q "results byte-identical" "$scale_txt" \
-    || { echo "bench.sh: adaptive vs fixed lookahead results diverged" >&2; exit 1; }
-grep -q "single-testbed shard counts produced byte-identical results" "$scale_txt" \
-    || { echo "bench.sh: single-testbed sharded results diverged" >&2; exit 1; }
 
 # Physical core count from the host, not Python's os.cpu_count(): under a
 # container cpuset/affinity mask the latter reports the mask width (often
@@ -181,41 +177,6 @@ def parse_scale(path):
         })
     return rows
 
-def parse_lookahead(path):
-    rows = []
-    for line in open(path):
-        m = re.match(r'^(adaptive|fixed)\s+(\d+)\s+(\d+)\s+(\d+)'
-                     r'\s+([0-9a-f]+)\s+(\d+)\s+(\d+)\s*$', line)
-        if not m:
-            continue
-        rows.append({
-            "lookahead": m.group(1),
-            "windows": int(m.group(2)),
-            "crossings": int(m.group(3)),
-            "solo_windows": int(m.group(4)),
-            "result_digest": m.group(5),
-            "completed": int(m.group(6)),
-            "unfinished": int(m.group(7)),
-        })
-    return rows
-
-def parse_testbed(path):
-    rows = []
-    for line in open(path):
-        m = re.match(r'^(\d+)\s+(\d+)\s+(\d+)\s+([0-9a-f]+)'
-                     r'\s+(\d+)\s+(\d+)\s*$', line)
-        if not m:
-            continue
-        rows.append({
-            "shards": int(m.group(1)),
-            "windows": int(m.group(2)),
-            "crossings": int(m.group(3)),
-            "result_digest": m.group(4),
-            "completed": int(m.group(5)),
-            "unfinished": int(m.group(6)),
-        })
-    return rows
-
 micro = parse(os.environ["MICRO"])
 ns = {r["name"]: r["ns_per_op"] for r in micro}
 heap_ns = ns.get("BenchmarkEventQueueHeap10k")
@@ -225,12 +186,6 @@ serial = float(os.environ["SERIAL"])
 parallel = float(os.environ["PARALLEL"])
 gomaxprocs = int(os.environ["GOMAXPROCS_USED"])
 scale_rows = parse_scale(os.environ["SCALE"])
-lookahead_rows = parse_lookahead(os.environ["SCALE"])
-by_mode = {r["lookahead"]: r for r in lookahead_rows}
-crossing_reduction = None
-if "adaptive" in by_mode and "fixed" in by_mode:
-    ad, fx = by_mode["adaptive"]["crossings"], by_mode["fixed"]["crossings"]
-    crossing_reduction = round(fx / ad, 1) if ad else None
 scale_note = (
     "wall_seconds/sim_req_per_sec/speedup are host measurements; "
     "result_digest fingerprints the virtual-time Result and is identical "
@@ -288,25 +243,6 @@ doc = {
                 "least-loaded, shards in {1, 4, 8, NumCPU})",
         "rows": scale_rows,
         "note": scale_note,
-        "lookahead": {
-            "rows": lookahead_rows,
-            "crossing_reduction": crossing_reduction,
-            "note": "adaptive vs fixed barrier mode on the idle-heavy "
-                    "diurnal scenario (4 replicas, 4 shards): identical "
-                    "result_digest proves the modes byte-identical; "
-                    "crossing_reduction is fixed crossings / adaptive "
-                    "crossings — the factor by which the adaptive barrier "
-                    "avoids full cross-shard synchronization. windows/"
-                    "crossings/solo_windows are virtual-time quantities, "
-                    "host-independent",
-        },
-        "testbed": {
-            "rows": parse_testbed(os.environ["SCALE"]),
-            "note": "one DistServe testbed (2P/2D) sharded across its "
-                    "instances with the KV-transfer links as the cross-"
-                    "shard wire; identical result_digest across shard "
-                    "counts including 1",
-        },
     },
     "exhibits": parse(os.environ["EXHIBIT"]),
     "windbench_all": {
