@@ -236,8 +236,9 @@ type fleet struct {
 	nextReq     workload.Request
 	arrivals    int
 	lastArrival sim.Time
-	// err ends the arrival chain: set when the source yields an arrival
-	// earlier than its predecessor, surfaced by RunFrom.
+	// err ends the arrival chain: set when the source yields an invalid
+	// arrival (out of order, negative tokens, or an ID still in flight),
+	// surfaced by RunFrom.
 	err error
 }
 
@@ -447,9 +448,16 @@ func (f *fleet) routerMsg(idx int, m msg) {
 	}
 }
 
-// arrive admits or sheds one arrival, then chains the next.
+// arrive admits or sheds one arrival, then chains the next. A request
+// reusing the ID of one still in flight ends the run with an error.
 func (f *fleet) arrive() {
 	w := f.nextReq
+	if f.rec.InFlight(w.ID) {
+		f.err = fmt.Errorf("fleet: request %d arrives at %v while a request with the same ID is still in flight; IDs must be unique",
+			w.ID, w.Arrival)
+		f.g.SetEnd(f.s.Now())
+		return
+	}
 	f.arrivals++
 	f.lastArrival = w.Arrival
 	f.admit(w)
@@ -458,13 +466,19 @@ func (f *fleet) arrive() {
 
 // pull takes the next request from the source and schedules its arrival.
 // When the source dries up, the drain horizon becomes the group's end cap;
-// an arrival earlier than its predecessor ends the run at once with an
-// error.
+// an arrival earlier than its predecessor, or one with a negative token
+// count, ends the run at once with an error.
 func (f *fleet) pull() {
 	w, ok := f.src.Next()
 	if ok && w.Arrival < f.lastArrival {
 		f.err = fmt.Errorf("fleet: request %d arrives at %v, before the previous arrival at %v; arrivals must be non-decreasing",
 			w.ID, w.Arrival, f.lastArrival)
+		f.g.SetEnd(f.s.Now())
+		return
+	}
+	if ok && (w.PromptTokens < 0 || w.OutputTokens < 0) {
+		f.err = fmt.Errorf("fleet: request %d has %d prompt and %d output tokens; token counts must be non-negative",
+			w.ID, w.PromptTokens, w.OutputTokens)
 		f.g.SetEnd(f.s.Now())
 		return
 	}

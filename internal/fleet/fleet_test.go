@@ -43,9 +43,10 @@ func checkPartition(t *testing.T, res *Result) {
 	}
 }
 
-// TestUnsortedArrivalsError: a source whose arrivals go backwards must make
-// every Run entry point return an error naming the offending request, not
-// panic inside the event kernel.
+// TestUnsortedArrivalsError: a source whose arrivals go backwards, that
+// reuses the ID of a request still in flight, or that carries negative
+// token counts must make every Run entry point return an error naming the
+// offending request, not panic inside the event kernel or the recorder.
 func TestUnsortedArrivalsError(t *testing.T) {
 	rcfg, err := serve.DefaultConfig(model.OPT13B)
 	if err != nil {
@@ -62,6 +63,7 @@ func TestUnsortedArrivalsError(t *testing.T) {
 	runs := map[string]func([]workload.Request) error{
 		"DistServe": func(reqs []workload.Request) error { _, err := serve.RunDistServe(rcfg, reqs); return err },
 		"WindServe": func(reqs []workload.Request) error { _, err := serve.RunWindServe(rcfg, reqs); return err },
+		"vLLM":      func(reqs []workload.Request) error { _, err := serve.RunVLLM(rcfg, reqs); return err },
 		"fleet":     fleetRun(1),
 		"fleet-2sh": fleetRun(2),
 	}
@@ -69,9 +71,11 @@ func TestUnsortedArrivalsError(t *testing.T) {
 		return workload.Request{ID: id, Arrival: at, PromptTokens: 64, OutputTokens: 8}
 	}
 	traces := map[string][]workload.Request{
-		"backwards": {req(1, 5), req(2, 1)},
-		"midstream": {req(1, 1), req(2, 2), req(3, 3), req(4, 2.5)},
-		"negative":  {req(7, -1)},
+		"backwards":          {req(1, 5), req(2, 1)},
+		"midstream":          {req(1, 1), req(2, 2), req(3, 3), req(4, 2.5)},
+		"negative":           {req(7, -1)},
+		"duplicate-inflight": {req(7, 0), req(7, 0)},
+		"negative-tokens":    {req(1, 0), {ID: 2, Arrival: 0, PromptTokens: -100, OutputTokens: 10}},
 	}
 	for sys, run := range runs {
 		for name, reqs := range traces {

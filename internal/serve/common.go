@@ -47,8 +47,8 @@ type runner struct {
 
 	// live indexes in-flight requests by id so the lifecycle machinery
 	// (deadline aborts, cancellation faults) can reach them without a
-	// per-system lookup. Systems never touch it directly: scheduleArrivals
-	// adds, recorderHooks' OnComplete and abortReq remove.
+	// per-system lookup. Systems never touch it directly: admit adds,
+	// recorderHooks' OnComplete and abortReq remove.
 	live map[uint64]*engine.Req
 	// recovered collects ids that survived an instance crash (re-prefilled
 	// or restored from backup). A set, not a counter: one request can be
@@ -79,8 +79,9 @@ type runner struct {
 	haveNext    bool
 	arrivals    int
 	lastArrival sim.Time
-	// err ends the arrival chain: set when the source yields an arrival
-	// earlier than its predecessor, surfaced by run.
+	// err ends the arrival chain: set when the source yields an invalid
+	// arrival (out of order, negative tokens, or an ID still in flight),
+	// surfaced by run.
 	err error
 }
 
@@ -112,11 +113,6 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 	}, nil
 }
 
-// scheduleArrivals feeds a materialized trace into the system via submit.
-func (r *runner) scheduleArrivals(reqs []workload.Request, submit func(*engine.Req)) {
-	r.scheduleStream(workload.NewSliceSource(reqs), submit)
-}
-
 // scheduleStream feeds a request source into the system via submit,
 // scheduling only the first arrival; each arrival event then pulls its
 // successor from the source on demand. Sources must yield non-decreasing
@@ -128,9 +124,16 @@ func (r *runner) scheduleStream(src workload.Source, submit func(*engine.Req)) {
 }
 
 // arrive handles one arrival event: admit (or shed) the due request, then
-// chain the next arrival.
+// chain the next arrival. A request reusing the ID of one still in flight
+// ends the chain with an error instead.
 func (r *runner) arrive() {
 	w := r.nextReq
+	if r.led.InFlight(w.ID) {
+		r.err = fmt.Errorf("serve: request %d arrives at %v while a request with the same ID is still in flight; IDs must be unique",
+			w.ID, w.Arrival)
+		r.haveNext = false
+		return
+	}
 	r.arrivals++
 	r.lastArrival = w.Arrival
 	r.admit(w)
@@ -138,11 +141,18 @@ func (r *runner) arrive() {
 }
 
 // pull takes the next request from the source and schedules its arrival.
+// An arrival earlier than its predecessor, or one with a negative token
+// count, ends the chain with an error.
 func (r *runner) pull() {
 	w, ok := r.src.Next()
 	if ok && w.Arrival < r.lastArrival {
 		r.err = fmt.Errorf("serve: request %d arrives at %v, before the previous arrival at %v; arrivals must be non-decreasing",
 			w.ID, w.Arrival, r.lastArrival)
+		ok = false
+	}
+	if ok && (w.PromptTokens < 0 || w.OutputTokens < 0) {
+		r.err = fmt.Errorf("serve: request %d has %d prompt and %d output tokens; token counts must be non-negative",
+			w.ID, w.PromptTokens, w.OutputTokens)
 		ok = false
 	}
 	r.nextReq, r.haveNext = w, ok

@@ -92,8 +92,10 @@ type Config struct {
 	Prefix PrefixPolicy
 
 	// Elastic wires the prefill/decode cluster for runtime role flipping:
-	// full link matrices between same-role instances, role masks, and the
-	// drain/migrate protocol behind Replica.Flip. Only the DistServe-style
+	// the link matrix between physical instances gains its same-role
+	// off-diagonal entries (static wiring has only the cross-role ones),
+	// each instance gets a flipped-role bit, and the drain/migrate
+	// protocol behind Replica.Flip is enabled. Only the DistServe-style
 	// cluster (RunDistServe, fleet replicas) supports it; the flip
 	// decisions themselves come from the fleet's RoleController. The zero
 	// value keeps the static wiring, so default runs are byte-identical.
@@ -258,17 +260,32 @@ func DefaultWindOptions() WindOptions {
 }
 
 // validate rejects configurations that fillDefaults would otherwise mask
-// (negative counts silently becoming 1) or that would surface as a panic
-// or nonsense deep inside a run. It runs before fillDefaults, so zero
-// values that mean "use the default" are still checked for sign only —
-// except BlockSize, whose zero value has historically caused the
-// confusing kvcache construction failure this guards against.
+// (a negative count or size silently becoming its default) or that would
+// surface as a panic or nonsense deep inside a run. It runs before
+// fillDefaults, so zero values that mean "use the default" are still
+// checked for sign only — except BlockSize, whose zero value has
+// historically caused the confusing kvcache construction failure this
+// guards against.
 func (c *Config) validate() error {
-	if c.NumPrefill < 0 {
-		return fmt.Errorf("serve: NumPrefill %d is negative", c.NumPrefill)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"NumPrefill", c.NumPrefill},
+		{"NumDecode", c.NumDecode},
+		{"CPUSwapTokens", c.CPUSwapTokens},
+		{"MaxPrefillTokens", c.MaxPrefillTokens},
+		{"ChunkSize", c.ChunkSize},
+		{"MaxDecodeBatch", c.MaxDecodeBatch},
+		{"Stream.MaxRecords", c.Stream.MaxRecords},
+		{"Shed.MaxQueueDepth", c.Shed.MaxQueueDepth},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: %s %d is negative", f.name, f.v)
+		}
 	}
-	if c.NumDecode < 0 {
-		return fmt.Errorf("serve: NumDecode %d is negative", c.NumDecode)
+	if c.Horizon < 0 {
+		return fmt.Errorf("serve: Horizon %v is negative", c.Horizon)
 	}
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("serve: BlockSize %d must be positive", c.BlockSize)
@@ -281,9 +298,6 @@ func (c *Config) validate() error {
 	}
 	if c.Wind.KVSafetyFrac < 0 || c.Wind.KVSafetyFrac >= 1 {
 		return fmt.Errorf("serve: Wind.KVSafetyFrac %g outside [0,1)", c.Wind.KVSafetyFrac)
-	}
-	if c.Shed.MaxQueueDepth < 0 {
-		return fmt.Errorf("serve: Shed.MaxQueueDepth %d is negative", c.Shed.MaxQueueDepth)
 	}
 	if c.Shed.TTFTDeadline < 0 {
 		return fmt.Errorf("serve: Shed.TTFTDeadline %v is negative", c.Shed.TTFTDeadline)

@@ -59,28 +59,29 @@ func RunDistServeFrom(cfg Config, src workload.Source) (*Result, error) {
 // build on. DistServe uses it as-is with round-robin routing; WindServe
 // attaches the Global Scheduler.
 type pd struct {
-	r        *runner
-	cfg      Config
-	ph       pdHooks
-	prefills []*engine.Instance
-	decodes  []*engine.Instance
-	// p2d[i][j] carries post-prefill KV transfers from prefill i to
-	// decode j; d2p[j][i] carries migrations and backups the other way.
-	p2d, d2p [][]*xfer.Link
-	// pp and dd (elastic only) complete the link mesh for flipped roles:
-	// pp[i][i'] between prefill homes, dd[j][j'] between decode homes,
-	// nil on the diagonals. With Elastic off both stay nil and every
-	// index space collapses to the static one — byte-identical wiring.
-	pp, dd [][]*xfer.Link
+	r   *runner
+	cfg Config
+	ph  pdHooks
+	// ins holds every physical instance: the home prefills at 0..P-1, then
+	// the home decodes at P..P+D-1. prefills and decodes are the two
+	// sub-slices ins[:P] and ins[P:].
+	ins               []*engine.Instance
+	prefills, decodes []*engine.Instance
+	// link[a][b] carries KV from physical instance a to physical instance
+	// b: post-prefill transfers prefill→decode, migrations and backups
+	// decode→prefill. The diagonal is nil. Static wiring fills only the
+	// cross-role entries; Elastic also fills the same-role ones, which
+	// flipped roles route through.
+	link [][]*xfer.Link
 
-	// pFlipped[i] marks home prefill i currently acting as a decode
-	// instance; dFlipped[j] marks home decode j acting as prefill. Both
-	// nil unless cfg.Elastic. Routing works in extended index spaces:
-	// prefill-space i ∈ [0, P+D) (i ≥ P is home decode i-P acting
-	// prefill) and decode-space j ∈ [0, D+P) (j ≥ D is home prefill j-D
-	// acting decode); prefillAt holds prefill-space indices, decodeAt
+	// flipped[k] marks physical instance k acting against its home role;
+	// nil unless cfg.Elastic. Routing works in two index spaces over the
+	// same instances: a prefill-space index is the physical index, and
+	// decode-space j names physical (j+P) % (P+D), so home decodes come
+	// first. With Elastic off the spaces shrink to [0,P) and [0,D) — the
+	// static layout. prefillAt holds prefill-space indices, decodeAt
 	// decode-space indices.
-	pFlipped, dFlipped []bool
+	flipped []bool
 
 	// migrating tracks decode streams mid-flight between acting decodes
 	// (a role flip draining its batch). The pointer identity check
@@ -121,9 +122,9 @@ type pdHooks struct {
 	onDecodeIterEnd func(j int)
 	// onComplete observes completions on any instance (backup cleanup).
 	onComplete func(q *engine.Req)
-	// onTransfer observes every completed p2d KV copy (payload bytes and
-	// wall time including link queuing) — the Profiler's transfer-rate
-	// feedback.
+	// onTransfer observes every completed prefill→decode KV copy (payload
+	// bytes and wall time including link queuing) — the Profiler's
+	// transfer-rate feedback.
 	onTransfer func(bytes float64, elapsed sim.Duration)
 	// crashPrefill/crashDecode override orphan recovery after a crash of
 	// the given instance (WindServe's backup-aware path). Nil uses the
@@ -138,8 +139,9 @@ type pdHooks struct {
 }
 
 func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
-	specs := make([]cluster.InstanceSpec, 0, cfg.NumPrefill+cfg.NumDecode)
-	for i := 0; i < cfg.NumPrefill; i++ {
+	np := cfg.NumPrefill
+	specs := make([]cluster.InstanceSpec, 0, np+cfg.NumDecode)
+	for i := 0; i < np; i++ {
 		specs = append(specs, cluster.InstanceSpec{Role: cluster.RolePrefill, Place: cfg.PrefillPlace})
 	}
 	for i := 0; i < cfg.NumDecode; i++ {
@@ -149,61 +151,43 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 	if err != nil {
 		return nil, err
 	}
-	pAsg, dAsg := asg[:cfg.NumPrefill], asg[cfg.NumPrefill:]
 
 	d := &pd{
 		r: r, cfg: cfg, ph: ph,
 		prefillAt: make(map[uint64]int),
 		decodeAt:  make(map[uint64]int),
 	}
-	px := cfg.NamePrefix
-	d.p2d = make([][]*xfer.Link, cfg.NumPrefill)
-	d.d2p = make([][]*xfer.Link, cfg.NumDecode)
-	for i := range d.p2d {
-		d.p2d[i] = make([]*xfer.Link, cfg.NumDecode)
-		for j := range d.p2d[i] {
-			spec := cluster.TransferLink(cfg.Topo, pAsg[i], dAsg[j])
-			d.p2d[i][j] = xfer.NewLink(r.s, fmt.Sprintf("%sp%d-d%d", px, i, j), spec, xfer.DefaultEfficiency)
-		}
-	}
-	for j := range d.d2p {
-		d.d2p[j] = make([]*xfer.Link, cfg.NumPrefill)
-		for i := range d.d2p[j] {
-			spec := cluster.TransferLink(cfg.Topo, dAsg[j], pAsg[i])
-			d.d2p[j][i] = xfer.NewLink(r.s, fmt.Sprintf("%sd%d-p%d", px, j, i), spec, xfer.DefaultEfficiency)
-		}
-	}
 	if cfg.Elastic {
-		// Role flips route KV between same-home-role instances, so the
-		// mesh needs the two remaining quadrants.
-		d.pFlipped = make([]bool, cfg.NumPrefill)
-		d.dFlipped = make([]bool, cfg.NumDecode)
+		d.flipped = make([]bool, len(asg))
 		d.migrating = make(map[uint64]*flipMigration)
-		d.pp = make([][]*xfer.Link, cfg.NumPrefill)
-		for i := range d.pp {
-			d.pp[i] = make([]*xfer.Link, cfg.NumPrefill)
-			for i2 := range d.pp[i] {
-				if i2 == i {
-					continue
-				}
-				spec := cluster.TransferLink(cfg.Topo, pAsg[i], pAsg[i2])
-				d.pp[i][i2] = xfer.NewLink(r.s, fmt.Sprintf("%sp%d-p%d", px, i, i2), spec, xfer.DefaultEfficiency)
-			}
+	}
+	px := cfg.NamePrefix
+	// home names physical instance k by role and home index: p0, d1, ...
+	home := func(k int) string {
+		if k < np {
+			return fmt.Sprintf("p%d", k)
 		}
-		d.dd = make([][]*xfer.Link, cfg.NumDecode)
-		for j := range d.dd {
-			d.dd[j] = make([]*xfer.Link, cfg.NumDecode)
-			for j2 := range d.dd[j] {
-				if j2 == j {
-					continue
-				}
-				spec := cluster.TransferLink(cfg.Topo, dAsg[j], dAsg[j2])
-				d.dd[j][j2] = xfer.NewLink(r.s, fmt.Sprintf("%sd%d-d%d", px, j, j2), spec, xfer.DefaultEfficiency)
+		return fmt.Sprintf("d%d", k-np)
+	}
+	d.link = make([][]*xfer.Link, len(asg))
+	for a := range d.link {
+		d.link[a] = make([]*xfer.Link, len(asg))
+		for b := range d.link[a] {
+			if a == b || (!cfg.Elastic && (a < np) == (b < np)) {
+				continue
 			}
+			spec := cluster.TransferLink(cfg.Topo, asg[a], asg[b])
+			d.link[a][b] = xfer.NewLink(r.s, px+home(a)+"-"+home(b), spec, xfer.DefaultEfficiency)
 		}
 	}
 
-	for i, a := range pAsg {
+	for k, a := range asg {
+		role, idx, hooks := "prefill", k, d.prefillHooks()
+		allowPrefill, sbd := true, false
+		if k >= np {
+			role, idx, hooks = "decode", k-np, d.decodeHooks(k-np)
+			allowPrefill, sbd = ph.decodeAllowPrefill, ph.decodeSBD
+		}
 		kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
 		if err != nil {
 			return nil, err
@@ -211,209 +195,166 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 		if cfg.Prefix.Enabled {
 			kv.EnablePrefixCache(cfg.Prefix.Tiered)
 		}
-		host := xfer.NewLink(r.s, fmt.Sprintf("%sprefill%d-host", px, i), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
-		hooks := r.recorderHooks()
-		hooks.OnPrefillStart = func(q *engine.Req) {
-			r.led.PrefillStart(q.W.ID, r.s.Now())
-			if ph.onPrefillStart != nil {
-				ph.onPrefillStart(q)
-			}
-		}
-		hooks.OnPrefillDone = func(q *engine.Req) {
-			if ph.transfer != nil && ph.transfer(q) {
-				return
-			}
-			d.serialTransfer(q)
-		}
-		if ph.onComplete != nil || cfg.Elastic {
-			base := hooks.OnComplete
-			hooks.OnComplete = func(q *engine.Req) {
-				base(q)
-				if ph.onComplete != nil {
-					ph.onComplete(q)
-				}
-				if cfg.Elastic {
-					// A home prefill acting as decode retires streams here.
-					delete(d.decodeAt, q.W.ID)
-					delete(d.prefillAt, q.W.ID)
-					d.retryTransfers()
-				}
-			}
-		}
-		if cfg.Elastic {
-			hooks.OnIterationEnd = func() {
-				d.retryTransfers()
-			}
-			hooks.OnEvicted = func(q *engine.Req) {
-				// Acting decode out of swap space: recompute from scratch
-				// on a current acting prefill.
-				q.Assist = false
-				delete(d.decodeAt, q.W.ID)
-				d.prefillRR(q)
-			}
-		}
+		host := xfer.NewLink(r.s, fmt.Sprintf("%s%s%d-host", px, role, idx), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
 		ins, err := engine.NewInstance(r.s, engine.Config{
-			Name: fmt.Sprintf("%sprefill-%d", px, i), CM: a.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
-			AllowPrefill: true, ChunkSize: cfg.ChunkSize,
+			Name: fmt.Sprintf("%s%s-%d", px, role, idx), CM: a.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
+			AllowPrefill: allowPrefill, ChunkSize: cfg.ChunkSize,
 			MaxPrefillTokens: cfg.MaxPrefillTokens, MaxDecodeBatch: cfg.MaxDecodeBatch,
+			SBD: sbd,
 		}, hooks)
 		if err != nil {
 			return nil, err
 		}
-		d.prefills = append(d.prefills, ins)
+		d.ins = append(d.ins, ins)
 	}
+	d.prefills, d.decodes = d.ins[:np], d.ins[np:]
+	return d, nil
+}
 
-	for j, a := range dAsg {
-		j := j
-		kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
-		if err != nil {
-			return nil, err
+// prefillHooks wires a home prefill instance.
+func (d *pd) prefillHooks() engine.Hooks {
+	r, ph, elastic := d.r, d.ph, d.cfg.Elastic
+	hooks := r.recorderHooks()
+	hooks.OnPrefillStart = func(q *engine.Req) {
+		r.led.PrefillStart(q.W.ID, r.s.Now())
+		if ph.onPrefillStart != nil {
+			ph.onPrefillStart(q)
 		}
-		if cfg.Prefix.Enabled {
-			kv.EnablePrefixCache(cfg.Prefix.Tiered)
+	}
+	hooks.OnPrefillDone = func(q *engine.Req) {
+		if ph.transfer != nil && ph.transfer(q) {
+			return
 		}
-		host := xfer.NewLink(r.s, fmt.Sprintf("%sdecode%d-host", px, j), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
-		hooks := r.recorderHooks()
-		hooks.OnPrefillDone = func(q *engine.Req) {
-			if cfg.Elastic && !q.Assist {
-				// Main-stream prefill on a home decode acting as prefill:
-				// the KV crosses to an acting decode like any other.
-				if ph.transfer != nil && ph.transfer(q) {
-					return
-				}
-				d.serialTransfer(q)
-				return
-			}
-			// Only reachable for dispatched assists (WindServe): the first
-			// token was produced here and the KV is already local.
-			d.decodes[j].AdmitDecode(q)
-		}
-		hooks.OnIterationEnd = func() {
-			d.retryTransfers()
-			if ph.onDecodeIterEnd != nil {
-				ph.onDecodeIterEnd(j)
-			}
-		}
-		hooks.OnEvicted = func(q *engine.Req) {
-			// Out of swap space: recompute from scratch on a prefill
-			// instance.
-			q.Assist = false
-			delete(d.decodeAt, q.W.ID)
-			d.prefillRR(q)
-		}
+		d.serialTransfer(q)
+	}
+	if ph.onComplete != nil || elastic {
 		base := hooks.OnComplete
 		hooks.OnComplete = func(q *engine.Req) {
 			base(q)
 			if ph.onComplete != nil {
 				ph.onComplete(q)
 			}
-			delete(d.decodeAt, q.W.ID)
-			delete(d.prefillAt, q.W.ID)
+			if elastic {
+				// A home prefill acting as decode retires streams here.
+				delete(d.decodeAt, q.W.ID)
+				delete(d.prefillAt, q.W.ID)
+				d.retryTransfers()
+			}
+		}
+	}
+	if elastic {
+		hooks.OnIterationEnd = func() {
 			d.retryTransfers()
 		}
-		ins, err := engine.NewInstance(r.s, engine.Config{
-			Name: fmt.Sprintf("%sdecode-%d", px, j), CM: a.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
-			AllowPrefill: ph.decodeAllowPrefill, ChunkSize: cfg.ChunkSize,
-			MaxPrefillTokens: cfg.MaxPrefillTokens, MaxDecodeBatch: cfg.MaxDecodeBatch,
-			SBD: ph.decodeSBD,
-		}, hooks)
-		if err != nil {
-			return nil, err
+		hooks.OnEvicted = func(q *engine.Req) {
+			// Acting decode out of swap space: recompute from scratch
+			// on a current acting prefill.
+			q.Assist = false
+			delete(d.decodeAt, q.W.ID)
+			d.prefillRR(q)
 		}
-		d.decodes = append(d.decodes, ins)
 	}
-	return d, nil
+	return hooks
 }
 
-// --- Extended index spaces (elastic role flipping) ---------------------
+// decodeHooks wires home decode instance j.
+func (d *pd) decodeHooks(j int) engine.Hooks {
+	ph := d.ph
+	hooks := d.r.recorderHooks()
+	hooks.OnPrefillDone = func(q *engine.Req) {
+		if d.cfg.Elastic && !q.Assist {
+			// Main-stream prefill on a home decode acting as prefill:
+			// the KV crosses to an acting decode like any other.
+			if ph.transfer != nil && ph.transfer(q) {
+				return
+			}
+			d.serialTransfer(q)
+			return
+		}
+		// Only reachable for dispatched assists (WindServe): the first
+		// token was produced here and the KV is already local.
+		d.decodes[j].AdmitDecode(q)
+	}
+	hooks.OnIterationEnd = func() {
+		d.retryTransfers()
+		if ph.onDecodeIterEnd != nil {
+			ph.onDecodeIterEnd(j)
+		}
+	}
+	hooks.OnEvicted = func(q *engine.Req) {
+		// Out of swap space: recompute from scratch on a prefill
+		// instance.
+		q.Assist = false
+		delete(d.decodeAt, q.W.ID)
+		d.prefillRR(q)
+	}
+	base := hooks.OnComplete
+	hooks.OnComplete = func(q *engine.Req) {
+		base(q)
+		if ph.onComplete != nil {
+			ph.onComplete(q)
+		}
+		delete(d.decodeAt, q.W.ID)
+		delete(d.prefillAt, q.W.ID)
+		d.retryTransfers()
+	}
+	return hooks
+}
+
+// --- Index spaces (elastic role flipping) -------------------------------
 //
 // With Elastic off every helper collapses to the static layout: pSpace
-// is len(prefills), dSpace is len(decodes), the masks are nil (so every
-// home index acts its home role), and pdLink hits p2d — the exact wiring
-// the static systems have always had.
+// is len(prefills), dSpace is len(decodes), flipped is nil (so every
+// instance acts its home role), and pdLink only reaches the cross-role
+// links — the exact wiring the static systems have always had.
 
 // pSpace is the prefill-space size: home prefills, then home decodes.
 func (d *pd) pSpace() int {
-	if !d.cfg.Elastic {
+	if d.flipped == nil {
 		return len(d.prefills)
 	}
-	return len(d.prefills) + len(d.decodes)
+	return len(d.ins)
 }
 
 // dSpace is the decode-space size: home decodes, then home prefills.
 func (d *pd) dSpace() int {
-	if !d.cfg.Elastic {
+	if d.flipped == nil {
 		return len(d.decodes)
 	}
-	return len(d.decodes) + len(d.prefills)
+	return len(d.ins)
 }
+
+// dPhys maps a decode-space index to its physical index.
+func (d *pd) dPhys(j int) int { return (j + len(d.prefills)) % len(d.ins) }
 
 // pIns resolves a prefill-space index to its physical instance.
-func (d *pd) pIns(i int) *engine.Instance {
-	if i < len(d.prefills) {
-		return d.prefills[i]
-	}
-	return d.decodes[i-len(d.prefills)]
-}
+func (d *pd) pIns(i int) *engine.Instance { return d.ins[i] }
 
 // dIns resolves a decode-space index to its physical instance.
-func (d *pd) dIns(j int) *engine.Instance {
-	if j < len(d.decodes) {
-		return d.decodes[j]
-	}
-	return d.prefills[j-len(d.decodes)]
-}
+func (d *pd) dIns(j int) *engine.Instance { return d.ins[d.dPhys(j)] }
 
-// actingPrefill reports whether prefill-space index i currently serves
-// the prefill role.
+// actingPrefill reports whether prefill-space (physical) index i
+// currently serves the prefill role.
 func (d *pd) actingPrefill(i int) bool {
-	if i < len(d.prefills) {
-		return d.pFlipped == nil || !d.pFlipped[i]
-	}
-	return d.dFlipped[i-len(d.prefills)]
+	return (i < len(d.prefills)) != (d.flipped != nil && d.flipped[i])
 }
 
 // actingDecode reports whether decode-space index j currently serves the
 // decode role.
-func (d *pd) actingDecode(j int) bool {
-	if j < len(d.decodes) {
-		return d.dFlipped == nil || !d.dFlipped[j]
-	}
-	return d.pFlipped[j-len(d.decodes)]
-}
+func (d *pd) actingDecode(j int) bool { return !d.actingPrefill(d.dPhys(j)) }
 
 // pdLink returns the link from prefill-space i to decode-space j; nil
 // when both indices name the same physical instance (the transfer is
 // local).
-func (d *pd) pdLink(i, j int) *xfer.Link {
-	np, nd := len(d.prefills), len(d.decodes)
-	switch {
-	case i < np && j < nd:
-		return d.p2d[i][j]
-	case i < np:
-		return d.pp[i][j-nd]
-	case j < nd:
-		return d.dd[i-np][j]
-	default:
-		return d.d2p[i-np][j-nd]
-	}
-}
+func (d *pd) pdLink(i, j int) *xfer.Link { return d.link[i][d.dPhys(j)] }
+
+// dpLink returns the link from decode-space j to prefill-space i
+// (migrations and backups); nil on the same physical instance.
+func (d *pd) dpLink(j, i int) *xfer.Link { return d.link[d.dPhys(j)][i] }
 
 // ddLink returns the link between two decode-space indices (stream
 // migration); nil on the same physical instance.
-func (d *pd) ddLink(j, j2 int) *xfer.Link {
-	nd := len(d.decodes)
-	switch {
-	case j < nd && j2 < nd:
-		return d.dd[j][j2]
-	case j < nd:
-		return d.d2p[j][j2-nd]
-	case j2 < nd:
-		return d.p2d[j-nd][j2]
-	default:
-		return d.pp[j-nd][j2-nd]
-	}
-}
+func (d *pd) ddLink(j, j2 int) *xfer.Link { return d.link[d.dPhys(j)][d.dPhys(j2)] }
 
 // prefillRR enqueues a request on the next live acting-prefill instance
 // round-robin. With every instance down the request parks on the
@@ -474,22 +415,19 @@ func (d *pd) kvBytes(tokens int) float64 {
 	return float64(tokens) * d.cfg.Model.KVBytesPerToken()
 }
 
-// nominalP2DRate is the mean healthy p2d link throughput in bytes/second
-// — the Profiler's transfer-rate warm start, so the very first dispatch
-// already prices the KV copy a prefill-side placement implies.
+// nominalP2DRate is the mean healthy prefill→decode link throughput in
+// bytes/second — the Profiler's transfer-rate warm start, so the very
+// first dispatch already prices the KV copy a prefill-side placement
+// implies.
 func (d *pd) nominalP2DRate() float64 {
+	np := len(d.prefills)
 	var sum float64
-	n := 0
-	for i := range d.p2d {
-		for j := range d.p2d[i] {
-			sum += d.p2d[i][j].NominalRate()
-			n++
+	for _, row := range d.link[:np] {
+		for _, lk := range row[np:] {
+			sum += lk.NominalRate()
 		}
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(np*len(d.decodes))
 }
 
 // serialTransfer is DistServe's path: after prefill, allocate at a decode
@@ -573,8 +511,8 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 	return false
 }
 
-// observeTransfer feeds a completed p2d copy back to the hooks (Profiler
-// transfer-rate learning).
+// observeTransfer feeds a completed prefill→decode copy back to the hooks
+// (Profiler transfer-rate learning).
 func (d *pd) observeTransfer(bytes float64, start sim.Time) {
 	if d.ph.onTransfer != nil {
 		d.ph.onTransfer(bytes, d.r.s.Now().Sub(start))
@@ -644,24 +582,7 @@ func (d *pd) abort(q *engine.Req) {
 // bandwidth (1 restores). Host swap links are instance-local PCIe and stay
 // nominal.
 func (d *pd) degradeLinks(frac float64) {
-	for i := range d.p2d {
-		for j := range d.p2d[i] {
-			d.p2d[i][j].SetDegradation(frac)
-		}
-	}
-	for j := range d.d2p {
-		for i := range d.d2p[j] {
-			d.d2p[j][i].SetDegradation(frac)
-		}
-	}
-	for _, row := range d.pp {
-		for _, lk := range row {
-			if lk != nil {
-				lk.SetDegradation(frac)
-			}
-		}
-	}
-	for _, row := range d.dd {
+	for _, row := range d.link {
 		for _, lk := range row {
 			if lk != nil {
 				lk.SetDegradation(frac)
@@ -674,17 +595,7 @@ func (d *pd) degradeLinks(frac float64) {
 // (queued or mid-prefill on the dead instance, or prefilled but waiting on
 // its now-lost KV for transfer) re-prefills from scratch on a survivor.
 func (d *pd) crashPrefillDefault(i int) {
-	orphans := d.prefills[i].Crash()
-	keep := d.transferPending[:0]
-	for _, q := range d.transferPending {
-		if d.prefillAt[q.W.ID] == i {
-			orphans = append(orphans, q)
-		} else {
-			keep = append(keep, q)
-		}
-	}
-	d.transferPending = keep
-	for _, q := range orphans {
+	for _, q := range d.crashPrefillOrphans(i) {
 		if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
 			continue
 		}
@@ -695,6 +606,23 @@ func (d *pd) crashPrefillDefault(i int) {
 		d.r.markRecovered(q)
 		d.prefillRR(q)
 	}
+}
+
+// crashPrefillOrphans crashes home prefill i and returns its orphans: the
+// requests queued or mid-prefill there, then the prefilled ones waiting in
+// transferPending on KV that died with it (pulled out of the queue).
+func (d *pd) crashPrefillOrphans(i int) []*engine.Req {
+	orphans := d.prefills[i].Crash()
+	keep := d.transferPending[:0]
+	for _, q := range d.transferPending {
+		if d.prefillAt[q.W.ID] == i {
+			orphans = append(orphans, q)
+		} else {
+			keep = append(keep, q)
+		}
+	}
+	d.transferPending = keep
+	return orphans
 }
 
 // crashDecodeDefault is DistServe's decode-crash recovery: orphans lose
@@ -717,65 +645,44 @@ func (d *pd) crashDecodeDefault(j int) {
 }
 
 // finalize fills the pd-specific parts of a result, aggregating across
-// instances.
+// instances. Traffic sums the cross-role links row by row (prefill→decode,
+// then decode→prefill), then the same-role ones an elastic cluster adds:
+// float addition is order-sensitive, and this is the order the totals
+// have always been taken in. Migration traffic is every link whose source
+// is a home decode.
 func (d *pd) finalize(res *Result) {
-	var pStats, dStats kvcache.Stats
+	np := len(d.prefills)
 	var pcu, pbu, dcu, dbu, stall float64
-	for _, ins := range d.prefills {
-		addStats(&pStats, ins.KV().Stats())
+	for k, ins := range d.ins {
+		kv, cu, bu := &res.PrefillKV, &pcu, &pbu
+		if k >= np {
+			kv, cu, bu = &res.DecodeKV, &dcu, &dbu
+		}
+		kv.Accumulate(ins.KV().Stats())
 		c, b := utilization(ins, res.Elapsed)
-		pcu += c
-		pbu += b
+		*cu += c
+		*bu += b
 		stall += ins.SwapStall.Seconds()
-	}
-	for _, ins := range d.decodes {
-		addStats(&dStats, ins.KV().Stats())
-		c, b := utilization(ins, res.Elapsed)
-		dcu += c
-		dbu += b
-		stall += ins.SwapStall.Seconds()
-	}
-	res.PrefillKV, res.DecodeKV = pStats, dStats
-	for _, ins := range d.prefills {
 		res.LiveKVBlocks += ins.KV().UsedBlocks()
 	}
-	for _, ins := range d.decodes {
-		res.LiveKVBlocks += ins.KV().UsedBlocks()
-	}
-	res.PrefillComputeUtil = pcu / float64(len(d.prefills))
-	res.PrefillBWUtil = pbu / float64(len(d.prefills))
+	res.PrefillComputeUtil = pcu / float64(np)
+	res.PrefillBWUtil = pbu / float64(np)
 	res.DecodeComputeUtil = dcu / float64(len(d.decodes))
 	res.DecodeBWUtil = dbu / float64(len(d.decodes))
 	res.SwapStallSec = stall
-	for i := range d.p2d {
-		for j := range d.p2d[i] {
-			res.TransferGB += d.p2d[i][j].BytesMoved / 1e9
-		}
-	}
-	for j := range d.d2p {
-		for i := range d.d2p[j] {
-			gb := d.d2p[j][i].BytesMoved / 1e9
-			res.TransferGB += gb
-			res.MigrationGB += gb
-		}
-	}
-	for _, row := range d.pp {
-		for _, lk := range row {
-			if lk != nil {
-				res.TransferGB += lk.BytesMoved / 1e9
-			}
-		}
-	}
-	for _, row := range d.dd {
-		for _, lk := range row {
-			if lk != nil {
+	for _, sameRole := range []bool{false, true} {
+		for a, row := range d.link {
+			for b, lk := range row {
+				if lk == nil || ((a < np) == (b < np)) != sameRole {
+					continue
+				}
 				gb := lk.BytesMoved / 1e9
 				res.TransferGB += gb
-				res.MigrationGB += gb
+				if a >= np {
+					res.MigrationGB += gb
+				}
 			}
 		}
 	}
 	res.AsyncXfers = d.asyncXfers
 }
-
-func addStats(dst *kvcache.Stats, s kvcache.Stats) { dst.Accumulate(s) }

@@ -81,11 +81,7 @@ func (d *pd) flipToDecode() FlipResult {
 		return FlipResult{}
 	}
 	ins := d.pIns(pick)
-	if pick < np {
-		d.pFlipped[pick] = true
-	} else {
-		d.dFlipped[pick-np] = false
-	}
+	d.flipped[pick] = !d.flipped[pick]
 	// AllowPrefill stays on (sticky): requests mid-chunk or holding KV
 	// here must finish their prefill; the role masks alone keep new work
 	// away.
@@ -130,14 +126,12 @@ func (d *pd) flipToPrefill() FlipResult {
 		return FlipResult{}
 	}
 	ins := d.dIns(pick)
+	d.flipped[d.dPhys(pick)] = !d.flipped[d.dPhys(pick)]
 	if pick < nd {
-		d.dFlipped[pick] = true
 		// Sticky enable: once a home decode has prefilled anything, the
 		// flag never turns off again, so a later flip back to decode
 		// cannot strand a mid-chunk prefill.
 		ins.SetAllowPrefill(true)
-	} else {
-		d.pFlipped[pick-nd] = false
 	}
 	migrated := d.migrateRunning(pick)
 	d.flips++

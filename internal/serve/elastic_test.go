@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
 	"windserve/internal/sim"
@@ -129,12 +130,12 @@ func TestFlipRoundTrip(t *testing.T) {
 		t.Fatalf("unflip-first violated: flip-to-decode took %s but flip-to-prefill took %s",
 			results[0].Instance, results[1].Instance)
 	}
-	for i, m := range d.pFlipped {
-		if m {
+	for i := range d.prefills {
+		if d.flipped[i] {
 			t.Fatalf("prefill %d still flipped after round trip", i)
 		}
 	}
-	if !d.dFlipped[0] && !d.dFlipped[1] {
+	if !d.flipped[2] && !d.flipped[3] {
 		t.Fatal("no home decode acting as prefill after the final flip")
 	}
 	if res.Unfinished != 0 {
@@ -172,7 +173,7 @@ func TestFlipFloorNeverEmptiesRole(t *testing.T) {
 }
 
 // TestStaticPDRefusesFlip pins the gate: with Elastic off, flip is a
-// structured no-op and the masks stay nil.
+// structured no-op and the flipped-role bits stay nil.
 func TestStaticPDRefusesFlip(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.NumPrefill = 2
@@ -188,8 +189,73 @@ func TestStaticPDRefusesFlip(t *testing.T) {
 	if fr := d.flip(true); fr.OK {
 		t.Fatalf("static pd accepted a flip: %+v", fr)
 	}
-	if d.pFlipped != nil || d.dFlipped != nil || d.pp != nil || d.dd != nil {
+	if d.flipped != nil {
 		t.Fatal("static pd built elastic state")
+	}
+}
+
+// TestPDLayout pins the one-list, one-matrix layout: static wiring has
+// exactly the 2·P·D cross-role links, Elastic every off-diagonal pair;
+// each link is named for its physical endpoints under the NamePrefix; and
+// the index-space lookups return nil exactly when both indices name the
+// same instance (a static cluster has no decode-to-decode links at all).
+func TestPDLayout(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {1, 3}} {
+		for _, elastic := range []bool{false, true} {
+			np, nd := shape[0], shape[1]
+			cfg := cfg13B(t)
+			cfg.NumPrefill, cfg.NumDecode = np, nd
+			cfg.NamePrefix = "r3/"
+			cfg.Elastic = elastic
+			r, err := newRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := newPD(r, r.cfg, pdHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("%dP/%dD elastic=%v", np, nd, elastic)
+			home := func(k int) string {
+				if k < np {
+					return fmt.Sprintf("p%d", k)
+				}
+				return fmt.Sprintf("d%d", k-np)
+			}
+			n := 0
+			for a, row := range d.link {
+				for b, lk := range row {
+					if lk == nil {
+						continue
+					}
+					n++
+					if want := "r3/" + home(a) + "-" + home(b); lk.Name() != want {
+						t.Errorf("%s: link[%d][%d] named %q, want %q", tag, a, b, lk.Name(), want)
+					}
+				}
+			}
+			want := 2 * np * nd
+			if elastic {
+				want = (np + nd) * (np + nd - 1)
+			}
+			if n != want {
+				t.Errorf("%s: %d links, want %d", tag, n, want)
+			}
+			for i := 0; i < d.pSpace(); i++ {
+				for j := 0; j < d.dSpace(); j++ {
+					if same := d.pIns(i) == d.dIns(j); (d.pdLink(i, j) == nil) != same {
+						t.Errorf("%s: pdLink(%d,%d) nil=%v, same instance=%v", tag, i, j, d.pdLink(i, j) == nil, same)
+					}
+				}
+			}
+			for j := 0; j < d.dSpace(); j++ {
+				for j2 := 0; j2 < d.dSpace(); j2++ {
+					if wantNil := j == j2 || !elastic; (d.ddLink(j, j2) == nil) != wantNil {
+						t.Errorf("%s: ddLink(%d,%d) nil=%v, want %v", tag, j, j2, d.ddLink(j, j2) == nil, wantNil)
+					}
+				}
+			}
+		}
 	}
 }
 

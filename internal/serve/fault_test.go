@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"windserve/internal/engine"
@@ -340,35 +341,44 @@ func TestPropertyInvariantsUnderFaults(t *testing.T) {
 	}
 }
 
-// TestConfigValidationRejectsBadValues covers the hardened validation.
+// TestConfigValidationRejectsBadValues covers the hardened validation:
+// every value fillDefaults would otherwise mask is rejected by every
+// system, with an error naming the field (field "" skips the name check).
 func TestConfigValidationRejectsBadValues(t *testing.T) {
 	base := cfg13B(t)
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		field string
+		mut   func(*Config)
 	}{
-		{"negative NumPrefill", func(c *Config) { c.NumPrefill = -1 }},
-		{"negative NumDecode", func(c *Config) { c.NumDecode = -2 }},
-		{"zero BlockSize", func(c *Config) { c.BlockSize = 0 }},
-		{"ReserveFrac 1", func(c *Config) { c.ReserveFrac = 1 }},
-		{"negative ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = -0.5 }},
-		{"KVSafetyFrac 2", func(c *Config) { c.Wind.KVSafetyFrac = 2 }},
-		{"negative MaxQueueDepth", func(c *Config) { c.Shed.MaxQueueDepth = -1 }},
-		{"negative TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = -sim.Seconds(1) }},
-		{"fault targets missing instance", func(c *Config) {
+		{"NumPrefill", func(c *Config) { c.NumPrefill = -1 }},
+		{"NumDecode", func(c *Config) { c.NumDecode = -2 }},
+		{"BlockSize", func(c *Config) { c.BlockSize = 0 }},
+		{"ReserveFrac", func(c *Config) { c.ReserveFrac = 1 }},
+		{"CPUSwapTokens", func(c *Config) { c.CPUSwapTokens = -1 }},
+		{"MaxPrefillTokens", func(c *Config) { c.MaxPrefillTokens = -1 }},
+		{"ChunkSize", func(c *Config) { c.ChunkSize = -512 }},
+		{"MaxDecodeBatch", func(c *Config) { c.MaxDecodeBatch = -1 }},
+		{"Horizon", func(c *Config) { c.Horizon = -sim.Seconds(1) }},
+		{"Stream.MaxRecords", func(c *Config) { c.Stream = StreamPolicy{Enabled: true, MaxRecords: -1} }},
+		{"Wind.ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = -0.5 }},
+		{"Wind.KVSafetyFrac", func(c *Config) { c.Wind.KVSafetyFrac = 2 }},
+		{"Shed.MaxQueueDepth", func(c *Config) { c.Shed.MaxQueueDepth = -1 }},
+		{"Shed.TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = -sim.Seconds(1) }},
+		{"", func(c *Config) { // fault targets a missing instance
 			c.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Role: fault.RoleDecode, Instance: 5, At: 1}}}
 		}},
-		{"invalid fault factor", func(c *Config) {
+		{"", func(c *Config) { // invalid fault factor
 			c.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.Slowdown, Factor: 0.5, At: 1}}}
 		}},
 	}
 	reqs := trace13B(1, 3, 1)
-	for _, tc := range cases {
+	for i, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
 		for name, run := range allSystems() {
-			if _, err := run(cfg, reqs); err == nil {
-				t.Errorf("%s: %s accepted", name, tc.name)
+			_, err := run(cfg, reqs)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s: case %d (%s): err = %v, want one naming the field", name, i, tc.field, err)
 			}
 		}
 	}

@@ -20,35 +20,34 @@ func installPDFaults(r *runner, d *pd) error {
 	if d.ph.crashDecode != nil {
 		crashD = d.ph.crashDecode
 	}
+	// ins resolves a target to its physical instance; validate has
+	// already bounded idx by the role's home count.
+	ins := func(role fault.Role, idx int) *engine.Instance {
+		if role == fault.RolePrefill {
+			return d.ins[idx]
+		}
+		return d.ins[d.dPhys(idx)]
+	}
 	h := fault.Hooks{
 		Crash: func(role fault.Role, idx int) {
+			if ins(role, idx).Down() {
+				return
+			}
 			if role == fault.RolePrefill {
-				if idx < len(d.prefills) && !d.prefills[idx].Down() {
-					crashP(idx)
-				}
-			} else if idx < len(d.decodes) && !d.decodes[idx].Down() {
+				crashP(idx)
+			} else {
 				crashD(idx)
 			}
 		},
 		Restore: func(role fault.Role, idx int) {
-			if role == fault.RolePrefill {
-				if idx < len(d.prefills) {
-					d.prefills[idx].Restore()
-				}
-			} else if idx < len(d.decodes) {
-				d.decodes[idx].Restore()
+			ins(role, idx).Restore()
+			if role != fault.RolePrefill {
 				// Fresh decode KV may unblock transfers queued on survivors.
 				d.retryTransfers()
 			}
 		},
 		SetSlowdown: func(role fault.Role, idx int, factor float64) {
-			if role == fault.RolePrefill {
-				if idx < len(d.prefills) {
-					d.prefills[idx].SetSlowdown(factor)
-				}
-			} else if idx < len(d.decodes) {
-				d.decodes[idx].SetSlowdown(factor)
-			}
+			ins(role, idx).SetSlowdown(factor)
 		},
 		SetLinkDegrade: d.degradeLinks,
 		Cancel:         r.cancelFrac,

@@ -127,7 +127,7 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 	var stats kvcache.Stats
 	var cu, bu, stall float64
 	for i, ins := range instances {
-		addStats(&stats, kvs[i].Stats())
+		stats.Accumulate(kvs[i].Stats())
 		c, b := utilization(ins, res.Elapsed)
 		cu += c
 		bu += b

@@ -250,7 +250,7 @@ func (w *windState) logDispatch(q *engine.Req, in sched.DispatchInput,
 	log.AddDispatch(rec)
 }
 
-// observeTransfer feeds completed p2d copies into the Profiler so
+// observeTransfer feeds completed prefill→decode copies into the Profiler so
 // Algorithm 1's TTFT prediction prices the transfer a prefill-side
 // placement implies — on a degraded link that bias shifts dispatch toward
 // the decode instance.
@@ -288,7 +288,7 @@ func (w *windState) maybeStartAsyncTransfer(q *engine.Req) {
 	pi := w.d.prefillIdx(q)
 	start := w.r.s.Now()
 	bytes := w.d.kvBytes(q.W.PromptTokens)
-	w.d.p2d[pi][dj].Transfer(bytes, func() {
+	w.d.pdLink(pi, dj).Transfer(bytes, func() {
 		w.d.observeTransfer(bytes, start)
 		w.cfg.Tracer.Add(fmt.Sprintf("link p%d-d%d", pi, dj), trace.KindKVTransfer, start, w.r.s.Now(),
 			fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
@@ -442,7 +442,7 @@ func (w *windState) migrationRound(m *migration) {
 	}
 	target := m.q.Ctx()
 	start := w.r.s.Now()
-	w.d.d2p[m.src][m.dst].Transfer(w.d.kvBytes(dirty), func() {
+	w.d.dpLink(m.src, m.dst).Transfer(w.d.kvBytes(dirty), func() {
 		if m.dead {
 			return // an endpoint crashed mid-round; recovery re-homed q
 		}
@@ -470,7 +470,7 @@ func (w *windState) drainMigration(m *migration) {
 	q.Phase = engine.PhaseDraining
 	dirty := q.Ctx() - m.clean
 	start := w.r.s.Now()
-	w.d.d2p[m.src][m.dst].Transfer(w.d.kvBytes(dirty), func() {
+	w.d.dpLink(m.src, m.dst).Transfer(w.d.kvBytes(dirty), func() {
 		if m.dead {
 			// An endpoint crashed (or q was aborted) while the tail copied.
 			// A paused drain is owned by nobody, so put the request back
@@ -547,7 +547,7 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	if pi < 0 {
 		return // no live prefill instance to hold a backup
 	}
-	if w.d.d2p[j][pi].Busy() {
+	if w.d.dpLink(j, pi).Busy() {
 		return // keep backups off the critical path of migrations
 	}
 	pkv := w.d.prefills[pi].KV()
@@ -577,7 +577,7 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	}
 	w.backupInFlight[cand.W.ID] = true
 	start := w.r.s.Now()
-	w.d.d2p[j][pi].Transfer(w.d.kvBytes(snap), func() {
+	w.d.dpLink(j, pi).Transfer(w.d.kvBytes(snap), func() {
 		delete(w.backupInFlight, cand.W.ID)
 		w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", j, pi), trace.KindKVTransfer, start, w.r.s.Now(),
 			fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
@@ -644,16 +644,7 @@ func (w *windState) abort(q *engine.Req) {
 // backups held at i evaporate; migrations targeting i die (their victims
 // keep decoding at the source).
 func (w *windState) crashPrefill(i int) {
-	orphans := w.d.prefills[i].Crash()
-	keep := w.d.transferPending[:0]
-	for _, q := range w.d.transferPending {
-		if w.d.prefillAt[q.W.ID] == i {
-			orphans = append(orphans, q)
-		} else {
-			keep = append(keep, q)
-		}
-	}
-	w.d.transferPending = keep
+	orphans := w.d.crashPrefillOrphans(i)
 	for _, id := range sortedIDs(w.backupAt) {
 		if w.backupAt[id] != i {
 			continue

@@ -160,7 +160,9 @@ func TestTraceReaderStreams(t *testing.T) {
 // FuzzTraceReader streams arbitrary bytes as a JSON trace: no input may
 // panic, a failed stream must report an error with a message, and every
 // request it yields must arrive no earlier than its predecessor. The seeds
-// are the well-formed, truncated, mistyped and unsorted traces above.
+// are the well-formed, truncated, mistyped and unsorted traces above, plus
+// a negative token count and a reused ID, which the reader passes through
+// and the serving runners reject.
 func FuzzTraceReader(f *testing.F) {
 	full := `[{"id":1,"arrival":0.5,"prompt_tokens":10,"output_tokens":2},
 {"id":2,"arrival":1.5,"prompt_tokens":20,"output_tokens":3}]`
@@ -173,6 +175,8 @@ func FuzzTraceReader(f *testing.F) {
 		`[{"id":1,"arrival":0.5,"prompt_tokens":"many","output_tokens":2}]`,
 		`{"id":1}`,
 		`[{"id":1,"arrival":5},{"id":2,"arrival":1}]`,
+		`[{"id":1,"arrival":0,"prompt_tokens":-100,"output_tokens":10}]`,
+		`[{"id":7,"arrival":0,"prompt_tokens":10,"output_tokens":2},{"id":7,"arrival":0,"prompt_tokens":10,"output_tokens":2}]`,
 	} {
 		f.Add([]byte(seed))
 	}
