@@ -120,8 +120,15 @@ type Instance struct {
 	// are data-dependent).
 	inFlight int
 
-	assistActive []*Req // SBD pass in flight (empty when stream 2 idle)
-	assistBatch  perf.Batch
+	// assist is the SBD pass in flight in the second stream, nil when
+	// stream 2 is idle.
+	assist *passPlan
+
+	// kickFn is Kick's event body, built once so a kick allocates nothing.
+	kickFn func()
+	// freePlans recycles pass plans, with their slices and closures, once
+	// a pass has applied or a crash has abandoned it.
+	freePlans []*passPlan
 
 	// Telemetry.
 	ComputeGauge metrics.Gauge // tensor-core utilization (Fig. 2)
@@ -145,7 +152,12 @@ func NewInstance(s *sim.Simulator, cfg Config, hooks Hooks) (*Instance, error) {
 	if cfg.AssistBatchTokens <= 0 {
 		cfg.AssistBatchTokens = cfg.MaxPrefillTokens
 	}
-	return &Instance{cfg: cfg, sim: s, hooks: hooks}, nil
+	ins := &Instance{cfg: cfg, sim: s, hooks: hooks}
+	ins.kickFn = func() {
+		ins.kickPending = false
+		ins.step()
+	}
+	return ins, nil
 }
 
 // Name returns the instance name.
@@ -192,21 +204,31 @@ func (ins *Instance) AdmitDecode(r *Req) {
 // InsertRunning adds a request directly to the running batch (migration
 // resume). KV must already be resident.
 func (ins *Instance) InsertRunning(r *Req) {
-	r.Phase = PhaseDecoding
-	ins.running = append(ins.running, r)
+	ins.pushRunning(r)
 	ins.Kick()
 }
 
-// RemoveRunning takes a request out of the running batch (migration
-// drain). Reports whether it was present.
-func (ins *Instance) RemoveRunning(r *Req) bool {
-	for i, x := range ins.running {
-		if x == r {
-			ins.running = append(ins.running[:i], ins.running[i+1:]...)
-			return true
-		}
+// pushRunning appends r to the running batch. A request is in at most
+// one running batch at a time: callers remove it from the old one first.
+func (ins *Instance) pushRunning(r *Req) {
+	if r.runningOn != nil {
+		panic(fmt.Sprintf("engine: %v joins %s while running on %s", r, ins.cfg.Name, r.runningOn.cfg.Name))
 	}
-	return false
+	r.Phase = PhaseDecoding
+	r.runningOn = ins
+	ins.running = append(ins.running, r)
+}
+
+// RemoveRunning takes a request out of the running batch (migration
+// drain). Reports whether it was present. Order is kept: eviction picks
+// the latest admitted, and hooks fire in batch order.
+func (ins *Instance) RemoveRunning(r *Req) bool {
+	if r.runningOn != ins {
+		return false
+	}
+	r.runningOn = nil
+	ins.running = removeReq(ins.running, r)
+	return true
 }
 
 // ReleaseKV frees a request's blocks here and re-kicks the engine (freed
@@ -244,13 +266,20 @@ func (ins *Instance) Crash() []*Req {
 	}
 	collect(ins.prefillQ)
 	collect(ins.assistQ)
-	collect(ins.assistActive)
+	if ins.assist != nil {
+		for _, seg := range ins.assist.prefillSegs {
+			seg.r.inPass = false
+			orphans = append(orphans, seg.r)
+		}
+	}
 	collect(ins.admitQ)
+	for _, r := range ins.running {
+		r.runningOn = nil
+	}
 	collect(ins.running)
 	collect(ins.swapped)
-	ins.prefillQ, ins.assistQ, ins.assistActive = nil, nil, nil
+	ins.prefillQ, ins.assistQ, ins.assist = nil, nil, nil
 	ins.admitQ, ins.running, ins.swapped = nil, nil, nil
-	ins.assistBatch = perf.Batch{}
 	ins.cfg.KV.Reset()
 	return orphans
 }
@@ -329,9 +358,18 @@ func (ins *Instance) Abort(r *Req) {
 	ins.admitQ = removeReq(ins.admitQ, r)
 	ins.swapped = removeReq(ins.swapped, r)
 	ins.RemoveRunning(r)
-	// Requests in assistActive stay in the slice (the pass is running);
-	// the completion loop skips aborted entries.
+	// Requests in the assist pass stay in it (the pass is running); the
+	// completion loop skips aborted entries.
 	ins.ReleaseKV(r)
+}
+
+// popFront drops the first n requests of q in place. Keeping the backing
+// array, rather than reslicing past the head, lets a steady enqueue and
+// dequeue stream reuse it instead of reallocating.
+func popFront(q []*Req, n int) []*Req {
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 func removeReq(rs []*Req, r *Req) []*Req {
@@ -393,14 +431,16 @@ func (ins *Instance) AssistPendingTokens() int {
 	for _, r := range ins.assistQ {
 		n += r.PrefillRemaining()
 	}
-	for _, r := range ins.assistActive {
-		n += r.W.PromptTokens
+	if ins.assist != nil {
+		for _, seg := range ins.assist.prefillSegs {
+			n += seg.r.W.PromptTokens
+		}
 	}
 	return n
 }
 
 // AssistActive reports whether an SBD prefill pass is in flight.
-func (ins *Instance) AssistActive() bool { return len(ins.assistActive) > 0 }
+func (ins *Instance) AssistActive() bool { return ins.assist != nil }
 
 // FreeKVTokens returns the token capacity of free blocks.
 func (ins *Instance) FreeKVTokens() int { return ins.cfg.KV.FreeTokens() }
@@ -408,7 +448,7 @@ func (ins *Instance) FreeKVTokens() int { return ins.cfg.KV.FreeTokens() }
 // Idle reports whether the main stream has nothing running or runnable.
 func (ins *Instance) Idle() bool {
 	return !ins.busy && len(ins.running) == 0 && len(ins.prefillQ) == 0 &&
-		len(ins.admitQ) == 0 && len(ins.assistActive) == 0 && len(ins.assistQ) == 0
+		len(ins.admitQ) == 0 && ins.assist == nil && len(ins.assistQ) == 0
 }
 
 // --- The iteration loop ------------------------------------------------
@@ -424,10 +464,7 @@ func (ins *Instance) Kick() {
 	if now := ins.sim.Now(); ins.stallUntil > now && !ins.busy {
 		delay = ins.stallUntil.Sub(now)
 	}
-	ins.sim.Schedule(delay, func() {
-		ins.kickPending = false
-		ins.step()
-	})
+	ins.sim.Schedule(delay, ins.kickFn)
 }
 
 func (ins *Instance) step() {
@@ -446,8 +483,10 @@ func (ins *Instance) step() {
 	ins.trySwapIn()
 	ins.admit()
 	ins.maybeStartAssist()
-	batch, plan := ins.formBatch()
+	plan := ins.formBatch()
+	batch := plan.batch
 	if batch.Empty() {
+		ins.freePlans = append(ins.freePlans, plan)
 		return
 	}
 	start := ins.sim.Now()
@@ -464,39 +503,78 @@ func (ins *Instance) step() {
 	ins.inFlight++
 	ins.Iterations++
 	ins.recordUtilization(batch, start, dur)
-	ins.tracePass(batch, plan, start, dur)
+	ins.tracePass(plan, start, dur)
 	for _, r := range plan.newDecodes {
 		if ins.hooks.OnDecodeStart != nil {
 			ins.hooks.OnDecodeStart(r)
 		}
 	}
-	epoch := ins.epoch
-	ins.sim.Schedule(initiation, func() {
-		if ins.epoch != epoch {
-			return // crashed mid-pass; Crash already reset busy
-		}
-		ins.busy = false
-		ins.Kick()
-	})
-	ins.sim.Schedule(dur, func() {
-		if ins.epoch != epoch {
-			return // crashed mid-pass; the pass's effects are lost
-		}
-		ins.inFlight--
-		ins.apply(plan)
-		if ins.hooks.OnIterationEnd != nil {
-			ins.hooks.OnIterationEnd()
-		}
-		ins.Kick()
-	})
+	plan.epoch = ins.epoch
+	ins.sim.Schedule(initiation, plan.initiated)
+	ins.sim.Schedule(dur, plan.completed)
 }
 
-// passPlan remembers what a pass will do so apply() can commit it.
+// passPlan remembers what a pass will do so apply() can commit it: a
+// main-stream pass, or with assist set an SBD prefill pass in the second
+// stream. Plans are recycled through Instance.freePlans: the slices keep
+// their backing arrays, and the two event bodies are built once per plan
+// object.
 type passPlan struct {
 	prefillSegs []prefillSeg
 	decodes     []*Req
 	newDecodes  []*Req // first decode step this pass
 	batch       perf.Batch
+	assist      bool
+
+	// epoch is the instance epoch the pass started in; a crash bumps the
+	// instance's, so the events of a pass in flight see the mismatch.
+	epoch uint64
+	// initiated frees the engine for the next pass; completed applies the
+	// pass and returns the plan to the free list.
+	initiated, completed func()
+}
+
+// newPlan takes a plan off the free list, or builds one with its events.
+func (ins *Instance) newPlan() *passPlan {
+	if n := len(ins.freePlans); n > 0 {
+		p := ins.freePlans[n-1]
+		ins.freePlans = ins.freePlans[:n-1]
+		p.prefillSegs = p.prefillSegs[:0]
+		p.decodes = p.decodes[:0]
+		p.newDecodes = p.newDecodes[:0]
+		p.batch = perf.Batch{Prefill: p.batch.Prefill[:0]}
+		p.assist = false
+		return p
+	}
+	p := &passPlan{}
+	p.initiated = func() {
+		if ins.epoch != p.epoch {
+			return // crashed mid-pass; Crash already reset busy
+		}
+		ins.busy = false
+		ins.Kick()
+	}
+	p.completed = func() {
+		if ins.epoch == p.epoch { // else crashed mid-pass; its effects are lost
+			ins.complete(p)
+		}
+		ins.freePlans = append(ins.freePlans, p)
+	}
+	return p
+}
+
+// complete commits a finished pass in either stream.
+func (ins *Instance) complete(p *passPlan) {
+	if p.assist {
+		ins.finishAssist(p)
+	} else {
+		ins.inFlight--
+		ins.apply(p)
+		if ins.hooks.OnIterationEnd != nil {
+			ins.hooks.OnIterationEnd()
+		}
+	}
+	ins.Kick()
 }
 
 type prefillSeg struct {
@@ -507,8 +585,8 @@ type prefillSeg struct {
 // passDuration selects the timing model: SBD contention applies to decode
 // passes while an assist prefill stream is active.
 func (ins *Instance) passDuration(b perf.Batch) sim.Duration {
-	if len(ins.assistActive) > 0 {
-		return ins.slowed(ins.cfg.CM.SBDDecodeTime(b, ins.assistBatch))
+	if ins.assist != nil {
+		return ins.slowed(ins.cfg.CM.SBDDecodeTime(b, ins.assist.batch))
 	}
 	return ins.slowed(ins.cfg.CM.IterTime(b))
 }
@@ -523,12 +601,12 @@ func (ins *Instance) slowed(d sim.Duration) sim.Duration {
 
 // admit moves pending requests into the running batch.
 func (ins *Instance) admit() {
-	for len(ins.admitQ) > 0 && len(ins.running) < ins.cfg.MaxDecodeBatch {
-		r := ins.admitQ[0]
-		ins.admitQ = ins.admitQ[1:]
-		r.Phase = PhaseDecoding
-		ins.running = append(ins.running, r)
+	n := 0
+	for n < len(ins.admitQ) && len(ins.running) < ins.cfg.MaxDecodeBatch {
+		ins.pushRunning(ins.admitQ[n])
+		n++
 	}
+	ins.admitQ = popFront(ins.admitQ, n)
 }
 
 // trySwapIn restores the oldest preempted request if blocks allow.
@@ -542,8 +620,7 @@ func (ins *Instance) trySwapIn() {
 		}
 		ins.swapped = ins.swapped[1:]
 		ins.stall(ins.swapTime(tokens), trace.KindSwapIn, r)
-		r.Phase = PhaseDecoding
-		ins.running = append(ins.running, r)
+		ins.pushRunning(r)
 	}
 }
 
@@ -551,21 +628,23 @@ func (ins *Instance) trySwapIn() {
 // stream, batching queued assists up to AssistBatchTokens (Algorithm 1
 // adds the accumulated assistRequests to the decode pipeline together).
 func (ins *Instance) maybeStartAssist() {
-	if !ins.cfg.SBD || len(ins.assistActive) > 0 || len(ins.assistQ) == 0 {
+	if !ins.cfg.SBD || ins.assist != nil || len(ins.assistQ) == 0 {
 		return
 	}
-	var batch perf.Batch
+	p := ins.newPlan()
+	p.assist = true
+	ins.assist = p
 	budget := ins.cfg.AssistBatchTokens
 	for len(ins.assistQ) > 0 {
 		r := ins.assistQ[0]
 		n := r.PrefillRemaining()
-		if n > budget && len(ins.assistActive) > 0 {
+		if n > budget && len(p.prefillSegs) > 0 {
 			break
 		}
-		ins.assistQ = ins.assistQ[1:]
+		ins.assistQ = popFront(ins.assistQ, 1)
 		r.Phase = PhasePrefilling
-		ins.assistActive = append(ins.assistActive, r)
-		batch.Prefill = append(batch.Prefill, perf.PrefillSeg{NewTokens: n})
+		p.prefillSegs = append(p.prefillSegs, prefillSeg{r: r, tokens: n})
+		p.batch.Prefill = append(p.batch.Prefill, perf.PrefillSeg{NewTokens: n})
 		if ins.hooks.OnPrefillStart != nil {
 			ins.hooks.OnPrefillStart(r)
 		}
@@ -574,37 +653,37 @@ func (ins *Instance) maybeStartAssist() {
 			break
 		}
 	}
-	ins.assistBatch = batch
 	start := ins.sim.Now()
-	dur := ins.slowed(ins.cfg.CM.SBDPrefillTime(batch, ins.RunningShape()))
-	cost := ins.cfg.CM.BatchCost(batch)
+	dur := ins.slowed(ins.cfg.CM.SBDPrefillTime(p.batch, ins.RunningShape()))
+	cost := ins.cfg.CM.BatchCost(p.batch)
 	ins.ComputeGauge.AddInterval(start, start.Add(dur),
 		cost.FLOPs()/(dur.Seconds()*ins.cfg.CM.GPU.FLOPS()*float64(ins.cfg.CM.Place.GPUs())))
-	ins.cfg.Tracer.Add(ins.cfg.Name+"/stream2", trace.KindSBDPrefill, start, start.Add(dur),
-		fmt.Sprintf("%d reqs n=%d", len(ins.assistActive), batch.PrefillTokens()))
-	done := ins.assistActive
-	epoch := ins.epoch
-	ins.sim.Schedule(dur, func() {
-		if ins.epoch != epoch {
-			return // crashed mid-pass; the assist batch was orphaned
+	if ins.cfg.Tracer != nil {
+		ins.cfg.Tracer.Add(ins.cfg.Name+"/stream2", trace.KindSBDPrefill, start, start.Add(dur),
+			fmt.Sprintf("%d reqs n=%d", len(p.prefillSegs), p.batch.PrefillTokens()))
+	}
+	p.epoch = ins.epoch
+	ins.sim.Schedule(dur, p.completed)
+}
+
+// finishAssist commits a completed SBD prefill pass.
+func (ins *Instance) finishAssist(p *passPlan) {
+	ins.assist = nil
+	for _, seg := range p.prefillSegs {
+		if seg.r.Phase == PhaseAborted {
+			continue // cancelled mid-pass; KV already released
 		}
-		ins.assistActive = nil
-		for _, r := range done {
-			if r.Phase == PhaseAborted {
-				continue // cancelled mid-pass; KV already released
-			}
-			r.PrefillDone = r.W.PromptTokens
-			ins.finishPrefill(r)
-		}
-		ins.Kick()
-	})
+		seg.r.PrefillDone = seg.r.W.PromptTokens
+		ins.finishPrefill(seg.r)
+	}
 }
 
 // formBatch builds the next main-stream pass under FCFS with continuous
-// batching.
-func (ins *Instance) formBatch() (perf.Batch, passPlan) {
-	var plan passPlan
-	b := perf.Batch{DecodeReqs: len(ins.running)}
+// batching. The plan comes off the free list; the caller returns it.
+func (ins *Instance) formBatch() *passPlan {
+	plan := ins.newPlan()
+	b := &plan.batch
+	b.DecodeReqs = len(ins.running)
 	for _, r := range ins.running {
 		b.DecodeSumCtx += r.Ctx()
 		r.inPass = true
@@ -616,17 +695,17 @@ func (ins *Instance) formBatch() (perf.Batch, passPlan) {
 	if ins.cfg.AllowPrefill {
 		chunked := ins.cfg.ChunkSize > 0 && (ins.cfg.AlwaysChunk || len(ins.running) > 0)
 		if chunked {
-			ins.fillChunked(&b, &plan)
+			ins.fillChunked(plan)
 		} else {
-			ins.fillWholePrompts(&b, &plan)
+			ins.fillWholePrompts(plan)
 		}
 	}
-	plan.batch = b
-	return b, plan
+	return plan
 }
 
 // fillWholePrompts batches entire prompts FCFS up to MaxPrefillTokens.
-func (ins *Instance) fillWholePrompts(b *perf.Batch, plan *passPlan) {
+func (ins *Instance) fillWholePrompts(plan *passPlan) {
+	b := &plan.batch
 	budget := ins.cfg.MaxPrefillTokens
 	for _, r := range ins.prefillQ {
 		if r.inPass {
@@ -655,7 +734,8 @@ func (ins *Instance) fillWholePrompts(b *perf.Batch, plan *passPlan) {
 }
 
 // fillChunked batches up to ChunkSize new prefill tokens FCFS.
-func (ins *Instance) fillChunked(b *perf.Batch, plan *passPlan) {
+func (ins *Instance) fillChunked(plan *passPlan) {
+	b := &plan.batch
 	budget := ins.cfg.ChunkSize
 	for _, r := range ins.prefillQ {
 		if budget <= 0 {
@@ -731,7 +811,7 @@ func (ins *Instance) startPrefillOnce(r *Req) {
 }
 
 // apply commits a completed pass.
-func (ins *Instance) apply(plan passPlan) {
+func (ins *Instance) apply(plan *passPlan) {
 	// Prefill progress.
 	for _, seg := range plan.prefillSegs {
 		seg.r.inPass = false
@@ -810,14 +890,7 @@ func (ins *Instance) finishPrefill(r *Req) {
 }
 
 // contains reports whether r is currently in this instance's running batch.
-func (ins *Instance) contains(r *Req) bool {
-	for _, x := range ins.running {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
+func (ins *Instance) contains(r *Req) bool { return r.runningOn == ins }
 
 func (ins *Instance) dequeuePrefill(r *Req) {
 	for i, x := range ins.prefillQ {
@@ -910,7 +983,9 @@ func (ins *Instance) stall(d sim.Duration, kind trace.Kind, r *Req) {
 	}
 	ins.stallUntil = base.Add(d)
 	ins.SwapStall += d
-	ins.cfg.Tracer.Add(ins.cfg.Name, kind, base, ins.stallUntil, fmt.Sprintf("req%d", r.W.ID))
+	if ins.cfg.Tracer != nil {
+		ins.cfg.Tracer.Add(ins.cfg.Name, kind, base, ins.stallUntil, fmt.Sprintf("req%d", r.W.ID))
+	}
 }
 
 // recordUtilization charges the pass to the Fig. 2 gauges.
@@ -925,10 +1000,11 @@ func (ins *Instance) recordUtilization(b perf.Batch, start sim.Time, dur sim.Dur
 	ins.BWGauge.AddInterval(start, end, cost.IOBytes()/(dur.Seconds()*ins.cfg.CM.GPU.BandwidthBytes()*gpus))
 }
 
-func (ins *Instance) tracePass(b perf.Batch, plan passPlan, start sim.Time, dur sim.Duration) {
+func (ins *Instance) tracePass(plan *passPlan, start sim.Time, dur sim.Duration) {
 	if ins.cfg.Tracer == nil {
 		return
 	}
+	b := plan.batch
 	kind := trace.KindDecode
 	switch {
 	case len(plan.prefillSegs) > 0 && b.DecodeReqs > 0:
@@ -938,7 +1014,7 @@ func (ins *Instance) tracePass(b perf.Batch, plan passPlan, start sim.Time, dur 
 		if plan.prefillSegs[0].tokens < plan.prefillSegs[0].r.W.PromptTokens {
 			kind = trace.KindChunk
 		}
-	case len(ins.assistActive) > 0:
+	case ins.assist != nil:
 		kind = trace.KindSBDDecode
 	}
 	ins.cfg.Tracer.Add(ins.cfg.Name, kind, start, start.Add(dur),

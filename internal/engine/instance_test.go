@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"testing"
-
 	"fmt"
+	"math/rand"
+	"testing"
 
 	"windserve/internal/gpu"
 	"windserve/internal/kvcache"
@@ -34,7 +34,7 @@ type harness struct {
 	evicted   []*Req
 }
 
-func newHarness(t *testing.T, kvTokens, cpuTokens int, mut func(*Config), hookMut func(*harness, *Hooks)) *harness {
+func newHarness(t testing.TB, kvTokens, cpuTokens int, mut func(*Config), hookMut func(*harness, *Hooks)) *harness {
 	t.Helper()
 	h := &harness{s: sim.New()}
 	cm := perf.MustNew(tinyModel(), gpu.A800, perf.Placement{TP: 1, PP: 1}, gpu.NVLinkBridge, perf.DefaultParams())
@@ -569,5 +569,182 @@ func TestPipelinedPassesDoNotDuplicateRequests(t *testing.T) {
 func TestNewInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(sim.New(), Config{Name: "x"}, Hooks{}); err == nil {
 		t.Fatal("missing CM/KV accepted")
+	}
+}
+
+// containsScan is the linear membership scan the runningOn marker
+// replaced, kept as the reference the property test checks against.
+func containsScan(ins *Instance, r *Req) bool {
+	for _, x := range ins.running {
+		if x == r {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunningMembershipMatchesScan drives seeded random sequences of
+// submissions, running-batch moves, aborts, crashes and passes over two
+// instances on one simulator, and checks after every operation that the
+// O(1) membership marker agrees with a scan of each running batch.
+func TestRunningMembershipMatchesScan(t *testing.T) {
+	var swaps, recomputes, crashes, moves int
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// A small GPU budget and a smaller swap space make passes evict:
+		// first to host memory, then to recompute.
+		h := newHarness(t, 2048, 512, nil, nil)
+		peerKV := kvcache.MustNew(1024, 0, 16)
+		peer, err := NewInstance(h.s, Config{
+			Name: "peer", CM: h.ins.CM(), KV: peerKV, MaxDecodeBatch: 8,
+		}, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := []*Instance{h.ins, peer}
+		var all []*Req
+		var detached []*Req // removed from a running batch, owned by no queue
+		nextID := uint64(1)
+		fresh := func(prompt int) *Req {
+			r := req(nextID, prompt, 1+rng.Intn(40))
+			nextID++
+			all = append(all, r)
+			return r
+		}
+		// place gives r KV on x alone, reporting whether it fits.
+		place := func(x *Instance, r *Req) bool {
+			for _, o := range inst {
+				if o != x && o.KV().Has(r.KVID()) {
+					if err := o.KV().Release(r.KVID()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return x.KV().Has(r.KVID()) || x.KV().Allocate(r.KVID(), r.Ctx()+1) == nil
+		}
+		check := func(step int, op string) {
+			t.Helper()
+			for _, x := range inst {
+				for _, r := range all {
+					if got, want := x.contains(r), containsScan(x, r); got != want {
+						t.Fatalf("seed %d step %d (%s): %s.contains(%v) = %v, scan = %v",
+							seed, step, op, x.Name(), r, got, want)
+					}
+				}
+				for _, r := range x.running {
+					if r.runningOn != x {
+						t.Fatalf("seed %d step %d (%s): %v in %s.running has runningOn %p",
+							seed, step, op, r, x.Name(), r.runningOn)
+					}
+				}
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			x := inst[rng.Intn(len(inst))]
+			var op string
+			switch k := rng.Intn(100); {
+			case k < 15:
+				op = "enqueue"
+				h.ins.EnqueuePrefill(fresh(16 + rng.Intn(300)))
+			case k < 27:
+				op = "admit"
+				r := fresh(16 + rng.Intn(200))
+				r.PrefillDone, r.Generated = r.W.PromptTokens, 1
+				if place(x, r) {
+					x.AdmitDecode(r)
+				}
+			case k < 37:
+				op = "insert"
+				var r *Req
+				if n := len(detached); n > 0 && rng.Intn(2) == 0 {
+					i := rng.Intn(n)
+					r = detached[i]
+					detached = append(detached[:i], detached[i+1:]...)
+					moves++
+				} else {
+					r = fresh(16 + rng.Intn(200))
+					r.PrefillDone, r.Generated = r.W.PromptTokens, 1
+				}
+				if place(x, r) {
+					x.InsertRunning(r)
+				}
+			case k < 47:
+				op = "remove"
+				if len(all) == 0 {
+					break
+				}
+				r := all[rng.Intn(len(all))]
+				want := containsScan(x, r)
+				if got := x.RemoveRunning(r); got != want {
+					t.Fatalf("seed %d step %d: RemoveRunning = %v, scan said %v", seed, step, got, want)
+				}
+				if want {
+					detached = append(detached, r)
+				}
+			case k < 52:
+				op = "abort"
+				if len(all) == 0 {
+					break
+				}
+				r := all[rng.Intn(len(all))]
+				if r.Phase == PhaseDone || r.Phase == PhaseAborted {
+					break
+				}
+				r.Phase = PhaseAborted
+				for _, o := range inst {
+					o.Abort(r)
+				}
+				detached = removeReq(detached, r)
+			case k < 54:
+				op = "crash"
+				x.Crash()
+				crashes++
+			case k < 57:
+				op = "restore"
+				x.Restore()
+			default:
+				op = "step"
+				for n := 1 + rng.Intn(20); n > 0 && h.s.Step(); n-- {
+				}
+			}
+			check(step, op)
+		}
+		swaps += int(h.kv.Stats().SwapOutEvents)
+		recomputes += int(h.ins.Recomputes)
+	}
+	if swaps == 0 || recomputes == 0 || crashes == 0 || moves == 0 {
+		t.Errorf("sequence too tame: %d swap-outs, %d recomputes, %d crashes, %d re-inserts",
+			swaps, recomputes, crashes, moves)
+	}
+}
+
+// BenchmarkDecodePass measures one steady decode pass: 64 running
+// requests on a decode-only instance, none close to finishing. CI gates
+// it at 0 allocs/op. Contexts grow every pass, so the cost model's memo
+// misses each time; its map growth amortizes to well under one
+// allocation per pass.
+func BenchmarkDecodePass(b *testing.B) {
+	h := newHarness(b, 1<<30, 0, func(c *Config) { c.AllowPrefill = false },
+		func(_ *harness, hk *Hooks) { *hk = Hooks{} })
+	for i := 1; i <= 64; i++ {
+		r := req(uint64(i), 512, 1<<30)
+		r.PrefillDone, r.Generated = 512, 2
+		if err := h.kv.Allocate(r.KVID(), r.Ctx()+1); err != nil {
+			b.Fatal(err)
+		}
+		h.ins.InsertRunning(r)
+	}
+	pass := func() {
+		for want := h.ins.Iterations + 1; h.ins.Iterations < want; {
+			h.s.Step()
+		}
+	}
+	for i := 0; i < 16; i++ {
+		pass() // fill the plan and event free lists
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }

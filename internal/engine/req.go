@@ -94,6 +94,10 @@ type Req struct {
 	// not yet applied — pipelined prefill passes overlap, and a request
 	// must never be in two passes at once.
 	inPass bool
+	// runningOn is the instance whose running batch holds the request, nil
+	// when it is in none. Every push onto a running batch sets it and every
+	// removal clears it, so membership is one pointer compare.
+	runningOn *Instance
 }
 
 // NewReq wraps a workload request.

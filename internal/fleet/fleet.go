@@ -249,14 +249,33 @@ func (c *Config) validate() error {
 	if c.Replica.NamePrefix != "" {
 		return fmt.Errorf("fleet: Replica.NamePrefix is assigned per replica; leave it empty")
 	}
-	if c.BrownoutSlack < 0 || c.MaxFailovers < 0 || c.MaxQueueDepth < 0 {
-		return fmt.Errorf("fleet: negative policy knob")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Shards", c.Shards},
+		{"MaxFailovers", c.MaxFailovers},
+		{"MaxQueueDepth", c.MaxQueueDepth},
+		{"BrownoutDepth", c.BrownoutDepth},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("fleet: %s %d is negative", f.name, f.v)
+		}
 	}
-	if c.FailoverTimeout < 0 || c.TTFTDeadline < 0 {
-		return fmt.Errorf("fleet: negative timeout")
-	}
-	if c.Shards < 0 || c.NetDelay < 0 || c.LoadReportEvery < 0 {
-		return fmt.Errorf("fleet: negative shard knob")
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"NetDelay", float64(c.NetDelay)},
+		{"LoadReportEvery", float64(c.LoadReportEvery)},
+		{"FailoverTimeout", float64(c.FailoverTimeout)},
+		{"TTFTDeadline", float64(c.TTFTDeadline)},
+		{"Horizon", float64(c.Horizon)},
+		{"BrownoutSlack", c.BrownoutSlack},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fleet: %s %g must be finite and non-negative", f.name, f.v)
+		}
 	}
 	if c.Shards > 1 && c.Replica.Tracer != nil {
 		return fmt.Errorf("fleet: tracing is single-threaded; run with Shards <= 1")

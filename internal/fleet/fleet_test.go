@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -243,6 +244,46 @@ func TestFleetValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(cfg, trace(5, 5, 1)); err == nil {
 			t.Errorf("%s: Run accepted invalid config", name)
+		}
+	}
+}
+
+// TestConfigValidationRejectsBadValues: every negative or non-finite
+// knob is rejected with an error naming its field, at one and two shards
+// (a NaN NetDelay used to reach the shard barrier and panic there).
+func TestConfigValidationRejectsBadValues(t *testing.T) {
+	nan, inf := sim.Duration(math.NaN()), sim.Duration(math.Inf(1))
+	cases := []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Shards", func(c *Config) { c.Shards = -1 }},
+		{"MaxFailovers", func(c *Config) { c.MaxFailovers = -1 }},
+		{"MaxQueueDepth", func(c *Config) { c.MaxQueueDepth = -1 }},
+		{"BrownoutDepth", func(c *Config) { c.BrownoutDepth = -4 }},
+		{"NetDelay", func(c *Config) { c.NetDelay = -sim.Seconds(0.001) }},
+		{"NetDelay", func(c *Config) { c.NetDelay = nan }},
+		{"LoadReportEvery", func(c *Config) { c.LoadReportEvery = -sim.Seconds(1) }},
+		{"LoadReportEvery", func(c *Config) { c.LoadReportEvery = inf }},
+		{"FailoverTimeout", func(c *Config) { c.FailoverTimeout = -sim.Seconds(1) }},
+		{"FailoverTimeout", func(c *Config) { c.FailoverTimeout = nan }},
+		{"TTFTDeadline", func(c *Config) { c.TTFTDeadline = -sim.Seconds(1) }},
+		{"TTFTDeadline", func(c *Config) { c.TTFTDeadline = inf }},
+		{"Horizon", func(c *Config) { c.Horizon = -sim.Seconds(1) }},
+		{"Horizon", func(c *Config) { c.Horizon = nan }},
+		{"BrownoutSlack", func(c *Config) { c.BrownoutSlack = -1 }},
+		{"BrownoutSlack", func(c *Config) { c.BrownoutSlack = math.NaN() }},
+	}
+	for _, shards := range []int{1, 2} {
+		base := testConfig(t, 2)
+		base.Shards = shards
+		for i, tc := range cases {
+			cfg := base
+			tc.mut(&cfg)
+			_, err := Run(cfg, trace(5, 5, 1))
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("shards %d: case %d (%s): err = %v, want one naming the field", shards, i, tc.field, err)
+			}
 		}
 	}
 }

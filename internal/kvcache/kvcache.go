@@ -385,28 +385,6 @@ func (m *Manager) PromoteBackup(id RequestID) error {
 	return nil
 }
 
-// Backups returns the ids of all backup allocations.
-func (m *Manager) Backups() []RequestID {
-	var ids []RequestID
-	for id, t := range m.tables {
-		if t.isBackup {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// BackupBlocks returns the number of GPU blocks held by backups.
-func (m *Manager) BackupBlocks() int {
-	n := 0
-	for _, t := range m.tables {
-		if t.isBackup && t.loc == OnGPU {
-			n += t.blocks
-		}
-	}
-	return n
-}
-
 // Reset drops every allocation — GPU, swap, backups, and the shared
 // prefix pool on both tiers — restoring full free capacity, as when an
 // instance crashes and its memory contents are lost. Statistics

@@ -204,18 +204,17 @@ func TestBackups(t *testing.T) {
 	if m.IsBackup(8) {
 		t.Error("IsBackup of unknown request = true")
 	}
-	if got := m.BackupBlocks(); got != 7 {
-		t.Errorf("BackupBlocks = %d, want 7", got)
-	}
-	ids := m.Backups()
-	if len(ids) != 1 || ids[0] != 7 {
-		t.Errorf("Backups = %v", ids)
+	if got := m.UsedBlocks(); got != 7 {
+		t.Errorf("backup holds %d GPU blocks, want 7", got)
 	}
 	if err := m.PromoteBackup(7); err != nil {
 		t.Fatal(err)
 	}
-	if m.IsBackup(7) || m.BackupBlocks() != 0 {
+	if m.IsBackup(7) {
 		t.Error("promote did not clear backup flag")
+	}
+	if got := m.UsedBlocks(); got != 7 {
+		t.Errorf("promoted allocation holds %d GPU blocks, want 7", got)
 	}
 	if err := m.PromoteBackup(99); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("promote unknown = %v", err)

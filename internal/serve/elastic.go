@@ -206,8 +206,10 @@ func (d *pd) finishMigration(q *engine.Req, src, dst int, start sim.Time, lk *xf
 		return
 	}
 	delete(d.migrating, q.W.ID)
-	d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
-		fmt.Sprintf("req%d migrate %d tokens", q.W.ID, q.Ctx()))
+	if d.cfg.Tracer != nil {
+		d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
+			fmt.Sprintf("req%d migrate %d tokens", q.W.ID, q.Ctx()))
+	}
 	srcIns, dstIns := d.dIns(src), d.dIns(dst)
 	if q.Phase == engine.PhaseAborted {
 		d.releaseAt(srcIns, q)
