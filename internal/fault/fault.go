@@ -20,6 +20,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -531,4 +532,26 @@ func Apply(s *sim.Simulator, p *Plan, h Hooks) error {
 		}
 	}
 	return nil
+}
+
+// CancelVictims is the client-cancellation victim rule every system
+// shares: a seeded-random round(frac × len(open)) sample of the in-flight
+// ids, returned in ascending order. open must be sorted, so the same plan
+// cancels the same requests on every system and every run.
+func CancelVictims(open []uint64, frac float64, seed int64) []uint64 {
+	n := len(open)
+	k := int(math.Round(frac * float64(n)))
+	if k <= 0 {
+		return nil
+	}
+	if k > n {
+		k = n
+	}
+	picks := rand.New(rand.NewSource(seed)).Perm(n)[:k]
+	sort.Ints(picks)
+	victims := make([]uint64, k)
+	for i, p := range picks {
+		victims[i] = open[p]
+	}
+	return victims
 }

@@ -156,9 +156,7 @@ func (ra *replicaActor) report() {
 
 // replicaLedger satisfies serve.Ledger by forwarding each lifecycle write —
 // with its explicit event time — to the router, which owns the only real
-// metrics.Recorder. Arrival-side methods are never reached on a replica
-// (the router owns admission, shedding, and cancellation) and panic to
-// keep that invariant loud.
+// metrics.Recorder and the front door (admission, shedding, cancellation).
 type replicaLedger struct {
 	ra *replicaActor
 }
@@ -177,24 +175,6 @@ func (l replicaLedger) Complete(id uint64, at sim.Time) {
 }
 func (l replicaLedger) Abort(id uint64, at sim.Time, emitted int) {
 	l.ra.send(msg{kind: mAbortRec, id: id, t: at, a: emitted})
-}
-
-// InFlight gates abortReq on the replica; there, "the runner still owns
-// the request" is exactly the live-map check abortReq already did, so the
-// ledger side is unconditionally true.
-func (l replicaLedger) InFlight(id uint64) bool { return true }
-
-func (l replicaLedger) Arrive(id uint64, promptTokens, outputTokens int, at sim.Time) {
-	panic("fleet: replica ledger: Arrive is router-side")
-}
-func (l replicaLedger) Reject(id uint64, at sim.Time) {
-	panic("fleet: replica ledger: Reject is router-side")
-}
-func (l replicaLedger) HasFirstToken(id uint64) bool {
-	panic("fleet: replica ledger: HasFirstToken is router-side")
-}
-func (l replicaLedger) OpenIDs() []uint64 {
-	panic("fleet: replica ledger: OpenIDs is router-side")
 }
 
 // replicaHandle is the router's delayed view of one replica: the last

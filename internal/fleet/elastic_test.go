@@ -145,9 +145,8 @@ func TestElasticShardDeterminism(t *testing.T) {
 // TestElasticValidation covers the elastic-specific config rejections.
 func TestElasticValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"replica elastic set": func(c *Config) { c.Replica.Elastic = true },
-		"negative cooldown":   func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, Cooldown: -1} },
-		"negative floor":      func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, MinPrefill: -1} },
+		"negative cooldown": func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, Cooldown: -1} },
+		"negative floor":    func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, MinPrefill: -1} },
 	} {
 		cfg := testConfig(t, 2)
 		mutate(&cfg)

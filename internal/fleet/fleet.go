@@ -23,7 +23,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"windserve/internal/elastic"
@@ -40,8 +39,8 @@ import (
 // Config describes one fleet experiment.
 type Config struct {
 	// Replica is the per-replica serving configuration (model, placements,
-	// instance counts). NamePrefix, Shed, and Faults must be zero: the
-	// fleet assigns prefixes and owns shedding and fault injection.
+	// instance counts). Shed and Faults must be zero: the fleet owns
+	// shedding and fault injection, and names each replica itself.
 	Replica serve.Config
 	// NumReplicas deploys that many identical replicas (≥1).
 	NumReplicas int
@@ -230,24 +229,14 @@ type fleet struct {
 	// not its (NetDelay-later) application time.
 	completions []int
 
-	// arrival streaming (the runner pattern: one pending event).
-	src         workload.Source
-	arrivalFn   func()
-	nextReq     workload.Request
-	arrivals    int
-	lastArrival sim.Time
-	// err ends the arrival chain: set when the source yields an invalid
-	// arrival (out of order, negative tokens, or an ID still in flight),
-	// surfaced by RunFrom.
-	err error
+	// arr is the front door the testbed runner shares: one pending
+	// arrival event, validated, recorded, then admitted here.
+	arr serve.Arrivals
 }
 
 func (c *Config) validate() error {
 	if c.NumReplicas < 1 {
 		return fmt.Errorf("fleet: NumReplicas %d < 1", c.NumReplicas)
-	}
-	if c.Replica.NamePrefix != "" {
-		return fmt.Errorf("fleet: Replica.NamePrefix is assigned per replica; leave it empty")
 	}
 	for _, f := range []struct {
 		name string
@@ -279,9 +268,6 @@ func (c *Config) validate() error {
 	}
 	if c.Shards > 1 && c.Replica.Tracer != nil {
 		return fmt.Errorf("fleet: tracing is single-threaded; run with Shards <= 1")
-	}
-	if c.Replica.Elastic {
-		return fmt.Errorf("fleet: set Config.Elastic (the policy), not Replica.Elastic; the fleet wires replicas itself")
 	}
 	if err := c.Elastic.Validate(); err != nil {
 		return err
@@ -346,12 +332,8 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 
 	g := shard.NewGroup[msg](cfg.Shards, cfg.NetDelay)
 	g.GrowActors(cfg.NumReplicas + 1)
-	rec := metrics.NewRecorder()
-	if cfg.Replica.Stream.Enabled {
-		rec = metrics.NewStreamingRecorder(cfg.Replica.SLO, cfg.Replica.Stream.MaxRecords)
-	}
 	f := &fleet{
-		g: g, s: g.Shard(0).Sim(), rec: rec, cfg: cfg,
+		g: g, s: g.Shard(0).Sim(), rec: cfg.Replica.Stream.Recorder(cfg.Replica.SLO), cfg: cfg,
 		down:        make([]bool, cfg.NumReplicas),
 		partitioned: make([]bool, cfg.NumReplicas),
 		state:       make(map[uint64]*reqState),
@@ -365,14 +347,12 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 		ra := &replicaActor{f: f, idx: i, sh: g.Shard(i % cfg.Shards)}
 		ra.reportFn = ra.report
 		rcfg := cfg.Replica
-		rcfg.NamePrefix = fmt.Sprintf("r%d/", i)
-		rcfg.Elastic = cfg.Elastic.Enabled
 		if cfg.Decisions != nil {
 			rcfg.Decisions = sched.NewDecisionLog()
 		} else {
 			rcfg.Decisions = nil
 		}
-		rp, err := serve.NewReplica(ra.sh.Sim(), replicaLedger{ra: ra}, rcfg, nil)
+		rp, err := serve.NewReplica(ra.sh.Sim(), replicaLedger{ra: ra}, rcfg, fmt.Sprintf("r%d", i), cfg.Elastic.Enabled)
 		if err != nil {
 			return nil, err
 		}
@@ -394,14 +374,12 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 		f.rc = rc
 	}
 
-	f.src = src
-	f.arrivalFn = f.arrive
-	f.pull()
+	f.arr.Start(f.s, f.rec, src, f.admit, f.arrivalsEnded)
 
 	g.Run(cfg.Shards > 1)
 
-	if f.err != nil {
-		return nil, f.err
+	if err := f.arr.Err(); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.ShardStats != nil {
 		*cfg.ShardStats = g.Stats()
@@ -467,50 +445,19 @@ func (f *fleet) routerMsg(idx int, m msg) {
 	}
 }
 
-// arrive admits or sheds one arrival, then chains the next. A request
-// reusing the ID of one still in flight ends the run with an error.
-func (f *fleet) arrive() {
-	w := f.nextReq
-	if f.rec.InFlight(w.ID) {
-		f.err = fmt.Errorf("fleet: request %d arrives at %v while a request with the same ID is still in flight; IDs must be unique",
-			w.ID, w.Arrival)
+// arrivalsEnded caps the shard group once the front door closes: at the
+// drain horizon past the last arrival, or at once if an invalid arrival
+// ended the run.
+func (f *fleet) arrivalsEnded() {
+	if f.arr.Err() != nil {
 		f.g.SetEnd(f.s.Now())
 		return
 	}
-	f.arrivals++
-	f.lastArrival = w.Arrival
-	f.admit(w)
-	f.pull()
+	f.g.SetEnd(f.arr.Last().Add(f.cfg.Horizon))
 }
 
-// pull takes the next request from the source and schedules its arrival.
-// When the source dries up, the drain horizon becomes the group's end cap;
-// an arrival earlier than its predecessor, or one with a negative token
-// count, ends the run at once with an error.
-func (f *fleet) pull() {
-	w, ok := f.src.Next()
-	if ok && w.Arrival < f.lastArrival {
-		f.err = fmt.Errorf("fleet: request %d arrives at %v, before the previous arrival at %v; arrivals must be non-decreasing",
-			w.ID, w.Arrival, f.lastArrival)
-		f.g.SetEnd(f.s.Now())
-		return
-	}
-	if ok && (w.PromptTokens < 0 || w.OutputTokens < 0) {
-		f.err = fmt.Errorf("fleet: request %d has %d prompt and %d output tokens; token counts must be non-negative",
-			w.ID, w.PromptTokens, w.OutputTokens)
-		f.g.SetEnd(f.s.Now())
-		return
-	}
-	if !ok {
-		f.g.SetEnd(f.lastArrival.Add(f.cfg.Horizon))
-		return
-	}
-	f.nextReq = w
-	f.s.At(w.Arrival, f.arrivalFn)
-}
-
+// admit sheds or routes one recorded arrival.
 func (f *fleet) admit(w workload.Request) {
-	f.rec.Arrive(w.ID, w.PromptTokens, w.OutputTokens, f.s.Now())
 	f.updateBrownout()
 	if d := f.cfg.MaxQueueDepth; d > 0 && f.totalQueueDepth() >= d {
 		f.rec.Reject(w.ID, f.s.Now())
@@ -724,22 +671,11 @@ func (f *fleet) drainParked() {
 	}
 }
 
-// cancelFrac aborts a seeded-random fraction of open requests — the
-// client-cancellation fault, fleet edition (same victim rule as serve).
+// cancelFrac aborts the client-cancellation fault's victims among the
+// open requests.
 func (f *fleet) cancelFrac(frac float64, seed int64) {
-	ids := f.rec.OpenIDs()
-	n := len(ids)
-	k := int(math.Round(frac * float64(n)))
-	if k <= 0 {
-		return
-	}
-	if k > n {
-		k = n
-	}
-	picks := rand.New(rand.NewSource(seed)).Perm(n)[:k]
-	sort.Ints(picks)
-	for _, i := range picks {
-		f.abort(ids[i], "client-cancel")
+	for _, id := range fault.CancelVictims(f.rec.OpenIDs(), frac, seed) {
+		f.abort(id, "client-cancel")
 	}
 }
 
@@ -866,12 +802,12 @@ func (f *fleet) finish() *Result {
 	if f.g.AnyPending() {
 		// Events remain past the cap — the clock stopped at the horizon,
 		// exactly as a sequential Run(horizon) leaves it.
-		elapsed = f.lastArrival.Add(f.cfg.Horizon)
+		elapsed = f.arr.Last().Add(f.cfg.Horizon)
 	}
 	res := &Result{
 		Policy:       f.cfg.Policy,
 		Replicas:     f.cfg.NumReplicas,
-		Requests:     f.arrivals,
+		Requests:     f.arr.Count(),
 		Unfinished:   f.rec.Outstanding(),
 		Rejected:     f.rejected,
 		FailedOver:   f.failovers,
@@ -903,11 +839,7 @@ func (f *fleet) finish() *Result {
 		}
 	}
 	res.Recovered -= f.recoveredAborted()
-	if f.rec.Streaming() {
-		res.Summary = f.rec.StreamSummary()
-	} else {
-		res.Summary = metrics.Summarize(f.rec.Completed(), f.cfg.Replica.SLO)
-	}
+	res.Summary = f.rec.Summary(f.cfg.Replica.SLO)
 	for _, ra := range f.acts {
 		st := ra.rp.Stats(res.Elapsed)
 		res.LiveKVBlocks += st.LiveKVBlocks

@@ -44,10 +44,29 @@ func checkPartition(t *testing.T, res *Result) {
 	}
 }
 
-// TestUnsortedArrivalsError: a source whose arrivals go backwards, that
-// reuses the ID of a request still in flight, or that carries negative
-// token counts must make every Run entry point return an error naming the
-// offending request, not panic inside the event kernel or the recorder.
+// badArrivalTraces are request streams the front door must refuse: each
+// one's last request arrives out of order, at a non-finite time, with a
+// negative token count, or under an ID still in flight.
+func badArrivalTraces() map[string][]workload.Request {
+	req := func(id uint64, at sim.Time) workload.Request {
+		return workload.Request{ID: id, Arrival: at, PromptTokens: 64, OutputTokens: 8}
+	}
+	return map[string][]workload.Request{
+		"backwards":          {req(1, 5), req(2, 1)},
+		"midstream":          {req(1, 1), req(2, 2), req(3, 3), req(4, 2.5)},
+		"negative":           {req(7, -1)},
+		"duplicate-inflight": {req(7, 0), req(7, 0)},
+		"negative-tokens":    {req(1, 0), {ID: 2, Arrival: 0, PromptTokens: -100, OutputTokens: 10}},
+		"nan-arrival":        {req(1, 0), req(2, sim.Time(math.NaN()))},
+		"inf-arrival":        {req(1, 0), req(2, sim.Time(math.Inf(1)))},
+	}
+}
+
+// TestUnsortedArrivalsError: a source whose arrivals go backwards or are
+// not finite, that reuses the ID of a request still in flight, or that
+// carries negative token counts must make every Run entry point return an
+// error naming the offending request, not panic inside the event kernel
+// or the recorder, hang, or report NaN times.
 func TestUnsortedArrivalsError(t *testing.T) {
 	rcfg, err := serve.DefaultConfig(model.OPT13B)
 	if err != nil {
@@ -68,18 +87,8 @@ func TestUnsortedArrivalsError(t *testing.T) {
 		"fleet":     fleetRun(1),
 		"fleet-2sh": fleetRun(2),
 	}
-	req := func(id uint64, at sim.Time) workload.Request {
-		return workload.Request{ID: id, Arrival: at, PromptTokens: 64, OutputTokens: 8}
-	}
-	traces := map[string][]workload.Request{
-		"backwards":          {req(1, 5), req(2, 1)},
-		"midstream":          {req(1, 1), req(2, 2), req(3, 3), req(4, 2.5)},
-		"negative":           {req(7, -1)},
-		"duplicate-inflight": {req(7, 0), req(7, 0)},
-		"negative-tokens":    {req(1, 0), {ID: 2, Arrival: 0, PromptTokens: -100, OutputTokens: 10}},
-	}
 	for sys, run := range runs {
-		for name, reqs := range traces {
+		for name, reqs := range badArrivalTraces() {
 			err := run(reqs)
 			id := fmt.Sprintf("request %d ", reqs[len(reqs)-1].ID)
 			if err == nil || !strings.Contains(err.Error(), id) {
@@ -235,7 +244,6 @@ func TestFleetValidation(t *testing.T) {
 	base := testConfig(t, 2)
 	for name, mutate := range map[string]func(*Config){
 		"no replicas":     func(c *Config) { c.NumReplicas = 0 },
-		"prefix set":      func(c *Config) { c.Replica.NamePrefix = "x/" },
 		"unknown policy":  func(c *Config) { c.Policy = "random" },
 		"instance fault":  func(c *Config) { c.Faults = mustPlan(t, "crash:d0@5+5") },
 		"replica too big": func(c *Config) { c.Faults = mustPlan(t, "rcrash:r2@5+5") },

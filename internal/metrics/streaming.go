@@ -163,6 +163,16 @@ func (s *streamAgg) observeCompleted(r *Record) {
 	s.dqQ.Add(dq)
 }
 
+// Summary digests the recorder's completed requests against an SLO: the
+// online aggregates of a streaming recorder, or Summarize over the
+// retained records of an exact one.
+func (rec *Recorder) Summary(slo SLO) Summary {
+	if rec.Streaming() {
+		return rec.StreamSummary()
+	}
+	return Summarize(rec.completed, slo)
+}
+
 // StreamSummary assembles a Summary from the online aggregates. Counts,
 // means, attainment, and throughput are exact; the percentile fields are
 // P² estimates (within ~1% of exact in the tested regimes). Requires a

@@ -2,34 +2,29 @@ package serve
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 
 	"windserve/internal/engine"
+	"windserve/internal/fault"
 	"windserve/internal/metrics"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
 )
 
-// Ledger is the request-lifecycle surface a system writes through. A
-// single-testbed run writes straight into a *metrics.Recorder; a fleet
-// replica running on its own shard writes through a proxy that forwards
-// each call — with its explicit timestamp — as a cross-shard message to
-// the router, which owns the one real Recorder. Every method carries the
-// event time, so applying a forwarded call later in wall-clock terms
-// records exactly the same virtual-time fact.
+// Ledger is the write-only request-lifecycle surface the engines report
+// through. A single-testbed run writes straight into its
+// *metrics.Recorder; a fleet replica running on its own shard writes
+// through a proxy that forwards each call — with its explicit timestamp —
+// as a cross-shard message to the router, which owns the one real
+// Recorder. Every method carries the event time, so applying a forwarded
+// call later in wall-clock terms records exactly the same virtual-time
+// fact. Arrivals, rejections and lifecycle queries belong to the front
+// door (Arrivals and the recorder behind it), never to a replica.
 type Ledger interface {
-	Arrive(id uint64, promptTokens, outputTokens int, at sim.Time)
-	Reject(id uint64, at sim.Time)
 	PrefillStart(id uint64, at sim.Time)
 	FirstToken(id uint64, at sim.Time)
 	DecodeStart(id uint64, at sim.Time)
 	Complete(id uint64, at sim.Time)
 	Abort(id uint64, at sim.Time, emitted int)
-	InFlight(id uint64) bool
-	HasFirstToken(id uint64) bool
-	OpenIDs() []uint64
 }
 
 // runner holds the state every system run shares: the simulator, the
@@ -40,8 +35,9 @@ type runner struct {
 	s   *sim.Simulator
 	led Ledger
 	// rec is led when the ledger is a real recorder (single-testbed
-	// runs); nil on a fleet replica, whose router owns the recorder.
-	// Only run() — never called on a replica — requires it.
+	// runs): the front half — arrivals, shedding, deadline aborts,
+	// cancellation — reads and writes it directly. Nil on a fleet
+	// replica, whose router owns the recorder and the front door.
 	rec *metrics.Recorder
 	cfg Config
 
@@ -67,30 +63,14 @@ type runner struct {
 	// request's Phase is already PhaseAborted when it is called.
 	onAbort func(q *engine.Req)
 
-	// Arrival streaming: one pending arrival event at a time. arrive pulls
-	// nextReq from src, feeds it to submit, then schedules the successor —
-	// so a million-request source never has more than one arrival event
-	// pending, and arrivalFn (a method value built once) keeps the chain
-	// allocation-free.
-	src         workload.Source
-	submit      func(q *engine.Req)
-	arrivalFn   func()
-	nextReq     workload.Request
-	haveNext    bool
-	arrivals    int
-	lastArrival sim.Time
-	// err ends the arrival chain: set when the source yields an invalid
-	// arrival (out of order, negative tokens, or an ID still in flight),
-	// surfaced by run.
-	err error
+	// arr is the front door; submit hands each admitted request to the
+	// system.
+	arr    Arrivals
+	submit func(q *engine.Req)
 }
 
 func newRunner(cfg Config) (*runner, error) {
-	rec := metrics.NewRecorder()
-	if cfg.Stream.Enabled {
-		rec = metrics.NewStreamingRecorder(cfg.SLO, cfg.Stream.MaxRecords)
-	}
-	return newRunnerOn(sim.New(), rec, cfg)
+	return newRunnerOn(sim.New(), cfg.Stream.Recorder(cfg.SLO), cfg)
 }
 
 // newRunnerOn builds a runner on an existing simulator and ledger, so a
@@ -113,61 +93,21 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 	}, nil
 }
 
-// scheduleStream feeds a request source into the system via submit,
-// scheduling only the first arrival; each arrival event then pulls its
-// successor from the source on demand. Sources must yield non-decreasing
-// arrival times; the first one that does not ends the run with an error.
+// scheduleStream feeds a request source into the system via submit
+// through the front door, which schedules only the first arrival; each
+// arrival event then pulls its successor from the source on demand.
 func (r *runner) scheduleStream(src workload.Source, submit func(*engine.Req)) {
-	r.src, r.submit = src, submit
-	r.arrivalFn = r.arrive
-	r.pull()
+	r.submit = submit
+	r.arr.Start(r.s, r.rec, src, r.admit, nil)
 }
 
-// arrive handles one arrival event: admit (or shed) the due request, then
-// chain the next arrival. A request reusing the ID of one still in flight
-// ends the chain with an error instead.
-func (r *runner) arrive() {
-	w := r.nextReq
-	if r.led.InFlight(w.ID) {
-		r.err = fmt.Errorf("serve: request %d arrives at %v while a request with the same ID is still in flight; IDs must be unique",
-			w.ID, w.Arrival)
-		r.haveNext = false
-		return
-	}
-	r.arrivals++
-	r.lastArrival = w.Arrival
-	r.admit(w)
-	r.pull()
-}
-
-// pull takes the next request from the source and schedules its arrival.
-// An arrival earlier than its predecessor, or one with a negative token
-// count, ends the chain with an error.
-func (r *runner) pull() {
-	w, ok := r.src.Next()
-	if ok && w.Arrival < r.lastArrival {
-		r.err = fmt.Errorf("serve: request %d arrives at %v, before the previous arrival at %v; arrivals must be non-decreasing",
-			w.ID, w.Arrival, r.lastArrival)
-		ok = false
-	}
-	if ok && (w.PromptTokens < 0 || w.OutputTokens < 0) {
-		r.err = fmt.Errorf("serve: request %d has %d prompt and %d output tokens; token counts must be non-negative",
-			w.ID, w.PromptTokens, w.OutputTokens)
-		ok = false
-	}
-	r.nextReq, r.haveNext = w, ok
-	if ok {
-		r.s.At(w.Arrival, r.arrivalFn)
-	}
-}
-
-// admit applies the shed policy to one arrival: admission control first (a
-// rejected request does no work at all), then a TTFT-deadline timer that
-// aborts the request if it has produced no first token in time.
+// admit applies the shed policy to one recorded arrival: admission
+// control first (a rejected request does no work at all), then a
+// TTFT-deadline timer that aborts the request if it has produced no first
+// token in time.
 func (r *runner) admit(w workload.Request) {
-	r.led.Arrive(w.ID, w.PromptTokens, w.OutputTokens, r.s.Now())
 	if d := r.cfg.Shed.MaxQueueDepth; d > 0 && r.queueDepth != nil && r.queueDepth() >= d {
-		r.led.Reject(w.ID, r.s.Now())
+		r.rec.Reject(w.ID, r.s.Now())
 		r.rejected++
 		return
 	}
@@ -176,7 +116,7 @@ func (r *runner) admit(w workload.Request) {
 	if dl := r.cfg.Shed.TTFTDeadline; dl > 0 {
 		id := w.ID
 		r.s.Schedule(dl, func() {
-			if r.led.InFlight(id) && !r.led.HasFirstToken(id) {
+			if r.rec.InFlight(id) && !r.rec.HasFirstToken(id) {
 				r.abortReq(id)
 			}
 		})
@@ -190,9 +130,12 @@ func (r *runner) admit(w workload.Request) {
 // abortReq terminates one in-flight request: finalize its record, flip
 // its phase to PhaseAborted (so any engine pass or transfer callback
 // still holding it skips it), then let the system scrub its structures.
+// live holds exactly the requests whose record is open here: admit adds
+// after the arrival is recorded, and completion and abort remove before
+// the record closes.
 func (r *runner) abortReq(id uint64) {
 	q, ok := r.live[id]
-	if !ok || !r.led.InFlight(id) {
+	if !ok {
 		return
 	}
 	delete(r.live, id)
@@ -204,24 +147,11 @@ func (r *runner) abortReq(id uint64) {
 	}
 }
 
-// cancelFrac aborts a seeded-random fraction of the currently in-flight
-// requests — the client-cancellation fault. The victim sample is drawn
-// from the sorted open-id list with a dedicated PRNG so the same plan
-// cancels the same requests on every system and every run.
+// cancelFrac aborts the client-cancellation fault's victims among the
+// currently in-flight requests.
 func (r *runner) cancelFrac(frac float64, seed int64) {
-	ids := r.led.OpenIDs()
-	n := len(ids)
-	k := int(math.Round(frac * float64(n)))
-	if k <= 0 {
-		return
-	}
-	if k > n {
-		k = n
-	}
-	picks := rand.New(rand.NewSource(seed)).Perm(n)[:k]
-	sort.Ints(picks)
-	for _, i := range picks {
-		r.abortReq(ids[i])
+	for _, id := range fault.CancelVictims(r.rec.OpenIDs(), frac, seed) {
+		r.abortReq(id)
 	}
 }
 
@@ -235,18 +165,18 @@ func (r *runner) markRecovered(q *engine.Req) { r.recovered[q.W.ID] = true }
 // phase is at or before the final arrival, exactly as a bounded run would
 // fire it), then drain the tail under the configured horizon.
 func (r *runner) run(system string) (*Result, error) {
-	for r.haveNext {
+	for r.arr.Open() {
 		if !r.s.Step() {
 			break
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.arr.Err(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	r.s.Run(r.lastArrival.Add(r.cfg.Horizon))
-	res := &Result{
+	r.s.Run(r.arr.Last().Add(r.cfg.Horizon))
+	return &Result{
 		System:          system,
-		Requests:        r.arrivals,
+		Requests:        r.arr.Count(),
 		Unfinished:      r.rec.Outstanding(),
 		Elapsed:         r.s.Now(),
 		Records:         r.rec.Completed(),
@@ -255,13 +185,8 @@ func (r *runner) run(system string) (*Result, error) {
 		Aborted:         r.aborted,
 		Rejected:        r.rejected,
 		Recovered:       len(r.recovered),
-	}
-	if r.rec.Streaming() {
-		res.Summary = r.rec.StreamSummary()
-	} else {
-		res.Summary = metrics.Summarize(res.Records, r.cfg.SLO)
-	}
-	return res, nil
+		Summary:         r.rec.Summary(r.cfg.SLO),
+	}, nil
 }
 
 // recorderHooks builds the metric-recording half of an instance's hooks;

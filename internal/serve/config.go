@@ -17,6 +17,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"windserve/internal/fault"
 	"windserve/internal/gpu"
@@ -46,10 +47,6 @@ type Config struct {
 	// round-robin for DistServe.
 	NumPrefill int
 	NumDecode  int
-	// NamePrefix prepends every instance, link, and trace name — fleet
-	// replicas set "r<i>/" so names stay unique on a shared simulator.
-	// Empty (the default) keeps single-testbed names unchanged.
-	NamePrefix string
 
 	// BlockSize is the KV block granularity (tokens).
 	BlockSize int
@@ -90,16 +87,6 @@ type Config struct {
 	// prefix caching. The zero value keeps caching off, so default runs
 	// are byte-identical.
 	Prefix PrefixPolicy
-
-	// Elastic wires the prefill/decode cluster for runtime role flipping:
-	// the link matrix between physical instances gains its same-role
-	// off-diagonal entries (static wiring has only the cross-role ones),
-	// each instance gets a flipped-role bit, and the drain/migrate
-	// protocol behind Replica.Flip is enabled. Only the DistServe-style
-	// cluster (RunDistServe, fleet replicas) supports it; the flip
-	// decisions themselves come from the fleet's RoleController. The zero
-	// value keeps the static wiring, so default runs are byte-identical.
-	Elastic bool
 }
 
 // PrefixPolicy configures cross-request prefix caching: requests carrying
@@ -128,6 +115,15 @@ type StreamPolicy struct {
 	// MaxRecords caps retained finalized records per class
 	// (metrics.DefaultMaxRecords if 0).
 	MaxRecords int
+}
+
+// Recorder builds the recorder the policy selects: streaming when
+// Enabled, exact otherwise.
+func (p StreamPolicy) Recorder(slo metrics.SLO) *metrics.Recorder {
+	if p.Enabled {
+		return metrics.NewStreamingRecorder(slo, p.MaxRecords)
+	}
+	return metrics.NewRecorder()
 }
 
 // ShedPolicy is SLO-aware load shedding: rather than queue arrivals
@@ -284,23 +280,25 @@ func (c *Config) validate() error {
 			return fmt.Errorf("serve: %s %d is negative", f.name, f.v)
 		}
 	}
-	if c.Horizon < 0 {
-		return fmt.Errorf("serve: Horizon %v is negative", c.Horizon)
+	// Each float must lie in [0, max); the negated test also rejects NaN,
+	// which fails every comparison.
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		name   string
+		v, max float64
+	}{
+		{"Horizon", float64(c.Horizon), inf},
+		{"ReserveFrac", c.ReserveFrac, 1},
+		{"Wind.ThresholdFrac", c.Wind.ThresholdFrac, inf},
+		{"Wind.KVSafetyFrac", c.Wind.KVSafetyFrac, 1},
+		{"Shed.TTFTDeadline", float64(c.Shed.TTFTDeadline), inf},
+	} {
+		if !(f.v >= 0 && f.v < f.max) {
+			return fmt.Errorf("serve: %s %g outside [0,%g)", f.name, f.v, f.max)
+		}
 	}
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("serve: BlockSize %d must be positive", c.BlockSize)
-	}
-	if c.ReserveFrac < 0 || c.ReserveFrac >= 1 {
-		return fmt.Errorf("serve: ReserveFrac %g outside [0,1)", c.ReserveFrac)
-	}
-	if c.Wind.ThresholdFrac < 0 {
-		return fmt.Errorf("serve: Wind.ThresholdFrac %g is negative", c.Wind.ThresholdFrac)
-	}
-	if c.Wind.KVSafetyFrac < 0 || c.Wind.KVSafetyFrac >= 1 {
-		return fmt.Errorf("serve: Wind.KVSafetyFrac %g outside [0,1)", c.Wind.KVSafetyFrac)
-	}
-	if c.Shed.TTFTDeadline < 0 {
-		return fmt.Errorf("serve: Shed.TTFTDeadline %v is negative", c.Shed.TTFTDeadline)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {

@@ -70,17 +70,17 @@ type pd struct {
 	// link[a][b] carries KV from physical instance a to physical instance
 	// b: post-prefill transfers prefill→decode, migrations and backups
 	// decode→prefill. The diagonal is nil. Static wiring fills only the
-	// cross-role entries; Elastic also fills the same-role ones, which
-	// flipped roles route through.
+	// cross-role entries; elastic wiring also fills the same-role ones,
+	// which flipped roles route through.
 	link [][]*xfer.Link
 
 	// flipped[k] marks physical instance k acting against its home role;
-	// nil unless cfg.Elastic. Routing works in two index spaces over the
+	// nil unless ph.elastic. Routing works in two index spaces over the
 	// same instances: a prefill-space index is the physical index, and
 	// decode-space j names physical (j+P) % (P+D), so home decodes come
-	// first. With Elastic off the spaces shrink to [0,P) and [0,D) — the
-	// static layout. prefillAt holds prefill-space indices, decodeAt
-	// decode-space indices.
+	// first. With elastic wiring off the spaces shrink to [0,P) and
+	// [0,D) — the static layout. prefillAt holds prefill-space indices,
+	// decodeAt decode-space indices.
 	flipped []bool
 
 	// migrating tracks decode streams mid-flight between acting decodes
@@ -111,8 +111,19 @@ type flipMigration struct {
 	src, dst int // decode-space indices
 }
 
-// pdHooks lets WindServe inject policy into the shared wiring.
+// pdHooks lets WindServe inject policy into the shared wiring, and a
+// fleet replica name and widen it.
 type pdHooks struct {
+	// prefix prepends every instance, link, and trace name — fleet
+	// replicas use "r<i>/" so names stay unique on a shared simulator.
+	prefix string
+	// elastic wires the cluster for runtime role flipping: the link
+	// matrix between physical instances gains its same-role off-diagonal
+	// entries (static wiring has only the cross-role ones), each instance
+	// gets a flipped-role bit, and the drain/migrate protocol behind
+	// Replica.Flip is enabled. Only fleet replicas set it; the flip
+	// decisions themselves come from the fleet's role controller.
+	elastic bool
 	// onPrefillStart fires at a prefill instance (async transfers).
 	onPrefillStart func(q *engine.Req)
 	// transfer overrides the post-prefill transfer path. Return true if
@@ -157,11 +168,11 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 		prefillAt: make(map[uint64]int),
 		decodeAt:  make(map[uint64]int),
 	}
-	if cfg.Elastic {
+	if ph.elastic {
 		d.flipped = make([]bool, len(asg))
 		d.migrating = make(map[uint64]*flipMigration)
 	}
-	px := cfg.NamePrefix
+	px := ph.prefix
 	// home names physical instance k by role and home index: p0, d1, ...
 	home := func(k int) string {
 		if k < np {
@@ -173,7 +184,7 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 	for a := range d.link {
 		d.link[a] = make([]*xfer.Link, len(asg))
 		for b := range d.link[a] {
-			if a == b || (!cfg.Elastic && (a < np) == (b < np)) {
+			if a == b || (!ph.elastic && (a < np) == (b < np)) {
 				continue
 			}
 			spec := cluster.TransferLink(cfg.Topo, asg[a], asg[b])
@@ -213,7 +224,7 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 
 // prefillHooks wires a home prefill instance.
 func (d *pd) prefillHooks() engine.Hooks {
-	r, ph, elastic := d.r, d.ph, d.cfg.Elastic
+	r, ph, elastic := d.r, d.ph, d.ph.elastic
 	hooks := r.recorderHooks()
 	hooks.OnPrefillStart = func(q *engine.Req) {
 		r.led.PrefillStart(q.W.ID, r.s.Now())
@@ -262,7 +273,7 @@ func (d *pd) decodeHooks(j int) engine.Hooks {
 	ph := d.ph
 	hooks := d.r.recorderHooks()
 	hooks.OnPrefillDone = func(q *engine.Req) {
-		if d.cfg.Elastic && !q.Assist {
+		if ph.elastic && !q.Assist {
 			// Main-stream prefill on a home decode acting as prefill:
 			// the KV crosses to an acting decode like any other.
 			if ph.transfer != nil && ph.transfer(q) {
@@ -303,7 +314,7 @@ func (d *pd) decodeHooks(j int) engine.Hooks {
 
 // --- Index spaces (elastic role flipping) -------------------------------
 //
-// With Elastic off every helper collapses to the static layout: pSpace
+// With elastic wiring off every helper collapses to the static layout: pSpace
 // is len(prefills), dSpace is len(decodes), flipped is nil (so every
 // instance acts its home role), and pdLink only reaches the cross-role
 // links — the exact wiring the static systems have always had.
@@ -372,8 +383,9 @@ func (d *pd) prefillRR(q *engine.Req) {
 	}
 	if i < 0 {
 		// Every acting prefill is down: park on the first acting one (a
-		// later Restore drains it) — with Elastic off that is exactly the
-		// historical rr.prefill%n fallback, since every index acts.
+		// later Restore drains it) — with elastic wiring off that is
+		// exactly the historical rr.prefill%n fallback, since every index
+		// acts.
 		for k := 0; k < n; k++ {
 			c := (d.rr.prefill + k) % n
 			if d.actingPrefill(c) {
@@ -496,7 +508,7 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 					d.serialTransfer(q)
 					return
 				}
-				if d.cfg.Elastic && !d.actingDecode(j) {
+				if d.ph.elastic && !d.actingDecode(j) {
 					// The target flipped to prefill while the payload was in
 					// flight; hand the stream to a current acting decode
 					// instead of loading the fresh prefill role with it.

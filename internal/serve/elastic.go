@@ -5,7 +5,7 @@ package serve
 // only executes a flip against the shared prefill/decode cluster —
 // re-routing an instance's untouched prefill queue when it turns into a
 // decode, and migrating its running decode batch over the link mesh when
-// it turns into a prefill. Everything here is gated on Config.Elastic;
+// it turns into a prefill. Everything here is gated on the elastic wiring;
 // with it off none of this code is reachable and the static systems stay
 // byte-identical.
 
@@ -44,7 +44,7 @@ type FlipResult struct {
 // shrinking role is taken, ties to the lowest index. The flip never
 // drops the acting count of the shrinking role to zero.
 func (d *pd) flip(toDecode bool) FlipResult {
-	if !d.cfg.Elastic {
+	if !d.ph.elastic {
 		return FlipResult{}
 	}
 	if toDecode {

@@ -13,14 +13,13 @@ import (
 func elasticPD(t *testing.T) (*runner, *pd) {
 	t.Helper()
 	cfg := cfg13B(t)
-	cfg.Elastic = true
 	cfg.NumPrefill = 2
 	cfg.NumDecode = 2
 	r, err := newRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newPD(r, r.cfg, pdHooks{})
+	d, err := newPD(r, r.cfg, pdHooks{elastic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestFlipFloorNeverEmptiesRole(t *testing.T) {
 	}
 }
 
-// TestStaticPDRefusesFlip pins the gate: with Elastic off, flip is a
+// TestStaticPDRefusesFlip pins the gate: with elastic wiring off, flip is a
 // structured no-op and the flipped-role bits stay nil.
 func TestStaticPDRefusesFlip(t *testing.T) {
 	cfg := cfg13B(t)
@@ -195,8 +194,9 @@ func TestStaticPDRefusesFlip(t *testing.T) {
 }
 
 // TestPDLayout pins the one-list, one-matrix layout: static wiring has
-// exactly the 2·P·D cross-role links, Elastic every off-diagonal pair;
-// each link is named for its physical endpoints under the NamePrefix; and
+// exactly the 2·P·D cross-role links, elastic wiring every off-diagonal
+// pair; each link is named for its physical endpoints under the replica
+// prefix; and
 // the index-space lookups return nil exactly when both indices name the
 // same instance (a static cluster has no decode-to-decode links at all).
 func TestPDLayout(t *testing.T) {
@@ -205,13 +205,11 @@ func TestPDLayout(t *testing.T) {
 			np, nd := shape[0], shape[1]
 			cfg := cfg13B(t)
 			cfg.NumPrefill, cfg.NumDecode = np, nd
-			cfg.NamePrefix = "r3/"
-			cfg.Elastic = elastic
 			r, err := newRunner(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := newPD(r, r.cfg, pdHooks{})
+			d, err := newPD(r, r.cfg, pdHooks{prefix: "r3/", elastic: elastic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,19 +254,5 @@ func TestPDLayout(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestElasticRejectedOutsideDistServe pins the config surface: WindServe
-// and vLLM refuse Elastic rather than silently ignoring it.
-func TestElasticRejectedOutsideDistServe(t *testing.T) {
-	cfg := cfg13B(t)
-	cfg.Elastic = true
-	reqs := burst(2, 100, 10, sim.Seconds(0.1))
-	if _, err := RunWindServe(cfg, reqs); err == nil {
-		t.Fatal("WindServe accepted Elastic")
-	}
-	if _, err := RunVLLM(cfg, reqs); err == nil {
-		t.Fatal("vLLM accepted Elastic")
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -364,6 +365,14 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"Wind.KVSafetyFrac", func(c *Config) { c.Wind.KVSafetyFrac = 2 }},
 		{"Shed.MaxQueueDepth", func(c *Config) { c.Shed.MaxQueueDepth = -1 }},
 		{"Shed.TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = -sim.Seconds(1) }},
+		// Non-finite floats are out of range too.
+		{"Shed.TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = sim.Duration(math.Inf(1)) }},
+		{"Shed.TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = sim.Duration(math.NaN()) }},
+		{"Horizon", func(c *Config) { c.Horizon = sim.Duration(math.NaN()) }},
+		{"Horizon", func(c *Config) { c.Horizon = sim.Duration(math.Inf(1)) }},
+		{"Wind.ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = math.NaN() }},
+		{"Wind.KVSafetyFrac", func(c *Config) { c.Wind.KVSafetyFrac = math.NaN() }},
+		{"ReserveFrac", func(c *Config) { c.ReserveFrac = math.NaN() }},
 		{"", func(c *Config) { // fault targets a missing instance
 			c.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Role: fault.RoleDecode, Instance: 5, At: 1}}}
 		}},

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"windserve/internal/engine"
 	"windserve/internal/perf"
@@ -13,12 +12,12 @@ import (
 )
 
 // Replica is one fleet member: a complete DistServe-style prefill/decode
-// group living on a simulator and recorder shared with its siblings. The
+// group living on a simulator shared with its same-shard siblings. The
 // fleet router owns the request lifecycle — arrivals, admission, deadline
 // aborts, failover — and a Replica only executes what is submitted to it.
 // Intra-replica routing stays what DistServe does (round-robin prefill,
 // round-robin transfer), and every decision still flows through the
-// shared DecisionLog under the replica's NamePrefix.
+// DecisionLog under the replica's name.
 type Replica struct {
 	name string
 	r    *runner
@@ -28,35 +27,29 @@ type Replica struct {
 
 // NewReplica plans one replica on the given simulator — the router's own,
 // or a shard simulator the replica shares only with same-shard siblings —
-// writing lifecycle events through led (a *metrics.Recorder, or a proxy
-// forwarding each timestamped call to the router's shard).
-// cfg.NamePrefix (e.g. "r3/") keeps instance, link, and trace names
-// unique across the fleet; cfg.Shed and cfg.Faults must be zero — the
-// router owns shedding, and fault plans compile at the fleet level.
-// onComplete (optional) fires once per request after its record closes,
-// so the router can retire its own bookkeeping.
-func NewReplica(s *sim.Simulator, led Ledger, cfg Config, onComplete func(q *engine.Req)) (*Replica, error) {
+// writing lifecycle events through led (a proxy forwarding each
+// timestamped call to the router, which owns the recorder). name (e.g.
+// "r3") prefixes every instance, link, and trace name as "r3/" so names
+// stay unique across the fleet; elastic wires the replica for role flips
+// (see Flip). cfg.Shed and cfg.Faults must be zero — the router owns
+// shedding, and fault plans compile at the fleet level.
+func NewReplica(s *sim.Simulator, led Ledger, cfg Config, name string, elastic bool) (*Replica, error) {
 	if cfg.Faults != nil {
-		return nil, fmt.Errorf("serve: replica %q: fault plans attach to the fleet, not a replica", cfg.NamePrefix)
+		return nil, fmt.Errorf("serve: replica %q: fault plans attach to the fleet, not a replica", name)
 	}
 	if cfg.Shed != (ShedPolicy{}) {
-		return nil, fmt.Errorf("serve: replica %q: shedding is the router's job; leave Shed zero", cfg.NamePrefix)
+		return nil, fmt.Errorf("serve: replica %q: shedding is the router's job; leave Shed zero", name)
 	}
 	r, err := newRunnerOn(s, led, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = r.cfg
-	d, err := newPD(r, cfg, pdHooks{onComplete: onComplete})
+	d, err := newPD(r, r.cfg, pdHooks{prefix: name + "/", elastic: elastic})
 	if err != nil {
-		return nil, fmt.Errorf("serve: planning replica %q: %w", cfg.NamePrefix, err)
+		return nil, fmt.Errorf("serve: planning replica %q: %w", name, err)
 	}
 	r.queueDepth = d.queueDepth
 	r.onAbort = d.abort
-	name := strings.TrimSuffix(cfg.NamePrefix, "/")
-	if name == "" {
-		name = "replica"
-	}
 	return &Replica{name: name, r: r, d: d}, nil
 }
 
@@ -156,7 +149,7 @@ func (rp *Replica) DegradeLinks(frac float64) { rp.d.degradeLinks(frac) }
 
 // LoadSignals is the replica's elastic pressure snapshot: prompt-token
 // backlog across acting prefills, stream count and summed context across
-// acting decodes, and the acting role counts. With Elastic off the
+// acting decodes, and the acting role counts. With elastic wiring off the
 // acting counts are simply the home counts.
 func (rp *Replica) LoadSignals() (qTokens, running, sumCtx, actP, actD int) {
 	return rp.d.loadSignals()
@@ -165,10 +158,10 @@ func (rp *Replica) LoadSignals() (qTokens, running, sumCtx, actP, actD int) {
 // Flip converts one of the replica's instances to the other role —
 // toDecode true turns an acting prefill into a decode, false the
 // reverse — draining its in-flight work onto the remaining instances.
-// Returns a zero result (OK false) when the replica is down, the config
-// is not elastic, or the flip would empty a role.
+// Returns a zero result (OK false) when the replica is down, is not
+// wired elastic, or the flip would empty a role.
 func (rp *Replica) Flip(toDecode bool) FlipResult {
-	if rp.down || !rp.r.cfg.Elastic {
+	if rp.down {
 		return FlipResult{}
 	}
 	return rp.d.flip(toDecode)

@@ -26,9 +26,6 @@ func RunVLLM(cfg Config, reqs []workload.Request) (*Result, error) {
 
 // RunVLLMFrom is RunVLLM fed from a pull-based request source.
 func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
-	if cfg.Elastic {
-		return nil, fmt.Errorf("serve: vLLM colocates both phases on every instance; Elastic applies to DistServe-style clusters only")
-	}
 	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err

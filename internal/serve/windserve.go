@@ -36,9 +36,6 @@ func RunWindServe(cfg Config, reqs []workload.Request) (*Result, error) {
 
 // RunWindServeFrom is RunWindServe fed from a pull-based request source.
 func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
-	if cfg.Elastic {
-		return nil, fmt.Errorf("serve: WindServe manages roles through its Global Scheduler; Elastic applies to DistServe-style clusters only")
-	}
 	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
@@ -290,10 +287,11 @@ func (w *windState) maybeStartAsyncTransfer(q *engine.Req) {
 	pi := w.d.prefillIdx(q)
 	start := w.r.s.Now()
 	bytes := w.d.kvBytes(q.W.PromptTokens)
-	w.d.pdLink(pi, dj).Transfer(bytes, func() {
+	lk := w.d.pdLink(pi, dj)
+	lk.Transfer(bytes, func() {
 		w.d.observeTransfer(bytes, start)
 		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add(fmt.Sprintf("link p%d-d%d", pi, dj), trace.KindKVTransfer, start, w.r.s.Now(),
+			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, w.r.s.Now(),
 				fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
 		}
 		ax.xferDone = true
@@ -448,12 +446,13 @@ func (w *windState) migrationRound(m *migration) {
 	}
 	target := m.q.Ctx()
 	start := w.r.s.Now()
-	w.d.dpLink(m.src, m.dst).Transfer(w.d.kvBytes(dirty), func() {
+	lk := w.d.dpLink(m.src, m.dst)
+	lk.Transfer(w.d.kvBytes(dirty), func() {
 		if m.dead {
 			return // an endpoint crashed mid-round; recovery re-homed q
 		}
 		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", m.src, m.dst), trace.KindMigration, start, w.r.s.Now(),
+			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindMigration, start, w.r.s.Now(),
 				fmt.Sprintf("req%d copy %d tokens", m.q.W.ID, dirty))
 		}
 		if m.rec != nil {
@@ -478,7 +477,8 @@ func (w *windState) drainMigration(m *migration) {
 	q.Phase = engine.PhaseDraining
 	dirty := q.Ctx() - m.clean
 	start := w.r.s.Now()
-	w.d.dpLink(m.src, m.dst).Transfer(w.d.kvBytes(dirty), func() {
+	lk := w.d.dpLink(m.src, m.dst)
+	lk.Transfer(w.d.kvBytes(dirty), func() {
 		if m.dead {
 			// An endpoint crashed (or q was aborted) while the tail copied.
 			// A paused drain is owned by nobody, so put the request back
@@ -495,7 +495,7 @@ func (w *windState) drainMigration(m *migration) {
 			return
 		}
 		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", m.src, m.dst), trace.KindMigration, start, w.r.s.Now(),
+			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindMigration, start, w.r.s.Now(),
 				fmt.Sprintf("req%d drain %d tokens", q.W.ID, dirty))
 		}
 		if m.rec != nil {
@@ -587,10 +587,11 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	}
 	w.backupInFlight[cand.W.ID] = true
 	start := w.r.s.Now()
-	w.d.dpLink(j, pi).Transfer(w.d.kvBytes(snap), func() {
+	lk := w.d.dpLink(j, pi)
+	lk.Transfer(w.d.kvBytes(snap), func() {
 		delete(w.backupInFlight, cand.W.ID)
 		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", j, pi), trace.KindKVTransfer, start, w.r.s.Now(),
+			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, w.r.s.Now(),
 				fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
 		}
 		if cand.Phase == engine.PhaseDone || cand.Phase == engine.PhaseAborted ||

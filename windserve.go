@@ -162,20 +162,7 @@ func WriteRecordsCSV(w io.Writer, records []*Record) error {
 
 // Run simulates serving the trace with the chosen system.
 func Run(sys System, cfg Config, reqs []Request) (*Result, error) {
-	switch sys {
-	case SystemVLLM:
-		return serve.RunVLLM(cfg, reqs)
-	case SystemDistServe:
-		return serve.RunDistServe(cfg, reqs)
-	case SystemWindServe:
-		return serve.RunWindServe(cfg, reqs)
-	case SystemWindServeNoSplit:
-		return serve.RunWindServeNoSplit(cfg, reqs)
-	case SystemWindServeNoResched:
-		return serve.RunWindServeNoResched(cfg, reqs)
-	default:
-		return nil, fmt.Errorf("windserve: unknown system %q", sys)
-	}
+	return RunFrom(sys, cfg, workload.NewSliceSource(reqs))
 }
 
 // RunFrom simulates serving requests pulled lazily from src — the
