@@ -904,8 +904,12 @@ func (ins *Instance) dequeuePrefill(r *Req) {
 // growOrPreempt extends r's KV by one token, evicting low-priority
 // requests (LIFO — latest admitted first, vLLM's policy) until it fits.
 func (ins *Instance) growOrPreempt(r *Req) {
+	kv := ins.cfg.KV
 	for {
-		err := ins.cfg.KV.Grow(r.KVID(), r.Ctx())
+		if !r.kv.LiveOn(kv) {
+			r.kv = kv.Alloc(r.KVID())
+		}
+		err := r.kv.Grow(r.Ctx())
 		if err == nil {
 			return
 		}

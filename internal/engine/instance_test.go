@@ -718,11 +718,62 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 	}
 }
 
+// TestGrowHandleFollowsTheRequest: a decoding request keeps growing its
+// KV after it moves to another instance's manager (whether or not the old
+// copy stays allocated, as a backup does) and after its KV is released
+// and allocated anew on the same manager, because its cached allocation
+// handle is re-resolved whenever it is dead or foreign.
+func TestGrowHandleFollowsTheRequest(t *testing.T) {
+	h := newHarness(t, 1<<20, 0, func(c *Config) { c.AllowPrefill = false },
+		func(_ *harness, hk *Hooks) { *hk = Hooks{} })
+	peer, err := NewInstance(h.s, Config{Name: "peer", CM: h.ins.CM(), KV: kvcache.MustNew(1<<20, 0, 16)}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := req(1, 100, 1000)
+	r.PrefillDone, r.Generated = 100, 1
+	hop := func(from, to *Instance, keep bool) {
+		t.Helper()
+		if from != nil {
+			from.RemoveRunning(r)
+		}
+		if from != nil && !keep {
+			if err := from.KV().Release(r.KVID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := to.KV().Allocate(r.KVID(), r.Ctx()+1); err != nil {
+			t.Fatal(err)
+		}
+		to.InsertRunning(r)
+		start := r.Generated
+		for i := 0; i < 5; i++ {
+			for want := to.Iterations + 1; to.Iterations < want; {
+				if !h.s.Step() {
+					t.Fatalf("%s went idle", to.Name())
+				}
+			}
+			// A pass counts when it starts and grows KV when it applies.
+			if tok := to.KV().Tokens(r.KVID()); !to.contains(r) || tok < r.Ctx() || tok > r.Ctx()+1 {
+				t.Fatalf("on %s: running %v, KV tokens %d, context %d (evictions %d)",
+					to.Name(), to.contains(r), tok, r.Ctx(), r.Evictions)
+			}
+		}
+		if r.Generated < start+4 {
+			t.Fatalf("on %s: generated %d tokens over 5 passes", to.Name(), r.Generated-start)
+		}
+	}
+	hop(nil, h.ins, false)
+	hop(h.ins, peer, false)
+	hop(peer, h.ins, true)   // the peer keeps a live copy
+	hop(h.ins, h.ins, false) // same manager, same ID, new allocation
+}
+
 // BenchmarkDecodePass measures one steady decode pass: 64 running
 // requests on a decode-only instance, none close to finishing. CI gates
-// it at 0 allocs/op. Contexts grow every pass, so the cost model's memo
-// misses each time; its map growth amortizes to well under one
-// allocation per pass.
+// it at 0 allocs/op: the pass plan and events are recycled, the roofline
+// keeps no state, and each request grows its KV through its cached
+// allocation handle.
 func BenchmarkDecodePass(b *testing.B) {
 	h := newHarness(b, 1<<30, 0, func(c *Config) { c.AllowPrefill = false },
 		func(_ *harness, hk *Hooks) { *hk = Hooks{} })

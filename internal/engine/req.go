@@ -98,6 +98,10 @@ type Req struct {
 	// when it is in none. Every push onto a running batch sets it and every
 	// removal clears it, so membership is one pointer compare.
 	runningOn *Instance
+	// kv is the handle to the KV allocation this request last grew,
+	// re-resolved only when it is dead or on another instance's manager
+	// (migration, release, crash, re-allocation).
+	kv *kvcache.Alloc
 }
 
 // NewReq wraps a workload request.

@@ -40,11 +40,19 @@ const (
 	Swapped
 )
 
-type table struct {
+// Alloc is one request's allocation on one manager. A *Alloc is also the
+// resolved handle a caller can keep to grow the request every decode step
+// without a table lookup (see Manager.Alloc). Release, Reset and backup
+// reclaim mark the allocation dead, so a handle taken before them never
+// resolves again, even once the same ID is allocated anew.
+type Alloc struct {
+	m        *Manager
+	id       RequestID
 	tokens   int
 	blocks   int // private blocks only; shared prefix blocks are counted in shared
 	loc      Location
 	isBackup bool
+	dead     bool
 	// group/shared link the request to the prefix pool: the first
 	// shared*blockSize tokens live in refcounted blocks of the given
 	// prefix group (see prefix.go). Zero for plain allocations.
@@ -54,7 +62,7 @@ type table struct {
 
 // privateTokens is the token span held in the request's own blocks, i.e.
 // what actually moves on a swap. The shared prefix stays resident.
-func (t *table) privateTokens(blockSize int) int {
+func (t *Alloc) privateTokens(blockSize int) int {
 	return t.tokens - t.shared*blockSize
 }
 
@@ -138,7 +146,7 @@ type Manager struct {
 	gpuFree   int
 	cpuBlocks int
 	cpuFree   int
-	tables    map[RequestID]*table
+	tables    map[RequestID]*Alloc
 	stats     Stats
 
 	// Prefix-cache state (see prefix.go); nil maps when disabled.
@@ -162,7 +170,7 @@ func New(gpuTokens, cpuTokens, blockSize int) (*Manager, error) {
 		blockSize: blockSize,
 		gpuBlocks: g, gpuFree: g,
 		cpuBlocks: c, cpuFree: c,
-		tables: make(map[RequestID]*table),
+		tables: make(map[RequestID]*Alloc),
 	}, nil
 }
 
@@ -259,7 +267,7 @@ func (m *Manager) allocate(id RequestID, tokens int, reclaim bool) error {
 		return ErrNoSpace
 	}
 	m.gpuFree -= need
-	m.tables[id] = &table{tokens: tokens, blocks: need, loc: OnGPU}
+	m.tables[id] = &Alloc{m: m, id: id, tokens: tokens, blocks: need, loc: OnGPU}
 	m.touchPeak()
 	return nil
 }
@@ -268,15 +276,35 @@ func (m *Manager) allocate(id RequestID, tokens int, reclaim bool) error {
 // token per decode step). Shrinking is not supported; growing a swapped
 // request is an error.
 func (m *Manager) Grow(id RequestID, newTokens int) error {
-	t, ok := m.tables[id]
-	if !ok {
+	return m.tables[id].Grow(newTokens)
+}
+
+// Alloc returns the request's live allocation as a handle, or nil.
+func (m *Manager) Alloc(id RequestID) *Alloc { return m.tables[id] }
+
+// LiveOn reports whether the handle still resolves to an allocation on m.
+// It is false for a nil handle, a handle from another manager, and a dead
+// one.
+func (t *Alloc) LiveOn(m *Manager) bool { return t != nil && t.m == m && !t.dead }
+
+// Grow is Manager.Grow through the handle; a nil or dead handle reports
+// ErrUnknownRequest.
+func (t *Alloc) Grow(newTokens int) error {
+	if t == nil || t.dead {
 		return ErrUnknownRequest
 	}
 	if t.loc != OnGPU {
-		return fmt.Errorf("kvcache: request %d is swapped out", id)
+		return fmt.Errorf("kvcache: request %d is swapped out", t.id)
 	}
 	if newTokens < t.tokens {
-		return fmt.Errorf("kvcache: cannot shrink request %d from %d to %d tokens", id, t.tokens, newTokens)
+		return fmt.Errorf("kvcache: cannot shrink request %d from %d to %d tokens", t.id, t.tokens, newTokens)
+	}
+	m := t.m
+	// Held blocks always equal BlocksFor(tokens), so a grow that still
+	// fits them needs no blocks and cannot move the peak.
+	if newTokens <= (t.shared+t.blocks)*m.blockSize {
+		t.tokens = newTokens
+		return nil
 	}
 	need := m.BlocksFor(newTokens) - t.shared - t.blocks
 	if need > m.gpuFree && !m.ensureFree(need) {
@@ -304,8 +332,14 @@ func (m *Manager) Release(id RequestID) error {
 		m.cpuFree += t.blocks
 	}
 	m.derefShared(t)
-	delete(m.tables, id)
+	m.drop(t)
 	return nil
+}
+
+// drop removes an allocation from the table and kills its handles.
+func (m *Manager) drop(t *Alloc) {
+	t.dead = true
+	delete(m.tables, t.id)
 }
 
 // SwapOut moves a request's blocks to host memory, freeing GPU blocks.
@@ -393,7 +427,10 @@ func (m *Manager) PromoteBackup(id RequestID) error {
 func (m *Manager) Reset() {
 	m.gpuFree = m.gpuBlocks
 	m.cpuFree = m.cpuBlocks
-	m.tables = make(map[RequestID]*table)
+	for _, t := range m.tables {
+		t.dead = true
+	}
+	m.tables = make(map[RequestID]*Alloc)
 	if m.prefixMode {
 		m.prefix = make(map[pkey]*pblock)
 	}

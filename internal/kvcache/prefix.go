@@ -178,8 +178,8 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 		m.prefix[pkey{group, i}].lastUse = m.useSeq
 	}
 
-	m.tables[id] = &table{
-		tokens: tokens, blocks: privateBlocks, loc: OnGPU,
+	m.tables[id] = &Alloc{
+		m: m, id: id, tokens: tokens, blocks: privateBlocks, loc: OnGPU,
 		group: group, shared: nShare,
 	}
 	m.touchPeak()
@@ -196,7 +196,7 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 
 // derefShared drops a releasing request's references on its shared
 // chain. Blocks stay cached at refs==0 until pressure evicts them.
-func (m *Manager) derefShared(t *table) {
+func (m *Manager) derefShared(t *Alloc) {
 	for i := 0; i < t.shared; i++ {
 		if b, ok := m.prefix[pkey{t.group, i}]; ok && b.refs > 0 {
 			b.refs--
@@ -240,8 +240,9 @@ func (m *Manager) dropBackups(need int) {
 		if m.gpuFree >= need {
 			return
 		}
-		m.gpuFree += m.tables[id].blocks
-		delete(m.tables, id)
+		t := m.tables[id]
+		m.gpuFree += t.blocks
+		m.drop(t)
 		m.stats.BackupReclaims++
 	}
 }

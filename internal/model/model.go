@@ -166,6 +166,35 @@ func (lc LayerCost) FLOPs() float64 { return lc.AttnFLOPs + lc.FFNFLOPs }
 // IOBytes returns total HBM bytes moved for the block.
 func (lc LayerCost) IOBytes() float64 { return lc.AttnIOBytes + lc.FFNIOBytes }
 
+// Consts are a Config's per-layer Table 1 constants, derived once so hot
+// paths (the perf roofline runs per forward pass) neither redo the
+// divisions nor copy the Config. Each field is computed from the Config
+// methods exactly as those compute it, so results are bit-identical.
+type Consts struct {
+	// H is the hidden size and KVRatio is KVDim/H (1 for MHA; GQA
+	// shrinks KV read/write traffic).
+	H, KVRatio float64
+	// AttnParams and FFNParams are the per-layer weight parameters.
+	AttnParams, FFNParams float64
+	// AttnWeightBytes and FFNWeightBytes split WeightBytesPerLayer by
+	// the attention share of the parameters: the weight reads of one
+	// layer's attention and FFN.
+	AttnWeightBytes, FFNWeightBytes float64
+}
+
+// Consts derives the per-layer constants.
+func (c Config) Consts() Consts {
+	h := float64(c.Hidden)
+	attn := c.attnParams()
+	frac := attn / c.ParamsPerLayer()
+	w := c.WeightBytesPerLayer()
+	return Consts{
+		H: h, KVRatio: float64(c.KVDim()) / h,
+		AttnParams: attn, FFNParams: c.ffnParams(),
+		AttnWeightBytes: w * frac, FFNWeightBytes: w * (1 - frac),
+	}
+}
+
 // PrefillLayerCost returns per-layer cost of prefilling n tokens
 // (paper Table 1, prefill column):
 //
@@ -176,19 +205,18 @@ func (lc LayerCost) IOBytes() float64 { return lc.AttnIOBytes + lc.FFNIOBytes }
 // Prefill is compute-bound; IO bytes are the weight reads (amortized over
 // the N tokens in one pass) plus activation traffic ≈ weights only, as in
 // Table 1's FFN entry 16H².
-func (c Config) PrefillLayerCost(n int) LayerCost {
+func (k *Consts) PrefillLayerCost(n int) LayerCost {
 	nf := float64(n)
-	h := float64(c.Hidden)
 	// Projections: 2 FLOPs per weight per token.
-	proj := 2 * nf * c.attnParams()
+	proj := 2 * nf * k.AttnParams
 	// Attention score (QKᵀ) and value (PV) matmuls: 2·N²·H each.
-	score := 4 * nf * nf * h
-	ffn := 2 * nf * c.ffnParams()
+	score := 4 * nf * nf * k.H
+	ffn := 2 * nf * k.FFNParams
 	return LayerCost{
 		AttnFLOPs:   proj + score,
 		FFNFLOPs:    ffn,
-		AttnIOBytes: c.attnParams() * BytesFP16,
-		FFNIOBytes:  c.ffnParams() * BytesFP16,
+		AttnIOBytes: k.AttnParams * BytesFP16,
+		FFNIOBytes:  k.FFNParams * BytesFP16,
 	}
 }
 
@@ -201,19 +229,29 @@ func (c Config) PrefillLayerCost(n int) LayerCost {
 //	IO bytes   = weight reads (24H² for OPT) + KV reads 4·ΣL·H
 //
 // Decode is IO-bound: the weight and KV reads dominate.
-func (c Config) DecodeLayerCost(b int, sumCtx int) LayerCost {
+func (k *Consts) DecodeLayerCost(b int, sumCtx int) LayerCost {
 	bf, lf := float64(b), float64(sumCtx)
-	h := float64(c.Hidden)
-	kvRatio := float64(c.KVDim()) / h // GQA shrinks KV read/write traffic
-	proj := 2 * bf * c.attnParams()
-	score := 4 * lf * h * kvRatio // attend over ΣL cached tokens
-	ffn := 2 * bf * c.ffnParams()
+	proj := 2 * bf * k.AttnParams
+	score := 4 * lf * k.H * k.KVRatio // attend over ΣL cached tokens
+	ffn := 2 * bf * k.FFNParams
 	return LayerCost{
 		AttnFLOPs:   proj + score,
 		FFNFLOPs:    ffn,
-		AttnIOBytes: c.attnParams()*BytesFP16 + 4*lf*h*kvRatio,
-		FFNIOBytes:  c.ffnParams() * BytesFP16,
+		AttnIOBytes: k.AttnParams*BytesFP16 + 4*lf*k.H*k.KVRatio,
+		FFNIOBytes:  k.FFNParams * BytesFP16,
 	}
+}
+
+// PrefillLayerCost is Consts.PrefillLayerCost for one call.
+func (c Config) PrefillLayerCost(n int) LayerCost {
+	k := c.Consts()
+	return k.PrefillLayerCost(n)
+}
+
+// DecodeLayerCost is Consts.DecodeLayerCost for one call.
+func (c Config) DecodeLayerCost(b int, sumCtx int) LayerCost {
+	k := c.Consts()
+	return k.DecodeLayerCost(b, sumCtx)
 }
 
 // PrefillCost returns whole-model cost of prefilling n tokens.

@@ -113,13 +113,37 @@ func TestPPCommAndLMHead(t *testing.T) {
 }
 
 func TestAttnWeightFrac(t *testing.T) {
+	frac := func(m *CostModel) float64 { return m.k.AttnWeightBytes / m.Cfg.WeightBytesPerLayer() }
 	// OPT (FFN=4H, MHA): attention holds 4H² of 12H² params = 1/3.
-	if f := attnWeightFrac(model.OPT13B); math.Abs(f-1.0/3) > 1e-9 {
+	opt := MustNew(model.OPT13B, gpu.A800, Placement{TP: 1, PP: 1}, gpu.NVLinkBridge, DefaultParams())
+	if f := frac(opt); math.Abs(f-1.0/3) > 1e-9 {
 		t.Errorf("OPT attn weight fraction = %v, want 1/3", f)
 	}
 	// GQA shrinks the attention share.
-	if f := attnWeightFrac(model.LLaMA270B); f >= 1.0/3 {
+	if f := frac(llama70b()); f >= 1.0/3 {
 		t.Errorf("LLaMA2-70B attn fraction = %v, should be below OPT's", f)
+	}
+	// The two shares split the layer's weight bytes.
+	for _, m := range []*CostModel{opt, llama70b()} {
+		if got, want := m.k.AttnWeightBytes+m.k.FFNWeightBytes, m.Cfg.WeightBytesPerLayer(); math.Abs(got-want) > 1e-6*want {
+			t.Errorf("%s: weight shares sum to %v, want %v", m.Cfg.Name, got, want)
+		}
+	}
+}
+
+// A chunk's HBM traffic equals the same chunk's from scratch: the cached
+// prefix KV re-read is not charged, only the extra score/value FLOPs.
+func TestChunkIOMatchesScratch(t *testing.T) {
+	for _, m := range []*CostModel{opt13bTP2(), llama70b()} {
+		scratch := m.layerCost(Batch{Prefill: []PrefillSeg{{NewTokens: 512}}})
+		chunk := m.layerCost(Batch{Prefill: []PrefillSeg{{NewTokens: 512, CtxBefore: 1536}}})
+		if chunk.AttnIOBytes != scratch.AttnIOBytes || chunk.FFNIOBytes != scratch.FFNIOBytes {
+			t.Errorf("%s: chunk IO %v/%v != scratch IO %v/%v", m.Cfg.Name,
+				chunk.AttnIOBytes, chunk.FFNIOBytes, scratch.AttnIOBytes, scratch.FFNIOBytes)
+		}
+		if chunk.AttnFLOPs <= scratch.AttnFLOPs {
+			t.Errorf("%s: chunk attention FLOPs %v should exceed scratch %v", m.Cfg.Name, chunk.AttnFLOPs, scratch.AttnFLOPs)
+		}
 	}
 }
 

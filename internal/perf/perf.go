@@ -22,7 +22,6 @@ package perf
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"windserve/internal/gpu"
 	"windserve/internal/model"
@@ -151,9 +150,10 @@ func DecodeOnly(reqs, sumCtx int) Batch {
 
 // CostModel computes iteration times for one (model, GPU, placement).
 //
-// IterTime results are memoized by batch signature, so the configuration
-// fields must not be mutated after the first IterTime call — build a new
-// model (they are cheap) instead of editing one in flight.
+// A CostModel is immutable after New: the per-layer model constants and
+// the achieved FLOP and byte rates are folded once there, so goroutines
+// may share one without a lock. Build a new model (they are cheap)
+// instead of editing one.
 type CostModel struct {
 	Cfg    model.Config
 	GPU    gpu.Spec
@@ -161,63 +161,47 @@ type CostModel struct {
 	TPLink gpu.LinkSpec // link used for TP collectives and PP sends
 	P      Params
 
-	iterCache iterCache
+	k        model.Consts
+	flopRate float64 // achieved FLOP/s per GPU: peak × ComputeEff
+	byteRate float64 // achieved HBM bytes/s per GPU: peak × BWEff
 }
 
-// iterKey is the cacheable signature of a forward pass. Decode-only
-// batches (which repeat shapes constantly — the same running set decodes
-// for hundreds of iterations) and single-segment prefill/hybrid batches
-// cover virtually every engine call; multi-segment prefill passes bypass
-// the cache rather than hashing a slice.
-type iterKey struct {
-	hasPrefill           bool
-	newTokens, ctxBefore int32
-	decodeReqs, sumCtx   int32
-}
-
-// iterKeyFor extracts a key, reporting whether the batch is cacheable.
-func iterKeyFor(b Batch) (iterKey, bool) {
-	if len(b.Prefill) > 1 {
-		return iterKey{}, false
+// validate checks every calibration constant; each error names its field.
+// Efficiencies must be finite and positive, durations and taxes finite
+// and non-negative, and the SBD shares within [0, 1].
+func (p Params) validate() error {
+	const max = math.MaxFloat64 // v <= max also rejects +Inf
+	for _, f := range [...]struct {
+		name  string
+		v, hi float64 // v must lie in [0, hi], or in (0, hi] when pos
+		pos   bool
+	}{
+		{"ComputeEff", p.ComputeEff, max, true},
+		{"BWEff", p.BWEff, max, true},
+		{"KernelOverhead", float64(p.KernelOverhead), max, false},
+		{"TPCommLatency", float64(p.TPCommLatency), max, false},
+		{"CPUOverhead", float64(p.CPUOverhead), max, false},
+		{"SBDComputeShare", p.SBDComputeShare, 1, false},
+		{"SBDBWShare", p.SBDBWShare, 1, false},
+		{"SBDTax", p.SBDTax, max, false},
+		{"HybridTax", p.HybridTax, max, false},
+	} {
+		if f.v >= 0 && f.v <= f.hi && !(f.pos && f.v == 0) {
+			continue
+		}
+		want := "finite and >= 0"
+		if f.hi == 1 {
+			want = "in [0, 1]"
+		} else if f.pos {
+			want = "finite and > 0"
+		}
+		return fmt.Errorf("perf: Params.%s = %v, must be %s", f.name, f.v, want)
 	}
-	k := iterKey{decodeReqs: int32(b.DecodeReqs), sumCtx: int32(b.DecodeSumCtx)}
-	if len(b.Prefill) == 1 {
-		k.hasPrefill = true
-		k.newTokens = int32(b.Prefill[0].NewTokens)
-		k.ctxBefore = int32(b.Prefill[0].CtxBefore)
-	}
-	return k, true
+	return nil
 }
 
-// iterCacheMax bounds the memo; past it the map is reset wholesale (shapes
-// cluster tightly, so a full cache means the run moved to a new regime).
-const iterCacheMax = 1 << 12
-
-// iterCache memoizes IterTime. The mutex makes a model safe to share
-// across the parallel experiment runner's workers, though runs normally
-// build their own.
-type iterCache struct {
-	mu sync.Mutex
-	m  map[iterKey]sim.Duration
-}
-
-func (c *iterCache) get(k iterKey) (sim.Duration, bool) {
-	c.mu.Lock()
-	t, ok := c.m[k]
-	c.mu.Unlock()
-	return t, ok
-}
-
-func (c *iterCache) put(k iterKey, t sim.Duration) {
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= iterCacheMax {
-		c.m = make(map[iterKey]sim.Duration)
-	}
-	c.m[k] = t
-	c.mu.Unlock()
-}
-
-// New builds a cost model, validating the placement.
+// New builds a cost model, validating the model config, the placement and
+// the calibration parameters.
 func New(cfg model.Config, g gpu.Spec, place Placement, tpLink gpu.LinkSpec, p Params) (*CostModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -225,10 +209,15 @@ func New(cfg model.Config, g gpu.Spec, place Placement, tpLink gpu.LinkSpec, p P
 	if err := place.Validate(cfg); err != nil {
 		return nil, err
 	}
-	if p.ComputeEff <= 0 || p.BWEff <= 0 {
-		return nil, fmt.Errorf("perf: efficiencies must be positive, got %+v", p)
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
-	return &CostModel{Cfg: cfg, GPU: g, Place: place, TPLink: tpLink, P: p}, nil
+	return &CostModel{
+		Cfg: cfg, GPU: g, Place: place, TPLink: tpLink, P: p,
+		k:        cfg.Consts(),
+		flopRate: g.FLOPS() * p.ComputeEff,
+		byteRate: g.BandwidthBytes() * p.BWEff,
+	}, nil
 }
 
 // MustNew is New that panics on error; for tests and static tables.
@@ -242,18 +231,15 @@ func MustNew(cfg model.Config, g gpu.Spec, place Placement, tpLink gpu.LinkSpec,
 
 // layerCost accumulates the Table 1 FLOPs/IO of one layer for the batch.
 func (m *CostModel) layerCost(b Batch) model.LayerCost {
+	k := &m.k
 	var total model.LayerCost
-	h := float64(m.Cfg.Hidden)
-	kvRatio := float64(m.Cfg.KVDim()) / h
 	for _, s := range b.Prefill {
-		lc := m.Cfg.PrefillLayerCost(s.NewTokens)
+		lc := k.PrefillLayerCost(s.NewTokens)
 		if s.CtxBefore > 0 {
 			// A chunk attends over its prefix too: score/value matmuls are
-			// new×(ctx+new) rather than new×new, and the cached prefix KV
-			// must be re-read from HBM.
-			extra := 4 * float64(s.NewTokens) * float64(s.CtxBefore) * h
-			lc.AttnFLOPs += extra
-			lc.AttnIOBytes += 4 * float64(s.CtxBefore) * h * kvRatio
+			// new×(ctx+new) rather than new×new. Re-reading the cached
+			// prefix KV from HBM is not charged (see DESIGN.md §3).
+			lc.AttnFLOPs += 4 * float64(s.NewTokens) * float64(s.CtxBefore) * k.H
 		}
 		total.AttnFLOPs += lc.AttnFLOPs
 		total.FFNFLOPs += lc.FFNFLOPs
@@ -261,40 +247,35 @@ func (m *CostModel) layerCost(b Batch) model.LayerCost {
 		// below rather than per segment.
 	}
 	if b.DecodeReqs > 0 {
-		lc := m.Cfg.DecodeLayerCost(b.DecodeReqs, b.DecodeSumCtx)
+		lc := k.DecodeLayerCost(b.DecodeReqs, b.DecodeSumCtx)
 		total.AttnFLOPs += lc.AttnFLOPs
 		total.FFNFLOPs += lc.FFNFLOPs
-		total.AttnIOBytes += lc.AttnIOBytes - m.Cfg.WeightBytesPerLayer()*attnWeightFrac(m.Cfg)
-		total.FFNIOBytes += lc.FFNIOBytes - m.Cfg.WeightBytesPerLayer()*(1-attnWeightFrac(m.Cfg))
+		total.AttnIOBytes += lc.AttnIOBytes - k.AttnWeightBytes
+		total.FFNIOBytes += lc.FFNIOBytes - k.FFNWeightBytes
 	}
 	// One weight read per layer per pass, however many segments share it.
 	if !b.Empty() {
-		total.AttnIOBytes += m.Cfg.WeightBytesPerLayer() * attnWeightFrac(m.Cfg)
-		total.FFNIOBytes += m.Cfg.WeightBytesPerLayer() * (1 - attnWeightFrac(m.Cfg))
+		total.AttnIOBytes += k.AttnWeightBytes
+		total.FFNIOBytes += k.FFNWeightBytes
 		// Activation traffic: read+write of token activations.
-		act := 4 * float64(b.Tokens()) * h
+		act := 4 * float64(b.Tokens()) * k.H
 		total.AttnIOBytes += act
 		total.FFNIOBytes += act
 	}
 	return total
 }
 
-func attnWeightFrac(c model.Config) float64 {
-	attn := 2*float64(c.Hidden)*float64(c.Hidden) + 2*float64(c.Hidden)*float64(c.KVDim())
-	return attn / c.ParamsPerLayer()
-}
-
 // layerTime applies the roofline to one layer's cost, dividing work across
 // TP ranks, and adds launch overhead and TP collective time.
 func (m *CostModel) layerTime(lc model.LayerCost, tokens int) sim.Duration {
 	tp := float64(m.Place.TP)
-	compute := lc.FLOPs() / tp / (m.GPU.FLOPS() * m.P.ComputeEff)
-	io := lc.IOBytes() / tp / (m.GPU.BandwidthBytes() * m.P.BWEff)
+	compute := lc.FLOPs() / tp / m.flopRate
+	io := lc.IOBytes() / tp / m.byteRate
 	t := sim.Seconds(math.Max(compute, io)) + m.P.KernelOverhead
 	if m.Place.TP > 1 {
 		// Two allreduces per layer (attention output, FFN output), ring
 		// algorithm: 2(t-1)/t of the activation bytes cross the link.
-		bytes := float64(tokens) * float64(m.Cfg.Hidden) * model.BytesFP16
+		bytes := float64(tokens) * m.k.H * model.BytesFP16
 		ring := 2 * (tp - 1) / tp * bytes / m.TPLink.BytesPerSecond()
 		t += 2 * (sim.Seconds(ring) + m.P.TPCommLatency)
 	}
@@ -309,26 +290,10 @@ func (m *CostModel) IterTime(b Batch) sim.Duration {
 	if b.Empty() {
 		return 0
 	}
-	key, cacheable := iterKeyFor(b)
-	if cacheable {
-		if t, ok := m.iterCache.get(key); ok {
-			return t
-		}
-	}
-	t := m.iterTime(b)
-	if cacheable {
-		m.iterCache.put(key, t)
-	}
-	return t
-}
-
-// iterTime is the uncached roofline computation behind IterTime.
-func (m *CostModel) iterTime(b Batch) sim.Duration {
-	lc := m.layerCost(b)
-	lt := m.layerTime(lc, b.Tokens())
-	total := lt * sim.Duration(m.Cfg.Layers)
-	total += m.ppCommTime(b.Tokens())
-	total += m.lmHeadTime(b.Tokens())
+	tokens := b.Tokens()
+	total := m.layerTime(m.layerCost(b), tokens) * sim.Duration(m.Cfg.Layers)
+	total += m.ppCommTime(tokens)
+	total += m.lmHeadTime(tokens)
 	if len(b.Prefill) > 0 && b.DecodeReqs > 0 {
 		total *= sim.Duration(1 + m.P.HybridTax)
 	}
@@ -342,15 +307,15 @@ func (m *CostModel) ppCommTime(tokens int) sim.Duration {
 	if m.Place.PP <= 1 {
 		return 0
 	}
-	bytes := float64(tokens) * float64(m.Cfg.Hidden) * model.BytesFP16
+	bytes := float64(tokens) * m.k.H * model.BytesFP16
 	per := sim.Seconds(bytes/m.TPLink.BytesPerSecond()) + sim.Microseconds(m.TPLink.LatencyUS)
 	return per * sim.Duration(m.Place.PP-1)
 }
 
 // lmHeadTime is the final-projection + sampling cost.
 func (m *CostModel) lmHeadTime(tokens int) sim.Duration {
-	flops := 2 * float64(tokens) * float64(m.Cfg.Hidden) * float64(m.Cfg.VocabSize)
-	return sim.Seconds(flops / float64(m.Place.TP) / (m.GPU.FLOPS() * m.P.ComputeEff))
+	flops := 2 * float64(tokens) * m.k.H * float64(m.Cfg.VocabSize)
+	return sim.Seconds(flops / float64(m.Place.TP) / m.flopRate)
 }
 
 // PrefillTime is the latency of prefilling n prompt tokens in isolation.
@@ -399,12 +364,12 @@ func (m *CostModel) SBDRates(prefill Batch, decode Batch) (rp, rd float64) {
 	dlc := m.layerCost(decode)
 	tpf := float64(m.Place.TP)
 	// Fraction of the GPU's bandwidth the prefill stream uses while running.
-	pIO := plc.IOBytes() / tpf / (m.GPU.BandwidthBytes() * m.P.BWEff)
-	pTotal := math.Max(pIO, plc.FLOPs()/tpf/(m.GPU.FLOPS()*m.P.ComputeEff))
+	pIO := plc.IOBytes() / tpf / m.byteRate
+	pTotal := math.Max(pIO, plc.FLOPs()/tpf/m.flopRate)
 	prefillBWDemand := clamp01(pIO / pTotal * m.P.SBDBWShare)
 	// Fraction of the GPU's compute the decode stream uses while running.
-	dCompute := dlc.FLOPs() / tpf / (m.GPU.FLOPS() * m.P.ComputeEff)
-	dTotal := math.Max(dCompute, dlc.IOBytes()/tpf/(m.GPU.BandwidthBytes()*m.P.BWEff))
+	dCompute := dlc.FLOPs() / tpf / m.flopRate
+	dTotal := math.Max(dCompute, dlc.IOBytes()/tpf/m.byteRate)
 	decodeComputeDemand := clamp01(dCompute / dTotal * m.P.SBDComputeShare)
 	rp = 1 / ((1 + decodeComputeDemand) * (1 + m.P.SBDTax))
 	rd = 1 / ((1 + prefillBWDemand) * (1 + m.P.SBDTax))
@@ -442,12 +407,12 @@ func overlapTimes(wa, wb sim.Duration, ra, rb float64) (ta, tb sim.Duration) {
 	fullA := sim.Duration(wa.Seconds() / ra)
 	fullB := sim.Duration(wb.Seconds() / rb)
 	if fullA <= fullB {
-		// A finishes first at fullA; B has done fullA·rb of its work.
-		doneB := sim.Duration(fullA.Seconds() * rb)
-		return fullA, fullA + (wb - doneB)
+		// A finishes first at fullA; B has done fullA·rb of its work and
+		// runs the rest at full rate. fullA + (wb − fullA·rb) is written
+		// wb + fullA·(1−rb) so rounding never finishes B before wb.
+		return fullA, wb + sim.Duration(fullA.Seconds()*(1-rb))
 	}
-	doneA := sim.Duration(fullB.Seconds() * ra)
-	return fullB + (wa - doneA), fullB
+	return wa + sim.Duration(fullB.Seconds()*(1-ra)), fullB
 }
 
 func clamp01(x float64) float64 {

@@ -2,6 +2,8 @@ package perf
 
 import (
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -40,15 +42,53 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(model.OPT13B, gpu.A800, Placement{TP: 3, PP: 1}, gpu.NVLinkBridge, DefaultParams()); err == nil {
 		t.Error("invalid placement accepted")
 	}
-	bad := DefaultParams()
-	bad.ComputeEff = 0
-	if _, err := New(model.OPT13B, gpu.A800, Placement{TP: 2, PP: 1}, gpu.NVLinkBridge, bad); err == nil {
-		t.Error("zero efficiency accepted")
-	}
 	badCfg := model.OPT13B
 	badCfg.Layers = 0
 	if _, err := New(badCfg, gpu.A800, Placement{TP: 1, PP: 1}, gpu.NVLinkBridge, DefaultParams()); err == nil {
 		t.Error("invalid model accepted")
+	}
+}
+
+// TestNewRejectsBadParams: every calibration field is range-checked, NaN
+// and ±Inf included, and the error names the field.
+func TestNewRejectsBadParams(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		mut   func(*Params)
+	}{
+		{"ComputeEff", func(p *Params) { p.ComputeEff = 0 }},
+		{"ComputeEff", func(p *Params) { p.ComputeEff = nan }},
+		{"ComputeEff", func(p *Params) { p.ComputeEff = inf }},
+		{"BWEff", func(p *Params) { p.BWEff = -0.5 }},
+		{"BWEff", func(p *Params) { p.BWEff = nan }},
+		{"BWEff", func(p *Params) { p.BWEff = inf }},
+		{"KernelOverhead", func(p *Params) { p.KernelOverhead = sim.Duration(nan) }},
+		{"KernelOverhead", func(p *Params) { p.KernelOverhead = -sim.Microseconds(1) }},
+		{"TPCommLatency", func(p *Params) { p.TPCommLatency = sim.Duration(inf) }},
+		{"CPUOverhead", func(p *Params) { p.CPUOverhead = -1 }},
+		{"CPUOverhead", func(p *Params) { p.CPUOverhead = sim.Duration(-inf) }},
+		{"SBDComputeShare", func(p *Params) { p.SBDComputeShare = 1.5 }},
+		{"SBDComputeShare", func(p *Params) { p.SBDComputeShare = nan }},
+		{"SBDBWShare", func(p *Params) { p.SBDBWShare = -0.1 }},
+		{"SBDTax", func(p *Params) { p.SBDTax = inf }},
+		{"SBDTax", func(p *Params) { p.SBDTax = -0.01 }},
+		{"HybridTax", func(p *Params) { p.HybridTax = nan }},
+	}
+	for _, tc := range cases {
+		p := DefaultParams()
+		tc.mut(&p)
+		_, err := New(model.OPT13B, gpu.A800, Placement{TP: 2, PP: 1}, gpu.NVLinkBridge, p)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s %+v: err = %v, want one naming the field", tc.field, p, err)
+		}
+	}
+	// The edges of each range stay legal.
+	edge := DefaultParams()
+	edge.KernelOverhead, edge.TPCommLatency, edge.CPUOverhead = 0, 0, 0
+	edge.SBDComputeShare, edge.SBDBWShare, edge.SBDTax, edge.HybridTax = 0, 1, 0, 0
+	if _, err := New(model.OPT13B, gpu.A800, Placement{TP: 2, PP: 1}, gpu.NVLinkBridge, edge); err != nil {
+		t.Errorf("edge params rejected: %v", err)
 	}
 }
 
@@ -351,4 +391,61 @@ func TestPlacementString(t *testing.T) {
 	if s := (Placement{TP: 2, PP: 1}).String(); s != "TP-2,PP-1" {
 		t.Errorf("String = %q", s)
 	}
+}
+
+// BenchmarkIterTime measures the roofline on engine-like shapes: decode
+// passes whose ΣL grows every call, whole prompts, chunked segments and
+// hybrid passes. CI gates it at 0 allocs/op.
+func BenchmarkIterTime(b *testing.B) {
+	m := opt13bTP2()
+	shapes := []Batch{
+		DecodeOnly(8, 8*600),
+		DecodeOnly(64, 64*900),
+		DecodeOnly(16, 16*2048),
+		PrefillOnly(512),
+		{Prefill: []PrefillSeg{{NewTokens: 512, CtxBefore: 1024}}},
+		{Prefill: []PrefillSeg{{NewTokens: 256}}, DecodeReqs: 12, DecodeSumCtx: 12 * 700},
+		{Prefill: []PrefillSeg{{NewTokens: 128}, {NewTokens: 384, CtxBefore: 512}}, DecodeReqs: 4, DecodeSumCtx: 3000},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := shapes[i%len(shapes)]
+		if s.DecodeReqs > 0 {
+			s.DecodeSumCtx += (i / len(shapes)) % 1024 * s.DecodeReqs
+		}
+		iterSink = m.IterTime(s)
+	}
+}
+
+var iterSink sim.Duration
+
+// TestCostModelSharedAcrossGoroutines: a CostModel keeps no mutable state,
+// so goroutines sharing one see exactly the serial results (run under
+// -race).
+func TestCostModelSharedAcrossGoroutines(t *testing.T) {
+	m := llama70b()
+	var shapes []Batch
+	for n := 1; n <= 64; n++ {
+		shapes = append(shapes, DecodeOnly(n, n*700), PrefillOnly(32*n),
+			Batch{Prefill: []PrefillSeg{{NewTokens: 16 * n, CtxBefore: 64 * n}}, DecodeReqs: n, DecodeSumCtx: n * 300})
+	}
+	want := make([]sim.Duration, len(shapes))
+	for i, s := range shapes {
+		want[i] = m.IterTime(s)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range shapes {
+				j := (i + g*len(shapes)/4) % len(shapes)
+				if got := m.IterTime(shapes[j]); got != want[j] {
+					t.Errorf("goroutine %d shape %d: %v, serial %v", g, j, got, want[j])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -373,6 +373,7 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"Wind.ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = math.NaN() }},
 		{"Wind.KVSafetyFrac", func(c *Config) { c.Wind.KVSafetyFrac = math.NaN() }},
 		{"ReserveFrac", func(c *Config) { c.ReserveFrac = math.NaN() }},
+		{"CPUOverhead", func(c *Config) { c.Params.CPUOverhead = -1 }},
 		{"", func(c *Config) { // fault targets a missing instance
 			c.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Role: fault.RoleDecode, Instance: 5, At: 1}}}
 		}},
