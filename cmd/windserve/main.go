@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -28,6 +29,12 @@ func main() {
 	traceOut := flag.String("save-trace", "", "write the generated trace to this JSON file")
 	recordsOut := flag.String("records", "", "write per-request latency records as CSV to this file")
 	flag.Parse()
+	if *n < 0 {
+		fatal(fmt.Errorf("-n must be >= 0, got %d", *n))
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 0) {
+		fatal(fmt.Errorf("-rate must be a positive, finite per-GPU rate, got %v", *rate))
+	}
 
 	cfg, err := windserve.NewConfig(*modelName)
 	if err != nil {

@@ -84,8 +84,8 @@ type Req struct {
 	// cross-request prefix cache when this request's KV was allocated:
 	// they start out counted in PrefillDone, so prefill compute shrinks
 	// by the hit length. Zero unless prefix caching is enabled. Reset
-	// alongside PrefillDone when a crash or recompute-eviction forces a
-	// scratch re-prefill.
+	// alongside PrefillDone when a crash (Restart) or recompute-eviction
+	// forces a scratch re-prefill.
 	PrefixHit int
 	// Evictions counts preemptions (swap-outs and recompute evictions).
 	Evictions int
@@ -118,6 +118,16 @@ func (r *Req) PrefillComplete() bool { return r.PrefillDone >= r.W.PromptTokens 
 
 // PrefillRemaining is the number of prompt tokens still to prefill.
 func (r *Req) PrefillRemaining() int { return r.W.PromptTokens - r.PrefillDone }
+
+// Restart forgets everything the request built on KV it has lost — a
+// crash took the instance holding it: prefill and prefix-hit progress,
+// generated tokens, backup coverage, and the assist and migration marks.
+// The request then re-prefills from scratch. Recompute eviction is not a
+// restart: it keeps Generated and resets only the prefill progress.
+func (r *Req) Restart() {
+	r.PrefillDone, r.PrefixHit, r.Generated, r.BackupTokens = 0, 0, 0, 0
+	r.Assist, r.Migrating = false, false
+}
 
 // Finished reports whether all output tokens have been generated.
 func (r *Req) Finished() bool { return r.Generated >= r.W.OutputTokens }

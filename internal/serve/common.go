@@ -2,12 +2,16 @@ package serve
 
 import (
 	"fmt"
+	"sort"
 
+	"windserve/internal/cluster"
 	"windserve/internal/engine"
 	"windserve/internal/fault"
+	"windserve/internal/kvcache"
 	"windserve/internal/metrics"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
+	"windserve/internal/xfer"
 )
 
 // Ledger is the write-only request-lifecycle surface the engines report
@@ -158,6 +162,27 @@ func (r *runner) cancelFrac(frac float64, seed int64) {
 // markRecovered notes that a request survived an instance crash.
 func (r *runner) markRecovered(q *engine.Req) { r.recovered[q.W.ID] = true }
 
+// restart is scratch recovery for a request whose KV died in a crash: it
+// forgets all progress (Req.Restart), counts as recovered, and goes back
+// through the system's router as a fresh prefill.
+func (r *runner) restart(q *engine.Req, route func(*engine.Req)) {
+	q.Restart()
+	r.markRecovered(q)
+	route(q)
+}
+
+// liveOrphans filters a crash's orphans in place down to the requests
+// still in flight; one already done or aborted needs no recovery.
+func liveOrphans(orphans []*engine.Req) []*engine.Req {
+	live := orphans[:0]
+	for _, q := range orphans {
+		if q.Phase != engine.PhaseDone && q.Phase != engine.PhaseAborted {
+			live = append(live, q)
+		}
+	}
+	return live
+}
+
 // run drains the simulation (bounded by the horizon past the last arrival)
 // and assembles the shared parts of the result. With a pull-based source
 // the last arrival time is unknown up front, so the run proceeds in two
@@ -204,9 +229,45 @@ func (r *runner) recorderHooks() engine.Hooks {
 	}
 }
 
-// utilization extracts Fig. 2's mean utilizations from an instance over
-// the run's elapsed span.
-func utilization(ins *engine.Instance, elapsed sim.Time) (compute, bw float64) {
-	span := sim.Duration(elapsed)
-	return ins.ComputeGauge.MeanOver(span), ins.BWGauge.MeanOver(span)
+// newInstance builds one engine instance on a planned assignment. ec
+// names the instance and sets its role switches; newInstance fills in the
+// rest: the cost model, a KV manager (with prefix caching when
+// configured), a host swap link named host, the tracer, and the batch
+// limits every instance shares.
+func (r *runner) newInstance(a cluster.Assignment, ec engine.Config, host string, hooks engine.Hooks) (*engine.Instance, error) {
+	cfg := r.cfg
+	kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Prefix.Enabled {
+		kv.EnablePrefixCache(cfg.Prefix.Tiered)
+	}
+	ec.CM, ec.KV, ec.Tracer = a.CM, kv, cfg.Tracer
+	ec.HostLink = xfer.NewLink(r.s, host, cfg.Topo.HostPath(), xfer.DefaultEfficiency)
+	ec.ChunkSize, ec.MaxPrefillTokens, ec.MaxDecodeBatch = cfg.ChunkSize, cfg.MaxPrefillTokens, cfg.MaxDecodeBatch
+	return engine.NewInstance(r.s, ec, hooks)
+}
+
+// fold adds one instance's end-of-run accounting into res: its KV
+// counters into kv, its mean compute and bandwidth utilizations over the
+// elapsed span into *cu and *bu (Fig. 2), and its swap stall and
+// still-allocated blocks into the run totals.
+func (res *Result) fold(ins *engine.Instance, kv *kvcache.Stats, cu, bu *float64) {
+	kv.Accumulate(ins.KV().Stats())
+	span := sim.Duration(res.Elapsed)
+	*cu += ins.ComputeGauge.MeanOver(span)
+	*bu += ins.BWGauge.MeanOver(span)
+	res.SwapStallSec += ins.SwapStall.Seconds()
+	res.LiveKVBlocks += ins.KV().UsedBlocks()
+}
+
+// sortedIDs returns a map's keys ascending — deterministic recovery order.
+func sortedIDs[V any](m map[uint64]V) []uint64 {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }

@@ -5,7 +5,6 @@ import (
 
 	"windserve/internal/cluster"
 	"windserve/internal/engine"
-	"windserve/internal/kvcache"
 	"windserve/internal/sim"
 	"windserve/internal/trace"
 	"windserve/internal/workload"
@@ -137,11 +136,10 @@ type pdHooks struct {
 	// bytes and wall time including link queuing) — the Profiler's
 	// transfer-rate feedback.
 	onTransfer func(bytes float64, elapsed sim.Duration)
-	// crashPrefill/crashDecode override orphan recovery after a crash of
-	// the given instance (WindServe's backup-aware path). Nil uses the
-	// pd-default re-prefill-from-scratch recovery.
-	crashPrefill func(i int)
-	crashDecode  func(j int)
+	// crash overrides recovery after physical instance k crashes
+	// (WindServe's backup-aware path); it takes the instance down through
+	// crashOrphans. Nil re-prefills every orphan from scratch.
+	crash func(k int)
 	// decodeSBD enables the second stream on decode instances.
 	decodeSBD bool
 	// decodeAllowPrefill lets decode instances run prefill in their main
@@ -194,25 +192,13 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 
 	for k, a := range asg {
 		role, idx, hooks := "prefill", k, d.prefillHooks()
-		allowPrefill, sbd := true, false
+		ec := engine.Config{AllowPrefill: true}
 		if k >= np {
 			role, idx, hooks = "decode", k-np, d.decodeHooks(k-np)
-			allowPrefill, sbd = ph.decodeAllowPrefill, ph.decodeSBD
+			ec = engine.Config{AllowPrefill: ph.decodeAllowPrefill, SBD: ph.decodeSBD}
 		}
-		kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Prefix.Enabled {
-			kv.EnablePrefixCache(cfg.Prefix.Tiered)
-		}
-		host := xfer.NewLink(r.s, fmt.Sprintf("%s%s%d-host", px, role, idx), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
-		ins, err := engine.NewInstance(r.s, engine.Config{
-			Name: fmt.Sprintf("%s%s-%d", px, role, idx), CM: a.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
-			AllowPrefill: allowPrefill, ChunkSize: cfg.ChunkSize,
-			MaxPrefillTokens: cfg.MaxPrefillTokens, MaxDecodeBatch: cfg.MaxDecodeBatch,
-			SBD: sbd,
-		}, hooks)
+		ec.Name = fmt.Sprintf("%s%s-%d", px, role, idx)
+		ins, err := r.newInstance(a, ec, fmt.Sprintf("%s%s%d-host", px, role, idx), hooks)
 		if err != nil {
 			return nil, err
 		}
@@ -257,13 +243,7 @@ func (d *pd) prefillHooks() engine.Hooks {
 		hooks.OnIterationEnd = func() {
 			d.retryTransfers()
 		}
-		hooks.OnEvicted = func(q *engine.Req) {
-			// Acting decode out of swap space: recompute from scratch
-			// on a current acting prefill.
-			q.Assist = false
-			delete(d.decodeAt, q.W.ID)
-			d.prefillRR(q)
-		}
+		hooks.OnEvicted = d.recompute
 	}
 	return hooks
 }
@@ -292,13 +272,7 @@ func (d *pd) decodeHooks(j int) engine.Hooks {
 			ph.onDecodeIterEnd(j)
 		}
 	}
-	hooks.OnEvicted = func(q *engine.Req) {
-		// Out of swap space: recompute from scratch on a prefill
-		// instance.
-		q.Assist = false
-		delete(d.decodeAt, q.W.ID)
-		d.prefillRR(q)
-	}
+	hooks.OnEvicted = d.recompute
 	base := hooks.OnComplete
 	hooks.OnComplete = func(q *engine.Req) {
 		base(q)
@@ -310,6 +284,16 @@ func (d *pd) decodeHooks(j int) engine.Hooks {
 		d.retryTransfers()
 	}
 	return hooks
+}
+
+// recompute re-routes a request its acting decode evicted for lack of
+// swap space: it prefills again from scratch on an acting prefill. This
+// is recompute eviction, not a crash restart — the engine already reset
+// the prefill progress and Generated stands.
+func (d *pd) recompute(q *engine.Req) {
+	q.Assist = false
+	delete(d.decodeAt, q.W.ID)
+	d.prefillRR(q)
 }
 
 // --- Index spaces (elastic role flipping) -------------------------------
@@ -605,57 +589,43 @@ func (d *pd) degradeLinks(frac float64) {
 	}
 }
 
-// crashPrefillDefault is DistServe's prefill-crash recovery: every orphan
-// (queued or mid-prefill on the dead instance, or prefilled but waiting on
-// its now-lost KV for transfer) re-prefills from scratch on a survivor.
-func (d *pd) crashPrefillDefault(i int) {
-	for _, q := range d.crashPrefillOrphans(i) {
-		if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
-			continue
-		}
-		delete(d.prefillAt, q.W.ID)
-		delete(d.decodeAt, q.W.ID)
-		q.PrefillDone = 0
-		q.PrefixHit = 0
-		d.r.markRecovered(q)
-		d.prefillRR(q)
+// crash takes physical instance k down and recovers its orphans: through
+// the system's hook when it has one, else by re-prefilling each from
+// scratch on a survivor (DistServe keeps no backups to restore from).
+func (d *pd) crash(k int) {
+	if d.ph.crash != nil {
+		d.ph.crash(k)
+		return
+	}
+	for _, q := range d.crashOrphans(k) {
+		d.reprefill(q, d.prefillRR)
 	}
 }
 
-// crashPrefillOrphans crashes home prefill i and returns its orphans: the
-// requests queued or mid-prefill there, then the prefilled ones waiting in
-// transferPending on KV that died with it (pulled out of the queue).
-func (d *pd) crashPrefillOrphans(i int) []*engine.Req {
-	orphans := d.prefills[i].Crash()
+// crashOrphans crashes physical instance k and returns its live orphans:
+// the requests queued, running or swapped there, then the prefilled ones
+// waiting in transferPending on KV that died with it (pulled out of the
+// queue).
+func (d *pd) crashOrphans(k int) []*engine.Req {
+	orphans := d.ins[k].Crash()
 	keep := d.transferPending[:0]
 	for _, q := range d.transferPending {
-		if d.prefillAt[q.W.ID] == i {
+		if d.prefillAt[q.W.ID] == k {
 			orphans = append(orphans, q)
 		} else {
 			keep = append(keep, q)
 		}
 	}
 	d.transferPending = keep
-	return orphans
+	return liveOrphans(orphans)
 }
 
-// crashDecodeDefault is DistServe's decode-crash recovery: orphans lose
-// their KV and re-enter the system as fresh prefills (no backups to
-// restore from).
-func (d *pd) crashDecodeDefault(j int) {
-	for _, q := range d.decodes[j].Crash() {
-		if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
-			continue
-		}
-		delete(d.decodeAt, q.W.ID)
-		delete(d.prefillAt, q.W.ID)
-		q.PrefillDone = 0
-		q.PrefixHit = 0
-		q.Generated = 0 // generated-token KV died with the instance
-		q.Assist = false
-		d.r.markRecovered(q)
-		d.prefillRR(q)
-	}
+// reprefill forgets a request's placement and progress and routes it back
+// in as a fresh prefill — scratch recovery for KV lost to a crash.
+func (d *pd) reprefill(q *engine.Req, route func(*engine.Req)) {
+	delete(d.prefillAt, q.W.ID)
+	delete(d.decodeAt, q.W.ID)
+	d.r.restart(q, route)
 }
 
 // finalize fills the pd-specific parts of a result, aggregating across
@@ -666,24 +636,18 @@ func (d *pd) crashDecodeDefault(j int) {
 // is a home decode.
 func (d *pd) finalize(res *Result) {
 	np := len(d.prefills)
-	var pcu, pbu, dcu, dbu, stall float64
+	var pcu, pbu, dcu, dbu float64
 	for k, ins := range d.ins {
 		kv, cu, bu := &res.PrefillKV, &pcu, &pbu
 		if k >= np {
 			kv, cu, bu = &res.DecodeKV, &dcu, &dbu
 		}
-		kv.Accumulate(ins.KV().Stats())
-		c, b := utilization(ins, res.Elapsed)
-		*cu += c
-		*bu += b
-		stall += ins.SwapStall.Seconds()
-		res.LiveKVBlocks += ins.KV().UsedBlocks()
+		res.fold(ins, kv, cu, bu)
 	}
 	res.PrefillComputeUtil = pcu / float64(np)
 	res.PrefillBWUtil = pbu / float64(np)
 	res.DecodeComputeUtil = dcu / float64(len(d.decodes))
 	res.DecodeBWUtil = dbu / float64(len(d.decodes))
-	res.SwapStallSec = stall
 	for _, sameRole := range []bool{false, true} {
 		for a, row := range d.link {
 			for b, lk := range row {

@@ -226,15 +226,7 @@ func (d *pd) finishMigration(q *engine.Req, src, dst int, start sim.Time, lk *xf
 			srcIns.InsertRunning(q)
 			return
 		}
-		delete(d.decodeAt, q.W.ID)
-		delete(d.prefillAt, q.W.ID)
-		q.PrefillDone = 0
-		q.PrefixHit = 0
-		q.Generated = 0
-		q.Migrating = false
-		q.Assist = false
-		d.r.markRecovered(q)
-		d.prefillRR(q)
+		d.reprefill(q, d.prefillRR)
 		return
 	}
 	d.releaseAt(srcIns, q)

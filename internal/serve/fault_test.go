@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -315,7 +316,11 @@ func TestRecoverDecodeOrphanScratch(t *testing.T) {
 
 // TestPropertyInvariantsUnderFaults fuzzes all systems under a rotating
 // set of fault plans and shed policies: conservation must hold and no KV
-// (including backups) may outlive its requests.
+// (including backups) may outlive its requests. The prefix-cache rows
+// replay a chat trace with caching on (flat and tiered) through the same
+// crash recovery; every request must finish or abort. Cached prefix
+// blocks legitimately outlive their requests, so the leak check applies
+// to the prefix-off rows only.
 func TestPropertyInvariantsUnderFaults(t *testing.T) {
 	plans := []string{
 		"crash:d0@15",
@@ -323,20 +328,37 @@ func TestPropertyInvariantsUnderFaults(t *testing.T) {
 		"crash:d1@12; crash:p1@18+10; degrade@5x0.2+30",
 		"slow:d0@5x2.5+25; cancel@10x0.15; cancel@20x0.15",
 	}
-	cfg := cfg13B(t)
-	cfg.NumPrefill, cfg.NumDecode = 2, 2
-	cfg.Shed = ShedPolicy{MaxQueueDepth: 128, TTFTDeadline: sim.Seconds(60)}
+	chat, err := workload.ScenarioByName("chat")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for pi, spec := range plans {
-		cfg.Faults = mustPlan(t, int64(pi+1), spec)
-		reqs := trace13B(1.5, 90, int64(100+pi))
-		for name, run := range allSystems() {
-			res, err := run(cfg, reqs)
-			if err != nil {
-				t.Fatalf("plan %q %s: %v", spec, name, err)
+		for _, prefix := range []bool{false, true} {
+			cfg := cfg13B(t)
+			cfg.NumPrefill, cfg.NumDecode = 2, 2
+			cfg.Shed = ShedPolicy{MaxQueueDepth: 128, TTFTDeadline: sim.Seconds(60)}
+			cfg.Faults = mustPlan(t, int64(pi+1), spec)
+			reqs, row := trace13B(1.5, 90, int64(100+pi)), spec
+			if prefix {
+				cfg.Prefix = PrefixPolicy{Enabled: true, Tiered: pi%2 == 1}
+				reqs, row = nil, fmt.Sprintf("%s prefix=%+v", spec, cfg.Prefix)
+				src := chat.Source(90, 12, int64(100+pi))
+				for r, ok := src.Next(); ok; r, ok = src.Next() {
+					reqs = append(reqs, r)
+				}
 			}
-			checkConservation(t, name+"/"+spec, res, len(reqs))
-			if res.Unfinished == 0 && res.LiveKVBlocks != 0 {
-				t.Errorf("plan %q %s: %d KV blocks leaked", spec, name, res.LiveKVBlocks)
+			for name, run := range allSystems() {
+				res, err := run(cfg, reqs)
+				if err != nil {
+					t.Fatalf("plan %q %s: %v", row, name, err)
+				}
+				checkConservation(t, name+"/"+row, res, len(reqs))
+				if prefix && res.Unfinished != 0 {
+					t.Errorf("plan %q %s: %d requests never finished", row, name, res.Unfinished)
+				}
+				if !prefix && res.Unfinished == 0 && res.LiveKVBlocks != 0 {
+					t.Errorf("plan %q %s: %d KV blocks leaked", row, name, res.LiveKVBlocks)
+				}
 			}
 		}
 	}
@@ -397,5 +419,66 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 	cfg.Wind.ThresholdFrac = 40
 	if _, err := RunWindServe(cfg, trace13B(1, 3, 1)); err != nil {
 		t.Errorf("ThresholdFrac 40 rejected: %v", err)
+	}
+}
+
+// TestPrefillCrashResetsTransferPendingOrphan pins the one reset rule for
+// an orphan that had finished prefill: with decode KV held full, two
+// prefilled requests (the second a prefix-cache hit on the first) wait in
+// transferPending when their prefill instance crashes. Both lose the KV
+// their first token and prefix hit lived in, so both must come back with
+// Generated, PrefixHit, PrefillDone and BackupTokens at zero — the state
+// a WindServe orphan re-prefills from.
+func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
+	cfg := cfg13B(t)
+	cfg.Prefix = PrefixPolicy{Enabled: true}
+	crashAt := sim.Seconds(5)
+	cfg.Faults = mustPlan(t, 1, "crash:p0@5")
+	r, err := newRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newPD(r, r.cfg, pdHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.onAbort = d.abort
+	if err := installPDFaults(r, d); err != nil {
+		t.Fatal(err)
+	}
+	dkv := d.decodes[0].KV()
+	if err := dkv.Allocate(1<<40, dkv.TotalBlocks()*dkv.BlockSize()); err != nil {
+		t.Fatal(err)
+	}
+	var orphans []*engine.Req
+	for id := uint64(1); id <= 2; id++ {
+		q := engine.NewReq(workload.Request{ID: id, PromptTokens: 512, OutputTokens: 20,
+			PrefixGroup: 9, PrefixTokens: 256})
+		r.live[id] = q
+		r.rec.Arrive(id, q.W.PromptTokens, q.W.OutputTokens, r.s.Now())
+		d.prefillRR(q)
+		for q.Phase != engine.PhaseTransferring && r.s.Step() {
+		}
+		if q.Phase != engine.PhaseTransferring || q.Generated != 1 {
+			t.Fatalf("req%d: not parked prefilled in transferPending: %v", id, q)
+		}
+		orphans = append(orphans, q)
+	}
+	if len(d.transferPending) != 2 || orphans[1].PrefixHit == 0 {
+		t.Fatalf("setup: %d pending, second prefix hit %d; want 2 pending and a hit",
+			len(d.transferPending), orphans[1].PrefixHit)
+	}
+	r.s.Run(sim.Time(0).Add(crashAt))
+	if len(d.transferPending) != 0 {
+		t.Fatalf("%d orphans left in transferPending after the crash", len(d.transferPending))
+	}
+	for _, q := range orphans {
+		if q.Generated != 0 || q.PrefixHit != 0 || q.PrefillDone != 0 || q.BackupTokens != 0 {
+			t.Errorf("req%d re-prefills with stale progress: generated=%d prefixHit=%d prefillDone=%d backup=%d",
+				q.W.ID, q.Generated, q.PrefixHit, q.PrefillDone, q.BackupTokens)
+		}
+		if q.Phase != engine.PhaseWaiting || !r.recovered[q.W.ID] {
+			t.Errorf("req%d not requeued as a recovered prefill: %v, recovered=%v", q.W.ID, q, r.recovered[q.W.ID])
+		}
 	}
 }

@@ -6,48 +6,36 @@ import (
 )
 
 // installPDFaults compiles the configured fault plan into hooks against a
-// prefill/decode cluster. Crash recovery defaults to the pd layer's
-// re-prefill-from-scratch path; WindServe overrides it with the
-// backup-aware recovery through pdHooks.crashPrefill/crashDecode.
+// prefill/decode cluster. Crashes go through pd.crash: the pd layer's
+// re-prefill-from-scratch recovery, or WindServe's backup-aware
+// pdHooks.crash.
 func installPDFaults(r *runner, d *pd) error {
 	if r.cfg.Faults == nil {
 		return nil
 	}
-	crashP, crashD := d.crashPrefillDefault, d.crashDecodeDefault
-	if d.ph.crashPrefill != nil {
-		crashP = d.ph.crashPrefill
-	}
-	if d.ph.crashDecode != nil {
-		crashD = d.ph.crashDecode
-	}
-	// ins resolves a target to its physical instance; validate has
-	// already bounded idx by the role's home count.
-	ins := func(role fault.Role, idx int) *engine.Instance {
+	// phys resolves a target to its physical index; validate has already
+	// bounded idx by the role's home count.
+	phys := func(role fault.Role, idx int) int {
 		if role == fault.RolePrefill {
-			return d.ins[idx]
+			return idx
 		}
-		return d.ins[d.dPhys(idx)]
+		return d.dPhys(idx)
 	}
 	h := fault.Hooks{
 		Crash: func(role fault.Role, idx int) {
-			if ins(role, idx).Down() {
-				return
-			}
-			if role == fault.RolePrefill {
-				crashP(idx)
-			} else {
-				crashD(idx)
+			if k := phys(role, idx); !d.ins[k].Down() {
+				d.crash(k)
 			}
 		},
 		Restore: func(role fault.Role, idx int) {
-			ins(role, idx).Restore()
+			d.ins[phys(role, idx)].Restore()
 			if role != fault.RolePrefill {
 				// Fresh decode KV may unblock transfers queued on survivors.
 				d.retryTransfers()
 			}
 		},
 		SetSlowdown: func(role fault.Role, idx int, factor float64) {
-			ins(role, idx).SetSlowdown(factor)
+			d.ins[phys(role, idx)].SetSlowdown(factor)
 		},
 		SetLinkDegrade: d.degradeLinks,
 		Cancel:         r.cancelFrac,
@@ -71,15 +59,8 @@ func installVLLMFaults(r *runner, instances []*engine.Instance, route func(q *en
 			if ins.Down() {
 				return
 			}
-			for _, q := range ins.Crash() {
-				if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
-					continue
-				}
-				q.PrefillDone = 0
-				q.PrefixHit = 0
-				q.Generated = 0
-				r.markRecovered(q)
-				route(q)
+			for _, q := range liveOrphans(ins.Crash()) {
+				r.restart(q, route)
 			}
 		},
 		Restore: func(_ fault.Role, idx int) { pick(idx).Restore() },

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"windserve/internal/engine"
 	"windserve/internal/perf"
@@ -83,7 +82,8 @@ func (rp *Replica) Abort(id uint64) { rp.r.abortReq(id) }
 // Evict removes a request from this replica WITHOUT finalizing its
 // record — the failover path. The returned request carries the work lost
 // with it (PrefillDone + Generated tokens); nil if the request is not
-// live here. The router resubmits the same workload request elsewhere.
+// live here. The system scrubs it through its own abort, exactly as
+// Abort does. The router resubmits the same workload request elsewhere.
 func (rp *Replica) Evict(id uint64) *engine.Req {
 	q, ok := rp.r.live[id]
 	if !ok {
@@ -91,7 +91,7 @@ func (rp *Replica) Evict(id uint64) *engine.Req {
 	}
 	delete(rp.r.live, id)
 	q.Phase = engine.PhaseAborted
-	rp.d.abort(q)
+	rp.r.onAbort(q)
 	return q
 }
 
@@ -107,11 +107,7 @@ func (rp *Replica) Crash() []*engine.Req {
 			ins.Crash()
 		}
 	}
-	ids := make([]uint64, 0, len(rp.r.live))
-	for id := range rp.r.live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	ids := sortedIDs(rp.r.live)
 	orphans := make([]*engine.Req, 0, len(ids))
 	for _, id := range ids {
 		q := rp.r.live[id]

@@ -5,9 +5,7 @@ import (
 
 	"windserve/internal/cluster"
 	"windserve/internal/engine"
-	"windserve/internal/kvcache"
 	"windserve/internal/workload"
-	"windserve/internal/xfer"
 )
 
 // RunVLLM simulates the co-located baseline: continuous batching with
@@ -48,17 +46,7 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 
 	at := make(map[uint64]int) // request → replica, for abort scrubbing
 	instances := make([]*engine.Instance, replicas)
-	kvs := make([]*kvcache.Manager, replicas)
 	for i, a := range asg {
-		kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Prefix.Enabled {
-			kv.EnablePrefixCache(cfg.Prefix.Tiered)
-		}
-		kvs[i] = kv
-		host := xfer.NewLink(r.s, fmt.Sprintf("host-%d", i), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
 		hooks := r.recorderHooks() // nil OnPrefillDone: finished prompts join the local batch
 		base := hooks.OnComplete
 		// Scrub the routing entry on completion, not just on abort —
@@ -67,11 +55,9 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 			base(q)
 			delete(at, q.W.ID)
 		}
-		ins, err := engine.NewInstance(r.s, engine.Config{
-			Name: fmt.Sprintf("vllm-%d", i), CM: a.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
-			AllowPrefill: true, ChunkSize: cfg.ChunkSize, AlwaysChunk: true,
-			MaxPrefillTokens: cfg.MaxPrefillTokens, MaxDecodeBatch: cfg.MaxDecodeBatch,
-		}, hooks)
+		ins, err := r.newInstance(a, engine.Config{
+			Name: fmt.Sprintf("vllm-%d", i), AllowPrefill: true, AlwaysChunk: true,
+		}, fmt.Sprintf("host-%d", i), hooks)
 		if err != nil {
 			return nil, err
 		}
@@ -121,20 +107,12 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 	}
 
 	// Aggregate replica telemetry.
-	var stats kvcache.Stats
-	var cu, bu, stall float64
-	for i, ins := range instances {
-		stats.Accumulate(kvs[i].Stats())
-		c, b := utilization(ins, res.Elapsed)
-		cu += c
-		bu += b
-		stall += ins.SwapStall.Seconds()
-		res.LiveKVBlocks += kvs[i].UsedBlocks()
+	var cu, bu float64
+	for _, ins := range instances {
+		res.fold(ins, &res.DecodeKV, &cu, &bu)
 	}
-	res.DecodeKV = stats
-	res.PrefillKV = stats
+	res.PrefillKV = res.DecodeKV
 	res.PrefillComputeUtil, res.PrefillBWUtil = cu/float64(replicas), bu/float64(replicas)
 	res.DecodeComputeUtil, res.DecodeBWUtil = res.PrefillComputeUtil, res.PrefillBWUtil
-	res.SwapStallSec = stall
 	return res, nil
 }

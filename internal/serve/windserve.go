@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"windserve/internal/engine"
 	"windserve/internal/sched"
@@ -56,8 +55,7 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 		onDecodeIterEnd:    w.onDecodeIterEnd,
 		onComplete:         w.onComplete,
 		onTransfer:         w.observeTransfer,
-		crashPrefill:       w.crashPrefill,
-		crashDecode:        w.crashDecode,
+		crash:              w.crash,
 		decodeSBD:          !cfg.Wind.DisableSBD,
 		decodeAllowPrefill: cfg.Wind.DisableSBD,
 	})
@@ -511,10 +509,7 @@ func (w *windState) drainMigration(m *migration) {
 			w.releaseForeign(q)
 			return
 		}
-		if dec.KV().Has(q.KVID()) {
-			_ = dec.KV().Release(q.KVID())
-			dec.Kick()
-		}
+		w.d.releaseAt(dec, q)
 		delete(w.d.decodeAt, q.W.ID)
 		// Catch up the destination allocation with tokens generated during
 		// the copy; the engine's own growth path recovers any shortfall.
@@ -537,11 +532,7 @@ func (w *windState) abortMigrationIfGone(m *migration) bool {
 		m.die()
 		delete(w.migrations, q.W.ID)
 		q.Migrating = false
-		pkv := w.d.prefills[m.dst].KV()
-		if pkv.Has(q.KVID()) {
-			_ = pkv.Release(q.KVID())
-			w.d.prefills[m.dst].Kick()
-		}
+		w.d.releaseAt(w.d.prefills[m.dst], q)
 		return true
 	}
 	return false
@@ -612,18 +603,8 @@ func (w *windState) onComplete(q *engine.Req) {
 // releaseForeign drops any allocation the request holds on instances it
 // did NOT complete on (backups, stale migration targets, async copies).
 func (w *windState) releaseForeign(q *engine.Req) {
-	id := q.KVID()
-	for _, ins := range w.d.prefills {
-		if ins.KV().Has(id) {
-			_ = ins.KV().Release(id)
-			ins.Kick()
-		}
-	}
-	for _, ins := range w.d.decodes {
-		if ins.KV().Has(id) {
-			_ = ins.KV().Release(id)
-			ins.Kick()
-		}
+	for _, ins := range w.d.ins {
+		w.d.releaseAt(ins, q)
 	}
 	delete(w.async, q.W.ID)
 	delete(w.backupAt, q.W.ID)
@@ -652,44 +633,40 @@ func (w *windState) abort(q *engine.Req) {
 	w.releaseForeign(q)
 }
 
-// crashPrefill handles prefill instance i dying: engine orphans plus
-// requests waiting on i's KV for a serial transfer re-enter dispatch;
-// backups held at i evaporate; migrations targeting i die (their victims
-// keep decoding at the source).
-func (w *windState) crashPrefill(i int) {
-	orphans := w.d.crashPrefillOrphans(i)
-	for _, id := range sortedIDs(w.backupAt) {
-		if w.backupAt[id] != i {
-			continue
+// crash is the pd crash hook for physical instance k. A prefill crash
+// re-dispatches its orphans (engine orphans plus requests waiting on its
+// KV for a serial transfer); backups held there evaporate, and migrations
+// targeting it die (their victims keep decoding at the source). A decode
+// crash kills the migrations out of it (paused drains re-home via their
+// pending callback), drops async transfers into it back to the serial
+// path, and sends every orphan through backup-or-scratch recovery.
+func (w *windState) crash(k int) {
+	orphans := w.d.crashOrphans(k)
+	if k < len(w.d.prefills) {
+		for _, id := range sortedIDs(w.backupAt) {
+			if w.backupAt[id] != k {
+				continue
+			}
+			delete(w.backupAt, id)
+			if q, ok := w.r.live[id]; ok {
+				q.BackupTokens = 0
+			}
 		}
-		delete(w.backupAt, id)
-		if q, ok := w.r.live[id]; ok {
-			q.BackupTokens = 0
+		for _, id := range sortedIDs(w.migrations) {
+			m := w.migrations[id]
+			if m.dst != k {
+				continue
+			}
+			m.die()
+			delete(w.migrations, id)
+			m.q.Migrating = false
 		}
+		for _, q := range orphans {
+			w.rePrefill(q)
+		}
+		return
 	}
-	for _, id := range sortedIDs(w.migrations) {
-		m := w.migrations[id]
-		if m.dst != i {
-			continue
-		}
-		m.die()
-		delete(w.migrations, id)
-		m.q.Migrating = false
-	}
-	for _, q := range orphans {
-		if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
-			continue
-		}
-		w.rePrefill(q)
-	}
-}
-
-// crashDecode handles decode instance j dying: migrations out of j die
-// (paused drains re-home via their pending callback), async transfers
-// into j fall back to the serial path, and every orphaned request goes
-// through backup-or-scratch recovery.
-func (w *windState) crashDecode(j int) {
-	orphans := w.d.decodes[j].Crash()
+	j := k - len(w.d.prefills)
 	for _, id := range sortedIDs(w.migrations) {
 		m := w.migrations[id]
 		if m.src != j {
@@ -714,10 +691,6 @@ func (w *windState) crashDecode(j int) {
 		// callback's Down/Has guard re-routes it when it fires.
 	}
 	for _, q := range orphans {
-		if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
-			continue
-		}
-		delete(w.d.decodeAt, q.W.ID)
 		w.recoverDecodeOrphan(q)
 	}
 }
@@ -745,13 +718,10 @@ func (w *windState) recoverDecodeOrphan(q *engine.Req) {
 			// Drop any other allocation the request holds (a dead
 			// migration's target, a stale async copy) — everything but the
 			// promoted backup.
-			for pi, ins := range w.d.prefills {
-				if pi != bi {
+			for k, ins := range w.d.ins {
+				if k != bi {
 					w.d.releaseAt(ins, q)
 				}
-			}
-			for _, ins := range w.d.decodes {
-				w.d.releaseAt(ins, q)
 			}
 			snap := q.BackupTokens
 			q.BackupTokens = 0
@@ -768,31 +738,11 @@ func (w *windState) recoverDecodeOrphan(q *engine.Req) {
 }
 
 // rePrefill is scratch recovery: release everything the request holds
-// anywhere, forget its placement and progress (generated tokens lost
-// their KV with the crash), and send it back through dispatch.
+// anywhere, then re-prefill it through dispatch (pd.reprefill).
 func (w *windState) rePrefill(q *engine.Req) {
 	w.releaseForeign(q)
-	delete(w.d.prefillAt, q.W.ID)
-	delete(w.d.decodeAt, q.W.ID)
 	delete(w.backupInFlight, q.W.ID)
-	q.PrefillDone = 0
-	q.PrefixHit = 0
-	q.Generated = 0
-	q.Assist = false
-	q.Migrating = false
-	q.BackupTokens = 0
-	w.r.markRecovered(q)
-	w.submit(q)
-}
-
-// sortedIDs returns a map's keys ascending — deterministic recovery order.
-func sortedIDs[V any](m map[uint64]V) []uint64 {
-	ids := make([]uint64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	w.d.reprefill(q, w.submit)
 }
 
 // Ablation helpers so benchmarks read naturally.

@@ -28,6 +28,20 @@ func TestSourceMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestNonPositiveCountIsEmpty: a zero or negative request count yields an
+// empty trace from both Generate and Source, never a panic.
+func TestNonPositiveCountIsEmpty(t *testing.T) {
+	for _, n := range []int{0, -1, -5} {
+		g := NewGenerator(ShareGPT(), PoissonArrivals{Rate: 4}, 1)
+		if reqs := g.Generate(n); len(reqs) != 0 {
+			t.Errorf("Generate(%d) = %d requests, want 0", n, len(reqs))
+		}
+		if r, ok := g.Source(n).Next(); ok {
+			t.Errorf("Source(%d) yielded %+v, want nothing", n, r)
+		}
+	}
+}
+
 // TestSourceForMatchesGenerateFor does the same for duration-bounded
 // streams, including the trailing discarded draw that advances the rng.
 func TestSourceForMatchesGenerateFor(t *testing.T) {

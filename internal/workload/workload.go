@@ -396,9 +396,9 @@ func (s *genForSource) Next() (Request, bool) {
 	return r, true
 }
 
-// Source returns a stream of the generator's next n requests. Draining it
-// yields the identical sequence Generate(n) materializes for the same
-// generator state.
+// Source returns a stream of the generator's next n requests (none when
+// n <= 0). Draining it yields the identical sequence Generate(n)
+// materializes for the same generator state.
 func (g *Generator) Source(n int) Source { return &genSource{g: g, remaining: n} }
 
 // SourceFor returns a stream of requests arriving within d of virtual time.
@@ -420,9 +420,9 @@ func (u UniformArrivals) MeanRate() float64 { return u.Rate }
 // long-run mean rate stays Rate regardless of the burst parameters.
 func (b BurstyArrivals) MeanRate() float64 { return b.Rate }
 
-// Generate produces n requests in arrival order.
+// Generate produces n requests in arrival order (none when n <= 0).
 func (g *Generator) Generate(n int) []Request {
-	out := make([]Request, 0, n)
+	out := make([]Request, 0, max(n, 0))
 	src := g.Source(n)
 	for {
 		r, ok := src.Next()
