@@ -26,31 +26,49 @@ import (
 )
 
 // main delegates to run so deferred profile writers fire before exit.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	n := flag.Int("n", 600, "requests per simulation run")
-	seed := flag.Int64("seed", 42, "workload RNG seed")
-	parallel := flag.Int("parallel", 0, "max concurrent simulation runs per exhibit (0 = GOMAXPROCS); output is byte-identical at any setting")
-	stream := flag.Bool("stream", false, "use the bounded-memory streaming recorder (P² percentile sketches instead of exact percentiles)")
-	maxRecords := flag.Int("maxrecords", 0, "per-class record retention cap with -stream (0 = default 10000)")
-	csvPath := flag.String("csv", "", "also write the fig10/fig11 sweep rows as CSV to this file")
-	faults := flag.String("faults", "", `fault plan for ext-faults and -trace, e.g. "crash:d0@60; degrade@90x0.5+30"`)
-	fleetN := flag.Int("fleet", 16, "replica count for ext-fleet-chaos (and ext-fleet-scale when set explicitly)")
-	shards := flag.Int("shards", 0, "shard count for fleet runs: partitions replicas across parallel shard simulators; results are byte-identical at any value (0 = sequential; for ext-fleet-scale, restricts the sweep to {1, N})")
-	scenarioName := flag.String("scenario", "", "restrict ext-scenarios to one named workload scenario (chat, rag, agentic, reasoning, diurnal, mixshift)")
-	prefixCache := flag.Bool("prefixcache", false, "restrict ext-scenarios to its prefix-caching-on configurations")
-	elasticFlag := flag.Bool("elastic", false, "run ext-fleet-chaos's fleets with the default elastic role-flipping policy (ext-elastic always compares elastic vs static)")
-	chaos := flag.String("chaos", "", `chaos plan for ext-fleet-chaos, e.g. "rcrash:r0@60+30; rslow:r1@90x8+60" (default: a crash+partition+slow+cancel schedule scaled to the run)`)
-	tracePath := flag.String("trace", "", "run a traced WindServe capture and write its Chrome-trace JSON here (open at ui.perfetto.dev)")
-	decisionsPath := flag.String("decisions", "", "write the traced capture's scheduler decision log here as JSONL")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation heap profile to this file on exit")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() == 0 && *tracePath == "" && *decisionsPath == "" {
-		usage()
+// run parses args, checks every flag and exhibit name, and only then runs
+// the exhibits, writing their tables to stdout. It returns the exit code:
+// 2 for bad arguments, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("windbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 600, "requests per simulation run")
+	seed := fs.Int64("seed", 42, "workload RNG seed")
+	parallel := fs.Int("parallel", 0, "max concurrent simulation runs per exhibit (0 = GOMAXPROCS); output is byte-identical at any setting")
+	stream := fs.Bool("stream", false, "use the bounded-memory streaming recorder (P² percentile sketches instead of exact percentiles)")
+	maxRecords := fs.Int("maxrecords", 0, "per-class record retention cap with -stream (0 = default 10000)")
+	csvPath := fs.String("csv", "", "also write the fig10/fig11 sweep rows as CSV to this file")
+	faults := fs.String("faults", "", `fault plan for ext-faults and -trace, e.g. "crash:d0@60; degrade@90x0.5+30"`)
+	fleetN := fs.Int("fleet", 16, "replica count for ext-fleet-chaos (and ext-fleet-scale when set explicitly)")
+	shards := fs.Int("shards", 0, "shard count for fleet runs: partitions replicas across parallel shard simulators; results are byte-identical at any value (0 = sequential; for ext-fleet-scale, restricts the sweep to {1, N})")
+	scenarioName := fs.String("scenario", "", "restrict ext-scenarios to one named workload scenario (chat, rag, agentic, reasoning, diurnal, mixshift)")
+	prefixCache := fs.Bool("prefixcache", false, "restrict ext-scenarios to its prefix-caching-on configurations")
+	elasticFlag := fs.Bool("elastic", false, "run ext-fleet-chaos's fleets with the default elastic role-flipping policy (ext-elastic always compares elastic vs static)")
+	chaos := fs.String("chaos", "", `chaos plan for ext-fleet-chaos, e.g. "rcrash:r0@60+30; rslow:r1@90x8+60" (default: a crash+partition+slow+cancel schedule scaled to the run)`)
+	tracePath := fs.String("trace", "", "run a traced WindServe capture and write its Chrome-trace JSON here (open at ui.perfetto.dev)")
+	decisionsPath := fs.String("decisions", "", "write the traced capture's scheduler decision log here as JSONL")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an allocation heap profile to this file on exit")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 2
+	}
+	if fs.NArg() == 0 && *tracePath == "" && *decisionsPath == "" {
+		fs.Usage()
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"fleet", *fleetN}, {"parallel", *parallel}} {
+		if f.v < 0 {
+			fmt.Fprintf(stderr, "windbench: -%s must be >= 0, got %d\n", f.name, f.v)
+			return 2
+		}
 	}
 	par.SetDefault(*parallel)
 	o := bench.Options{Requests: *n, Seed: *seed, Parallel: *parallel,
@@ -67,7 +85,7 @@ func run() int {
 	o.Scenario = *scenarioName
 	o.PrefixCache = *prefixCache
 	o.Elastic = *elasticFlag
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "n":
 			o.MegaRequests = *n
@@ -83,11 +101,11 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "windbench: -cpuprofile: %v\n", err)
 			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "windbench: -cpuprofile: %v\n", err)
 			return 2
 		}
 		defer func() {
@@ -101,7 +119,7 @@ func run() int {
 				runtime.GC() // get up-to-date allocation statistics
 				return pprof.Lookup("allocs").WriteTo(f, 0)
 			}); err != nil {
-				fmt.Fprintf(os.Stderr, "windbench: -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "windbench: -memprofile: %v\n", err)
 			}
 		}()
 	}
@@ -110,7 +128,7 @@ func run() int {
 	if *faults != "" {
 		var err error
 		if plan, err = fault.Parse(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: -faults: %v\n", err)
+			fmt.Fprintf(stderr, "windbench: -faults: %v\n", err)
 			return 2
 		}
 		plan.Seed = *seed
@@ -119,7 +137,7 @@ func run() int {
 	if *chaos != "" {
 		var err error
 		if chaosPlan, err = fault.Parse(*chaos); err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: -chaos: %v\n", err)
+			fmt.Fprintf(stderr, "windbench: -chaos: %v\n", err)
 			return 2
 		}
 		chaosPlan.Seed = *seed
@@ -186,7 +204,7 @@ func run() int {
 		"ext-elastic":     func(w io.Writer) error { _, err := bench.ExpElastic(o, w); return err },
 	}
 
-	args := flag.Args()
+	args = fs.Args()
 	if len(args) == 1 && args[0] == "all" {
 		args = nil
 		for k := range exhibits {
@@ -202,44 +220,50 @@ func run() int {
 		}
 		sort.Strings(args)
 	}
-	for _, name := range args {
-		exp, ok := exhibits[strings.ToLower(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "windbench: unknown exhibit %q\n", name)
+	// Resolve every name before the first exhibit runs: Go's flag parsing
+	// stops at the first positional argument, so a flag given after an
+	// exhibit name lands here and must fail before any work is done.
+	exps := make([]func(io.Writer) error, len(args))
+	for i, name := range args {
+		var ok bool
+		if exps[i], ok = exhibits[strings.ToLower(name)]; !ok {
+			fmt.Fprintf(stderr, "windbench: unknown exhibit %q (flags go before exhibit names)\n", name)
 			return 2
 		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := exp(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: %s: %v\n", name, err)
+	}
+	for i, name := range args {
+		fmt.Fprintf(stdout, "==== %s ====\n", name)
+		if err := exps[i](stdout); err != nil {
+			fmt.Fprintf(stderr, "windbench: %s: %v\n", name, err)
 			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *tracePath != "" || *decisionsPath != "" {
-		fmt.Println("==== trace-capture ====")
-		art, err := bench.ExpTraceCapture(o, os.Stdout, plan)
+		fmt.Fprintln(stdout, "==== trace-capture ====")
+		art, err := bench.ExpTraceCapture(o, stdout, plan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "windbench: trace capture: %v\n", err)
+			fmt.Fprintf(stderr, "windbench: trace capture: %v\n", err)
 			return 1
 		}
 		if *tracePath != "" {
 			if err := writeFile(*tracePath, func(f *os.File) error {
 				return obs.WriteChromeTrace(f, art.Tracer, art.AllRecords())
 			}); err != nil {
-				fmt.Fprintf(os.Stderr, "windbench: -trace: %v\n", err)
+				fmt.Fprintf(stderr, "windbench: -trace: %v\n", err)
 				return 1
 			}
-			fmt.Printf("wrote Chrome trace to %s (open at https://ui.perfetto.dev)\n", *tracePath)
+			fmt.Fprintf(stdout, "wrote Chrome trace to %s (open at https://ui.perfetto.dev)\n", *tracePath)
 		}
 		if *decisionsPath != "" {
 			if err := writeFile(*decisionsPath, func(f *os.File) error {
 				return art.Decisions.WriteJSONL(f)
 			}); err != nil {
-				fmt.Fprintf(os.Stderr, "windbench: -decisions: %v\n", err)
+				fmt.Fprintf(stderr, "windbench: -decisions: %v\n", err)
 				return 1
 			}
-			fmt.Printf("wrote %d scheduler decisions to %s\n", art.Decisions.Len(), *decisionsPath)
+			fmt.Fprintf(stdout, "wrote %d scheduler decisions to %s\n", art.Decisions.Len(), *decisionsPath)
 		}
 	}
 	return 0
@@ -259,8 +283,8 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `windbench regenerates the WindServe paper's tables and figures.
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `windbench regenerates the WindServe paper's tables and figures.
 
 usage: windbench [-n requests] [-seed N] exhibit [exhibit ...]
        windbench -trace out.json [-decisions out.jsonl] [-faults PLAN]
@@ -325,5 +349,5 @@ extensions (not paper exhibits):
 
 flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

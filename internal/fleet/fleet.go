@@ -230,8 +230,12 @@ type fleet struct {
 	completions []int
 
 	// arr is the front door the testbed runner shares: one pending
-	// arrival event, validated, recorded, then admitted here.
-	arr serve.Arrivals
+	// arrival event, validated, recorded, then admitted here under shed,
+	// the admission rule the runner shares too. expire is deadlineAbort
+	// as a method value, built once.
+	arr    serve.Arrivals
+	shed   serve.ShedPolicy
+	expire func(uint64)
 }
 
 func (c *Config) validate() error {
@@ -267,7 +271,7 @@ func (c *Config) validate() error {
 		}
 	}
 	if c.Shards > 1 && c.Replica.Tracer != nil {
-		return fmt.Errorf("fleet: tracing is single-threaded; run with Shards <= 1")
+		return fmt.Errorf("fleet: Replica.Tracer is single-threaded; set Shards <= 1 (got %d)", c.Shards)
 	}
 	if err := c.Elastic.Validate(); err != nil {
 		return err
@@ -338,7 +342,9 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 		partitioned: make([]bool, cfg.NumReplicas),
 		state:       make(map[uint64]*reqState),
 		recovered:   make(map[uint64]bool),
+		shed:        serve.ShedPolicy{MaxQueueDepth: cfg.MaxQueueDepth, TTFTDeadline: cfg.TTFTDeadline},
 	}
+	f.expire = f.deadlineAbort
 	if cfg.Decisions != nil {
 		f.dec = sched.NewDecisionLog()
 	}
@@ -459,8 +465,7 @@ func (f *fleet) arrivalsEnded() {
 // admit sheds or routes one recorded arrival.
 func (f *fleet) admit(w workload.Request) {
 	f.updateBrownout()
-	if d := f.cfg.MaxQueueDepth; d > 0 && f.totalQueueDepth() >= d {
-		f.rec.Reject(w.ID, f.s.Now())
+	if !f.shed.Admit(f.s, f.rec, w.ID, f.totalQueueDepth, f.expire) {
 		f.rejected++
 		f.dec.AddRoute(f.s.Now(), w.ID, "router", "admission-reject")
 		return
@@ -468,16 +473,12 @@ func (f *fleet) admit(w workload.Request) {
 	st := &reqState{w: w, replica: -1}
 	f.state[w.ID] = st
 	f.rc.kick()
-	if dl := f.cfg.TTFTDeadline; dl > 0 {
-		id := w.ID
-		f.s.Schedule(dl, func() {
-			if f.rec.InFlight(id) && !f.rec.HasFirstToken(id) {
-				f.abort(id, "deadline-abort")
-			}
-		})
-	}
 	f.route(st, "")
 }
+
+// deadlineAbort is the shed policy's expire hook: the request missed its
+// TTFT deadline.
+func (f *fleet) deadlineAbort(id uint64) { f.abort(id, "deadline-abort") }
 
 // route places a request on a healthy replica (or parks it). reason
 // overrides the policy's decision label — failover paths pass theirs.

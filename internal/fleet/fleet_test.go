@@ -12,6 +12,7 @@ import (
 	"windserve/internal/sched"
 	"windserve/internal/serve"
 	"windserve/internal/sim"
+	wstrace "windserve/internal/trace"
 	"windserve/internal/workload"
 )
 
@@ -281,6 +282,7 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"Horizon", func(c *Config) { c.Horizon = nan }},
 		{"BrownoutSlack", func(c *Config) { c.BrownoutSlack = -1 }},
 		{"BrownoutSlack", func(c *Config) { c.BrownoutSlack = math.NaN() }},
+		{"Replica.Tracer", func(c *Config) { c.Shards = 2; c.Replica.Tracer = wstrace.New() }},
 	}
 	for _, shards := range []int{1, 2} {
 		base := testConfig(t, 2)

@@ -59,9 +59,12 @@ type runner struct {
 	rejected int
 
 	// queueDepth reports how many requests are waiting for prefill across
-	// all instances — the admission-control signal. Systems set it before
-	// arrivals start; nil disables shedding even if configured.
+	// all instances — the admission-control signal. Every system sets it
+	// before arrivals start.
 	queueDepth func() int
+	// expire is abortReq as a method value, built once for the shed
+	// policy's deadline timers.
+	expire func(uint64)
 	// onAbort removes an aborted request from the owning system's
 	// structures (queues, running batches, KV, transfer maps). The
 	// request's Phase is already PhaseAborted when it is called.
@@ -87,14 +90,16 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 	}
 	cfg.fillDefaults()
 	rec, _ := led.(*metrics.Recorder)
-	return &runner{
+	r := &runner{
 		s:         s,
 		led:       led,
 		rec:       rec,
 		cfg:       cfg,
 		live:      make(map[uint64]*engine.Req),
 		recovered: make(map[uint64]bool),
-	}, nil
+	}
+	r.expire = r.abortReq
+	return r, nil
 }
 
 // scheduleStream feeds a request source into the system via submit
@@ -105,28 +110,17 @@ func (r *runner) scheduleStream(src workload.Source, submit func(*engine.Req)) {
 	r.arr.Start(r.s, r.rec, src, r.admit, nil)
 }
 
-// admit applies the shed policy to one recorded arrival: admission
-// control first (a rejected request does no work at all), then a
-// TTFT-deadline timer that aborts the request if it has produced no first
-// token in time.
+// admit applies the shed policy to one recorded arrival (a rejected
+// request does no work at all) and hands an admitted one to the system.
 func (r *runner) admit(w workload.Request) {
-	if d := r.cfg.Shed.MaxQueueDepth; d > 0 && r.queueDepth != nil && r.queueDepth() >= d {
-		r.rec.Reject(w.ID, r.s.Now())
+	if !r.cfg.Shed.Admit(r.s, r.rec, w.ID, r.queueDepth, r.expire) {
 		r.rejected++
 		return
 	}
 	q := engine.NewReq(w)
 	r.live[w.ID] = q
-	if dl := r.cfg.Shed.TTFTDeadline; dl > 0 {
-		id := w.ID
-		r.s.Schedule(dl, func() {
-			if r.rec.InFlight(id) && !r.rec.HasFirstToken(id) {
-				r.abortReq(id)
-			}
-		})
-	}
 	r.submit(q)
-	if r.cfg.Tracer != nil && r.queueDepth != nil {
+	if r.cfg.Tracer != nil {
 		r.cfg.Tracer.Counter("cluster/queue_depth", r.s.Now(), float64(r.queueDepth()))
 	}
 }

@@ -141,6 +141,28 @@ type ShedPolicy struct {
 	TTFTDeadline sim.Duration
 }
 
+// Admit is the one admission rule the testbed runner and the fleet router
+// share, applied to an arrival rec has just recorded. It rejects (and
+// records the rejection) when depth reports at least MaxQueueDepth
+// waiting requests; otherwise it arms the TTFT deadline, whose timer
+// calls expire if the request is still in flight without a first token,
+// and reports true. Callers hold expire in a field: a method value built
+// per arrival would cost an allocation each time.
+func (p ShedPolicy) Admit(s *sim.Simulator, rec *metrics.Recorder, id uint64, depth func() int, expire func(uint64)) bool {
+	if p.MaxQueueDepth > 0 && depth() >= p.MaxQueueDepth {
+		rec.Reject(id, s.Now())
+		return false
+	}
+	if p.TTFTDeadline > 0 {
+		s.Schedule(p.TTFTDeadline, func() {
+			if rec.InFlight(id) && !rec.HasFirstToken(id) {
+				expire(id)
+			}
+		})
+	}
+	return true
+}
+
 // WindOptions are WindServe's policy knobs and ablation switches.
 type WindOptions struct {
 	// DisableSBD turns stream-based disaggregation off: dispatched

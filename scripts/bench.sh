@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_sim.json: kernel micro-benchmarks (ns/op, allocs/op),
-# per-exhibit regeneration cost, and windbench serial-vs-parallel wall
-# clock. Run from anywhere in the repo:
+# Regenerates BENCH_sim.json: the benchmark module's end-to-end set
+# (sim req/s, peak RSS, set-up time and allocations per request, with its
+# run manifest), kernel micro-benchmarks (ns/op, allocs/op), per-exhibit
+# regeneration cost, windbench serial-vs-parallel wall clock, and the
+# ext-fleet-scale shard sweep. Run from anywhere in the repo:
 #
 #   scripts/bench.sh [--smoke] [output.json]
 #
-# --smoke shrinks every run (and skips the per-exhibit benchmarks) so the
-# whole script finishes in CI minutes while still writing a JSON with the
-# full schema — the bench-sanity job runs it and checks the fields. Smoke
-# numbers are not representative; the default output then becomes
-# BENCH_sim.smoke.json so the committed capture is never clobbered.
+# --smoke shrinks every run (one benchmark repetition, no per-exhibit
+# benchmarks) so the whole script finishes in CI minutes while still
+# writing a JSON with the full schema — the bench-sanity job runs it and
+# checks the fields. Smoke numbers are not representative; the default
+# output then becomes BENCH_sim.smoke.json so the committed capture is
+# never clobbered.
 #
 # The committed BENCH_sim.json was produced by this script; the host's
 # core count is recorded alongside the numbers, since the parallel
-# speedup is bounded by it (on a 1-core host serial == parallel).
+# speedups are bounded by it (on a 1-core host serial == parallel).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,82 +30,72 @@ if [[ $smoke -eq 1 ]]; then
 else
     out=${1:-BENCH_sim.json}
 fi
-micro_txt=$(mktemp)
-exhibit_txt=$(mktemp)
-mega_txt=$(mktemp)
-fleet_txt=$(mktemp)
-scale_txt=$(mktemp)
-trap 'rm -f "$micro_txt" "$exhibit_txt" "$mega_txt" "$fleet_txt" "$scale_txt"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
-# Smoke sizes: enough requests for every parser below to find rows,
-# small enough for CI. The full capture uses the exhibits' defaults.
+# Smoke sizes: enough work for every parser below to find rows, small
+# enough for CI. The full capture uses the harness's and exhibits'
+# defaults.
 benchtime=1s
 all_n=300
-mega_args=(ext-mega)
-fleet_args=(ext-fleet-chaos)
+bench_args=()
 scale_args=(ext-fleet-scale)
 if [[ $smoke -eq 1 ]]; then
     benchtime=100x
     all_n=120
-    mega_args=(-n 20000 ext-mega)
-    fleet_args=(-n 4000 -fleet 8 ext-fleet-chaos)
+    bench_args=(-reps 1)
     scale_args=(-n 20000 ext-fleet-scale)
 fi
 
-echo "== micro-benchmarks (sim, metrics, perf, stats) ==" >&2
-go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|P2Add|PercentilesOf' \
-    -benchmem -benchtime "$benchtime" ./internal/sim ./internal/metrics ./internal/perf ./internal/stats | tee "$micro_txt" >&2
+echo "== end-to-end benchmark set (benchmark/run.sh) ==" >&2
+bash benchmark/run.sh -out "$tmp/benchmark.json" "${bench_args[@]}" >&2
+
+echo "== micro-benchmarks (sim, engine, metrics, perf, stats) ==" >&2
+go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|DecodePass|P2Add|PercentilesOf' \
+    -benchmem -benchtime "$benchtime" ./internal/sim ./internal/engine ./internal/metrics ./internal/perf ./internal/stats \
+    | tee "$tmp/micro.txt" >&2
 
 if [[ $smoke -eq 1 ]]; then
     echo "== exhibit benchmarks skipped (--smoke) ==" >&2
-    : > "$exhibit_txt"
+    : > "$tmp/exhibit.txt"
 else
     echo "== exhibit benchmarks (one full regeneration each) ==" >&2
-    go test -run '^$' -bench . -benchmem -benchtime 2x . | tee "$exhibit_txt" >&2
+    go test -run '^$' -bench . -benchmem -benchtime 2x . | tee "$tmp/exhibit.txt" >&2
 fi
 
 echo "== windbench wall clock: serial vs parallel ==" >&2
-go build -o /tmp/windbench.bench ./cmd/windbench
+go build -o "$tmp/windbench" ./cmd/windbench
 t0=$(date +%s.%N)
-/tmp/windbench.bench -n "$all_n" -parallel 1 all > /tmp/windbench.serial.txt
+"$tmp/windbench" -n "$all_n" -parallel 1 all > "$tmp/serial.txt"
 t1=$(date +%s.%N)
-/tmp/windbench.bench -n "$all_n" all > /tmp/windbench.parallel.txt
+"$tmp/windbench" -n "$all_n" all > "$tmp/parallel.txt"
 t2=$(date +%s.%N)
-cmp /tmp/windbench.serial.txt /tmp/windbench.parallel.txt \
+cmp "$tmp/serial.txt" "$tmp/parallel.txt" \
     || { echo "bench.sh: parallel output differs from serial" >&2; exit 1; }
 serial=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 parallel=$(echo "$t2 $t1" | awk '{printf "%.3f", $1 - $2}')
 echo "serial ${serial}s  parallel ${parallel}s  ($(nproc) cores)" >&2
 
-echo "== ext-mega: million-request streaming horizon ==" >&2
-/tmp/windbench.bench "${mega_args[@]}" | tee "$mega_txt" >&2
-
-echo "== ext-fleet-chaos: 16-replica fleet under seeded chaos ==" >&2
-t5=$(date +%s.%N)
-/tmp/windbench.bench "${fleet_args[@]}" | tee "$fleet_txt" >&2
-t6=$(date +%s.%N)
-fleet_wall=$(echo "$t6 $t5" | awk '{printf "%.3f", $1 - $2}')
-echo "ext-fleet-chaos wall clock ${fleet_wall}s" >&2
-
 echo "== ext-fleet-scale: 64-replica fleet across shard counts ==" >&2
-/tmp/windbench.bench "${scale_args[@]}" | tee "$scale_txt" >&2
-grep -q "byte-identical virtual-time results" "$scale_txt" \
+"$tmp/windbench" "${scale_args[@]}" | tee "$tmp/scale.txt" >&2
+grep -q "byte-identical virtual-time results" "$tmp/scale.txt" \
     || { echo "bench.sh: sharded fleet results diverged" >&2; exit 1; }
 
 # Physical core count from the host, not Python's os.cpu_count(): under a
 # container cpuset/affinity mask the latter reports the mask width (often
 # 1), which misdocuments the machine the numbers came from. gomaxprocs is
 # what the Go scheduler actually got — the bound on any within-run
-# (shards) or across-run (-parallel) speedup measured above.
+# (shards) or across-run (-parallel) speedup measured above. The embedded
+# benchmark manifest records its own nproc and gomaxprocs.
 host_cores=$(nproc --all 2>/dev/null || getconf _NPROCESSORS_CONF)
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
 
-MICRO="$micro_txt" EXHIBIT="$exhibit_txt" MEGA="$mega_txt" FLEET="$fleet_txt" \
-SCALE="$scale_txt" \
-FLEET_WALL="$fleet_wall" SERIAL="$serial" PARALLEL="$parallel" OUT="$out" \
+TMP="$tmp" SERIAL="$serial" PARALLEL="$parallel" ALL_N="$all_n" OUT="$out" \
 HOST_CORES="$host_cores" GOMAXPROCS_USED="$gomaxprocs" SMOKE="$smoke" \
 python3 - <<'EOF'
 import json, os, re
+
+tmp = os.environ["TMP"]
 
 def parse(path):
     rows = []
@@ -117,44 +110,6 @@ def parse(path):
             row["bytes_per_op"] = float(m.group(4))
             row["allocs_per_op"] = int(m.group(5))
         rows.append(row)
-    return rows
-
-def parse_mega(path):
-    rows = []
-    for line in open(path):
-        m = re.match(r'^(\S+)\s+(streaming|exact)\s+(\d+)\s+([\d.]+)\s+([\d.]+)'
-                     r'\s+([\d.]+)\s+([\d.]+)\s+([\d.]+)%', line)
-        if not m:
-            continue
-        rows.append({
-            "system": m.group(1), "mode": m.group(2),
-            "requests": int(m.group(3)),
-            "sim_seconds": float(m.group(4)),
-            "wall_seconds": float(m.group(5)),
-            "sim_req_per_sec": float(m.group(6)),
-            "peak_heap_mb": float(m.group(7)),
-            "slo_attainment": float(m.group(8)) / 100,
-        })
-    return rows
-
-def parse_fleet(path):
-    rows = []
-    for line in open(path):
-        m = re.match(r'^(round-robin|least-loaded|weighted)\s+(on|off)\s+(\d+)'
-                     r'\s+(\d+)\s+(\d+)\s+([\d.]+)%\s+([\d.]+)\s+(\d+)\s+(\d+)'
-                     r'\s+(\d+)\s+(\S+)\s+([\d.]+)', line)
-        if not m:
-            continue
-        rows.append({
-            "policy": m.group(1), "chaos": m.group(2) == "on",
-            "completed": int(m.group(3)),
-            "aborted": int(m.group(4)), "rejected": int(m.group(5)),
-            "slo_attainment": float(m.group(6)) / 100,
-            "goodput_rps": float(m.group(7)),
-            "failovers": int(m.group(8)), "recovered": int(m.group(9)),
-            "wasted_tokens": int(m.group(10)),
-            "recovery_s": m.group(11), "brownout_s": float(m.group(12)),
-        })
     return rows
 
 def parse_scale(path):
@@ -177,7 +132,7 @@ def parse_scale(path):
         })
     return rows
 
-micro = parse(os.environ["MICRO"])
+micro = parse(f"{tmp}/micro.txt")
 ns = {r["name"]: r["ns_per_op"] for r in micro}
 heap_ns = ns.get("BenchmarkEventQueueHeap10k")
 cal_ns = ns.get("BenchmarkEventQueueCalendar10k")
@@ -185,30 +140,13 @@ cal_ns = ns.get("BenchmarkEventQueueCalendar10k")
 serial = float(os.environ["SERIAL"])
 parallel = float(os.environ["PARALLEL"])
 gomaxprocs = int(os.environ["GOMAXPROCS_USED"])
-scale_rows = parse_scale(os.environ["SCALE"])
-scale_note = (
-    "wall_seconds/sim_req_per_sec/speedup are host measurements; "
-    "result_digest fingerprints the virtual-time Result and is identical "
-    "across rows (sharded == sequential, byte for byte). Speedup is "
-    "bounded by min(shards, gomaxprocs). ")
-if gomaxprocs <= 1:
-    scale_note += (
-        f"This capture ran with gomaxprocs={gomaxprocs}: the shard workers "
-        "serialize onto one core, so the barrier and cross-shard message "
-        "traffic show as pure overhead (speedup < 1) and the >=4x-at-8-"
-        "shards / 1M+ sim req/s targets are unreachable here by "
-        "construction — regenerate on a multicore host to measure real "
-        "scaling.")
-else:
-    scale_note += (
-        f"This capture ran with gomaxprocs={gomaxprocs}; compare the "
-        "8-shard row against 1-shard for the within-run scaling factor.")
 
 doc = {
     "description": "Simulation-kernel benchmarks; regenerate with scripts/bench.sh",
     "smoke": os.environ["SMOKE"] == "1",
     "host_cores": int(os.environ["HOST_CORES"]),
     "gomaxprocs": gomaxprocs,
+    "benchmark": json.load(open(f"{tmp}/benchmark.json")),
     "micro": micro,
     "event_queue_10k": {
         "heap_ns_per_op": heap_ns,
@@ -218,35 +156,19 @@ doc = {
                 "O(1) expected schedule/fire replaces the binary heap's "
                 "O(log n) sift",
     },
-    "ext_mega": {
-        "args": "ext-mega (1,000,000 requests, streaming source + recorder)",
-        "rows": parse_mega(os.environ["MEGA"]),
-        "note": "peak_heap_mb is the high-water HeapAlloc sampled every 5ms; "
-                "streaming rows hold O(in-flight + retained records) "
-                "regardless of horizon length",
-    },
-    "ext_fleet_chaos": {
-        "args": "ext-fleet-chaos (16 replicas, 100,000 requests, "
-                "3 policies x {clean, chaos})",
-        "wall_seconds": float(os.environ["FLEET_WALL"]),
-        "requests_per_wall_second": round(
-            sum(r["completed"] + r["aborted"] + r["rejected"]
-                for r in parse_fleet(os.environ["FLEET"]))
-            / float(os.environ["FLEET_WALL"]), 1),
-        "rows": parse_fleet(os.environ["FLEET"]),
-        "note": "goodput/SLO/recovery are virtual-time quantities and "
-                "byte-identical per seed; requests_per_wall_second is the "
-                "simulator's sustained throughput across all six runs",
-    },
     "ext_fleet_scale": {
         "args": "ext-fleet-scale (64 replicas, 1,000,000 streamed requests, "
                 "least-loaded, shards in {1, 4, 8, NumCPU})",
-        "rows": scale_rows,
-        "note": scale_note,
+        "rows": parse_scale(f"{tmp}/scale.txt"),
+        "note": "wall_seconds/sim_req_per_sec/speedup are host measurements; "
+                "result_digest fingerprints the virtual-time Result and is "
+                "identical across rows (sharded == sequential, byte for "
+                "byte). Speedup is bounded by min(shards, gomaxprocs); "
+                f"this capture ran with gomaxprocs={gomaxprocs}.",
     },
-    "exhibits": parse(os.environ["EXHIBIT"]),
+    "exhibits": parse(f"{tmp}/exhibit.txt"),
     "windbench_all": {
-        "args": "-n 300 all",
+        "args": f"-n {os.environ['ALL_N']} all",
         "serial_seconds": serial,
         "parallel_seconds": parallel,
         "speedup": round(serial / parallel, 3) if parallel else None,
