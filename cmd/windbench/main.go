@@ -334,8 +334,9 @@ extensions (not paper exhibits):
                  and -prefixcache, size with -n)
   ext-fleet-scale  parallel-in-time scaling: one 64-replica fleet run at
                  shard counts {1, 4, 8, NumCPU}, reporting wall seconds,
-                 sim req/s, speedup, barrier windows/crossings, and a
-                 result digest proving the runs byte-identical (not part
+                 sim req/s, speedup, barrier windows/crossings, the
+                 crossings' busy/wait wall seconds, and a result digest
+                 proving the runs byte-identical (not part
                  of "all"; size with -n and -fleet, pin the sweep with
                  -shards)
   ext-elastic    elastic role flipping on the mixshift scenario: static

@@ -32,6 +32,11 @@ type FleetScaleRow struct {
 	Windows   int64
 	Crossings int64
 	Solo      int64
+	// BusySec and WaitSec split the crossings' wall time, summed over
+	// shards: seconds spent running windows, and seconds goroutines spent
+	// at the barrier (spinning or parked). Both are 0 at one shard.
+	BusySec float64
+	WaitSec float64
 	// Digest fingerprints the virtual-time Result (%+v, SHA-256 prefix).
 	// Identical digests across rows prove the runs are byte-identical.
 	Digest     string
@@ -46,8 +51,9 @@ type FleetScaleRow struct {
 // produce the same virtual-time Result. Wall seconds and sim req/s are
 // host measurements (the one windbench exhibit whose output legitimately
 // varies across machines); the digest column is the determinism proof,
-// and the windows/crossings columns show how often the shards actually
-// synchronized.
+// the windows/crossings columns show how often the shards actually
+// synchronized, and the busy/wait columns split the crossings' wall time
+// into work and barrier wait.
 //
 // (Extension — not a paper exhibit; excluded from `windbench all`. Size
 // with -n and -fleet, pin a single shard count with -shards.)
@@ -121,6 +127,11 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 		if shards == 1 {
 			base = wall
 		}
+		var busy, wait time.Duration
+		for i := range st.Busy {
+			busy += st.Busy[i]
+			wait += st.Wait[i]
+		}
 		rows = append(rows, FleetScaleRow{
 			Shards:       shards,
 			WallSec:      wall,
@@ -129,6 +140,8 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 			Windows:      st.Windows,
 			Crossings:    st.Crossings,
 			Solo:         st.SoloWindows,
+			BusySec:      busy.Seconds(),
+			WaitSec:      wait.Seconds(),
 			Digest:       fmt.Sprintf("%x", sum[:6]),
 			Completed:    res.Completed,
 			Unfinished:   res.Unfinished,
@@ -139,14 +152,14 @@ func ExpFleetScale(o Options, w io.Writer) ([]FleetScaleRow, error) {
 		replicas, rcfg.NumPrefill, rcfg.NumDecode, n,
 		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	tw := table(w)
-	fmt.Fprintln(tw, "shards\twall s\tsim req/s\tspeedup\twindows\tcrossings\tresult digest\tcompleted\tunfinished")
+	fmt.Fprintln(tw, "shards\twall s\tsim req/s\tspeedup\twindows\tcrossings\tbusy s\twait s\tresult digest\tcompleted\tunfinished")
 	identical := true
 	for _, r := range rows {
 		if r.Digest != rows[0].Digest {
 			identical = false
 		}
-		fmt.Fprintf(tw, "%d\t%.1f\t%.0f\t%.2fx\t%d\t%d\t%s\t%d\t%d\n",
-			r.Shards, r.WallSec, r.SimReqPerSec, r.Speedup, r.Windows, r.Crossings, r.Digest, r.Completed, r.Unfinished)
+		fmt.Fprintf(tw, "%d\t%.1f\t%.0f\t%.2fx\t%d\t%d\t%.2f\t%.2f\t%s\t%d\t%d\n",
+			r.Shards, r.WallSec, r.SimReqPerSec, r.Speedup, r.Windows, r.Crossings, r.BusySec, r.WaitSec, r.Digest, r.Completed, r.Unfinished)
 	}
 	if err := tw.Flush(); err != nil {
 		return rows, err

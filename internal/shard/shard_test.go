@@ -2,8 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"windserve/internal/sim"
 )
@@ -219,6 +222,174 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	g.Run(false)
 }
 
+// TestParkedWorkerWakes: shard 1 sits idle through stretches of solo
+// windows long enough for its worker to exhaust its spin budget and park,
+// and is then woken by messages. The parallel trace must equal the
+// sequential one, and Run must return.
+func TestParkedWorkerWakes(t *testing.T) {
+	const wakes = 3
+	run := func(parallel bool) (string, Stats) {
+		g := NewGroup[int](2, 1)
+		g.GrowActors(2)
+		traces := make([][]string, 2)
+		s0, s1 := g.Shard(0).Sim(), g.Shard(1).Sim()
+		g.Shard(0).OnMessage(func(src, m int) {
+			traces[0] = append(traces[0], fmt.Sprintf("reply t=%.3f v=%d", s0.Now(), m))
+		})
+		g.Shard(1).OnMessage(func(src, m int) {
+			traces[1] = append(traces[1], fmt.Sprintf("recv t=%.3f v=%d", s1.Now(), m))
+			// Local work overlapping shard 0's ticks forces crossings.
+			for k := 1; k <= 8; k++ {
+				k := k
+				s1.Schedule(sim.Duration(k)*0.5, func() {
+					traces[1] = append(traces[1], fmt.Sprintf("work t=%.3f v=%d k=%d", s1.Now(), m, k))
+				})
+			}
+			g.Shard(1).Send(0, 1, 4.5, m*10)
+		})
+		// Shard 0 ticks every 2 s, one solo window per tick while shard 1
+		// is idle. Every 20th tick it waits for the worker to park, then
+		// messages shard 1.
+		tick, sent := 0, 0
+		var fire func()
+		fire = func() {
+			traces[0] = append(traces[0], fmt.Sprintf("tick t=%.3f", s0.Now()))
+			tick++
+			if tick%20 == 0 && sent < wakes {
+				if parallel {
+					waitParked(t, g.workers[0])
+				}
+				sent++
+				g.Shard(0).Send(1, 0, 1, sent)
+			}
+			if tick < 20*wakes+20 {
+				s0.Schedule(2, fire)
+			}
+		}
+		s0.At(0, fire)
+		g.Run(parallel)
+		return strings.Join(traces[0], "\n") + "\n" + strings.Join(traces[1], "\n"), g.Stats()
+	}
+	want, _ := run(false)
+	if strings.Count(want, "recv") != wakes || strings.Count(want, "reply") != wakes {
+		t.Fatalf("sequential run missed deliveries:\n%s", want)
+	}
+	got, st := run(true)
+	if got != want {
+		t.Fatalf("parallel trace diverged from sequential:\n%s\nvs\n%s", got, want)
+	}
+	if st.Crossings == 0 {
+		t.Fatal("no crossings: the woken worker never ran a window")
+	}
+}
+
+// TestBarrierStress drives thousands of crossings in which every shard
+// has work and messages, so the barrier's hand-offs interleave in every
+// order the scheduler allows (CI runs it with -race at several
+// GOMAXPROCS values). The parallel trace must equal the sequential one.
+func TestBarrierStress(t *testing.T) {
+	const shards, rounds = 4, 3000
+	run := func(parallel bool) string {
+		g := NewGroup[int](shards, 1)
+		g.GrowActors(shards)
+		traces := make([][]string, shards)
+		for i := 0; i < shards; i++ {
+			i := i
+			sh := g.Shard(i)
+			s := sh.Sim()
+			sh.OnMessage(func(src, m int) {
+				traces[i] = append(traces[i], fmt.Sprintf("t=%.2f src=%d m=%d", s.Now(), src, m))
+			})
+			n := 0
+			var tick func()
+			tick = func() {
+				if n++; n < rounds {
+					sh.Send((i+1)%shards, i, 1, n)
+					s.Schedule(1, tick)
+				}
+			}
+			s.At(sim.Time(i)*0.25, tick)
+		}
+		g.Run(parallel)
+		var b strings.Builder
+		for _, tr := range traces {
+			b.WriteString(strings.Join(tr, "\n"))
+		}
+		return b.String()
+	}
+	if want, got := run(false), run(true); got != want {
+		t.Fatal("parallel trace diverged from sequential")
+	}
+}
+
+// TestPendingQueueOrder checks a shard's delivery queue against its
+// specification: the pump hands out envelopes by delivery time, FIFO among
+// equal times, across random interleavings of enqueues (out of order and
+// tied, as varying delays produce) and deliveries (which exercise the
+// compaction path).
+func TestPendingQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sh := NewGroup[int](1, 1).Shard(0)
+	var got []int
+	sh.OnMessage(func(id, _ int) { got = append(got, id) })
+	type item struct {
+		at sim.Time
+		id int
+	}
+	var ref []item
+	now := sim.Time(0)
+	for id := 0; id < 20000; id++ {
+		if len(ref) > 0 && rng.Intn(3) == 0 {
+			got = got[:0]
+			sh.pump()
+			if len(got) != 1 || got[0] != ref[0].id {
+				t.Fatalf("op %d: pump delivered %v, want [%d]", id, got, ref[0].id)
+			}
+			now = ref[0].at
+			ref = ref[1:]
+			continue
+		}
+		at := now + sim.Time(rng.Intn(4))
+		sh.enqueue(envelope[int]{at: at, actor: id})
+		i, _ := slices.BinarySearchFunc(ref, at, func(e item, at sim.Time) int {
+			if e.at <= at {
+				return -1
+			}
+			return 1
+		})
+		ref = slices.Insert(ref, i, item{at, id})
+	}
+}
+
+// waitParked blocks until w has parked, failing after a generous bound.
+func waitParked(t *testing.T, w *waiter) {
+	deadline := time.Now().Add(10 * time.Second)
+	for w.state.Load() != parked {
+		if time.Now().After(deadline) {
+			t.Error("worker never parked")
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestSendPastActorBoundPanics: an actor id at or past the GrowActors
+// bound is a caller bug; Send must say which actor and which bound.
+func TestSendPastActorBoundPanics(t *testing.T) {
+	g := NewGroup[int](2, 1)
+	g.GrowActors(2)
+	g.Shard(0).OnMessage(func(int, int) {})
+	g.Shard(1).OnMessage(func(int, int) {})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "actor 2") || !strings.Contains(msg, "bound 2") {
+			t.Fatalf("Send past the actor bound panicked with %q, want it to name actor 2 and bound 2", msg)
+		}
+	}()
+	g.Shard(0).Sim().At(0, func() { g.Shard(0).Send(1, 2, 1, 1) })
+	g.Run(false)
+}
+
 // BenchmarkBarrierCrossing measures a steady-state window + barrier with
 // empty mailboxes across 4 shards — the hot path of a sharded run. The CI
 // alloc-budget job gates this at 0 allocs/op.
@@ -269,7 +440,9 @@ func BenchmarkShardBarrierIdle(b *testing.B) {
 }
 
 // BenchmarkBarrierMessages measures a window + barrier where every shard
-// sends one message per window — the loaded steady state.
+// sends one message per window — the loaded steady state. Deliveries
+// share each shard's pump, so the CI alloc-budget job gates this at
+// 0 allocs/op too.
 func BenchmarkBarrierMessages(b *testing.B) {
 	const n = 4
 	g := NewGroup[int](n, 1)

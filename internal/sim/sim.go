@@ -90,6 +90,11 @@ type calendarQueue struct {
 	// curEpoch is the window the sweep cursor is on. Invariant: no pending
 	// event has epoch < curEpoch.
 	curEpoch int64
+	// head caches peek's answer, nil when unknown. Only a push that sorts
+	// before it or its own removal can change the minimum, so the kernel's
+	// peek-then-pop scans the cursor's bucket once per event, not twice.
+	// Invariant: head != nil implies head.epoch == curEpoch.
+	head *event
 	// sample is resize's scratch for width estimation.
 	sample []float64
 }
@@ -130,6 +135,9 @@ func (q *calendarQueue) push(ev *event) {
 	if q.n == 1 || ev.epoch < q.curEpoch {
 		q.curEpoch = ev.epoch
 	}
+	if q.n == 1 || (q.head != nil && ev.before(q.head)) {
+		q.head = ev
+	}
 	if q.n > 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
 	}
@@ -159,6 +167,9 @@ func (q *calendarQueue) remove(ev *event) {
 	q.buckets[ev.bucket] = b[:last]
 	ev.index = -1
 	q.n--
+	if ev == q.head {
+		q.head = nil
+	}
 	if q.n < len(q.buckets)/2 && len(q.buckets) > minBuckets {
 		q.resize(len(q.buckets) / 2)
 	}
@@ -168,10 +179,10 @@ func (q *calendarQueue) remove(ev *event) {
 // cursor advances past empty windows as a side effect; if a whole year
 // (every bucket once) is swept without a hit, the pending set is sparse
 // relative to the cursor and a direct minimum search jumps the cursor to
-// wherever the events actually are.
+// wherever the events actually are. The answer is cached in head.
 func (q *calendarQueue) peek() *event {
-	if q.n == 0 {
-		return nil
+	if q.head != nil || q.n == 0 {
+		return q.head
 	}
 	for i := 0; i <= q.mask; i++ {
 		var best *event
@@ -181,6 +192,7 @@ func (q *calendarQueue) peek() *event {
 			}
 		}
 		if best != nil {
+			q.head = best
 			return best
 		}
 		q.curEpoch++
@@ -194,6 +206,7 @@ func (q *calendarQueue) peek() *event {
 		}
 	}
 	q.curEpoch = best.epoch
+	q.head = best
 	return best
 }
 
@@ -208,12 +221,13 @@ func (q *calendarQueue) pop() *event {
 
 // resize rebuilds the calendar with nb buckets and a width re-estimated
 // from the current population's spacing, keeping amortized bucket
-// occupancy O(1) as the pending count grows and shrinks.
+// occupancy O(1) as the pending count grows and shrinks. The minimum it
+// finds on the way refills the head cache.
 func (q *calendarQueue) resize(nb int) {
 	if nb < minBuckets {
 		nb = minBuckets
 	}
-	if w := q.sampleWidth(); w > 0 {
+	if w := q.estimateWidth(); w > 0 {
 		q.width = w
 	}
 	old := q.buckets
@@ -231,30 +245,28 @@ func (q *calendarQueue) resize(nb int) {
 	if min != nil {
 		q.curEpoch = min.epoch
 	}
+	q.head = min
 }
 
-// sampleWidth estimates a bucket width from the median positive gap
-// between a deterministic sample of pending-event timestamps. The median
-// keeps one far-future outlier (a horizon guard) from stretching every
-// bucket; dividing by the sampling stride converts the sample's spacing
-// back to the population's adjacent-event spacing, so occupancy stays
-// around one event per swept window. Returns 0 when no estimate is
-// possible (fewer than two distinct timestamps), in which case the caller
-// keeps the current width.
-func (q *calendarQueue) sampleWidth() Time {
-	const sampleCap = 64
-	stride := 1
-	if q.n > sampleCap {
-		stride = q.n / sampleCap
-	}
+// estimateWidth estimates a bucket width from the median positive gap
+// between pending-event timestamps. The sample is the events nearest the
+// cursor: whole windows swept from curEpoch until widthSample events are
+// collected or a full year has been swept, because those are the events
+// the cursor will pop next. A uniform sample would let a crowd of
+// far-future timers (TTFT deadlines a minute out) set a width that piles
+// dozens of near-term events into the cursor's bucket. The median keeps
+// one outlier gap from stretching every bucket; the factor 4 keeps
+// occupancy around a few events per swept window. Returns 0 when no
+// estimate is possible (fewer than two distinct timestamps), in which case
+// the caller keeps the current width.
+func (q *calendarQueue) estimateWidth() Time {
+	const widthSample = 64
 	ts := q.sample[:0]
-	i := 0
-	for _, bkt := range q.buckets {
-		for _, ev := range bkt {
-			if i%stride == 0 {
+	for i, e := 0, q.curEpoch; i <= q.mask && len(ts) < widthSample; i, e = i+1, e+1 {
+		for _, ev := range q.buckets[int(e)&q.mask] {
+			if ev.epoch == e {
 				ts = append(ts, float64(ev.at))
 			}
-			i++
 		}
 	}
 	q.sample = ts
@@ -270,7 +282,7 @@ func (q *calendarQueue) sampleWidth() Time {
 		return 0
 	}
 	sort.Float64s(ts[:gaps])
-	w := 4 * ts[gaps/2] / float64(stride)
+	w := 4 * ts[gaps/2]
 	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 		return 0
 	}

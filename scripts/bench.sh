@@ -50,9 +50,9 @@ fi
 echo "== end-to-end benchmark set (benchmark/run.sh) ==" >&2
 bash benchmark/run.sh -out "$tmp/benchmark.json" "${bench_args[@]}" >&2
 
-echo "== micro-benchmarks (sim, engine, metrics, perf, stats) ==" >&2
-go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|DecodePass|P2Add|PercentilesOf' \
-    -benchmem -benchtime "$benchtime" ./internal/sim ./internal/engine ./internal/metrics ./internal/perf ./internal/stats \
+echo "== micro-benchmarks (sim, shard, engine, metrics, perf, stats) ==" >&2
+go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|DecodePass|P2Add|PercentilesOf|Barrier' \
+    -benchmem -benchtime "$benchtime" ./internal/sim ./internal/shard ./internal/engine ./internal/metrics ./internal/perf ./internal/stats \
     | tee "$tmp/micro.txt" >&2
 
 if [[ $smoke -eq 1 ]]; then
@@ -116,7 +116,7 @@ def parse_scale(path):
     rows = []
     for line in open(path):
         m = re.match(r'^(\d+)\s+([\d.]+)\s+(\d+)\s+([\d.]+)x\s+(\d+)\s+(\d+)'
-                     r'\s+([0-9a-f]+)\s+(\d+)\s+(\d+)\s*$', line)
+                     r'\s+([\d.]+)\s+([\d.]+)\s+([0-9a-f]+)\s+(\d+)\s+(\d+)\s*$', line)
         if not m:
             continue
         rows.append({
@@ -126,9 +126,11 @@ def parse_scale(path):
             "speedup": float(m.group(4)),
             "windows": int(m.group(5)),
             "crossings": int(m.group(6)),
-            "result_digest": m.group(7),
-            "completed": int(m.group(8)),
-            "unfinished": int(m.group(9)),
+            "busy_seconds": float(m.group(7)),
+            "wait_seconds": float(m.group(8)),
+            "result_digest": m.group(9),
+            "completed": int(m.group(10)),
+            "unfinished": int(m.group(11)),
         })
     return rows
 
@@ -161,7 +163,9 @@ doc = {
                 "least-loaded, shards in {1, 4, 8, NumCPU})",
         "rows": parse_scale(f"{tmp}/scale.txt"),
         "note": "wall_seconds/sim_req_per_sec/speedup are host measurements; "
-                "result_digest fingerprints the virtual-time Result and is "
+                "busy_seconds/wait_seconds split the barrier crossings' wall "
+                "time, summed over shards, into window work and barrier wait "
+                "(spin plus park); result_digest fingerprints the virtual-time Result and is "
                 "identical across rows (sharded == sequential, byte for "
                 "byte). Speedup is bounded by min(shards, gomaxprocs); "
                 f"this capture ran with gomaxprocs={gomaxprocs}.",
