@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"n", *n}, {"fleet", *fleetN}, {"parallel", *parallel}} {
+	}{{"n", *n}, {"fleet", *fleetN}, {"parallel", *parallel}, {"shards", *shards}, {"maxrecords", *maxRecords}} {
 		if f.v < 0 {
 			fmt.Fprintf(stderr, "windbench: -%s must be >= 0, got %d\n", f.name, f.v)
 			return 2
@@ -73,9 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	par.SetDefault(*parallel)
 	o := bench.Options{Requests: *n, Seed: *seed, Parallel: *parallel,
 		Stream: *stream, MaxRecords: *maxRecords}
-	// ext-mega defaults to a million requests and ext-fleet-chaos to a
-	// hundred thousand; an explicit -n overrides both.
-	o.MegaRequests = 1_000_000
+	// ext-fleet-chaos defaults to a hundred thousand requests, and the
+	// other fleet and scenario studies to their own sizes; an explicit -n
+	// overrides them all.
 	o.FleetRequests = 100_000
 	o.FleetReplicas = *fleetN
 	o.FleetShards = *shards
@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "n":
-			o.MegaRequests = *n
 			o.FleetRequests = *n
 			o.FleetScaleRequests = *n
 			o.ScenarioRequests = *n
@@ -194,7 +193,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"ext-mixed":     func(w io.Writer) error { _, err := bench.ExpMixed(o, w); return err },
 		"ext-shift":     func(w io.Writer) error { _, err := bench.ExpShift(o, w); return err },
 		"ext-faults":    func(w io.Writer) error { _, err := bench.ExpResilience(o, w, plan); return err },
-		"ext-mega":      func(w io.Writer) error { _, err := bench.ExpMega(o, w); return err },
 		"ext-fleet-chaos": func(w io.Writer) error {
 			_, err := bench.ExpFleetChaos(o, w, chaosPlan)
 			return err
@@ -208,12 +206,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 && args[0] == "all" {
 		args = nil
 		for k := range exhibits {
-			// ext-mega's, ext-fleet-chaos's, ext-scenarios's,
-			// ext-fleet-scale's, and ext-elastic's runtimes scale with -n
-			// (defaults of a million, a hundred thousand, five thousand
-			// over a 20-run grid, a million per shard count, and twenty
-			// thousand per split), so they only run when named explicitly.
-			if k == "ext-mega" || k == "ext-fleet-chaos" || k == "ext-scenarios" || k == "ext-fleet-scale" || k == "ext-elastic" {
+			// ext-fleet-chaos's, ext-scenarios's, ext-fleet-scale's, and
+			// ext-elastic's runtimes scale with -n (defaults of a hundred
+			// thousand, five thousand over a 20-run grid, a million per
+			// shard count, and twenty thousand per split), so they only
+			// run when named explicitly.
+			if k == "ext-fleet-chaos" || k == "ext-scenarios" || k == "ext-fleet-scale" || k == "ext-elastic" {
 				continue
 			}
 			args = append(args, k)
@@ -319,9 +317,6 @@ extensions (not paper exhibits):
   ext-shift      load step mid-trace (dynamic adaptation vs static planning)
   ext-faults     fault injection: crash/degrade/cancel recovery and load shedding
                  (customize the plan with -faults "crash:d0@60; cancel@90x0.2")
-  ext-mega       million-request horizon: streaming source + bounded-memory
-                 metrics; reports sim req/s and peak heap (not part of "all";
-                 -n overrides the 1,000,000-request default)
   ext-fleet-chaos  multi-replica fleet under seeded chaos: routing policies ×
                  {clean, chaos}, reporting goodput, SLO, failovers, wasted
                  work, and crash-recovery time (not part of "all"; size with

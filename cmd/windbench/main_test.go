@@ -17,10 +17,12 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		err  string // substring of stderr; "" for a clean run
 		out  string // substring of stdout; "" means stdout must be empty
 	}{
-		{[]string{"-n", "-5", "ext-mega"}, 2, "-n must be >= 0", ""},
+		{[]string{"-n", "-5", "ext-scenarios"}, 2, "-n must be >= 0", ""},
 		{[]string{"-n", "-1", "ext-fleet-scale"}, 2, "-n must be >= 0", ""},
 		{[]string{"-fleet", "-3", "ext-fleet-chaos"}, 2, "-fleet must be >= 0", ""},
 		{[]string{"-parallel", "-1", "table1"}, 2, "-parallel must be >= 0", ""},
+		{[]string{"-shards", "-1", "table1", "ext-fleet-chaos"}, 2, "-shards must be >= 0", ""},
+		{[]string{"-stream", "-maxrecords", "-3", "table1"}, 2, "-maxrecords must be >= 0", ""},
 		{[]string{"fig3", "-n", "100"}, 2, `unknown exhibit "-n"`, ""},
 		{[]string{"table1", "nosuch"}, 2, `unknown exhibit "nosuch"`, ""},
 		{[]string{"table1"}, 0, "", "==== table1 ===="},

@@ -40,8 +40,6 @@ type Options struct {
 	// MaxRecords bounds per-class record retention when Stream is set;
 	// <= 0 means metrics.DefaultMaxRecords.
 	MaxRecords int
-	// MegaRequests sizes ExpMega's long-horizon run; <= 0 means 1,000,000.
-	MegaRequests int
 	// FleetRequests sizes ExpFleetChaos's runs; <= 0 means 100,000.
 	FleetRequests int
 	// FleetReplicas sets ExpFleetChaos's replica count; <= 0 means 16.

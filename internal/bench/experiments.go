@@ -469,7 +469,7 @@ func ExpProfiler(w io.Writer) ([]ProfilerRow, error) {
 	rows, err := par.Run(par.NewPool(0), len(cases), func(ci int) (ProfilerRow, error) {
 		c := cases[ci]
 		cm := perf.MustNew(c.cfg, gpu.A800, c.place, gpu.NVLinkBridge, perf.DefaultParams())
-		prof, err := sched.Profile(cm, nil)
+		prof, err := sched.Profile(cm)
 		if err != nil {
 			return ProfilerRow{}, err
 		}

@@ -9,6 +9,7 @@ package elastic
 
 import (
 	"fmt"
+	"math"
 
 	"windserve/internal/sim"
 )
@@ -68,19 +69,37 @@ func (p Policy) WithDefaults() Policy {
 	return p
 }
 
-// Validate rejects nonsensical policies before a run starts.
+// Validate rejects nonsensical policies before a run starts, with an
+// error naming the field. Non-finite values are rejected too: a NaN
+// period never advances the controller's clock, and an infinite cooldown
+// or threshold silently disables every flip.
 func (p Policy) Validate() error {
 	if !p.Enabled {
 		return nil
 	}
-	if p.Every < 0 || p.Cooldown < 0 {
-		return fmt.Errorf("elastic: negative period (every %v, cooldown %v)", p.Every, p.Cooldown)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Every", float64(p.Every)},
+		{"Cooldown", float64(p.Cooldown)},
+		{"Ratio", p.Ratio},
+		{"MinPressure", p.MinPressure},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("elastic: %s %g must be finite and non-negative", f.name, f.v)
+		}
 	}
-	if p.Ratio < 0 || p.MinPressure < 0 {
-		return fmt.Errorf("elastic: negative threshold (ratio %v, minpressure %v)", p.Ratio, p.MinPressure)
-	}
-	if p.MinPrefill < 0 || p.MinDecode < 0 {
-		return fmt.Errorf("elastic: negative role floor (%d prefill, %d decode)", p.MinPrefill, p.MinDecode)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MinPrefill", p.MinPrefill},
+		{"MinDecode", p.MinDecode},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("elastic: %s %d is negative", f.name, f.v)
+		}
 	}
 	return nil
 }

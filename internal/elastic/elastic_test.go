@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"math"
 	"testing"
 
 	"windserve/internal/sim"
@@ -28,6 +29,10 @@ func TestValidate(t *testing.T) {
 		{Enabled: true, MinPressure: -1},
 		{Enabled: true, MinPrefill: -1},
 		{Enabled: true, MinDecode: -2},
+		{Enabled: true, Every: sim.Duration(math.NaN())},
+		{Enabled: true, Cooldown: sim.Duration(math.Inf(1))},
+		{Enabled: true, Ratio: math.NaN()},
+		{Enabled: true, MinPressure: math.Inf(1)},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -71,7 +71,8 @@ type Config struct {
 	// when no decodes are running (vLLM's chunked-prefill mode).
 	AlwaysChunk bool
 	// MaxPrefillTokens bounds the total prompt tokens batched into one
-	// whole-prompt prefill pass.
+	// whole-prompt prefill pass, and into one SBD assist pass (Algorithm 1
+	// adds the whole assistRequests set to the decode pipeline at once).
 	MaxPrefillTokens int
 	// MaxDecodeBatch bounds the running decode batch size.
 	MaxDecodeBatch int
@@ -80,10 +81,6 @@ type Config struct {
 	// false, assists join the prefill queue instead (the paper's
 	// WindServe-no-split ablation).
 	SBD bool
-	// AssistBatchTokens bounds the prefill tokens batched into one SBD
-	// pass (Algorithm 1 adds the whole assistRequests set to the decode
-	// pipeline at once). Defaults to MaxPrefillTokens.
-	AssistBatchTokens int
 }
 
 // Instance is one serving instance (a prefill, decode, or co-located
@@ -148,9 +145,6 @@ func NewInstance(s *sim.Simulator, cfg Config, hooks Hooks) (*Instance, error) {
 	}
 	if cfg.MaxPrefillTokens <= 0 {
 		cfg.MaxPrefillTokens = 8192
-	}
-	if cfg.AssistBatchTokens <= 0 {
-		cfg.AssistBatchTokens = cfg.MaxPrefillTokens
 	}
 	ins := &Instance{cfg: cfg, sim: s, hooks: hooks}
 	ins.kickFn = func() {
@@ -625,7 +619,7 @@ func (ins *Instance) trySwapIn() {
 }
 
 // maybeStartAssist launches the next SBD prefill pass in the second
-// stream, batching queued assists up to AssistBatchTokens (Algorithm 1
+// stream, batching queued assists up to MaxPrefillTokens (Algorithm 1
 // adds the accumulated assistRequests to the decode pipeline together).
 func (ins *Instance) maybeStartAssist() {
 	if !ins.cfg.SBD || ins.assist != nil || len(ins.assistQ) == 0 {
@@ -634,7 +628,7 @@ func (ins *Instance) maybeStartAssist() {
 	p := ins.newPlan()
 	p.assist = true
 	ins.assist = p
-	budget := ins.cfg.AssistBatchTokens
+	budget := ins.cfg.MaxPrefillTokens
 	for len(ins.assistQ) > 0 {
 		r := ins.assistQ[0]
 		n := r.PrefillRemaining()

@@ -348,7 +348,7 @@ func TestAssistBatchingSharesOnePass(t *testing.T) {
 	h := newHarness(t, 1<<20, 0, func(c *Config) {
 		c.AllowPrefill = false
 		c.SBD = true
-		c.AssistBatchTokens = 1024
+		c.MaxPrefillTokens = 1024
 		c.Tracer = tr
 	}, nil)
 	for i := 1; i <= 4; i++ {
@@ -378,7 +378,7 @@ func TestAssistLargerThanBudgetStillRuns(t *testing.T) {
 	h := newHarness(t, 1<<20, 0, func(c *Config) {
 		c.AllowPrefill = false
 		c.SBD = true
-		c.AssistBatchTokens = 256 // smaller than the prompt
+		c.MaxPrefillTokens = 256 // smaller than the prompt
 	}, nil)
 	a := req(1, 1024, 2)
 	if err := h.kv.Allocate(a.KVID(), 1025); err != nil {

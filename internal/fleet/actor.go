@@ -12,7 +12,7 @@ import (
 // coordinating goroutine), actor i+1 is replica i (on shard i % Shards).
 // Actors never touch each other's memory — every interaction, including
 // the request ledger writes that used to go straight into the shared
-// recorder, is a message delayed by NetDelay. That delay is the group's
+// recorder, is a message delayed by netDelay. That delay is the group's
 // conservative lookahead, which is what lets shards run concurrently.
 
 // mkind enumerates the fleet's cross-shard message types.
@@ -88,7 +88,7 @@ type replicaActor struct {
 // send posts a message to the router.
 func (ra *replicaActor) send(m msg) {
 	m.to = 0
-	ra.sh.Send(0, ra.idx+1, ra.f.cfg.NetDelay, m)
+	ra.sh.Send(0, ra.idx+1, netDelay, m)
 }
 
 func (ra *replicaActor) handle(m msg) {
@@ -134,7 +134,7 @@ func (ra *replicaActor) kickReports() {
 		return
 	}
 	ra.reporting = true
-	ra.sh.Sim().Schedule(ra.f.cfg.LoadReportEvery, ra.reportFn)
+	ra.sh.Sim().Schedule(loadReportEvery, ra.reportFn)
 }
 
 func (ra *replicaActor) report() {
@@ -151,7 +151,7 @@ func (ra *replicaActor) report() {
 		ra.reporting = false // idle: park; the next Submit restarts it
 		return
 	}
-	ra.sh.Sim().Schedule(ra.f.cfg.LoadReportEvery, ra.reportFn)
+	ra.sh.Sim().Schedule(loadReportEvery, ra.reportFn)
 }
 
 // replicaLedger satisfies serve.Ledger by forwarding each lifecycle write —
@@ -182,7 +182,7 @@ func (l replicaLedger) Abort(id uint64, at sim.Time, emitted int) {
 // report (so back-to-back routing decisions inside one report interval
 // don't dogpile the momentarily-emptiest replica). Policies read load
 // through the same QueueDepth/InFlight surface the live replica used to
-// expose — the numbers are now NetDelay-stale by construction.
+// expose — the numbers are now netDelay-stale by construction.
 type replicaHandle struct {
 	name     string
 	q        int // last reported queue depth

@@ -1,7 +1,7 @@
 package fleet
 
 // The role controller is the fleet's elastic brain: it watches each
-// replica's self-reported pressure signals (the same NetDelay-stale view
+// replica's self-reported pressure signals (the same netDelay-stale view
 // the routing policies read) and flips instances between prefill and
 // decode roles when one phase is predicted to miss its SLO while the
 // other has headroom. Decisions happen on the router actor; execution is
@@ -44,11 +44,11 @@ type roleController struct {
 
 func newRoleController(f *fleet) (*roleController, error) {
 	pcm, dcm := f.acts[0].rp.CostModels()
-	profP, err := sched.Profile(pcm, nil)
+	profP, err := sched.Profile(pcm)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: profiling prefill shape: %w", err)
 	}
-	profD, err := sched.Profile(dcm, nil)
+	profD, err := sched.Profile(dcm)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: profiling decode shape: %w", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"windserve/internal/elastic"
@@ -120,7 +122,7 @@ func elasticDigest(t *testing.T, cfg Config, seed int64) (string, [32]byte) {
 
 // TestElasticShardDeterminism extends the sharded-determinism gate to
 // role flips: mFlip/mFlipDone and the signal-bearing load reports cross
-// the NetDelay wire, so results must stay byte-identical when the
+// the netDelay wire, so results must stay byte-identical when the
 // replicas are split across worker goroutines.
 func TestElasticShardDeterminism(t *testing.T) {
 	cfg := elasticConfig(t)
@@ -142,16 +144,27 @@ func TestElasticShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestElasticValidation covers the elastic-specific config rejections.
+// TestElasticValidation covers the elastic-specific config rejections:
+// each names its field.
 func TestElasticValidation(t *testing.T) {
-	for name, mutate := range map[string]func(*Config){
-		"negative cooldown": func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, Cooldown: -1} },
-		"negative floor":    func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, MinPrefill: -1} },
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		p     elastic.Policy
+	}{
+		{"Cooldown", elastic.Policy{Enabled: true, Cooldown: -1}},
+		{"MinPrefill", elastic.Policy{Enabled: true, MinPrefill: -1}},
+		// Non-finite values: a NaN period would hang the run, and an
+		// infinite cooldown or threshold would silently disable every flip.
+		{"Every", elastic.Policy{Enabled: true, Every: sim.Duration(nan)}},
+		{"Cooldown", elastic.Policy{Enabled: true, Cooldown: sim.Duration(inf)}},
+		{"Ratio", elastic.Policy{Enabled: true, Ratio: nan}},
+		{"MinPressure", elastic.Policy{Enabled: true, MinPressure: inf}},
 	} {
 		cfg := testConfig(t, 2)
-		mutate(&cfg)
-		if _, err := Run(cfg, trace(5, 5, 1)); err == nil {
-			t.Errorf("%s: Run accepted invalid config", name)
+		cfg.Elastic = tc.p
+		if _, err := Run(cfg, trace(5, 5, 1)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.p, err, tc.field)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 // The fleet is built as message-passing actors on a shard.Group: the
 // router actor owns the request ledger, the workload source, admission
 // and failover policy; each replica actor owns its replica's entire
-// state and talks to the router only through NetDelay-latent messages
+// state and talks to the router only through netDelay-latent messages
 // (submits, evictions, load reports, ledger forwards). With Shards == 1
 // everything runs on one event loop; with Shards > 1 the replicas are
 // partitioned across shard simulators driven on separate goroutines with
@@ -36,6 +36,23 @@ import (
 	"windserve/internal/workload"
 )
 
+const (
+	// netDelay is the virtual router↔replica message latency: every
+	// dispatch, eviction, load report, and ledger write crosses it. It is
+	// also the shard group's conservative lookahead — a larger value
+	// means fewer barriers and staler routing views.
+	netDelay sim.Duration = 0.005
+	// loadReportEvery is how often a busy replica self-reports queue
+	// depth and in-flight count to the router (unchanged loads are
+	// suppressed).
+	loadReportEvery sim.Duration = 0.025
+	// maxFailovers caps how many times one request may be failed over
+	// before the router gives up and aborts it.
+	maxFailovers = 2
+	// brownoutSlack multiplies FailoverTimeout during brown-out.
+	brownoutSlack = 2.0
+)
+
 // Config describes one fleet experiment.
 type Config struct {
 	// Replica is the per-replica serving configuration (model, placements,
@@ -55,16 +72,6 @@ type Config struct {
 	// depend on the shard count — folding them into Result would break
 	// digest identity across configurations.
 	ShardStats *shard.Stats
-	// NetDelay is the virtual router↔replica message latency: every
-	// dispatch, eviction, load report, and ledger write crosses it. It is
-	// also the shard group's conservative lookahead — larger values mean
-	// fewer barriers and faster parallel runs, staler routing views.
-	// Default 5 ms.
-	NetDelay sim.Duration
-	// LoadReportEvery is how often a busy replica self-reports queue
-	// depth and in-flight count to the router (unchanged loads are
-	// suppressed). Default 25 ms.
-	LoadReportEvery sim.Duration
 
 	// Policy picks the router: "round-robin", "least-loaded", or
 	// "weighted" (health/SLO-aware scoring). Default "round-robin".
@@ -75,9 +82,6 @@ type Config struct {
 	// against slow, partitioned, or silently sick replicas. 0 disables
 	// timeout failover (crash failover still happens).
 	FailoverTimeout sim.Duration
-	// MaxFailovers caps how many times one request may be failed over
-	// before the router gives up and aborts it (default 2).
-	MaxFailovers int
 
 	// MaxQueueDepth rejects an arrival when the fleet-wide queue depth
 	// (all replicas + parked orphans) is already at least this. 0
@@ -89,12 +93,9 @@ type Config struct {
 
 	// BrownoutDepth enters brown-out when the mean queue depth per
 	// healthy replica reaches it; the fleet exits at half that. While
-	// browned out, timeout failovers are deferred by BrownoutSlack× —
+	// browned out, timeout failovers are deferred by brownoutSlack× —
 	// re-prefilling elsewhere would only deepen the overload. 0 disables.
 	BrownoutDepth int
-	// BrownoutSlack multiplies FailoverTimeout during brown-out
-	// (default 2).
-	BrownoutSlack float64
 
 	// Elastic turns on runtime prefill↔decode role flipping: the fleet's
 	// RoleController watches each replica's reported pressure signals and
@@ -226,7 +227,7 @@ type fleet struct {
 
 	// completions[i] counts records closed in virtual second i — the
 	// recovery-time signal. Bucketed by the completion's true event time,
-	// not its (NetDelay-later) application time.
+	// not its (netDelay-later) application time.
 	completions []int
 
 	// arr is the front door the testbed runner shares: one pending
@@ -247,7 +248,6 @@ func (c *Config) validate() error {
 		v    int
 	}{
 		{"Shards", c.Shards},
-		{"MaxFailovers", c.MaxFailovers},
 		{"MaxQueueDepth", c.MaxQueueDepth},
 		{"BrownoutDepth", c.BrownoutDepth},
 	} {
@@ -259,12 +259,9 @@ func (c *Config) validate() error {
 		name string
 		v    float64
 	}{
-		{"NetDelay", float64(c.NetDelay)},
-		{"LoadReportEvery", float64(c.LoadReportEvery)},
 		{"FailoverTimeout", float64(c.FailoverTimeout)},
 		{"TTFTDeadline", float64(c.TTFTDeadline)},
 		{"Horizon", float64(c.Horizon)},
-		{"BrownoutSlack", c.BrownoutSlack},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("fleet: %s %g must be finite and non-negative", f.name, f.v)
@@ -294,12 +291,6 @@ func (c *Config) fillDefaults() {
 	if c.Policy == "" {
 		c.Policy = "round-robin"
 	}
-	if c.MaxFailovers == 0 {
-		c.MaxFailovers = 2
-	}
-	if c.BrownoutSlack == 0 {
-		c.BrownoutSlack = 2
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = sim.Seconds(7200)
 	}
@@ -308,15 +299,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Shards > c.NumReplicas {
 		c.Shards = c.NumReplicas
-	}
-	if c.NetDelay == 0 {
-		c.NetDelay = sim.Seconds(0.005)
-	}
-	if c.LoadReportEvery == 0 {
-		c.LoadReportEvery = sim.Seconds(0.025)
-	}
-	if sim.Time(c.NetDelay) > sim.Time(c.Horizon) {
-		c.NetDelay = c.Horizon // lookahead may never exceed the drain cap
 	}
 	c.Elastic = c.Elastic.WithDefaults()
 }
@@ -334,7 +316,8 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 	}
 	cfg.fillDefaults()
 
-	g := shard.NewGroup[msg](cfg.Shards, cfg.NetDelay)
+	// The lookahead may never exceed the drain cap.
+	g := shard.NewGroup[msg](cfg.Shards, min(netDelay, cfg.Horizon))
 	g.GrowActors(cfg.NumReplicas + 1)
 	f := &fleet{
 		g: g, s: g.Shard(0).Sim(), rec: cfg.Replica.Stream.Recorder(cfg.Replica.SLO), cfg: cfg,
@@ -406,7 +389,7 @@ func (f *fleet) dispatch(src int, m msg) {
 // sendTo posts a message from the router to replica idx.
 func (f *fleet) sendTo(idx int, m msg) {
 	m.to = idx + 1
-	f.g.Shard(0).Send(idx%f.cfg.Shards, 0, f.cfg.NetDelay, m)
+	f.g.Shard(0).Send(idx%f.cfg.Shards, 0, netDelay, m)
 }
 
 // routerMsg handles one replica→router message. idx is the sender.
@@ -528,7 +511,7 @@ func (f *fleet) failoverTimerFired(id uint64, seq int) {
 	if f.brownout {
 		// Deferred, not cancelled: re-check after the slack interval. If
 		// the brown-out has ended by then the request finally moves.
-		extra := sim.Duration(float64(f.cfg.FailoverTimeout) * (f.cfg.BrownoutSlack - 1))
+		extra := sim.Duration(float64(f.cfg.FailoverTimeout) * (brownoutSlack - 1))
 		if extra > 0 {
 			f.s.Schedule(extra, func() { f.failoverTimerFired(id, seq) })
 			return
@@ -605,13 +588,13 @@ func (f *fleet) orphanReturned(m msg) {
 }
 
 // failover re-routes an evicted request (record still open) to another
-// healthy replica, or gives up after MaxFailovers. generated is the token
+// healthy replica, or gives up after maxFailovers. generated is the token
 // count the record closes with if the router gives up.
 func (f *fleet) failover(st *reqState, generated int, reason string) {
 	id := st.w.ID
 	st.failovers++
 	f.failovers++
-	if st.failovers > f.cfg.MaxFailovers {
+	if st.failovers > maxFailovers {
 		f.rec.Abort(id, f.s.Now(), generated)
 		f.aborted++
 		delete(f.state, id)
@@ -734,7 +717,7 @@ func (f *fleet) updateBrownout() {
 // installFaults compiles the chaos plan into router-side hooks. Fault
 // events fire on the router's shard; effects cross to the replicas as
 // messages, so health flips at the router the instant the event fires and
-// at the replica one NetDelay later — in that order, on every shard count.
+// at the replica one netDelay later — in that order, on every shard count.
 func (f *fleet) installFaults() error {
 	if f.cfg.Faults == nil {
 		return nil

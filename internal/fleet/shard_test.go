@@ -82,3 +82,25 @@ func TestShardedDeterminismSmoke(t *testing.T) {
 		t.Fatal("decision log diverges at 4 shards")
 	}
 }
+
+// TestLookaheadClampedToHorizon: a drain cap shorter than the network
+// delay, which bounds the shard group's lookahead, must not fail the run,
+// and the run must stay byte-identical across shard counts.
+func TestLookaheadClampedToHorizon(t *testing.T) {
+	cfg := testConfig(t, 4)
+	cfg.Horizon = sim.Milliseconds(1)
+	var want string
+	for _, shards := range []int{1, 2} {
+		cfg.Shards = shards
+		res, err := Run(cfg, trace(40, 10, 5))
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		got := fmt.Sprintf("%+v", res)
+		if shards == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("result diverges at %d shards:\nsequential: %s\ngot:        %s", shards, want, got)
+		}
+	}
+}

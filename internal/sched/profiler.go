@@ -38,56 +38,27 @@ type Profiler struct {
 	xferRate float64
 }
 
-// ProfileOptions controls the offline sampling grid.
-type ProfileOptions struct {
-	// PrefillSamples are the prompt sizes to measure (defaults cover
-	// 64..MaxContext).
-	PrefillSamples []int
-	// DecodeBatches are the batch sizes to measure at.
-	DecodeBatches []int
-	// DecodeAvgCtxs are the per-request context lengths to measure at.
-	DecodeAvgCtxs []int
-}
-
-func defaultOptions(maxCtx int) ProfileOptions {
-	var pre []int
-	for n := 64; n <= maxCtx; n *= 2 {
-		pre = append(pre, n, n+n/2)
-	}
-	return ProfileOptions{
-		PrefillSamples: pre,
-		DecodeBatches:  []int{1, 4, 8, 16, 32, 64},
-		DecodeAvgCtxs:  []int{128, 256, 512, 1024, maxCtx / 2, maxCtx},
-	}
-}
-
-// Profile builds a Profiler for one instance by measuring its cost model.
-func Profile(cm *perf.CostModel, opts *ProfileOptions) (*Profiler, error) {
-	o := defaultOptions(cm.Cfg.MaxContext)
-	if opts != nil {
-		if len(opts.PrefillSamples) > 0 {
-			o.PrefillSamples = opts.PrefillSamples
-		}
-		if len(opts.DecodeBatches) > 0 {
-			o.DecodeBatches = opts.DecodeBatches
-		}
-		if len(opts.DecodeAvgCtxs) > 0 {
-			o.DecodeAvgCtxs = opts.DecodeAvgCtxs
-		}
-	}
+// Profile builds a Profiler for one instance by measuring its cost model
+// on a fixed grid: prompt sizes 64·2^k and 1.5× that up to the model's
+// context, and every pairing of six decode batch sizes with six
+// per-request context lengths.
+func Profile(cm *perf.CostModel) (*Profiler, error) {
+	maxCtx := cm.Cfg.MaxContext
 	var (
 		preX, preY []float64
 		decX, decY []float64
 	)
-	for _, n := range o.PrefillSamples {
-		if n > cm.Cfg.MaxContext {
-			continue
+	for n := 64; n <= maxCtx; n *= 2 {
+		for _, m := range []int{n, n + n/2} {
+			if m > maxCtx {
+				continue
+			}
+			preX = append(preX, float64(m))
+			preY = append(preY, cm.PrefillTime(m).Seconds())
 		}
-		preX = append(preX, float64(n))
-		preY = append(preY, cm.PrefillTime(n).Seconds())
 	}
-	for _, b := range o.DecodeBatches {
-		for _, ctx := range o.DecodeAvgCtxs {
+	for _, b := range []int{1, 4, 8, 16, 32, 64} {
+		for _, ctx := range []int{128, 256, 512, 1024, maxCtx / 2, maxCtx} {
 			sum := b * ctx
 			decX = append(decX, float64(sum))
 			decY = append(decY, cm.DecodeTime(b, sum).Seconds())

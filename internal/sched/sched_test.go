@@ -20,7 +20,7 @@ func testCM(t *testing.T) *perf.CostModel {
 
 func testProfiler(t *testing.T) *Profiler {
 	t.Helper()
-	p, err := Profile(testCM(t), nil)
+	p, err := Profile(testCM(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func (r *runner) recorderHooks() engine.Hooks {
 // limits every instance shares.
 func (r *runner) newInstance(a cluster.Assignment, ec engine.Config, host string, hooks engine.Hooks) (*engine.Instance, error) {
 	cfg := r.cfg
-	kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
+	kv, err := kvcache.New(a.KVTokens, cpuSwapTokens, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}

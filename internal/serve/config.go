@@ -29,6 +29,15 @@ import (
 	"windserve/internal/trace"
 )
 
+const (
+	// reserveFrac is per-GPU memory held back for activations.
+	reserveFrac = 0.1
+	// cpuSwapTokens is per-instance host swap capacity in tokens (~256k).
+	cpuSwapTokens = 1 << 18
+	// kvSafetyFrac keeps this fraction of decode KV free of assists.
+	kvSafetyFrac = 0.06
+)
+
 // Config describes one experiment's fixed environment.
 type Config struct {
 	Model  model.Config
@@ -37,10 +46,9 @@ type Config struct {
 	SLO    metrics.SLO
 
 	// PrefillPlace and DecodePlace shape the PD instances
-	// (paper Table 3). VLLM uses ColocatedPlace instead.
-	PrefillPlace   perf.Placement
-	DecodePlace    perf.Placement
-	ColocatedPlace perf.Placement
+	// (paper Table 3). VLLM replicas use the prefill shape.
+	PrefillPlace perf.Placement
+	DecodePlace  perf.Placement
 	// NumPrefill and NumDecode deploy that many instances of each shape
 	// (default 1 each, the paper's setup). Multi-instance routing — the
 	// paper's stated future work — is least-loaded for WindServe and
@@ -50,10 +58,6 @@ type Config struct {
 
 	// BlockSize is the KV block granularity (tokens).
 	BlockSize int
-	// ReserveFrac is per-GPU memory held back for activations.
-	ReserveFrac float64
-	// CPUSwapTokens is per-instance host swap capacity in tokens.
-	CPUSwapTokens int
 	// MaxPrefillTokens bounds a whole-prompt prefill batch.
 	MaxPrefillTokens int
 	// ChunkSize is the chunked-prefill budget.
@@ -181,11 +185,6 @@ type WindOptions struct {
 	// ThresholdFrac sets Algorithm 1's thrd = frac × TTFT SLO. The paper
 	// sets the threshold "slightly below the TTFT SLO"; default 0.8.
 	ThresholdFrac float64
-	// KVSafetyFrac keeps this fraction of decode KV free of assists.
-	KVSafetyFrac float64
-	// RefDecodeBatch sizes the assist budget (defaults to 16 requests at
-	// half the model's context).
-	RefDecodeBatch perf.Batch
 
 	Resched sched.ReschedulePolicy
 	Backup  sched.BackupPolicy
@@ -248,17 +247,14 @@ func DefaultConfig(m model.Config) (Config, error) {
 	}
 	pre, dec := PaperPlacement(m)
 	cfg := Config{
-		Model:          m,
-		Topo:           gpu.PaperTestbed(),
-		Params:         perf.DefaultParams(),
-		SLO:            slo,
-		PrefillPlace:   pre,
-		DecodePlace:    dec,
-		ColocatedPlace: pre, // vLLM replicas use the prefill shape
+		Model:        m,
+		Topo:         gpu.PaperTestbed(),
+		Params:       perf.DefaultParams(),
+		SLO:          slo,
+		PrefillPlace: pre,
+		DecodePlace:  dec,
 
 		BlockSize:        16,
-		ReserveFrac:      0.1,
-		CPUSwapTokens:    1 << 18, // ~256k tokens of host swap
 		MaxPrefillTokens: 8192,
 		ChunkSize:        512,
 		MaxDecodeBatch:   256,
@@ -271,7 +267,6 @@ func DefaultConfig(m model.Config) (Config, error) {
 func DefaultWindOptions() WindOptions {
 	return WindOptions{
 		ThresholdFrac: 0.8,
-		KVSafetyFrac:  0.06,
 		Resched:       sched.DefaultReschedulePolicy(),
 		Backup:        sched.DefaultBackupPolicy(),
 	}
@@ -291,7 +286,6 @@ func (c *Config) validate() error {
 	}{
 		{"NumPrefill", c.NumPrefill},
 		{"NumDecode", c.NumDecode},
-		{"CPUSwapTokens", c.CPUSwapTokens},
 		{"MaxPrefillTokens", c.MaxPrefillTokens},
 		{"ChunkSize", c.ChunkSize},
 		{"MaxDecodeBatch", c.MaxDecodeBatch},
@@ -310,9 +304,7 @@ func (c *Config) validate() error {
 		v, max float64
 	}{
 		{"Horizon", float64(c.Horizon), inf},
-		{"ReserveFrac", c.ReserveFrac, 1},
 		{"Wind.ThresholdFrac", c.Wind.ThresholdFrac, inf},
-		{"Wind.KVSafetyFrac", c.Wind.KVSafetyFrac, 1},
 		{"Shed.TTFTDeadline", float64(c.Shed.TTFTDeadline), inf},
 	} {
 		if !(f.v >= 0 && f.v < f.max) {
@@ -352,12 +344,6 @@ func (c *Config) fillDefaults() {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 16
 	}
-	if c.ReserveFrac <= 0 {
-		c.ReserveFrac = 0.1
-	}
-	if c.CPUSwapTokens <= 0 {
-		c.CPUSwapTokens = 1 << 18
-	}
 	if c.MaxPrefillTokens <= 0 {
 		c.MaxPrefillTokens = 8192
 	}
@@ -373,16 +359,10 @@ func (c *Config) fillDefaults() {
 	if c.Wind.ThresholdFrac <= 0 {
 		c.Wind.ThresholdFrac = 0.8
 	}
-	if c.Wind.KVSafetyFrac <= 0 {
-		c.Wind.KVSafetyFrac = 0.06
-	}
 	if c.Wind.Resched == (sched.ReschedulePolicy{}) {
 		c.Wind.Resched = sched.DefaultReschedulePolicy()
 	}
 	if c.Wind.Backup == (sched.BackupPolicy{}) {
 		c.Wind.Backup = sched.DefaultBackupPolicy()
-	}
-	if c.Wind.RefDecodeBatch.Empty() {
-		c.Wind.RefDecodeBatch = perf.DecodeOnly(16, 16*c.Model.MaxContext/2)
 	}
 }

@@ -156,7 +156,7 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 	for i := 0; i < cfg.NumDecode; i++ {
 		specs = append(specs, cluster.InstanceSpec{Role: cluster.RoleDecode, Place: cfg.DecodePlace})
 	}
-	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, cfg.ReserveFrac, specs...)
+	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, reserveFrac, specs...)
 	if err != nil {
 		return nil, err
 	}

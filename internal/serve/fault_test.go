@@ -376,15 +376,12 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"NumPrefill", func(c *Config) { c.NumPrefill = -1 }},
 		{"NumDecode", func(c *Config) { c.NumDecode = -2 }},
 		{"BlockSize", func(c *Config) { c.BlockSize = 0 }},
-		{"ReserveFrac", func(c *Config) { c.ReserveFrac = 1 }},
-		{"CPUSwapTokens", func(c *Config) { c.CPUSwapTokens = -1 }},
 		{"MaxPrefillTokens", func(c *Config) { c.MaxPrefillTokens = -1 }},
 		{"ChunkSize", func(c *Config) { c.ChunkSize = -512 }},
 		{"MaxDecodeBatch", func(c *Config) { c.MaxDecodeBatch = -1 }},
 		{"Horizon", func(c *Config) { c.Horizon = -sim.Seconds(1) }},
 		{"Stream.MaxRecords", func(c *Config) { c.Stream = StreamPolicy{Enabled: true, MaxRecords: -1} }},
 		{"Wind.ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = -0.5 }},
-		{"Wind.KVSafetyFrac", func(c *Config) { c.Wind.KVSafetyFrac = 2 }},
 		{"Shed.MaxQueueDepth", func(c *Config) { c.Shed.MaxQueueDepth = -1 }},
 		{"Shed.TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = -sim.Seconds(1) }},
 		// Non-finite floats are out of range too.
@@ -393,8 +390,6 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"Horizon", func(c *Config) { c.Horizon = sim.Duration(math.NaN()) }},
 		{"Horizon", func(c *Config) { c.Horizon = sim.Duration(math.Inf(1)) }},
 		{"Wind.ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = math.NaN() }},
-		{"Wind.KVSafetyFrac", func(c *Config) { c.Wind.KVSafetyFrac = math.NaN() }},
-		{"ReserveFrac", func(c *Config) { c.ReserveFrac = math.NaN() }},
 		{"CPUOverhead", func(c *Config) { c.Params.CPUOverhead = -1 }},
 		{"", func(c *Config) { // fault targets a missing instance
 			c.Faults = &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Role: fault.RoleDecode, Instance: 5, At: 1}}}

@@ -520,9 +520,6 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	if cfg.Wind.Resched.LowWatermark == 0 || cfg.Wind.Backup.MinContextTokens == 0 {
 		t.Error("wind policy defaults not filled")
 	}
-	if cfg.Wind.RefDecodeBatch.Empty() {
-		t.Error("reference decode batch not defaulted")
-	}
 	if _, err := DefaultConfig(model.OPT30B); err == nil {
 		t.Error("DefaultConfig should fail without a paper SLO")
 	}

@@ -16,7 +16,7 @@ import (
 //
 // To occupy the same GPU budget as the disaggregated pair (the paper's
 // linear scaling rule compares per-GPU rates), vLLM deploys
-// (prefill+decode GPUs) / ColocatedPlace.GPUs() identical replicas with
+// (prefill+decode GPUs) / PrefillPlace.GPUs() identical replicas with
 // round-robin request routing.
 func RunVLLM(cfg Config, reqs []workload.Request) (*Result, error) {
 	return RunVLLMFrom(cfg, workload.NewSliceSource(reqs))
@@ -31,15 +31,15 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 	cfg = r.cfg
 
 	totalGPUs := cfg.TotalGPUs()
-	replicas := totalGPUs / cfg.ColocatedPlace.GPUs()
+	replicas := totalGPUs / cfg.PrefillPlace.GPUs()
 	if replicas < 1 {
 		replicas = 1
 	}
 	specs := make([]cluster.InstanceSpec, replicas)
 	for i := range specs {
-		specs[i] = cluster.InstanceSpec{Role: cluster.RoleColocated, Place: cfg.ColocatedPlace}
+		specs[i] = cluster.InstanceSpec{Role: cluster.RoleColocated, Place: cfg.PrefillPlace}
 	}
-	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, cfg.ReserveFrac, specs...)
+	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, reserveFrac, specs...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: planning vLLM: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"windserve/internal/engine"
+	"windserve/internal/perf"
 	"windserve/internal/sched"
 	"windserve/internal/sim"
 	"windserve/internal/trace"
@@ -69,17 +70,20 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 		return nil, err
 	}
 
-	prof, err := sched.Profile(d.prefills[0].CM(), nil)
+	prof, err := sched.Profile(d.prefills[0].CM())
 	if err != nil {
 		return nil, fmt.Errorf("serve: profiling: %w", err)
 	}
-	budget := sched.AssistBudget(d.decodes[0].CM(), cfg.Wind.RefDecodeBatch, cfg.SLO.TPOT)
+	// The assist budget is sized against a reference decode batch of 16
+	// requests at half the model's context.
+	ref := perf.DecodeOnly(16, 16*cfg.Model.MaxContext/2)
+	budget := sched.AssistBudget(d.decodes[0].CM(), ref, cfg.SLO.TPOT)
 	dkv := d.decodes[0].KV()
 	w.coord = &sched.Coordinator{
 		Prof:           prof,
 		Thrd:           sim.Duration(cfg.Wind.ThresholdFrac * cfg.SLO.TTFT.Seconds()),
 		BudgetTokens:   budget,
-		KVSafetyTokens: int(cfg.Wind.KVSafetyFrac * float64(dkv.TotalBlocks()*dkv.BlockSize())),
+		KVSafetyTokens: int(kvSafetyFrac * float64(dkv.TotalBlocks()*dkv.BlockSize())),
 	}
 	prof.WarmStartTransfer(d.nominalP2DRate())
 

@@ -20,7 +20,7 @@ func newWindStateForTest(t *testing.T) *windState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := sched.Profile(d.prefills[0].CM(), nil)
+	prof, err := sched.Profile(d.prefills[0].CM())
 	if err != nil {
 		t.Fatal(err)
 	}
