@@ -311,7 +311,8 @@ func ExpFig7(w io.Writer) (string, string, error) {
 		// Three requests mid-decode.
 		for i := 1; i <= 3; i++ {
 			r := engine.NewReq(workload.Request{ID: uint64(i), PromptTokens: 1024, OutputTokens: 64})
-			r.PrefillDone, r.Generated = 1024, 1
+			r.PrefillDone = 1024
+			r.SetGenerated(1)
 			if err := kv.Allocate(r.KVID(), 1025); err != nil {
 				return "", err
 			}

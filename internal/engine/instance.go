@@ -12,7 +12,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"windserve/internal/kvcache"
 	"windserve/internal/metrics"
@@ -121,6 +123,38 @@ type Instance struct {
 	// stream 2 is idle.
 	assist *passPlan
 
+	// Lazy decode tokens. A decode pass gives every request in the batch
+	// when it formed, and still in it when it applies, one token; rather
+	// than visit them all, the pass bumps passes and Req.Generated adds
+	// the passes applied since the request's mark. apply visits only the
+	// requests due that pass (see Req.due), in batch order.
+	//
+	// passes counts applied decode passes; the one in flight (pending) is
+	// passes+1. applying is set while apply visits, cursor is the key it
+	// has reached, and visiting the request it is at.
+	passes   int
+	pending  bool
+	applying bool
+	cursor   int
+	visiting *Req
+	// nextSeq numbers pushes onto the running batch (Req.seq).
+	nextSeq int
+	// sumCtx is the summed context of the running batch; ahead counts the
+	// running requests marked past passes (joined or visited during the
+	// pass in flight), which its apply must not count again.
+	sumCtx, ahead int
+	// due is a ring of due lists indexed by pass number; no request is due
+	// more than one KV block of passes ahead, so it never wraps onto a
+	// live list.
+	due [][]batchRef
+	// joined lists the requests pushed since the last pass formed, the
+	// only ones whose first decode step can start (OnDecodeStart).
+	joined []batchRef
+	// departed lists the requests removed from the pass in flight before
+	// it applied, with their keys: re-inserted before it applies, one
+	// keeps the pass's token at its old position.
+	departed []batchRef
+
 	// kickFn is Kick's event body, built once so a kick allocates nothing.
 	kickFn func()
 	// freePlans recycles pass plans, with their slices and closures, once
@@ -147,6 +181,11 @@ func NewInstance(s *sim.Simulator, cfg Config, hooks Hooks) (*Instance, error) {
 		cfg.MaxPrefillTokens = 8192
 	}
 	ins := &Instance{cfg: cfg, sim: s, hooks: hooks}
+	ring := 1
+	for ring <= cfg.KV.BlockSize() {
+		ring <<= 1
+	}
+	ins.due = make([][]batchRef, ring)
 	ins.kickFn = func() {
 		ins.kickPending = false
 		ins.step()
@@ -202,8 +241,17 @@ func (ins *Instance) InsertRunning(r *Req) {
 	ins.Kick()
 }
 
+// batchRef names a request in a per-instance list with the seq (or key)
+// it had when listed; an entry whose request has moved on is stale.
+type batchRef struct {
+	r *Req
+	n int
+}
+
 // pushRunning appends r to the running batch. A request is in at most
-// one running batch at a time: callers remove it from the old one first.
+// one running batch at a time: callers remove it from the old one first,
+// and r has its first token already. Its first pass is always due, so the
+// visit syncs its KV to its count.
 func (ins *Instance) pushRunning(r *Req) {
 	if r.runningOn != nil {
 		panic(fmt.Sprintf("engine: %v joins %s while running on %s", r, ins.cfg.Name, r.runningOn.cfg.Name))
@@ -211,6 +259,33 @@ func (ins *Instance) pushRunning(r *Req) {
 	r.Phase = PhaseDecoding
 	r.runningOn = ins
 	ins.running = append(ins.running, r)
+	ins.nextSeq++
+	r.seq, r.key, r.mark, r.fresh = ins.nextSeq, ins.nextSeq, ins.passes, true
+	first := ins.passes + 1
+	if ins.pending {
+		if key, ok := ins.owed(r); ok {
+			r.key = key
+		} else {
+			// Not in the pass in flight: count from the one after it.
+			r.mark++
+			ins.ahead++
+			first++
+		}
+	}
+	ins.sumCtx += r.Ctx()
+	ins.schedule(r, first)
+	ins.joined = append(ins.joined, batchRef{r, r.seq})
+}
+
+// owed reports whether r left the pass in flight before it applied, and
+// at which key.
+func (ins *Instance) owed(r *Req) (int, bool) {
+	for i := len(ins.departed) - 1; i >= 0; i-- {
+		if ins.departed[i].r == r {
+			return ins.departed[i].n, true
+		}
+	}
+	return 0, false
 }
 
 // RemoveRunning takes a request out of the running batch (migration
@@ -220,9 +295,64 @@ func (ins *Instance) RemoveRunning(r *Req) bool {
 	if r.runningOn != ins {
 		return false
 	}
-	r.runningOn = nil
+	ins.leave(r)
 	ins.running = removeReq(ins.running, r)
 	return true
+}
+
+// leave stores r's token count as it leaves the running batch and syncs
+// its KV token count to the last size the per-token rule grew it to. A
+// fresh request was never grown here.
+func (ins *Instance) leave(r *Req) {
+	n := ins.gained(r)
+	switch {
+	case r.mark > ins.passes:
+		ins.ahead--
+	case ins.applying && r.key < ins.cursor:
+		// gained counts the applying pass's token, which sumCtx gets only
+		// when the pass ends.
+		ins.sumCtx++
+	case ins.pending && !ins.applying:
+		ins.departed = append(ins.departed, batchRef{r, r.key})
+	}
+	r.gen += n
+	r.runningOn = nil
+	ins.sumCtx -= r.Ctx()
+	if !r.fresh {
+		ctx := r.Ctx()
+		if r == ins.visiting {
+			ctx-- // its grow to the pass's token has not succeeded
+		}
+		ins.syncKV(r, ctx)
+	}
+}
+
+// gained is how many tokens r has gained here since its mark: one per
+// decode pass applied since, plus the pass applying once the visit
+// cursor has passed r's position in it.
+func (ins *Instance) gained(r *Req) int {
+	n := ins.passes - r.mark
+	if n < 0 {
+		return 0 // joined, or was visited, during the pass in flight
+	}
+	if ins.applying && r.key < ins.cursor {
+		n++
+	}
+	return n
+}
+
+// syncKV grows r's allocation to ctx tokens, inside the blocks it holds.
+func (ins *Instance) syncKV(r *Req, ctx int) {
+	if err := r.kv.Grow(ctx); err != nil {
+		panic(fmt.Sprintf("engine: %s sync KV of %v to %d tokens: %v", ins.cfg.Name, r, ctx, err))
+	}
+}
+
+// schedule puts r on the due list of the given pass.
+func (ins *Instance) schedule(r *Req, pass int) {
+	r.due = pass
+	l := &ins.due[pass&(len(ins.due)-1)]
+	*l = append(*l, batchRef{r, r.seq})
 }
 
 // ReleaseKV frees a request's blocks here and re-kicks the engine (freed
@@ -251,6 +381,18 @@ func (ins *Instance) Crash() []*Req {
 	ins.busy = false
 	ins.inFlight = 0
 	ins.stallUntil = 0
+	for _, r := range ins.running {
+		r.gen += ins.gained(r)
+		r.runningOn = nil
+	}
+	ins.pending, ins.sumCtx, ins.ahead = false, 0, 0
+	for i := range ins.due {
+		clear(ins.due[i])
+		ins.due[i] = ins.due[i][:0]
+	}
+	clear(ins.joined)
+	clear(ins.departed)
+	ins.joined, ins.departed = ins.joined[:0], ins.departed[:0]
 	var orphans []*Req
 	collect := func(rs []*Req) {
 		for _, r := range rs {
@@ -267,9 +409,6 @@ func (ins *Instance) Crash() []*Req {
 		}
 	}
 	collect(ins.admitQ)
-	for _, r := range ins.running {
-		r.runningOn = nil
-	}
 	collect(ins.running)
 	collect(ins.swapped)
 	ins.prefillQ, ins.assistQ, ins.assist = nil, nil, nil
@@ -397,9 +536,14 @@ func (ins *Instance) BusyRemaining() sim.Duration {
 
 // RunningShape describes the current decode batch.
 func (ins *Instance) RunningShape() perf.Batch {
-	b := perf.Batch{DecodeReqs: len(ins.running)}
-	for _, r := range ins.running {
-		b.DecodeSumCtx += r.Ctx()
+	b := perf.Batch{DecodeReqs: len(ins.running), DecodeSumCtx: ins.sumCtx}
+	if ins.applying {
+		// A hook inside apply: the requests the cursor has passed without
+		// a visit hold their token but sumCtx has not counted it yet.
+		b.DecodeSumCtx = 0
+		for _, r := range ins.running {
+			b.DecodeSumCtx += r.Ctx()
+		}
 	}
 	return b
 }
@@ -489,9 +633,10 @@ func (ins *Instance) step() {
 	// for the next batch after one initiation interval, while the pass's
 	// effects land at its full latency.
 	initiation := dur
-	if len(plan.decodes) == 0 && ins.cfg.CM.Place.PP > 1 {
+	if batch.DecodeReqs == 0 && ins.cfg.CM.Place.PP > 1 {
 		initiation = dur / sim.Duration(ins.cfg.CM.Place.PP)
 	}
+	ins.pending = batch.DecodeReqs > 0
 	ins.busy = true
 	ins.busyUntil = start.Add(dur)
 	ins.inFlight++
@@ -511,11 +656,10 @@ func (ins *Instance) step() {
 // passPlan remembers what a pass will do so apply() can commit it: a
 // main-stream pass, or with assist set an SBD prefill pass in the second
 // stream. Plans are recycled through Instance.freePlans: the slices keep
-// their backing arrays, and the two event bodies are built once per plan
+// their backing arrays, and the event bodies are built once per plan
 // object.
 type passPlan struct {
 	prefillSegs []prefillSeg
-	decodes     []*Req
 	newDecodes  []*Req // first decode step this pass
 	batch       perf.Batch
 	assist      bool
@@ -534,7 +678,6 @@ func (ins *Instance) newPlan() *passPlan {
 		p := ins.freePlans[n-1]
 		ins.freePlans = ins.freePlans[:n-1]
 		p.prefillSegs = p.prefillSegs[:0]
-		p.decodes = p.decodes[:0]
 		p.newDecodes = p.newDecodes[:0]
 		p.batch = perf.Batch{Prefill: p.batch.Prefill[:0]}
 		p.assist = false
@@ -677,15 +820,15 @@ func (ins *Instance) finishAssist(p *passPlan) {
 func (ins *Instance) formBatch() *passPlan {
 	plan := ins.newPlan()
 	b := &plan.batch
-	b.DecodeReqs = len(ins.running)
-	for _, r := range ins.running {
-		b.DecodeSumCtx += r.Ctx()
-		r.inPass = true
-		plan.decodes = append(plan.decodes, r)
-		if r.Generated == 1 && !r.Migrating {
+	b.DecodeReqs, b.DecodeSumCtx = len(ins.running), ins.sumCtx
+	for _, j := range ins.joined {
+		r := j.r
+		if r.runningOn == ins && r.seq == j.n && r.Generated() == 1 && !r.Migrating {
 			plan.newDecodes = append(plan.newDecodes, r)
 		}
 	}
+	clear(ins.joined)
+	ins.joined = ins.joined[:0]
 	if ins.cfg.AllowPrefill {
 		chunked := ins.cfg.ChunkSize > 0 && (ins.cfg.AlwaysChunk || len(ins.running) > 0)
 		if chunked {
@@ -818,27 +961,78 @@ func (ins *Instance) apply(plan *passPlan) {
 			ins.finishPrefill(seg.r)
 		}
 	}
-	// Decode progress.
-	for _, r := range plan.decodes {
-		r.inPass = false
-		if !ins.contains(r) {
-			// Evicted or drained (migration) after this pass was formed —
-			// possibly already running elsewhere. Its slot's token is lost.
-			continue
-		}
-		r.Generated++
-		if r.Finished() {
-			ins.RemoveRunning(r)
-			r.Phase = PhaseDone
-			ins.ReleaseKV(r)
-			if ins.hooks.OnComplete != nil {
-				ins.hooks.OnComplete(r)
-			}
-			continue
-		}
-		ins.growOrPreempt(r)
+	if plan.batch.DecodeReqs > 0 {
+		ins.applyDecodes()
 	}
 	ins.sampleCounters()
+}
+
+// applyDecodes commits a decode pass's tokens. A request evicted or
+// drained (migration) after the pass formed — possibly running elsewhere
+// now — is no longer in the batch and loses its token; one that joined
+// after it formed gets none. Every other request in the batch gains one
+// at once through passes; only the due requests are visited, in batch
+// order, so completions, grows and evictions happen where a visit of the
+// whole batch would have them.
+func (ins *Instance) applyDecodes() {
+	p := ins.passes + 1
+	l := &ins.due[p&(len(ins.due)-1)]
+	list := *l
+	slices.SortFunc(list, func(a, b batchRef) int { return cmp.Compare(a.r.key, b.r.key) })
+	clear(ins.departed)
+	ins.departed = ins.departed[:0]
+	ins.applying = true
+	for _, e := range list {
+		if r := e.r; r.runningOn == ins && r.seq == e.n && r.due == p {
+			ins.cursor = r.key
+			ins.visit(r, p)
+		}
+	}
+	ins.applying = false
+	ins.sumCtx += len(ins.running) - ins.ahead
+	ins.passes, ins.ahead, ins.pending = p, 0, false
+	clear(list)
+	*l = list[:0]
+}
+
+// visit gives a due request pass p's token, then completes it or grows
+// its KV (evicting under pressure) and schedules its next visit.
+func (ins *Instance) visit(r *Req, p int) {
+	r.gen += ins.gained(r) + 1
+	r.mark = p
+	ins.ahead++
+	ins.sumCtx++
+	ins.visiting = r
+	if r.Finished() {
+		ins.RemoveRunning(r)
+		ins.visiting = nil
+		r.Phase = PhaseDone
+		ins.ReleaseKV(r)
+		if ins.hooks.OnComplete != nil {
+			ins.hooks.OnComplete(r)
+		}
+		return
+	}
+	ins.growOrPreempt(r)
+	ins.visiting = nil
+	if r.runningOn != ins {
+		return // evicted
+	}
+	r.fresh = false
+	r.key = r.seq
+	ins.schedule(r, p+ins.dueIn(r))
+}
+
+// dueIn is how many passes from now r must be visited again: when it
+// finishes, when its next token no longer fits its blocks, or one block of
+// passes ahead, whichever comes first. r's KV has just grown to its
+// context.
+func (ins *Instance) dueIn(r *Req) int {
+	n := r.W.OutputTokens - r.gen
+	if room := r.kv.Cap() - r.Ctx() + 1; room < n {
+		n = room
+	}
+	return min(n, ins.cfg.KV.BlockSize())
 }
 
 // sampleCounters records the instance's occupancy timeseries at pass
@@ -861,8 +1055,8 @@ func (ins *Instance) sampleCounters() {
 // finishPrefill handles full-prompt completion: the first output token
 // exists now.
 func (ins *Instance) finishPrefill(r *Req) {
-	if r.Generated == 0 {
-		r.Generated = 1
+	if r.gen == 0 {
+		r.gen = 1
 	}
 	if ins.hooks.OnFirstToken != nil {
 		ins.hooks.OnFirstToken(r)
@@ -882,9 +1076,6 @@ func (ins *Instance) finishPrefill(r *Req) {
 	// Default policy (co-located engine): join the local decode batch.
 	ins.AdmitDecode(r)
 }
-
-// contains reports whether r is currently in this instance's running batch.
-func (ins *Instance) contains(r *Req) bool { return r.runningOn == ins }
 
 func (ins *Instance) dequeuePrefill(r *Req) {
 	for i, x := range ins.prefillQ {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"windserve/internal/gpu"
@@ -78,7 +79,7 @@ func TestReqAccessors(t *testing.T) {
 		t.Error("PrefillRemaining")
 	}
 	r.PrefillDone = 100
-	r.Generated = 10
+	r.SetGenerated(10)
 	if !r.PrefillComplete() || !r.Finished() || r.Ctx() != 110 {
 		t.Error("finished request state")
 	}
@@ -237,7 +238,7 @@ func TestAdmitDecodeExternalKV(t *testing.T) {
 	h := newHarness(t, 1<<20, 0, func(c *Config) { c.AllowPrefill = false }, nil)
 	r := req(1, 100, 5)
 	r.PrefillDone = 100
-	r.Generated = 1
+	r.SetGenerated(1)
 	if err := h.kv.Allocate(r.KVID(), 101); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,8 @@ func TestSBDAssistRunsConcurrently(t *testing.T) {
 	}, nil)
 	// A running decode job.
 	d := req(1, 100, 400)
-	d.PrefillDone, d.Generated = 100, 1
+	d.PrefillDone = 100
+	d.SetGenerated(1)
 	if err := h.kv.Allocate(d.KVID(), 101); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +430,8 @@ func TestMaxDecodeBatchCapsAdmission(t *testing.T) {
 	}, nil)
 	for i := 1; i <= 3; i++ {
 		r := req(uint64(i), 100, 30)
-		r.PrefillDone, r.Generated = 100, 1
+		r.PrefillDone = 100
+		r.SetGenerated(1)
 		if err := h.kv.Allocate(r.KVID(), 101); err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +498,8 @@ func TestUtilizationGaugesPopulated(t *testing.T) {
 func TestInsertAndRemoveRunning(t *testing.T) {
 	h := newHarness(t, 1<<20, 0, func(c *Config) { c.AllowPrefill = false }, nil)
 	r := req(1, 100, 50)
-	r.PrefillDone, r.Generated = 100, 1
+	r.PrefillDone = 100
+	r.SetGenerated(1)
 	if err := h.kv.Allocate(r.KVID(), 101); err != nil {
 		t.Fatal(err)
 	}
@@ -583,31 +587,265 @@ func containsScan(ins *Instance, r *Req) bool {
 	return false
 }
 
+// eagerModel is the per-token rule the lazy decode counts replace, kept
+// as the reference TestRunningMembershipMatchesScan checks against. A
+// decode pass gives each request that was in the running batch when the
+// pass formed, and is in it again when the pass applies, one token at its
+// position from formation time: the request completes, or its KV grows to
+// the new context, evicting the latest-admitted requests while blocks run
+// short. The model replays every applied pass from the state before its
+// event and checks that the engine ends with the batch, free and held
+// blocks, completion order, swapped-out tokens and failed grows the rule
+// gives.
+type eagerModel struct {
+	t     *testing.T
+	where string // the seed, step and operation, for failure messages
+	inst  []*Instance
+
+	gen    map[*Req]int
+	tokens map[*Req]int         // KV tokens of a running request
+	blocks map[*Req]int         // KV blocks of a running request
+	batch  map[*Instance][]*Req // the decode pass in flight, as it formed
+	pre    map[*Instance]modelPre
+
+	// What the hooks saw during the current operation.
+	completed []*Req
+	started   []*Req // OnDecodeStart
+	applied   *Instance
+	freed     int // blocks released by requests completing at prefill
+
+	// passed counts victims evicted after the pass gave them its token.
+	passed int
+}
+
+// modelPre is an instance's state before an operation.
+type modelPre struct {
+	running   []*Req
+	migrating []*Req // the running requests marked Migrating
+	free      int
+	iters     uint64
+	stats     kvcache.Stats
+}
+
+func newEagerModel(t *testing.T) *eagerModel {
+	return &eagerModel{t: t, gen: map[*Req]int{}, tokens: map[*Req]int{}, blocks: map[*Req]int{},
+		batch: map[*Instance][]*Req{}, pre: map[*Instance]modelPre{}}
+}
+
+// heldBlocks is the number of KV blocks r holds on x.
+func heldBlocks(x *Instance, r *Req) int {
+	a := x.KV().Alloc(r.KVID())
+	if a == nil {
+		return 0
+	}
+	return a.Cap() / x.KV().BlockSize()
+}
+
+// hook wraps the hooks of the instance ins returns to feed the model.
+func (m *eagerModel) hook(ins func() *Instance, hk *Hooks) {
+	complete := hk.OnComplete
+	hk.OnComplete = func(r *Req) {
+		m.completed = append(m.completed, r)
+		// A hook inside a pass's apply sees the batch as it stands there.
+		sum := 0
+		for _, q := range ins().running {
+			sum += q.Ctx()
+		}
+		if got := ins().RunningShape().DecodeSumCtx; got != sum {
+			m.t.Fatalf("%s: at %v's completion %s running context %d, scan %d", m.where, r, ins().Name(), got, sum)
+		}
+		if complete != nil {
+			complete(r)
+		}
+	}
+	hk.OnFirstToken = func(r *Req) {
+		if m.gen[r] == 0 {
+			m.gen[r] = 1
+		}
+		if r.Finished() {
+			m.freed += heldBlocks(ins(), r) // released before the decode loop
+		}
+	}
+	hk.OnIterationEnd = func() { m.applied = ins() }
+	hk.OnDecodeStart = func(r *Req) { m.started = append(m.started, r) }
+}
+
+// do runs one operation and folds its effects into the model.
+func (m *eagerModel) do(op func()) {
+	for _, x := range m.inst {
+		pre := modelPre{running: slices.Clone(x.running), free: x.KV().FreeBlocks(), iters: x.Iterations, stats: x.KV().Stats()}
+		for _, r := range x.running {
+			if r.Migrating {
+				pre.migrating = append(pre.migrating, r)
+			}
+		}
+		m.pre[x] = pre
+	}
+	m.completed, m.started, m.applied, m.freed = m.completed[:0], m.started[:0], nil, 0
+	op()
+	for _, x := range m.inst {
+		pre := m.pre[x]
+		if m.applied == x {
+			m.replay(x)
+		}
+		if x.Iterations != pre.iters {
+			m.batch[x] = slices.Clone(x.running)
+			// The first decode step starts for every request at one token.
+			var want []*Req
+			for _, r := range x.running {
+				if m.gen[r] == 1 && !r.Migrating {
+					want = append(want, r)
+				}
+			}
+			if !slices.Equal(m.started, want) {
+				m.t.Fatalf("%s: %s started decoding %v, eager rule %v", m.where, x.Name(), m.started, want)
+			}
+		}
+		for _, r := range x.running {
+			if !slices.Contains(pre.running, r) {
+				// Off every batch until now, so its KV count is exact.
+				m.tokens[r], m.blocks[r] = x.KV().Tokens(r.KVID()), heldBlocks(x, r)
+			}
+		}
+	}
+}
+
+// replay applies the eager rule to the decode pass x just applied.
+func (m *eagerModel) replay(x *Instance) {
+	t := m.t
+	t.Helper()
+	pre, batch := m.pre[x], m.batch[x]
+	m.batch[x] = nil
+	run := slices.Clone(pre.running)
+	free := pre.free + m.freed
+	var done []*Req
+	var swaps, swapTokens, failed int
+	for _, r := range batch {
+		if !slices.Contains(run, r) {
+			continue // left after the pass formed: its token is lost
+		}
+		m.gen[r]++
+		if m.gen[r] >= r.W.OutputTokens {
+			run = slices.DeleteFunc(run, func(q *Req) bool { return q == r })
+			free += m.blocks[r]
+			done = append(done, r)
+			continue
+		}
+		ctx := r.W.PromptTokens + m.gen[r]
+		for {
+			need := x.KV().BlocksFor(ctx) - m.blocks[r]
+			if need <= free {
+				free -= max(need, 0)
+				m.blocks[r] += max(need, 0)
+				m.tokens[r] = ctx
+				break
+			}
+			failed++
+			// The latest admitted, sparing migrating requests if it can.
+			vi := len(run) - 1
+			for i := vi; i >= 0; i-- {
+				if !slices.Contains(pre.migrating, run[i]) {
+					vi = i
+					break
+				}
+			}
+			v := run[vi]
+			if slices.Contains(batch, v) && vi < slices.Index(run, r) {
+				m.passed++
+			}
+			run = slices.Delete(run, vi, vi+1)
+			free += m.blocks[v]
+			if v.Phase == PhaseSwapped { // else host space ran out: recompute
+				swaps++
+				swapTokens += m.tokens[v]
+			}
+			if v == r {
+				break
+			}
+		}
+	}
+	if !slices.Equal(x.running, run) {
+		t.Fatalf("%s: %s running %v, eager rule %v", m.where, x.Name(), x.running, run)
+	}
+	if got := x.KV().FreeBlocks(); got != free {
+		t.Fatalf("%s: %s free blocks %d, eager rule %d", m.where, x.Name(), got, free)
+	}
+	var got []*Req
+	for _, r := range m.completed {
+		if slices.Contains(batch, r) {
+			got = append(got, r)
+		}
+	}
+	if !slices.Equal(got, done) {
+		t.Fatalf("%s: %s completed %v, eager rule %v", m.where, x.Name(), got, done)
+	}
+	st := x.KV().Stats()
+	if n, tok := st.SwapOutEvents-pre.stats.SwapOutEvents, st.SwapOutTokens-pre.stats.SwapOutTokens; n != uint64(swaps) || tok != uint64(swapTokens) {
+		t.Fatalf("%s: %s swapped out %d requests, %d tokens; eager rule %d, %d", m.where, x.Name(), n, tok, swaps, swapTokens)
+	}
+	if n := st.FailedAllocs - pre.stats.FailedAllocs; n != uint64(failed) {
+		t.Fatalf("%s: %s failed %d grows, eager rule %d", m.where, x.Name(), n, failed)
+	}
+}
+
+// check compares every request's token count, and every running
+// request's held blocks, with the model.
+func (m *eagerModel) check(all []*Req) {
+	m.t.Helper()
+	for _, r := range all {
+		if got, want := r.Generated(), m.gen[r]; got != want {
+			m.t.Fatalf("%s: %v generated %d, eager rule %d", m.where, r, got, want)
+		}
+	}
+	for _, x := range m.inst {
+		for _, r := range x.running {
+			if got, want := heldBlocks(x, r), m.blocks[r]; got != want {
+				m.t.Fatalf("%s: %v holds %d blocks on %s, eager rule %d", m.where, r, got, x.Name(), want)
+			}
+		}
+	}
+}
+
 // TestRunningMembershipMatchesScan drives seeded random sequences of
 // submissions, running-batch moves, aborts, crashes and passes over two
-// instances on one simulator, and checks after every operation that the
-// O(1) membership marker agrees with a scan of each running batch.
+// instances on one simulator. After every operation it checks that the
+// O(1) membership marker agrees with a scan of each running batch, and
+// that the lazy token counts, held blocks, swap-outs, failed grows and
+// completion order agree with the eager per-token rule (eagerModel) —
+// including a request removed and re-inserted on the same instance while
+// a pass is in flight, which keeps that pass's token at its old position.
 func TestRunningMembershipMatchesScan(t *testing.T) {
-	var swaps, recomputes, crashes, moves int
+	var swaps, recomputes, crashes, moves, owed, passed int
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		m := newEagerModel(t)
 		// A small GPU budget and a smaller swap space make passes evict:
 		// first to host memory, then to recompute.
-		h := newHarness(t, 2048, 512, nil, nil)
-		peerKV := kvcache.MustNew(1024, 0, 16)
+		h := newHarness(t, 2048, 512, nil, func(h *harness, hk *Hooks) {
+			m.hook(func() *Instance { return h.ins }, hk)
+		})
+		var peer *Instance
+		peerHooks := Hooks{}
+		m.hook(func() *Instance { return peer }, &peerHooks)
 		peer, err := NewInstance(h.s, Config{
-			Name: "peer", CM: h.ins.CM(), KV: peerKV, MaxDecodeBatch: 8,
-		}, Hooks{})
+			Name: "peer", CM: h.ins.CM(), KV: kvcache.MustNew(1024, 0, 16), MaxDecodeBatch: 8,
+		}, peerHooks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inst := []*Instance{h.ins, peer}
+		m.inst = inst
 		var all []*Req
 		var detached []*Req // removed from a running batch, owned by no queue
 		nextID := uint64(1)
-		fresh := func(prompt int) *Req {
+		fresh := func(prompt, gen int) *Req {
 			r := req(nextID, prompt, 1+rng.Intn(40))
 			nextID++
+			if gen > 0 {
+				r.PrefillDone = prompt
+				r.SetGenerated(gen)
+			}
+			m.gen[r] = gen
 			all = append(all, r)
 			return r
 		}
@@ -622,36 +860,40 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 			}
 			return x.KV().Has(r.KVID()) || x.KV().Allocate(r.KVID(), r.Ctx()+1) == nil
 		}
-		check := func(step int, op string) {
+		check := func() {
 			t.Helper()
 			for _, x := range inst {
 				for _, r := range all {
-					if got, want := x.contains(r), containsScan(x, r); got != want {
-						t.Fatalf("seed %d step %d (%s): %s.contains(%v) = %v, scan = %v",
-							seed, step, op, x.Name(), r, got, want)
+					if got, want := r.runningOn == x, containsScan(x, r); got != want {
+						t.Fatalf("%s: %v on %s: runningOn %v, scan %v", m.where, r, x.Name(), got, want)
 					}
 				}
+				sum := 0
 				for _, r := range x.running {
 					if r.runningOn != x {
-						t.Fatalf("seed %d step %d (%s): %v in %s.running has runningOn %p",
-							seed, step, op, r, x.Name(), r.runningOn)
+						t.Fatalf("%s: %v in %s.running has runningOn %p", m.where, r, x.Name(), r.runningOn)
 					}
+					sum += r.Ctx()
+				}
+				if got := x.RunningShape().DecodeSumCtx; got != sum {
+					t.Fatalf("%s: %s running context %d, scan %d", m.where, x.Name(), got, sum)
 				}
 			}
+			m.check(all)
 		}
 		for step := 0; step < 3000; step++ {
+			m.where = fmt.Sprintf("seed %d step %d", seed, step)
 			x := inst[rng.Intn(len(inst))]
 			var op string
 			switch k := rng.Intn(100); {
 			case k < 15:
 				op = "enqueue"
-				h.ins.EnqueuePrefill(fresh(16 + rng.Intn(300)))
+				m.do(func() { h.ins.EnqueuePrefill(fresh(16+rng.Intn(300), 0)) })
 			case k < 27:
 				op = "admit"
-				r := fresh(16 + rng.Intn(200))
-				r.PrefillDone, r.Generated = r.W.PromptTokens, 1
+				r := fresh(16+rng.Intn(200), 1)
 				if place(x, r) {
-					x.AdmitDecode(r)
+					m.do(func() { x.AdmitDecode(r) })
 				}
 			case k < 37:
 				op = "insert"
@@ -662,11 +904,13 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 					detached = append(detached[:i], detached[i+1:]...)
 					moves++
 				} else {
-					r = fresh(16 + rng.Intn(200))
-					r.PrefillDone, r.Generated = r.W.PromptTokens, 1
+					r = fresh(16+rng.Intn(200), 1)
 				}
 				if place(x, r) {
-					x.InsertRunning(r)
+					if slices.Contains(m.batch[x], r) {
+						owed++ // back in the batch of the pass in flight
+					}
+					m.do(func() { x.InsertRunning(r) })
 				}
 			case k < 47:
 				op = "remove"
@@ -674,12 +918,21 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 					break
 				}
 				r := all[rng.Intn(len(all))]
+				if n := len(x.running); n > 0 && rng.Intn(4) == 0 {
+					r = x.running[rng.Intn(n)] // often one of a pass in flight
+				}
 				want := containsScan(x, r)
-				if got := x.RemoveRunning(r); got != want {
+				var got bool
+				m.do(func() { got = x.RemoveRunning(r) })
+				if got != want {
 					t.Fatalf("seed %d step %d: RemoveRunning = %v, scan said %v", seed, step, got, want)
 				}
 				if want {
 					detached = append(detached, r)
+					if tok := x.KV().Tokens(r.KVID()); tok != m.tokens[r] {
+						t.Fatalf("seed %d step %d: %v left %s with %d KV tokens, eager rule %d",
+							seed, step, r, x.Name(), tok, m.tokens[r])
+					}
 				}
 			case k < 52:
 				op = "abort"
@@ -691,30 +944,132 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 					break
 				}
 				r.Phase = PhaseAborted
-				for _, o := range inst {
-					o.Abort(r)
-				}
+				m.do(func() {
+					for _, o := range inst {
+						o.Abort(r)
+					}
+				})
 				detached = removeReq(detached, r)
 			case k < 54:
 				op = "crash"
-				x.Crash()
+				m.do(func() { x.Crash() })
+				m.batch[x] = nil // the pass in flight never applies
 				crashes++
 			case k < 57:
 				op = "restore"
-				x.Restore()
+				m.do(x.Restore)
+			case k < 62:
+				op = "migrating"
+				if n := len(x.running); n > 0 {
+					i := rng.Intn(n)
+					if rng.Intn(2) == 0 {
+						x.running[i].Migrating = !x.running[i].Migrating
+						break
+					}
+					// A migrating tail leaves the LIFO rule only victims
+					// ahead of a request that needs a block.
+					for _, r := range x.running[i:] {
+						r.Migrating = true
+					}
+				}
 			default:
 				op = "step"
-				for n := 1 + rng.Intn(20); n > 0 && h.s.Step(); n-- {
+				for n := 1 + rng.Intn(20); n > 0; n-- {
+					more := false
+					m.do(func() { more = h.s.Step() })
+					if !more {
+						break
+					}
 				}
 			}
-			check(step, op)
+			m.where += " (" + op + ")"
+			check()
 		}
 		swaps += int(h.kv.Stats().SwapOutEvents)
-		recomputes += int(h.ins.Recomputes)
+		recomputes += int(h.ins.Recomputes + peer.Recomputes)
+		passed += m.passed
 	}
-	if swaps == 0 || recomputes == 0 || crashes == 0 || moves == 0 {
-		t.Errorf("sequence too tame: %d swap-outs, %d recomputes, %d crashes, %d re-inserts",
-			swaps, recomputes, crashes, moves)
+	if swaps == 0 || recomputes == 0 || crashes == 0 || moves == 0 || owed == 0 || passed == 0 {
+		t.Errorf("sequence too tame: %d swap-outs, %d recomputes, %d crashes, %d re-inserts, %d owed tokens, %d passed victims",
+			swaps, recomputes, crashes, moves, owed, passed)
+	}
+}
+
+// decodeHarness is a decode-only instance on kvTokens of GPU KV whose
+// passes and completions the test can follow.
+func decodeHarness(t *testing.T, kvTokens int) (h *harness, applied *int) {
+	applied = new(int)
+	h = newHarness(t, kvTokens, 1<<20, func(c *Config) { c.AllowPrefill = false },
+		func(h *harness, hk *Hooks) { hk.OnIterationEnd = func() { *applied++ } })
+	return h, applied
+}
+
+// running puts a request that has generated gen tokens into h's running
+// batch with KV for kvTokens.
+func (h *harness) running(t *testing.T, id uint64, prompt, gen, output, kvTokens int) *Req {
+	t.Helper()
+	r := req(id, prompt, output)
+	r.PrefillDone = prompt
+	r.SetGenerated(gen)
+	if err := h.kv.Allocate(r.KVID(), kvTokens); err != nil {
+		t.Fatal(err)
+	}
+	h.ins.InsertRunning(r)
+	return r
+}
+
+// TestReinsertedRequestKeepsItsToken: a request removed and re-inserted
+// on the same instance while a pass is in flight was in the batch when the
+// pass formed and is in it when it applies, so it gains the pass's token
+// at its old position; afterwards it runs at its new place, the end of the
+// batch.
+func TestReinsertedRequestKeepsItsToken(t *testing.T) {
+	h, applied := decodeHarness(t, 1<<20)
+	a := h.running(t, 1, 100, 1, 4, 102)
+	b := h.running(t, 2, 100, 1, 4, 102)
+	for h.ins.Iterations < 1 {
+		h.s.Step()
+	}
+	h.ins.RemoveRunning(a)
+	h.ins.InsertRunning(a)
+	for *applied < 1 {
+		h.s.Step()
+	}
+	if a.Generated() != 2 || b.Generated() != 2 {
+		t.Fatalf("after the pass: a generated %d, b %d; want 2 each", a.Generated(), b.Generated())
+	}
+	h.s.RunAll()
+	if len(h.completed) != 2 || h.completed[0] != 2 || h.completed[1] != 1 {
+		t.Errorf("completion order %v, want [2 1] (batch order after the re-insert)", h.completed)
+	}
+}
+
+// TestVictimPassedByTheVisitKeepsItsToken: a request the pass has already
+// given its token when a later request's grow evicts it keeps the token,
+// and swaps out the KV grown for it. Here the only request the LIFO rule
+// may take is ahead of the request that needs the block: the two behind
+// are migrating.
+func TestVictimPassedByTheVisitKeepsItsToken(t *testing.T) {
+	h, applied := decodeHarness(t, 21*16) // three requests of 7 blocks fill it
+	b := h.running(t, 1, 100, 1, 50, 102)
+	r := h.running(t, 2, 110, 1, 50, 112) // crosses its 7th block on the second pass
+	c := h.running(t, 3, 100, 1, 50, 102)
+	r.Migrating, c.Migrating = true, true
+	for *applied < 2 {
+		h.s.Step()
+	}
+	if b.Phase != PhaseSwapped || b.Generated() != 3 {
+		t.Fatalf("victim %v, want swapped with 3 tokens", b)
+	}
+	if got := h.kv.Stats().SwapOutTokens; got != 103 {
+		t.Errorf("swapped out %d tokens, want 103 (the victim's context with the pass's token)", got)
+	}
+	if r.Generated() != 3 || c.Generated() != 3 || h.ins.NumRunning() != 2 {
+		t.Errorf("after the pass: %v, %v, %d running", r, c, h.ins.NumRunning())
+	}
+	// The victim's context leaves the running sum as the sum counted it.
+	if got, want := h.ins.RunningShape().DecodeSumCtx, r.Ctx()+c.Ctx(); got != want {
+		t.Errorf("running context %d, scan %d", got, want)
 	}
 }
 
@@ -731,7 +1086,8 @@ func TestGrowHandleFollowsTheRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := req(1, 100, 1000)
-	r.PrefillDone, r.Generated = 100, 1
+	r.PrefillDone = 100
+	r.SetGenerated(1)
 	hop := func(from, to *Instance, keep bool) {
 		t.Helper()
 		if from != nil {
@@ -746,21 +1102,23 @@ func TestGrowHandleFollowsTheRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		to.InsertRunning(r)
-		start := r.Generated
+		start := r.Generated()
 		for i := 0; i < 5; i++ {
 			for want := to.Iterations + 1; to.Iterations < want; {
 				if !h.s.Step() {
 					t.Fatalf("%s went idle", to.Name())
 				}
 			}
-			// A pass counts when it starts and grows KV when it applies.
-			if tok := to.KV().Tokens(r.KVID()); !to.contains(r) || tok < r.Ctx() || tok > r.Ctx()+1 {
-				t.Fatalf("on %s: running %v, KV tokens %d, context %d (evictions %d)",
-					to.Name(), to.contains(r), tok, r.Ctx(), r.Evictions)
+			// The held blocks cover the context and are never more than
+			// the next token needs; the token count grows lazily.
+			kv := to.KV()
+			if got := heldBlocks(to, r); r.runningOn != to || got < kv.BlocksFor(r.Ctx()) || got > kv.BlocksFor(r.Ctx()+1) {
+				t.Fatalf("on %s: running %v, %d KV blocks, context %d (evictions %d)",
+					to.Name(), r.runningOn == to, got, r.Ctx(), r.Evictions)
 			}
 		}
-		if r.Generated < start+4 {
-			t.Fatalf("on %s: generated %d tokens over 5 passes", to.Name(), r.Generated-start)
+		if r.Generated() < start+4 {
+			t.Fatalf("on %s: generated %d tokens over 5 passes", to.Name(), r.Generated()-start)
 		}
 	}
 	hop(nil, h.ins, false)
@@ -772,14 +1130,22 @@ func TestGrowHandleFollowsTheRequest(t *testing.T) {
 // BenchmarkDecodePass measures one steady decode pass: 64 running
 // requests on a decode-only instance, none close to finishing. CI gates
 // it at 0 allocs/op: the pass plan and events are recycled, the roofline
-// keeps no state, and each request grows its KV through its cached
-// allocation handle.
-func BenchmarkDecodePass(b *testing.B) {
+// keeps no state, and a pass visits only the requests whose next token
+// crosses a KV block, growing each through its cached allocation handle.
+func BenchmarkDecodePass(b *testing.B) { benchDecodePass(b, 64) }
+
+// BenchmarkDecodePassWide is BenchmarkDecodePass with 512 running
+// requests, where a pass that visited every request would cost eight
+// times as much.
+func BenchmarkDecodePassWide(b *testing.B) { benchDecodePass(b, 512) }
+
+func benchDecodePass(b *testing.B, running int) {
 	h := newHarness(b, 1<<30, 0, func(c *Config) { c.AllowPrefill = false },
 		func(_ *harness, hk *Hooks) { *hk = Hooks{} })
-	for i := 1; i <= 64; i++ {
+	for i := 1; i <= running; i++ {
 		r := req(uint64(i), 512, 1<<30)
-		r.PrefillDone, r.Generated = 512, 2
+		r.PrefillDone = 512
+		r.SetGenerated(2)
 		if err := h.kv.Allocate(r.KVID(), r.Ctx()+1); err != nil {
 			b.Fatal(err)
 		}
@@ -790,8 +1156,8 @@ func BenchmarkDecodePass(b *testing.B) {
 			h.s.Step()
 		}
 	}
-	for i := 0; i < 16; i++ {
-		pass() // fill the plan and event free lists
+	for i := 0; i < 64; i++ {
+		pass() // fill the plan, event and due-list free lists
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

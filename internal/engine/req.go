@@ -69,8 +69,6 @@ type Req struct {
 	// PrefillDone counts prompt tokens already prefilled (chunked prefill
 	// advances this across iterations).
 	PrefillDone int
-	// Generated counts output tokens produced; prefill produces the first.
-	Generated int
 
 	// Assist marks a prefill dispatched to the decode instance
 	// (WindServe's Dynamic Prefill Dispatch).
@@ -90,7 +88,13 @@ type Req struct {
 	// Evictions counts preemptions (swap-outs and recompute evictions).
 	Evictions int
 
-	// inPass marks the request as selected into a forward pass that has
+	// gen is the stored output-token count (prefill produces the first).
+	// While the request runs, Generated adds the decode passes its
+	// instance has applied to it since (see Instance.gained), so a decode
+	// pass need not visit every request to count its token.
+	gen int
+
+	// inPass marks the request as selected into a prefill pass that has
 	// not yet applied — pipelined prefill passes overlap, and a request
 	// must never be in two passes at once.
 	inPass bool
@@ -98,6 +102,19 @@ type Req struct {
 	// when it is in none. Every push onto a running batch sets it and every
 	// removal clears it, so membership is one pointer compare.
 	runningOn *Instance
+	// mark is runningOn's applied-pass count that gen is relative to.
+	mark int
+	// seq orders the request in its running batch. key is its position in
+	// the decode pass in flight: seq, or the old seq of a request removed
+	// and re-inserted while that pass was in flight, which keeps the
+	// pass's token at its old position.
+	seq, key int
+	// due is the decode pass at which the instance next visits the request:
+	// it finishes then, or its next token crosses the KV blocks it holds.
+	due int
+	// fresh marks a request the instance has not visited since it joined
+	// the batch; its KV token count is still the one it joined with.
+	fresh bool
 	// kv is the handle to the KV allocation this request last grew,
 	// re-resolved only when it is dead or on another instance's manager
 	// (migration, release, crash, re-allocation).
@@ -110,8 +127,25 @@ func NewReq(w workload.Request) *Req { return &Req{W: w} }
 // KVID is the request's key in KV managers.
 func (r *Req) KVID() kvcache.RequestID { return kvcache.RequestID(r.W.ID) }
 
+// Generated counts output tokens produced; prefill produces the first.
+func (r *Req) Generated() int {
+	if ins := r.runningOn; ins != nil {
+		return r.gen + ins.gained(r)
+	}
+	return r.gen
+}
+
+// SetGenerated sets the output-token count of a request in no running
+// batch (a fresh request, or a recovered one rolled back to its backup).
+func (r *Req) SetGenerated(n int) {
+	if r.runningOn != nil {
+		panic(fmt.Sprintf("engine: set the token count of %v while it runs on %s", r, r.runningOn.cfg.Name))
+	}
+	r.gen = n
+}
+
 // Ctx is the current context length (prompt plus generated tokens).
-func (r *Req) Ctx() int { return r.W.PromptTokens + r.Generated }
+func (r *Req) Ctx() int { return r.W.PromptTokens + r.Generated() }
 
 // PrefillComplete reports whether the whole prompt has been prefilled.
 func (r *Req) PrefillComplete() bool { return r.PrefillDone >= r.W.PromptTokens }
@@ -125,14 +159,15 @@ func (r *Req) PrefillRemaining() int { return r.W.PromptTokens - r.PrefillDone }
 // The request then re-prefills from scratch. Recompute eviction is not a
 // restart: it keeps Generated and resets only the prefill progress.
 func (r *Req) Restart() {
-	r.PrefillDone, r.PrefixHit, r.Generated, r.BackupTokens = 0, 0, 0, 0
+	r.SetGenerated(0)
+	r.PrefillDone, r.PrefixHit, r.BackupTokens = 0, 0, 0
 	r.Assist, r.Migrating = false, false
 }
 
 // Finished reports whether all output tokens have been generated.
-func (r *Req) Finished() bool { return r.Generated >= r.W.OutputTokens }
+func (r *Req) Finished() bool { return r.Generated() >= r.W.OutputTokens }
 
 func (r *Req) String() string {
 	return fmt.Sprintf("req%d[%s %d/%d prompt, %d/%d out]",
-		r.W.ID, r.Phase, r.PrefillDone, r.W.PromptTokens, r.Generated, r.W.OutputTokens)
+		r.W.ID, r.Phase, r.PrefillDone, r.W.PromptTokens, r.Generated(), r.W.OutputTokens)
 }

@@ -105,11 +105,11 @@ func (ra *replicaActor) handle(m msg) {
 			return
 		}
 		ra.send(msg{kind: mEvictReply, id: m.id, seq: m.seq, ok: true,
-			a: q.PrefillDone + q.Generated, b: q.Generated})
+			a: q.PrefillDone + q.Generated(), b: q.Generated()})
 	case mCrash:
 		for _, q := range ra.rp.Crash() { // orphans in ID order
 			ra.send(msg{kind: mOrphan, id: q.W.ID,
-				a: q.PrefillDone + q.Generated, b: q.Generated})
+				a: q.PrefillDone + q.Generated(), b: q.Generated()})
 		}
 	case mRestore:
 		ra.rp.Restore()

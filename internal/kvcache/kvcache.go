@@ -287,6 +287,10 @@ func (m *Manager) Alloc(id RequestID) *Alloc { return m.tables[id] }
 // one.
 func (t *Alloc) LiveOn(m *Manager) bool { return t != nil && t.m == m && !t.dead }
 
+// Cap is the token capacity of the blocks the allocation holds, shared
+// prefix blocks included: a Grow to at most Cap takes no new block.
+func (t *Alloc) Cap() int { return (t.shared + t.blocks) * t.m.blockSize }
+
 // Grow is Manager.Grow through the handle; a nil or dead handle reports
 // ErrUnknownRequest.
 func (t *Alloc) Grow(newTokens int) error {
@@ -302,7 +306,7 @@ func (t *Alloc) Grow(newTokens int) error {
 	m := t.m
 	// Held blocks always equal BlocksFor(tokens), so a grow that still
 	// fits them needs no blocks and cannot move the peak.
-	if newTokens <= (t.shared+t.blocks)*m.blockSize {
+	if newTokens <= t.Cap() {
 		t.tokens = newTokens
 		return nil
 	}

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sort"
-
 	"windserve/internal/engine"
 	"windserve/internal/sim"
 )
@@ -133,32 +131,50 @@ func (p ReschedulePolicy) ShouldTrigger(freeFrac float64) bool {
 // longest contexts go first (the paper migrates long sequences to free
 // the most blocks and reduce repeat migrations — the opposite of Llumnix,
 // §3.3); PreferShortVictims flips the order for comparison. Requests
-// already migrating are skipped. Enough victims are returned to free at
-// least needTokens of context.
+// already migrating are skipped, and ties go in batch order. Enough
+// victims, at most maxVictims, are returned to free at least needTokens
+// of context.
 func (p ReschedulePolicy) PickVictims(running []*engine.Req, needTokens, maxVictims int) []*engine.Req {
-	cands := make([]*engine.Req, 0, len(running))
+	if maxVictims <= 0 {
+		return nil
+	}
+	// One pass keeps the best maxVictims in victim order.
+	best := make([]*engine.Req, 0, min(maxVictims, len(running)))
 	for _, r := range running {
 		if r.Migrating || r.Phase != engine.PhaseDecoding {
 			continue
 		}
-		cands = append(cands, r)
+		ctx := r.Ctx()
+		i := len(best)
+		for i > 0 && p.migratesFirst(ctx, best[i-1].Ctx()) {
+			i--
+		}
+		if i == maxVictims {
+			continue
+		}
+		if len(best) < maxVictims {
+			best = append(best, nil)
+		}
+		copy(best[i+1:], best[i:len(best)-1])
+		best[i] = r
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if p.PreferShortVictims {
-			return cands[i].Ctx() < cands[j].Ctx()
-		}
-		return cands[i].Ctx() > cands[j].Ctx()
-	})
-	var out []*engine.Req
 	freed := 0
-	for _, r := range cands {
-		if freed >= needTokens || len(out) >= maxVictims {
-			break
+	for k, r := range best {
+		if freed >= needTokens {
+			return best[:k]
 		}
-		out = append(out, r)
 		freed += r.Ctx()
 	}
-	return out
+	return best
+}
+
+// migratesFirst reports whether a context of a tokens goes before one of
+// b tokens.
+func (p ReschedulePolicy) migratesFirst(a, b int) bool {
+	if p.PreferShortVictims {
+		return a < b
+	}
+	return a > b
 }
 
 // BackupPolicy parameterizes proactive KV backups (§3.3): when the
@@ -187,14 +203,15 @@ func (p BackupPolicy) ShouldBackup(decodeFreeFrac, prefillFreeFrac float64) bool
 }
 
 // PickBackupCandidate returns the longest running request above the
-// length floor that has no backup yet and is not migrating, or nil.
-func (p BackupPolicy) PickBackupCandidate(running []*engine.Req) *engine.Req {
+// length floor that has no backup yet, is not migrating and has no backup
+// copy in flight (inFlight, by request ID), or nil.
+func (p BackupPolicy) PickBackupCandidate(running []*engine.Req, inFlight map[uint64]bool) *engine.Req {
 	var best *engine.Req
 	for _, r := range running {
 		if r.Migrating || r.BackupTokens > 0 || r.Ctx() < p.MinContextTokens {
 			continue
 		}
-		if best == nil || r.Ctx() > best.Ctx() {
+		if (best == nil || r.Ctx() > best.Ctx()) && !inFlight[r.W.ID] {
 			best = r
 		}
 	}

@@ -2,6 +2,9 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -222,7 +225,7 @@ func TestReschedulePolicyTrigger(t *testing.T) {
 func mkReq(id uint64, prompt, generated int) *engine.Req {
 	r := engine.NewReq(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: 1000})
 	r.PrefillDone = prompt
-	r.Generated = generated
+	r.SetGenerated(generated)
 	r.Phase = engine.PhaseDecoding
 	return r
 }
@@ -276,6 +279,59 @@ func TestPickVictimsShortestFirst(t *testing.T) {
 	}
 }
 
+// pickVictimsSorted is the stable-sort selection PickVictims replaced,
+// kept as the reference TestPickVictimsMatchesStableSort checks against.
+func pickVictimsSorted(p ReschedulePolicy, running []*engine.Req, needTokens, maxVictims int) []*engine.Req {
+	var cands []*engine.Req
+	for _, r := range running {
+		if !r.Migrating && r.Phase == engine.PhaseDecoding {
+			cands = append(cands, r)
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		if p.PreferShortVictims {
+			return cands[i].Ctx() < cands[j].Ctx()
+		}
+		return cands[i].Ctx() > cands[j].Ctx()
+	})
+	var out []*engine.Req
+	freed := 0
+	for _, r := range cands {
+		if freed >= needTokens || len(out) >= maxVictims {
+			break
+		}
+		out = append(out, r)
+		freed += r.Ctx()
+	}
+	return out
+}
+
+// TestPickVictimsMatchesStableSort checks the one-pass selection against
+// the stable sort over random batches full of equal contexts, migrating
+// and swapped requests, in both victim orders.
+func TestPickVictimsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 5000; iter++ {
+		p := DefaultReschedulePolicy()
+		p.PreferShortVictims = iter%2 == 1
+		running := make([]*engine.Req, rng.Intn(12))
+		for i := range running {
+			r := mkReq(uint64(i+1), 100*(1+rng.Intn(4)), rng.Intn(3)) // few distinct contexts
+			r.Migrating = rng.Intn(5) == 0
+			if rng.Intn(6) == 0 {
+				r.Phase = engine.PhaseSwapped
+			}
+			running[i] = r
+		}
+		need, maxVictims := rng.Intn(1000)-50, rng.Intn(5)
+		got, want := p.PickVictims(running, need, maxVictims), pickVictimsSorted(p, running, need, maxVictims)
+		if !slices.Equal(got, want) {
+			t.Fatalf("iter %d (short first %v, need %d, max %d): got %v, want %v",
+				iter, p.PreferShortVictims, need, maxVictims, got, want)
+		}
+	}
+}
+
 func TestBackupPolicy(t *testing.T) {
 	p := DefaultBackupPolicy()
 	if !p.ShouldBackup(0.2, 0.8) {
@@ -291,11 +347,16 @@ func TestBackupPolicy(t *testing.T) {
 	short := mkReq(2, 100, 10)
 	backed := mkReq(3, 1900, 10)
 	backed.BackupTokens = 1900
-	got := p.PickBackupCandidate([]*engine.Req{short, long, backed})
+	got := p.PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
 	if got != long {
 		t.Fatalf("candidate = %v, want the long unbacked request", got)
 	}
-	if p.PickBackupCandidate([]*engine.Req{short}) != nil {
+	if p.PickBackupCandidate([]*engine.Req{short}, nil) != nil {
 		t.Error("short requests should not be backed up")
+	}
+	// A copy in flight rules the longest out; the next longest wins.
+	mid := mkReq(4, 1000, 10)
+	if got := p.PickBackupCandidate([]*engine.Req{mid, long}, map[uint64]bool{1: true}); got != mid {
+		t.Errorf("candidate = %v, want the next longest with no copy in flight", got)
 	}
 }

@@ -137,7 +137,7 @@ func (r *runner) abortReq(id uint64) {
 		return
 	}
 	delete(r.live, id)
-	r.led.Abort(id, r.s.Now(), q.Generated)
+	r.led.Abort(id, r.s.Now(), q.Generated())
 	r.aborted++
 	q.Phase = engine.PhaseAborted
 	if r.onAbort != nil {

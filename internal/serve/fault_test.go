@@ -258,7 +258,8 @@ func TestSlowdownHurtsLatency(t *testing.T) {
 func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 	w := newWindStateForTest(t)
 	q := engine.NewReq(workload.Request{ID: 5, PromptTokens: 1000, OutputTokens: 300})
-	q.PrefillDone, q.Generated = 1000, 200
+	q.PrefillDone = 1000
+	q.SetGenerated(200)
 	q.Phase = engine.PhaseDecoding
 	w.r.live[q.W.ID] = q
 	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
@@ -272,8 +273,8 @@ func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 	if !pkv.Has(q.KVID()) || pkv.IsBackup(q.KVID()) {
 		t.Fatal("backup was not promoted to a working copy")
 	}
-	if q.Generated != 100 {
-		t.Errorf("generation not rolled back to the snapshot: %d, want 100", q.Generated)
+	if q.Generated() != 100 {
+		t.Errorf("generation not rolled back to the snapshot: %d, want 100", q.Generated())
 	}
 	if q.BackupTokens != 0 || len(w.backupAt) != 0 {
 		t.Error("backup bookkeeping not cleared")
@@ -291,13 +292,14 @@ func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 func TestRecoverDecodeOrphanScratch(t *testing.T) {
 	w := newWindStateForTest(t)
 	q := engine.NewReq(workload.Request{ID: 6, PromptTokens: 800, OutputTokens: 100})
-	q.PrefillDone, q.Generated = 800, 40
+	q.PrefillDone = 800
+	q.SetGenerated(40)
 	q.Phase = engine.PhaseDecoding
 	w.r.live[q.W.ID] = q
 	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
 	w.recoverDecodeOrphan(q)
-	if q.Generated != 0 || q.PrefillDone != 0 {
-		t.Errorf("scratch recovery kept progress: prefill=%d generated=%d", q.PrefillDone, q.Generated)
+	if q.Generated() != 0 || q.PrefillDone != 0 {
+		t.Errorf("scratch recovery kept progress: prefill=%d generated=%d", q.PrefillDone, q.Generated())
 	}
 	queued := 0
 	for _, ins := range w.d.prefills {
@@ -454,7 +456,7 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 		d.prefillRR(q)
 		for q.Phase != engine.PhaseTransferring && r.s.Step() {
 		}
-		if q.Phase != engine.PhaseTransferring || q.Generated != 1 {
+		if q.Phase != engine.PhaseTransferring || q.Generated() != 1 {
 			t.Fatalf("req%d: not parked prefilled in transferPending: %v", id, q)
 		}
 		orphans = append(orphans, q)
@@ -468,9 +470,9 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 		t.Fatalf("%d orphans left in transferPending after the crash", len(d.transferPending))
 	}
 	for _, q := range orphans {
-		if q.Generated != 0 || q.PrefixHit != 0 || q.PrefillDone != 0 || q.BackupTokens != 0 {
+		if q.Generated() != 0 || q.PrefixHit != 0 || q.PrefillDone != 0 || q.BackupTokens != 0 {
 			t.Errorf("req%d re-prefills with stale progress: generated=%d prefixHit=%d prefillDone=%d backup=%d",
-				q.W.ID, q.Generated, q.PrefixHit, q.PrefillDone, q.BackupTokens)
+				q.W.ID, q.Generated(), q.PrefixHit, q.PrefillDone, q.BackupTokens)
 		}
 		if q.Phase != engine.PhaseWaiting || !r.recovered[q.W.ID] {
 			t.Errorf("req%d not requeued as a recovered prefill: %v, recovered=%v", q.W.ID, q, r.recovered[q.W.ID])

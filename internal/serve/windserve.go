@@ -561,18 +561,7 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	if !pol.ShouldBackup(decodeFreeFrac, prefillFree) {
 		return
 	}
-	var cand *engine.Req
-	for _, q := range w.d.decodes[j].Running() {
-		if w.backupInFlight[q.W.ID] {
-			continue
-		}
-		if q.Migrating || q.BackupTokens > 0 || q.Ctx() < pol.MinContextTokens {
-			continue
-		}
-		if cand == nil || q.Ctx() > cand.Ctx() {
-			cand = q
-		}
-	}
+	cand := pol.PickBackupCandidate(w.d.decodes[j].Running(), w.backupInFlight)
 	if cand == nil {
 		return
 	}
@@ -729,8 +718,8 @@ func (w *windState) recoverDecodeOrphan(q *engine.Req) {
 			}
 			snap := q.BackupTokens
 			q.BackupTokens = 0
-			if gen := snap - q.W.PromptTokens; gen >= 1 && gen < q.Generated {
-				q.Generated = gen
+			if gen := snap - q.W.PromptTokens; gen >= 1 && gen < q.Generated() {
+				q.SetGenerated(gen)
 			}
 			w.d.prefillAt[id] = bi
 			w.r.markRecovered(q)

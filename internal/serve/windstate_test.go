@@ -38,7 +38,8 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 	for _, phase := range []engine.Phase{engine.PhaseDone, engine.PhaseSwapped, engine.PhaseWaiting} {
 		w := newWindStateForTest(t)
 		q := engine.NewReq(workload.Request{ID: 7, PromptTokens: 500, OutputTokens: 50})
-		q.PrefillDone, q.Generated = 500, 10
+		q.PrefillDone = 500
+		q.SetGenerated(10)
 		q.Migrating = true
 		q.Phase = phase
 		pkv := w.d.prefills[0].KV()
@@ -65,7 +66,8 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 func TestAbortMigrationNotTakenWhileDecoding(t *testing.T) {
 	w := newWindStateForTest(t)
 	q := engine.NewReq(workload.Request{ID: 8, PromptTokens: 500, OutputTokens: 50})
-	q.PrefillDone, q.Generated = 500, 10
+	q.PrefillDone = 500
+	q.SetGenerated(10)
 	q.Phase = engine.PhaseDecoding
 	m := &migration{q: q, src: 0, dst: 0}
 	w.migrations[q.W.ID] = m
@@ -85,7 +87,8 @@ func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := engine.NewReq(workload.Request{ID: 9, PromptTokens: 1000, OutputTokens: 50})
-	q.PrefillDone, q.Generated = 1000, 5
+	q.PrefillDone = 1000
+	q.SetGenerated(5)
 	q.Phase = engine.PhaseDecoding
 	w.startMigration(q, 0, 0.05)
 	if q.Migrating || len(w.migrations) != 0 || w.rescheduled != 0 {
@@ -96,7 +99,8 @@ func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
 func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	w := newWindStateForTest(t)
 	q := engine.NewReq(workload.Request{ID: 10, PromptTokens: 1000, OutputTokens: 200})
-	q.PrefillDone, q.Generated = 1000, 100
+	q.PrefillDone = 1000
+	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
 	// The engine will decode it to completion and report to the recorder.
 	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
@@ -149,7 +153,8 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	w := newWindStateForTest(t)
 	q := engine.NewReq(workload.Request{ID: 11, PromptTokens: 4000, OutputTokens: 200})
-	q.PrefillDone, q.Generated = 4000, 100
+	q.PrefillDone = 4000
+	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
 	w.startMigration(q, 0, 0.05) // dirty span ≫ drain threshold → copy round in flight
 	if !q.Migrating {
@@ -180,7 +185,8 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 	w := newWindStateForTest(t)
 	q := engine.NewReq(workload.Request{ID: 12, PromptTokens: 1000, OutputTokens: 200})
-	q.PrefillDone, q.Generated = 1000, 100
+	q.PrefillDone = 1000
+	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
 	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
 	w.r.rec.PrefillStart(q.W.ID, 0)
