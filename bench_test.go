@@ -87,7 +87,7 @@ func BenchmarkFig5(b *testing.B) {
 
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.ExpFig7(io.Discard); err != nil {
+		if _, _, err := bench.ExpFig7(benchOpts(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkFig7(b *testing.B) {
 
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.ExpFig8(io.Discard); err != nil {
+		if _, err := bench.ExpFig8(benchOpts(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkFig8(b *testing.B) {
 
 func BenchmarkProfiler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.ExpProfiler(io.Discard); err != nil {
+		if _, err := bench.ExpProfiler(benchOpts(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

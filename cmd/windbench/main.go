@@ -22,7 +22,6 @@ import (
 	"windserve/internal/bench"
 	"windserve/internal/fault"
 	"windserve/internal/obs"
-	"windserve/internal/par"
 )
 
 // main delegates to run so deferred profile writers fire before exit.
@@ -70,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	par.SetDefault(*parallel)
 	o := bench.Options{Requests: *n, Seed: *seed, Parallel: *parallel,
 		Stream: *stream, MaxRecords: *maxRecords}
 	// ext-fleet-chaos defaults to a hundred thousand requests, and the
@@ -163,10 +161,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"fig2":     func(w io.Writer) error { _, err := bench.ExpFig2(o, w); return err },
 		"fig3":     func(w io.Writer) error { _, err := bench.ExpFig3(o, w); return err },
 		"fig5":     func(w io.Writer) error { _, err := bench.ExpFig5(o, w); return err },
-		"fig7":     func(w io.Writer) error { _, _, err := bench.ExpFig7(w); return err },
-		"fig8":     func(w io.Writer) error { _, err := bench.ExpFig8(w); return err },
+		"fig7":     func(w io.Writer) error { _, _, err := bench.ExpFig7(o, w); return err },
+		"fig8":     func(w io.Writer) error { _, err := bench.ExpFig8(o, w); return err },
 		"fig9":     bench.ExpFig9,
-		"profiler": func(w io.Writer) error { _, err := bench.ExpProfiler(w); return err },
+		"profiler": func(w io.Writer) error { _, err := bench.ExpProfiler(o, w); return err },
 		"fig10": func(w io.Writer) error {
 			rows, err := bench.ExpFig10(o, w)
 			if err != nil {

@@ -27,8 +27,8 @@ type Options struct {
 	// Seed fixes the workload RNG.
 	Seed int64
 	// Parallel bounds how many independent simulation runs an exhibit
-	// executes concurrently; <= 0 means par.Default() (GOMAXPROCS unless
-	// overridden by windbench -parallel). Every run owns its simulator,
+	// executes concurrently; <= 0 means GOMAXPROCS (windbench -parallel).
+	// Every run owns its simulator,
 	// RNG, and recorder, and rows are collected in submission order, so
 	// output is byte-identical at any setting.
 	Parallel int

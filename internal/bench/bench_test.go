@@ -149,7 +149,7 @@ func TestExpFig5Shape(t *testing.T) {
 
 func TestExpFig7Timelines(t *testing.T) {
 	var sb strings.Builder
-	chunked, sbd, err := ExpFig7(&sb)
+	chunked, sbd, err := ExpFig7(DefaultOptions(), &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestExpFig7Timelines(t *testing.T) {
 }
 
 func TestExpFig8Shape(t *testing.T) {
-	rows, err := ExpFig8(io.Discard)
+	rows, err := ExpFig8(DefaultOptions(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestExpFig8Shape(t *testing.T) {
 }
 
 func TestExpProfilerFidelity(t *testing.T) {
-	rows, err := ExpProfiler(io.Discard)
+	rows, err := ExpProfiler(DefaultOptions(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

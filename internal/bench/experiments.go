@@ -290,7 +290,7 @@ func ExpFig5(o Options, w io.Writer) ([]Fig5Row, error) {
 // three decoding requests joined by one long prefill — executed with
 // chunked prefill (hybrid batches) and with stream-based disaggregation.
 // Returns the rendered Gantt charts (chunked, SBD).
-func ExpFig7(w io.Writer) (string, string, error) {
+func ExpFig7(o Options, w io.Writer) (string, string, error) {
 	mk := func(sbd bool) (string, error) {
 		s := sim.New()
 		cm := perf.MustNew(model.OPT13B, gpu.A800, perf.Placement{TP: 2, PP: 1}, gpu.NVLinkBridge, perf.DefaultParams())
@@ -335,7 +335,7 @@ func ExpFig7(w io.Writer) (string, string, error) {
 		_ = from
 		return tr.Gantt(0, to, 96), nil
 	}
-	charts, err := par.Run(par.NewPool(0), 2, func(i int) (string, error) {
+	charts, err := par.Run(o.pool(), 2, func(i int) (string, error) {
 		return mk(i == 1)
 	})
 	if err != nil {
@@ -367,7 +367,7 @@ type Fig8Row struct {
 // with growing prefill sizes. Chunked prefill bounds the decode pass but
 // stretches the prefill across many passes (the paper's LLaMA2-70B
 // example: ~2× the SBD prefill time); SBD keeps both near isolated cost.
-func ExpFig8(w io.Writer) ([]Fig8Row, error) {
+func ExpFig8(o Options, w io.Writer) ([]Fig8Row, error) {
 	cases := []struct {
 		cfg   model.Config
 		place perf.Placement
@@ -377,7 +377,7 @@ func ExpFig8(w io.Writer) ([]Fig8Row, error) {
 		{model.LLaMA270B, perf.Placement{TP: 2, PP: 2}},
 	}
 	const chunkSize = 512
-	perModel, err := par.Run(par.NewPool(0), len(cases), func(ci int) ([]Fig8Row, error) {
+	perModel, err := par.Run(o.pool(), len(cases), func(ci int) ([]Fig8Row, error) {
 		c := cases[ci]
 		cm := perf.MustNew(c.cfg, gpu.A800, c.place, gpu.NVLinkBridge, perf.DefaultParams())
 		ctx := 2048
@@ -457,7 +457,7 @@ type ProfilerRow struct {
 // regression coefficients of eqs. (1)–(2), their R², and the worst-case
 // prediction error against the engine on shapes outside the sampling
 // grid — the quantity Algorithm 1's threshold comparison depends on.
-func ExpProfiler(w io.Writer) ([]ProfilerRow, error) {
+func ExpProfiler(o Options, w io.Writer) ([]ProfilerRow, error) {
 	cases := []struct {
 		cfg   model.Config
 		place perf.Placement
@@ -467,7 +467,7 @@ func ExpProfiler(w io.Writer) ([]ProfilerRow, error) {
 		{model.LLaMA213B, perf.Placement{TP: 2, PP: 1}},
 		{model.LLaMA270B, perf.Placement{TP: 2, PP: 2}},
 	}
-	rows, err := par.Run(par.NewPool(0), len(cases), func(ci int) (ProfilerRow, error) {
+	rows, err := par.Run(o.pool(), len(cases), func(ci int) (ProfilerRow, error) {
 		c := cases[ci]
 		cm := perf.MustNew(c.cfg, gpu.A800, c.place, gpu.NVLinkBridge, perf.DefaultParams())
 		prof, err := sched.Profile(cm)

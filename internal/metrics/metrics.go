@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"windserve/internal/sim"
+	"windserve/internal/stats"
 )
 
 // SLO is a service level objective pair (paper Table 4).
@@ -407,26 +408,14 @@ func Summarize(records []*Record, slo SLO) Summary {
 	return s
 }
 
-// pct interpolates a percentile on pre-sorted data. An empty class is 0,
-// not NaN — NaN poisons downstream CSV parsing and comparisons the first
-// time a fault plan empties a class (e.g. zero aborted requests).
+// pct is stats.PercentileSorted, except that an empty class is 0, not
+// NaN — NaN poisons downstream CSV parsing and comparisons the first time
+// a fault plan empties a class (e.g. zero aborted requests).
 func pct(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return stats.PercentileSorted(sorted, p)
 }
 
 // WriteRecordsCSV emits one line per completed request — the raw material

@@ -15,27 +15,6 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers overrides the pool size used by NewPool(0); zero means
-// "use GOMAXPROCS". Set from the windbench -parallel flag.
-var defaultWorkers atomic.Int64
-
-// SetDefault sets the worker count NewPool(0) and Default() use.
-// n <= 0 restores the GOMAXPROCS default.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// Default returns the current default worker count.
-func Default() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Pool is a bounded fan-out executor. The zero value is not usable; call
 // NewPool. A Pool is stateless between calls and safe for concurrent use.
 type Pool struct {
@@ -43,10 +22,10 @@ type Pool struct {
 }
 
 // NewPool returns a pool running at most n tasks concurrently.
-// n <= 0 means Default() (GOMAXPROCS unless overridden by SetDefault).
+// n <= 0 means GOMAXPROCS.
 func NewPool(n int) *Pool {
 	if n <= 0 {
-		n = Default()
+		n = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{workers: n}
 }

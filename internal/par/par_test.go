@@ -107,17 +107,10 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
-func TestSetDefault(t *testing.T) {
-	defer SetDefault(0)
-	SetDefault(7)
-	if got := Default(); got != 7 {
-		t.Fatalf("Default() = %d after SetDefault(7)", got)
-	}
-	if got := NewPool(0).Workers(); got != 7 {
-		t.Fatalf("NewPool(0).Workers() = %d after SetDefault(7)", got)
-	}
-	SetDefault(0)
-	if got := Default(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Default() = %d after reset, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if got := NewPool(n).Workers(); got != runtime.GOMAXPROCS(0) {
+			t.Fatalf("NewPool(%d).Workers() = %d, want GOMAXPROCS %d", n, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }

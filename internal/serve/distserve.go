@@ -82,12 +82,9 @@ type pd struct {
 	// decodeAt decode-space indices.
 	flipped []bool
 
-	// migrating tracks decode streams mid-flight between acting decodes
-	// (a role flip draining its batch). The pointer identity check
-	// against the stored request guards the transfer callback: a crash
-	// or abort that scrubbed and re-admitted the same ID leaves a stale
-	// callback that must not touch the new incarnation.
-	migrating map[uint64]*flipMigration
+	// migrating holds every live migration of a running request (see
+	// migration.go), WindServe's and a flip's alike.
+	migrating map[uint64]*migration
 
 	// prefillAt and decodeAt remember each request's instances, so
 	// transfers pick the right link and releases hit the right manager.
@@ -102,12 +99,6 @@ type pd struct {
 	// stats
 	asyncXfers int
 	flips      int
-}
-
-// flipMigration is one decode stream's flight record between acting decodes.
-type flipMigration struct {
-	q        *engine.Req
-	src, dst int // decode-space indices
 }
 
 // pdHooks lets WindServe inject policy into the shared wiring, and a
@@ -136,10 +127,9 @@ type pdHooks struct {
 	// bytes and wall time including link queuing) — the Profiler's
 	// transfer-rate feedback.
 	onTransfer func(bytes float64, elapsed sim.Duration)
-	// crash overrides recovery after physical instance k crashes
-	// (WindServe's backup-aware path); it takes the instance down through
-	// crashOrphans. Nil re-prefills every orphan from scratch.
-	crash func(k int)
+	// crash recovers the live orphans of crashed physical instance k
+	// (WindServe's backup-aware path). Nil re-prefills each from scratch.
+	crash func(k int, orphans []*engine.Req)
 	// decodeSBD enables the second stream on decode instances.
 	decodeSBD bool
 	// decodeAllowPrefill lets decode instances run prefill in their main
@@ -163,12 +153,12 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 
 	d := &pd{
 		r: r, cfg: cfg, ph: ph,
+		migrating: make(map[uint64]*migration),
 		prefillAt: make(map[uint64]int),
 		decodeAt:  make(map[uint64]int),
 	}
 	if ph.elastic {
 		d.flipped = make([]bool, len(asg))
-		d.migrating = make(map[uint64]*flipMigration)
 	}
 	px := ph.prefix
 	// home names physical instance k by role and home index: p0, d1, ...
@@ -346,10 +336,6 @@ func (d *pd) pdLink(i, j int) *xfer.Link { return d.link[i][d.dPhys(j)] }
 // dpLink returns the link from decode-space j to prefill-space i
 // (migrations and backups); nil on the same physical instance.
 func (d *pd) dpLink(j, i int) *xfer.Link { return d.link[d.dPhys(j)][i] }
-
-// ddLink returns the link between two decode-space indices (stream
-// migration); nil on the same physical instance.
-func (d *pd) ddLink(j, j2 int) *xfer.Link { return d.link[d.dPhys(j)][d.dPhys(j2)] }
 
 // prefillRR enqueues a request on the next live acting-prefill instance
 // round-robin. With every instance down the request parks on the
@@ -550,8 +536,9 @@ func (d *pd) queueDepth() int {
 }
 
 // abort scrubs a terminated request (Phase already PhaseAborted) from the
-// cluster: both owning instances and the transfer queue. KV held on a
-// link-transfer in flight is released by that transfer's own callback.
+// cluster: both owning instances, its migration and the transfer queue.
+// KV held on a post-prefill transfer in flight is released by that
+// transfer's own callback.
 func (d *pd) abort(q *engine.Req) {
 	if i, ok := d.prefillAt[q.W.ID]; ok {
 		d.pIns(i).Abort(q)
@@ -561,12 +548,8 @@ func (d *pd) abort(q *engine.Req) {
 		d.dIns(j).Abort(q)
 		delete(d.decodeAt, q.W.ID)
 	}
-	if mig, ok := d.migrating[q.W.ID]; ok && mig.q == q {
-		// Mid-migration: KV may be held at both ends; the in-flight
-		// transfer callback sees the registry entry gone and bails.
-		delete(d.migrating, q.W.ID)
-		d.releaseAt(d.dIns(mig.src), q)
-		d.releaseAt(d.dIns(mig.dst), q)
+	if m, ok := d.migrating[q.W.ID]; ok {
+		d.drop(m)
 	}
 	for i, p := range d.transferPending {
 		if p == q {
@@ -589,24 +572,14 @@ func (d *pd) degradeLinks(frac float64) {
 	}
 }
 
-// crash takes physical instance k down and recovers its orphans: through
-// the system's hook when it has one, else by re-prefilling each from
-// scratch on a survivor (DistServe keeps no backups to restore from).
+// crash takes physical instance k down, drops the migrations that touch
+// it, and recovers its live orphans: the requests queued, running or
+// swapped there, the prefilled ones waiting in transferPending on KV that
+// died with it (pulled out of the queue), and the paused migrations it
+// was the source of. Recovery goes through the system's hook when it has
+// one, else re-prefills each from scratch on a survivor (DistServe keeps
+// no backups to restore from).
 func (d *pd) crash(k int) {
-	if d.ph.crash != nil {
-		d.ph.crash(k)
-		return
-	}
-	for _, q := range d.crashOrphans(k) {
-		d.reprefill(q, d.prefillRR)
-	}
-}
-
-// crashOrphans crashes physical instance k and returns its live orphans:
-// the requests queued, running or swapped there, then the prefilled ones
-// waiting in transferPending on KV that died with it (pulled out of the
-// queue).
-func (d *pd) crashOrphans(k int) []*engine.Req {
 	orphans := d.ins[k].Crash()
 	keep := d.transferPending[:0]
 	for _, q := range d.transferPending {
@@ -617,7 +590,14 @@ func (d *pd) crashOrphans(k int) []*engine.Req {
 		}
 	}
 	d.transferPending = keep
-	return liveOrphans(orphans)
+	orphans = liveOrphans(append(orphans, d.dropMigrations(k)...))
+	if d.ph.crash != nil {
+		d.ph.crash(k, orphans)
+		return
+	}
+	for _, q := range orphans {
+		d.reprefill(q, d.prefillRR)
+	}
 }
 
 // reprefill forgets a request's placement and progress and routes it back

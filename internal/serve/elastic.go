@@ -1,22 +1,18 @@
 package serve
 
-// Elastic role flipping: the drain/migrate protocol behind Replica.Flip.
-// The decision to flip lives in the fleet's RoleController; this file
-// only executes a flip against the shared prefill/decode cluster —
-// re-routing an instance's untouched prefill queue when it turns into a
-// decode, and migrating its running decode batch over the link mesh when
-// it turns into a prefill. Everything here is gated on the elastic wiring;
-// with it off none of this code is reachable and the static systems stay
+// Elastic role flipping: what Replica.Flip executes. The decision to flip
+// lives in the fleet's RoleController; this file only executes a flip
+// against the shared prefill/decode cluster — re-routing an instance's
+// untouched prefill queue when it turns into a decode, and migrating its
+// running decode batch (migration.go, straight at the drain) when it turns
+// into a prefill. Everything here is gated on the elastic wiring; with it
+// off none of this code is reachable and the static systems stay
 // byte-identical.
 
 import (
-	"fmt"
 	"sort"
 
 	"windserve/internal/engine"
-	"windserve/internal/sim"
-	"windserve/internal/trace"
-	"windserve/internal/xfer"
 )
 
 // FlipResult reports what one role flip did.
@@ -154,15 +150,7 @@ func (d *pd) migrateRunning(src int) int {
 		if dst < 0 {
 			continue
 		}
-		ins.RemoveRunning(q)
-		q.Migrating = true
-		q.Phase = engine.PhaseDraining
-		d.migrating[q.W.ID] = &flipMigration{q: q, src: src, dst: dst}
-		bytes := d.kvBytes(q.Ctx())
-		start := d.r.s.Now()
-		lk := d.ddLink(src, dst)
-		qq, dt := q, dst
-		lk.Transfer(bytes, func() { d.finishMigration(qq, src, dt, start, lk) })
+		d.migrate(&migration{q: q, src: d.dPhys(src), dst: d.dPhys(dst)}, false)
 		migrated++
 	}
 	ins.Kick()
@@ -193,46 +181,6 @@ func (d *pd) pickMigrationDst(src int, q *engine.Req) int {
 		}
 	}
 	return -1
-}
-
-// finishMigration lands one migrated stream at its destination. The
-// registry's pointer identity check makes the callback idempotent
-// against everything that can happen while the payload is in flight: an
-// abort or replica crash scrubbed the entry (and possibly re-admitted
-// the same request ID), so a stale callback must do nothing.
-func (d *pd) finishMigration(q *engine.Req, src, dst int, start sim.Time, lk *xfer.Link) {
-	mig, ok := d.migrating[q.W.ID]
-	if !ok || mig.q != q {
-		return
-	}
-	delete(d.migrating, q.W.ID)
-	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
-			fmt.Sprintf("req%d migrate %d tokens", q.W.ID, q.Ctx()))
-	}
-	srcIns, dstIns := d.dIns(src), d.dIns(dst)
-	if q.Phase == engine.PhaseAborted {
-		d.releaseAt(srcIns, q)
-		d.releaseAt(dstIns, q)
-		return
-	}
-	if dstIns.Down() || !dstIns.KV().Has(q.KVID()) {
-		// Destination crashed mid-flight. The source still holds the
-		// authoritative KV: resume there (even though it now acts as
-		// prefill — a graceful drain beats losing the stream). If the
-		// source died too, recover as a fresh prefill.
-		if !srcIns.Down() && srcIns.KV().Has(q.KVID()) {
-			q.Migrating = false
-			srcIns.InsertRunning(q)
-			return
-		}
-		d.reprefill(q, d.prefillRR)
-		return
-	}
-	d.releaseAt(srcIns, q)
-	d.decodeAt[q.W.ID] = dst
-	q.Migrating = false
-	dstIns.InsertRunning(q)
 }
 
 // loadSignals is the replica's elastic pressure snapshot: prompt-token

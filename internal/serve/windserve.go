@@ -46,7 +46,6 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 		r:              r,
 		cfg:            cfg,
 		async:          make(map[uint64]*asyncXfer),
-		migrations:     make(map[uint64]*migration),
 		backupInFlight: make(map[uint64]bool),
 		backupAt:       make(map[uint64]int),
 	}
@@ -107,7 +106,6 @@ type windState struct {
 	coord *sched.Coordinator
 
 	async          map[uint64]*asyncXfer
-	migrations     map[uint64]*migration
 	backupInFlight map[uint64]bool
 	backupAt       map[uint64]int // request → prefill instance holding its backup
 
@@ -348,10 +346,10 @@ func (w *windState) onDecodeIterEnd(j int) {
 	freeFrac := 1 - dkv.Utilization()
 	if !w.cfg.Wind.DisableResched {
 		pol := w.cfg.Wind.Resched
-		if pol.ShouldTrigger(freeFrac) && len(w.migrations) < pol.MaxConcurrentMigrations {
+		if pol.ShouldTrigger(freeFrac) && len(w.d.migrating) < pol.MaxConcurrentMigrations {
 			capTokens := dkv.TotalBlocks() * dkv.BlockSize()
 			need := int((pol.TargetFree - freeFrac) * float64(capTokens))
-			victims := pol.PickVictims(dec.Running(), need, pol.MaxConcurrentMigrations-len(w.migrations))
+			victims := pol.PickVictims(dec.Running(), need, pol.MaxConcurrentMigrations-len(w.d.migrating))
 			for _, v := range victims {
 				w.startMigration(v, j, freeFrac)
 			}
@@ -364,33 +362,12 @@ func (w *windState) onDecodeIterEnd(j int) {
 
 // --- Stall-free rescheduling (paper §3.3) ------------------------------
 
-type migration struct {
-	q *engine.Req
-	// clean counts context tokens already resident at the target.
-	clean int
-	// src decode instance and dst prefill instance.
-	src, dst int
-	// dead invalidates the migration: one of its endpoints crashed or the
-	// request was aborted while a copy was in flight. Every live migration
-	// always has exactly one pending link callback, which checks dead and
-	// (for a paused drain) re-homes the request instead of resuming here.
-	dead bool
-	// rec is the decision-log entry (nil when logging is off); copy rounds
-	// append to it as they complete.
-	rec *sched.RescheduleRecord
-}
-
-// die invalidates the migration and stamps its log record.
-func (m *migration) die() {
-	m.dead = true
-	if m.rec != nil && m.rec.Outcome == "" {
-		m.rec.Outcome = "dead"
-	}
-}
-
 // startMigration begins moving a long-context decode job from decode
-// instance src to a prefill instance without stopping its decoding.
-// freeFrac is the source's free-KV fraction at trigger time (logged).
+// instance src to a prefill instance without stopping its decoding (the
+// protocol is in migration.go). The destination is the prefill holding
+// the job's backup, which leaves only the delta to copy, else the one
+// with the most free KV. freeFrac is the source's free-KV fraction at
+// trigger time (logged).
 func (w *windState) startMigration(q *engine.Req, src int, freeFrac float64) {
 	id := q.KVID()
 	clean := 0
@@ -413,12 +390,9 @@ func (w *windState) startMigration(q *engine.Req, src int, freeFrac float64) {
 			return // prefill memory too tight; try again on a later trigger
 		}
 	}
-	q.Migrating = true
 	w.rescheduled++
-	m := &migration{q: q, clean: clean, src: src, dst: dst}
-	w.migrations[q.W.ID] = m
 	now := w.r.s.Now()
-	m.rec = w.cfg.Decisions.AddReschedule(&sched.RescheduleRecord{
+	rec := w.cfg.Decisions.AddReschedule(&sched.RescheduleRecord{
 		Time:         now,
 		ReqID:        q.W.ID,
 		Trigger:      "low-watermark",
@@ -432,114 +406,7 @@ func (w *windState) startMigration(q *engine.Req, src int, freeFrac float64) {
 		w.cfg.Tracer.Add("scheduler", trace.KindReschedule, now, now,
 			fmt.Sprintf("req%d d%d→p%d ctx=%d backup=%d", q.W.ID, src, dst, q.Ctx(), clean))
 	}
-	w.migrationRound(m)
-}
-
-// migrationRound copies the currently-dirty span while decoding continues;
-// each round the dirty span shrinks toward the drain threshold.
-func (w *windState) migrationRound(m *migration) {
-	if w.abortMigrationIfGone(m) {
-		return
-	}
-	dirty := m.q.Ctx() - m.clean
-	if dirty <= w.cfg.Wind.Resched.DrainThresholdTokens {
-		w.drainMigration(m)
-		return
-	}
-	target := m.q.Ctx()
-	start := w.r.s.Now()
-	lk := w.d.dpLink(m.src, m.dst)
-	lk.Transfer(w.d.kvBytes(dirty), func() {
-		if m.dead {
-			return // an endpoint crashed mid-round; recovery re-homed q
-		}
-		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindMigration, start, w.r.s.Now(),
-				fmt.Sprintf("req%d copy %d tokens", m.q.W.ID, dirty))
-		}
-		if m.rec != nil {
-			m.rec.Rounds = append(m.rec.Rounds, sched.CopyRound{
-				Kind: "copy", Start: start, End: w.r.s.Now(), Tokens: dirty,
-			})
-		}
-		m.clean = target
-		w.migrationRound(m)
-	})
-}
-
-// drainMigration pauses the request's decoding, ships the bounded tail,
-// and resumes decoding on the destination prefill instance.
-func (w *windState) drainMigration(m *migration) {
-	if w.abortMigrationIfGone(m) {
-		return
-	}
-	q := m.q
-	dec := w.d.decodes[m.src]
-	dec.RemoveRunning(q)
-	q.Phase = engine.PhaseDraining
-	dirty := q.Ctx() - m.clean
-	start := w.r.s.Now()
-	lk := w.d.dpLink(m.src, m.dst)
-	lk.Transfer(w.d.kvBytes(dirty), func() {
-		if m.dead {
-			// An endpoint crashed (or q was aborted) while the tail copied.
-			// A paused drain is owned by nobody, so put the request back
-			// where it can decode: its source if that still holds the KV,
-			// else through decode-orphan recovery (backup or re-prefill).
-			if q.Phase == engine.PhaseDraining {
-				if !dec.Down() && dec.KV().Has(q.KVID()) {
-					q.Migrating = false
-					dec.InsertRunning(q)
-				} else {
-					w.recoverDecodeOrphan(q)
-				}
-			}
-			return
-		}
-		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindMigration, start, w.r.s.Now(),
-				fmt.Sprintf("req%d drain %d tokens", q.W.ID, dirty))
-		}
-		if m.rec != nil {
-			m.rec.Rounds = append(m.rec.Rounds, sched.CopyRound{
-				Kind: "drain", Start: start, End: w.r.s.Now(), Tokens: dirty,
-			})
-			m.rec.Outcome = "migrated"
-		}
-		delete(w.migrations, q.W.ID)
-		q.Migrating = false
-		if q.Phase == engine.PhaseDone {
-			// Completed in the same pass that drained it.
-			w.releaseForeign(q)
-			return
-		}
-		w.d.releaseAt(dec, q)
-		delete(w.d.decodeAt, q.W.ID)
-		// Catch up the destination allocation with tokens generated during
-		// the copy; the engine's own growth path recovers any shortfall.
-		_ = w.d.prefills[m.dst].KV().Grow(q.KVID(), q.Ctx()+1)
-		q.BackupTokens = 0
-		w.d.prefillAt[q.W.ID] = m.dst
-		w.d.prefills[m.dst].InsertRunning(q)
-	})
-}
-
-// abortMigrationIfGone cancels a migration whose request completed or got
-// preempted mid-copy, releasing the destination allocation.
-func (w *windState) abortMigrationIfGone(m *migration) bool {
-	q := m.q
-	if m.dead {
-		return true
-	}
-	if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted ||
-		q.Phase == engine.PhaseSwapped || q.Phase == engine.PhaseWaiting {
-		m.die()
-		delete(w.migrations, q.W.ID)
-		q.Migrating = false
-		w.d.releaseAt(w.d.prefills[m.dst], q)
-		return true
-	}
-	return false
+	w.d.migrate(&migration{q: q, src: w.d.dPhys(src), dst: dst, clean: clean, rec: rec}, true)
 }
 
 // --- Proactive KV backups (paper §3.3) ---------------------------------
@@ -616,25 +483,19 @@ func (w *windState) releaseForeign(q *engine.Req) {
 // abort is the runner's onAbort: scrub a terminated request (Phase is
 // already PhaseAborted) from every WindServe structure.
 func (w *windState) abort(q *engine.Req) {
-	if m, ok := w.migrations[q.W.ID]; ok {
-		m.die()
-		delete(w.migrations, q.W.ID)
-		q.Migrating = false
-	}
 	delete(w.backupInFlight, q.W.ID)
 	w.d.abort(q)
 	w.releaseForeign(q)
 }
 
-// crash is the pd crash hook for physical instance k. A prefill crash
+// crash is the pd crash hook: pd.crash has taken physical instance k
+// down and dropped the migrations touching it. A prefill crash
 // re-dispatches its orphans (engine orphans plus requests waiting on its
-// KV for a serial transfer); backups held there evaporate, and migrations
-// targeting it die (their victims keep decoding at the source). A decode
-// crash kills the migrations out of it (paused drains re-home via their
-// pending callback), drops async transfers into it back to the serial
-// path, and sends every orphan through backup-or-scratch recovery.
-func (w *windState) crash(k int) {
-	orphans := w.d.crashOrphans(k)
+// KV for a serial transfer), and backups held there evaporate. A decode
+// crash drops async transfers into it back to the serial path and sends
+// every orphan, paused migrations out of it included, through
+// backup-or-scratch recovery.
+func (w *windState) crash(k int, orphans []*engine.Req) {
 	if k < len(w.d.prefills) {
 		for _, id := range sortedIDs(w.backupAt) {
 			if w.backupAt[id] != k {
@@ -645,29 +506,12 @@ func (w *windState) crash(k int) {
 				q.BackupTokens = 0
 			}
 		}
-		for _, id := range sortedIDs(w.migrations) {
-			m := w.migrations[id]
-			if m.dst != k {
-				continue
-			}
-			m.die()
-			delete(w.migrations, id)
-			m.q.Migrating = false
-		}
 		for _, q := range orphans {
 			w.rePrefill(q)
 		}
 		return
 	}
 	j := k - len(w.d.prefills)
-	for _, id := range sortedIDs(w.migrations) {
-		m := w.migrations[id]
-		if m.src != j {
-			continue
-		}
-		m.die()
-		delete(w.migrations, id)
-	}
 	for _, id := range sortedIDs(w.async) {
 		ax := w.async[id]
 		if ax.decodeIdx != j {
@@ -699,18 +543,12 @@ func (w *windState) recoverDecodeOrphan(q *engine.Req) {
 	delete(w.async, id)
 	delete(w.backupInFlight, id)
 	delete(w.d.decodeAt, id)
-	if m, ok := w.migrations[id]; ok {
-		m.die()
-		delete(w.migrations, id)
-	}
-	q.Migrating = false
 	if bi, ok := w.backupAt[id]; ok && q.BackupTokens > 0 && !w.d.prefills[bi].Down() {
 		pkv := w.d.prefills[bi].KV()
 		if pkv.Has(q.KVID()) && pkv.IsBackup(q.KVID()) && pkv.PromoteBackup(q.KVID()) == nil {
 			delete(w.backupAt, id)
-			// Drop any other allocation the request holds (a dead
-			// migration's target, a stale async copy) — everything but the
-			// promoted backup.
+			// Drop any other allocation the request holds (a stale async
+			// copy) — everything but the promoted backup.
 			for k, ins := range w.d.ins {
 				if k != bi {
 					w.d.releaseAt(ins, q)

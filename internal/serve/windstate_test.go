@@ -20,18 +20,30 @@ func newWindStateForTest(t *testing.T) *windState {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := bareWindState(r)
+	w.d = d
+	w.coord = testCoordinator(t, d)
+	return w
+}
+
+// bareWindState is a windState on r with its maps made and no cluster.
+func bareWindState(r *runner) *windState {
+	return &windState{
+		r: r, cfg: r.cfg,
+		async:          make(map[uint64]*asyncXfer),
+		backupInFlight: make(map[uint64]bool),
+		backupAt:       make(map[uint64]int),
+	}
+}
+
+// testCoordinator is a Global Scheduler profiled on d's prefill cost model.
+func testCoordinator(t *testing.T, d *pd) *sched.Coordinator {
+	t.Helper()
 	prof, err := sched.Profile(d.prefills[0].CM())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &windState{
-		r: r, cfg: r.cfg, d: d,
-		coord:          &sched.Coordinator{Prof: prof, Thrd: r.cfg.SLO.TTFT},
-		async:          make(map[uint64]*asyncXfer),
-		migrations:     make(map[uint64]*migration),
-		backupInFlight: make(map[uint64]bool),
-		backupAt:       make(map[uint64]int),
-	}
+	return &sched.Coordinator{Prof: prof, Thrd: d.cfg.SLO.TTFT}
 }
 
 func TestAbortMigrationReleasesDestination(t *testing.T) {
@@ -46,15 +58,13 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 		if err := pkv.Allocate(q.KVID(), q.Ctx()+1); err != nil {
 			t.Fatal(err)
 		}
-		m := &migration{q: q, src: 0, dst: 0}
-		w.migrations[q.W.ID] = m
-		if !w.abortMigrationIfGone(m) {
-			t.Fatalf("phase %v: abort not taken", phase)
-		}
+		m := &migration{q: q, src: len(w.d.prefills), dst: 0}
+		w.d.migrating[q.W.ID] = m
+		w.d.copyRound(m)
 		if q.Migrating {
 			t.Errorf("phase %v: Migrating flag not cleared", phase)
 		}
-		if len(w.migrations) != 0 {
+		if len(w.d.migrating) != 0 {
 			t.Errorf("phase %v: migration entry not removed", phase)
 		}
 		if pkv.Has(q.KVID()) {
@@ -69,12 +79,10 @@ func TestAbortMigrationNotTakenWhileDecoding(t *testing.T) {
 	q.PrefillDone = 500
 	q.SetGenerated(10)
 	q.Phase = engine.PhaseDecoding
-	m := &migration{q: q, src: 0, dst: 0}
-	w.migrations[q.W.ID] = m
-	if w.abortMigrationIfGone(m) {
-		t.Fatal("abort taken for a live decoding request")
-	}
-	if len(w.migrations) != 1 {
+	m := &migration{q: q, src: len(w.d.prefills), dst: 0}
+	w.d.migrating[q.W.ID] = m
+	w.d.copyRound(m)
+	if w.d.migrating[q.W.ID] != m || q.Phase != engine.PhaseDecoding {
 		t.Fatal("live migration dropped")
 	}
 }
@@ -91,7 +99,7 @@ func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
 	q.SetGenerated(5)
 	q.Phase = engine.PhaseDecoding
 	w.startMigration(q, 0, 0.05)
-	if q.Migrating || len(w.migrations) != 0 || w.rescheduled != 0 {
+	if q.Migrating || len(w.d.migrating) != 0 || w.rescheduled != 0 {
 		t.Error("migration should not start without destination blocks")
 	}
 }
@@ -121,7 +129,7 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	m := w.migrations[q.W.ID]
+	m := w.d.migrating[q.W.ID]
 	if m == nil || m.clean != 1050 {
 		t.Fatalf("migration clean = %+v, want backup-seeded 1050", m)
 	}
@@ -160,7 +168,7 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	pkv := w.d.prefills[w.migrations[q.W.ID].dst].KV()
+	pkv := w.d.ins[w.d.migrating[q.W.ID].dst].KV()
 	if !pkv.Has(q.KVID()) {
 		t.Fatal("destination not allocated")
 	}
@@ -170,7 +178,7 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	if q.Migrating {
 		t.Error("Migrating flag survived completion")
 	}
-	if len(w.migrations) != 0 {
+	if len(w.d.migrating) != 0 {
 		t.Error("migration entry survived completion")
 	}
 	if pkv.Has(q.KVID()) {
@@ -212,7 +220,7 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.r.s.RunAll()
-	if q.Migrating || len(w.migrations) != 0 {
+	if q.Migrating || len(w.d.migrating) != 0 {
 		t.Error("migration never resolved")
 	}
 	if !q.Finished() {

@@ -127,7 +127,7 @@ func (s *P2Quantile) Value() float64 {
 		head := buf[:s.n]
 		copy(head, s.init[:s.n])
 		sort.Float64s(head)
-		return percentileSorted(head, s.p*100)
+		return PercentileSorted(head, s.p*100)
 	}
 	return s.q[2]
 }

@@ -114,7 +114,7 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
 // PercentilesOf computes several percentiles with a single sort.
@@ -130,12 +130,14 @@ func PercentilesOf(xs []float64, ps ...float64) []float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		out[i] = PercentileSorted(sorted, p)
 	}
 	return out
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted is Percentile on data already sorted ascending and
+// non-empty.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
