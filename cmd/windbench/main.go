@@ -40,8 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxRecords := fs.Int("maxrecords", 0, "per-class record retention cap with -stream (0 = default 10000)")
 	csvPath := fs.String("csv", "", "also write the fig10/fig11 sweep rows as CSV to this file")
 	faults := fs.String("faults", "", `fault plan for ext-faults and -trace, e.g. "crash:d0@60; degrade@90x0.5+30"`)
-	fleetN := fs.Int("fleet", 16, "replica count for ext-fleet-chaos (and ext-fleet-scale when set explicitly)")
-	shards := fs.Int("shards", 0, "shard count for fleet runs: partitions replicas across parallel shard simulators; results are byte-identical at any value (0 = sequential; for ext-fleet-scale, restricts the sweep to {1, N})")
+	fleetN := fs.Int("fleet", 16, "replica count for ext-fleet-chaos")
 	scenarioName := fs.String("scenario", "", "restrict ext-scenarios to one named workload scenario (chat, rag, agentic, reasoning, diurnal, mixshift)")
 	prefixCache := fs.Bool("prefixcache", false, "restrict ext-scenarios to its prefix-caching-on configurations")
 	elasticFlag := fs.Bool("elastic", false, "run ext-fleet-chaos's fleets with the default elastic role-flipping policy (ext-elastic always compares elastic vs static)")
@@ -63,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"n", *n}, {"fleet", *fleetN}, {"parallel", *parallel}, {"shards", *shards}, {"maxrecords", *maxRecords}} {
+	}{{"n", *n}, {"fleet", *fleetN}, {"parallel", *parallel}, {"maxrecords", *maxRecords}} {
 		if f.v < 0 {
 			fmt.Fprintf(stderr, "windbench: -%s must be >= 0, got %d\n", f.name, f.v)
 			return 2
@@ -76,22 +75,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// overrides them all.
 	o.FleetRequests = 100_000
 	o.FleetReplicas = *fleetN
-	o.FleetShards = *shards
-	o.FleetScaleRequests = 1_000_000
 	o.ScenarioRequests = 5_000
 	o.ElasticRequests = 20_000
 	o.Scenario = *scenarioName
 	o.PrefixCache = *prefixCache
 	o.Elastic = *elasticFlag
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "n":
+		if f.Name == "n" {
 			o.FleetRequests = *n
-			o.FleetScaleRequests = *n
 			o.ScenarioRequests = *n
 			o.ElasticRequests = *n
-		case "fleet":
-			o.FleetScaleReplicas = *fleetN
 		}
 	})
 
@@ -195,21 +188,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			_, err := bench.ExpFleetChaos(o, w, chaosPlan)
 			return err
 		},
-		"ext-scenarios":   func(w io.Writer) error { _, err := bench.ExpScenarios(o, w); return err },
-		"ext-fleet-scale": func(w io.Writer) error { _, err := bench.ExpFleetScale(o, w); return err },
-		"ext-elastic":     func(w io.Writer) error { _, err := bench.ExpElastic(o, w); return err },
+		"ext-scenarios": func(w io.Writer) error { _, err := bench.ExpScenarios(o, w); return err },
+		"ext-elastic":   func(w io.Writer) error { _, err := bench.ExpElastic(o, w); return err },
 	}
 
 	args = fs.Args()
 	if len(args) == 1 && args[0] == "all" {
 		args = nil
 		for k := range exhibits {
-			// ext-fleet-chaos's, ext-scenarios's, ext-fleet-scale's, and
-			// ext-elastic's runtimes scale with -n (defaults of a hundred
-			// thousand, five thousand over a 20-run grid, a million per
-			// shard count, and twenty thousand per split), so they only
-			// run when named explicitly.
-			if k == "ext-fleet-chaos" || k == "ext-scenarios" || k == "ext-fleet-scale" || k == "ext-elastic" {
+			// ext-fleet-chaos's, ext-scenarios's and ext-elastic's runtimes
+			// scale with -n (defaults of a hundred thousand, five thousand
+			// over a 20-run grid, and twenty thousand per split), so they
+			// only run when named explicitly.
+			if k == "ext-fleet-chaos" || k == "ext-scenarios" || k == "ext-elastic" {
 				continue
 			}
 			args = append(args, k)
@@ -325,21 +316,13 @@ extensions (not paper exhibits):
                  off/on}: goodput, TTFT, SLO, and prefix-cache hit ratio per
                  traffic class (not part of "all"; restrict with -scenario
                  and -prefixcache, size with -n)
-  ext-fleet-scale  parallel-in-time scaling: one 64-replica fleet run at
-                 shard counts {1, 4, 8, NumCPU}, reporting wall seconds,
-                 sim req/s, speedup, barrier windows/crossings, the
-                 crossings' busy/wait wall seconds, and a result digest
-                 proving the runs byte-identical (not part
-                 of "all"; size with -n and -fleet, pin the sweep with
-                 -shards)
   ext-elastic    elastic role flipping on the mixshift scenario: static
                  2P/2D, 3P/1D, and 1P/3D splits vs an elastic 2P/2D fleet
                  whose controller flips instances between prefill and
                  decode as the phase mix moves; reports goodput-at-SLO,
                  flip/migration counts, and per-run result digests
-                 (not part of "all"; size with -n, pin shards with
-                 -shards; -elastic additionally applies the policy to
-                 ext-fleet-chaos)
+                 (not part of "all"; size with -n; -elastic additionally
+                 applies the policy to ext-fleet-chaos)
 
 flags:
 `)

@@ -7,7 +7,8 @@ import (
 )
 
 // TestRunRejectsBadArguments: a negative size is an error naming its
-// flag, not a silent fallback to the default, and every exhibit name is
+// flag, not a silent fallback to the default, an undefined flag (such as
+// the removed -shards) fails at parse time, and every exhibit name is
 // checked before the first exhibit runs (a flag after an exhibit name is
 // an unknown exhibit, so nothing may have printed).
 func TestRunRejectsBadArguments(t *testing.T) {
@@ -18,10 +19,10 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		out  string // substring of stdout; "" means stdout must be empty
 	}{
 		{[]string{"-n", "-5", "ext-scenarios"}, 2, "-n must be >= 0", ""},
-		{[]string{"-n", "-1", "ext-fleet-scale"}, 2, "-n must be >= 0", ""},
+		{[]string{"-n", "-1", "ext-elastic"}, 2, "-n must be >= 0", ""},
 		{[]string{"-fleet", "-3", "ext-fleet-chaos"}, 2, "-fleet must be >= 0", ""},
 		{[]string{"-parallel", "-1", "table1"}, 2, "-parallel must be >= 0", ""},
-		{[]string{"-shards", "-1", "table1", "ext-fleet-chaos"}, 2, "-shards must be >= 0", ""},
+		{[]string{"-shards", "1", "table1"}, 2, "flag provided but not defined: -shards", ""},
 		{[]string{"-stream", "-maxrecords", "-3", "table1"}, 2, "-maxrecords must be >= 0", ""},
 		{[]string{"fig3", "-n", "100"}, 2, `unknown exhibit "-n"`, ""},
 		{[]string{"table1", "nosuch"}, 2, `unknown exhibit "nosuch"`, ""},

@@ -44,14 +44,6 @@ type Options struct {
 	FleetRequests int
 	// FleetReplicas sets ExpFleetChaos's replica count; <= 0 means 16.
 	FleetReplicas int
-	// FleetShards, when > 0, fixes the shard count for ExpFleetChaos's
-	// fleet runs and restricts ExpFleetScale's sweep to {1, FleetShards}.
-	// Fleet results are byte-identical at any value (windbench -shards).
-	FleetShards int
-	// FleetScaleRequests sizes ExpFleetScale's runs; <= 0 means 1,000,000.
-	FleetScaleRequests int
-	// FleetScaleReplicas sets ExpFleetScale's replica count; <= 0 means 64.
-	FleetScaleReplicas int
 	// ScenarioRequests sizes ExpScenarios's runs; <= 0 means 5,000.
 	ScenarioRequests int
 	// ElasticRequests sizes ExpElastic's runs; <= 0 means 20,000.

@@ -46,9 +46,8 @@ type ElasticRow struct {
 // for the other), and an elastic 2P/2D whose RoleController flips
 // instances between roles as the mix moves. The comparison is
 // goodput-at-SLO: any static split is mismatched half the time, so the
-// elastic fleet is expected to beat all three. Output is byte-identical
-// per seed at any -shards value. (Extension — not a paper exhibit;
-// excluded from `windbench all`. Size with -n; pin shards with -shards.)
+// elastic fleet is expected to beat all three. (Extension — not a paper
+// exhibit; excluded from `windbench all`. Size with -n.)
 func ExpElastic(o Options, w io.Writer) ([]ElasticRow, error) {
 	o = o.withDefaults()
 	n := o.ElasticRequests
@@ -93,7 +92,6 @@ func ExpElastic(o Options, w io.Writer) ([]ElasticRow, error) {
 				Replica:     rcfg,
 				NumReplicas: replicas,
 				Policy:      "least-loaded",
-				Shards:      o.FleetShards,
 			}
 			cfg.Replica.NumPrefill = sp.np
 			cfg.Replica.NumDecode = sp.nd

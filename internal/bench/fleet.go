@@ -142,7 +142,6 @@ func ExpFleetChaos(o Options, w io.Writer, plan *fault.Plan) ([]FleetRow, error)
 			cfg := fleet.Config{
 				Replica:         rcfg,
 				NumReplicas:     replicas,
-				Shards:          o.FleetShards,
 				Policy:          j.policy,
 				FailoverTimeout: sim.Seconds(10),
 				MaxQueueDepth:   32 * replicas,

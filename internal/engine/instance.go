@@ -554,9 +554,6 @@ func (ins *Instance) Running() []*Req { return ins.running }
 // NumRunning returns the decode batch size.
 func (ins *Instance) NumRunning() int { return len(ins.running) }
 
-// NumSwapped returns how many requests are preempted to host memory.
-func (ins *Instance) NumSwapped() int { return len(ins.swapped) }
-
 // NumQueued returns prefill queue length.
 func (ins *Instance) NumQueued() int { return len(ins.prefillQ) }
 

@@ -115,11 +115,6 @@ func (c Config) KVBytesPerToken() float64 {
 	return float64(2*c.KVDim()*BytesFP16) * float64(c.Layers)
 }
 
-// KVBytesPerTokenLayer returns the per-layer KV footprint of one token.
-func (c Config) KVBytesPerTokenLayer() float64 {
-	return float64(2 * c.KVDim() * BytesFP16)
-}
-
 // attnParams returns attention weight parameters per layer:
 // Q and output projections (H×H each) plus K and V projections (H×KVDim).
 func (c Config) attnParams() float64 {

@@ -177,38 +177,34 @@ func (p ReschedulePolicy) migratesFirst(a, b int) bool {
 	return a > b
 }
 
-// BackupPolicy parameterizes proactive KV backups (§3.3): when the
-// prefill instance has plenty of free blocks and the decode instance is
-// filling up, copy long-context requests' KV ahead of time so a later
-// migration only moves the delta.
-type BackupPolicy struct {
-	// DecodePressure: start backing up when decode free fraction drops
-	// below this.
-	DecodePressure float64
-	// PrefillFreeFloor: only use prefill KV while its free fraction stays
-	// above this (prefill work always has priority for its own blocks).
-	PrefillFreeFloor float64
-	// MinContextTokens: only back up requests at least this long.
-	MinContextTokens int
-}
-
-// DefaultBackupPolicy returns the paper-calibrated policy.
-func DefaultBackupPolicy() BackupPolicy {
-	return BackupPolicy{DecodePressure: 0.35, PrefillFreeFloor: 0.5, MinContextTokens: 512}
-}
+// Proactive KV backups (§3.3): when the prefill instance has plenty of
+// free blocks and the decode instance is filling up, copy long-context
+// requests' KV ahead of time so a later migration only moves the delta.
+// The thresholds are the paper-calibrated values.
+const (
+	// backupDecodePressure: start backing up when the decode free
+	// fraction drops below this.
+	backupDecodePressure = 0.35
+	// backupPrefillFreeFloor: only use prefill KV while its free fraction
+	// stays above this (prefill work always has priority for its own
+	// blocks).
+	backupPrefillFreeFloor = 0.5
+	// backupMinContextTokens: only back up requests at least this long.
+	backupMinContextTokens = 512
+)
 
 // ShouldBackup reports whether conditions favor proactive backups.
-func (p BackupPolicy) ShouldBackup(decodeFreeFrac, prefillFreeFrac float64) bool {
-	return decodeFreeFrac < p.DecodePressure && prefillFreeFrac > p.PrefillFreeFloor
+func ShouldBackup(decodeFreeFrac, prefillFreeFrac float64) bool {
+	return decodeFreeFrac < backupDecodePressure && prefillFreeFrac > backupPrefillFreeFloor
 }
 
 // PickBackupCandidate returns the longest running request above the
 // length floor that has no backup yet, is not migrating and has no backup
 // copy in flight (inFlight, by request ID), or nil.
-func (p BackupPolicy) PickBackupCandidate(running []*engine.Req, inFlight map[uint64]bool) *engine.Req {
+func PickBackupCandidate(running []*engine.Req, inFlight map[uint64]bool) *engine.Req {
 	var best *engine.Req
 	for _, r := range running {
-		if r.Migrating || r.BackupTokens > 0 || r.Ctx() < p.MinContextTokens {
+		if r.Migrating || r.BackupTokens > 0 || r.Ctx() < backupMinContextTokens {
 			continue
 		}
 		if (best == nil || r.Ctx() > best.Ctx()) && !inFlight[r.W.ID] {

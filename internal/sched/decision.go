@@ -165,25 +165,6 @@ func (l *DecisionLog) Absorb(parts ...*DecisionLog) {
 	sort.SliceStable(l.Routes, func(i, j int) bool { return l.Routes[i].Time < l.Routes[j].Time })
 }
 
-// CacheHitRatio is the fraction of dispatched prompt tokens that were
-// already resident in a prefix cache at decision time, over every
-// dispatch in the log. Returns 0 on a nil/empty log or when prefix
-// caching is off (all CachedTokens zero).
-func (l *DecisionLog) CacheHitRatio() float64 {
-	if l == nil {
-		return 0
-	}
-	var hit, total int
-	for _, r := range l.Dispatches {
-		hit += r.CachedTokens
-		total += r.PromptTokens
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hit) / float64(total)
-}
-
 // Len returns the total number of recorded decisions.
 func (l *DecisionLog) Len() int {
 	if l == nil {

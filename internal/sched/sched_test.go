@@ -333,30 +333,29 @@ func TestPickVictimsMatchesStableSort(t *testing.T) {
 }
 
 func TestBackupPolicy(t *testing.T) {
-	p := DefaultBackupPolicy()
-	if !p.ShouldBackup(0.2, 0.8) {
+	if !ShouldBackup(0.2, 0.8) {
 		t.Error("pressured decode + free prefill should back up")
 	}
-	if p.ShouldBackup(0.6, 0.8) {
+	if ShouldBackup(0.6, 0.8) {
 		t.Error("relaxed decode should not back up")
 	}
-	if p.ShouldBackup(0.2, 0.3) {
+	if ShouldBackup(0.2, 0.3) {
 		t.Error("busy prefill should not back up")
 	}
 	long := mkReq(1, 1500, 10)
 	short := mkReq(2, 100, 10)
 	backed := mkReq(3, 1900, 10)
 	backed.BackupTokens = 1900
-	got := p.PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
+	got := PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
 	if got != long {
 		t.Fatalf("candidate = %v, want the long unbacked request", got)
 	}
-	if p.PickBackupCandidate([]*engine.Req{short}, nil) != nil {
+	if PickBackupCandidate([]*engine.Req{short}, nil) != nil {
 		t.Error("short requests should not be backed up")
 	}
 	// A copy in flight rules the longest out; the next longest wins.
 	mid := mkReq(4, 1000, 10)
-	if got := p.PickBackupCandidate([]*engine.Req{mid, long}, map[uint64]bool{1: true}); got != mid {
+	if got := PickBackupCandidate([]*engine.Req{mid, long}, map[uint64]bool{1: true}); got != mid {
 		t.Errorf("candidate = %v, want the next longest with no copy in flight", got)
 	}
 }

@@ -187,7 +187,6 @@ type WindOptions struct {
 	ThresholdFrac float64
 
 	Resched sched.ReschedulePolicy
-	Backup  sched.BackupPolicy
 }
 
 // PaperPlacement returns Table 3's placement for a model.
@@ -268,7 +267,6 @@ func DefaultWindOptions() WindOptions {
 	return WindOptions{
 		ThresholdFrac: 0.8,
 		Resched:       sched.DefaultReschedulePolicy(),
-		Backup:        sched.DefaultBackupPolicy(),
 	}
 }
 
@@ -361,8 +359,5 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Wind.Resched == (sched.ReschedulePolicy{}) {
 		c.Wind.Resched = sched.DefaultReschedulePolicy()
-	}
-	if c.Wind.Backup == (sched.BackupPolicy{}) {
-		c.Wind.Backup = sched.DefaultBackupPolicy()
 	}
 }

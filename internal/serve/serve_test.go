@@ -517,7 +517,7 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	if cfg.BlockSize != 16 || cfg.ChunkSize != 512 || cfg.MaxDecodeBatch != 256 {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
-	if cfg.Wind.Resched.LowWatermark == 0 || cfg.Wind.Backup.MinContextTokens == 0 {
+	if cfg.Wind.Resched.LowWatermark == 0 {
 		t.Error("wind policy defaults not filled")
 	}
 	if _, err := DefaultConfig(model.OPT30B); err == nil {

@@ -423,12 +423,11 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 		return // keep backups off the critical path of migrations
 	}
 	pkv := w.d.prefills[pi].KV()
-	pol := w.cfg.Wind.Backup
 	prefillFree := 1 - pkv.Utilization()
-	if !pol.ShouldBackup(decodeFreeFrac, prefillFree) {
+	if !sched.ShouldBackup(decodeFreeFrac, prefillFree) {
 		return
 	}
-	cand := pol.PickBackupCandidate(w.d.decodes[j].Running(), w.backupInFlight)
+	cand := sched.PickBackupCandidate(w.d.decodes[j].Running(), w.backupInFlight)
 	if cand == nil {
 		return
 	}

@@ -44,28 +44,19 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"windserve/internal/sim"
 )
 
 // Stats counts window and barrier work performed by Run. Windows =
-// Crossings + SoloWindows. The counts and wall times depend on the shard
-// count and the host (that is their purpose) and must therefore never be
-// folded into digested simulation output.
+// Crossings + SoloWindows. The counts depend on the shard count (that is
+// their purpose) and must therefore never be folded into digested
+// simulation output.
 type Stats struct {
 	Windows     int64 // windows executed in total
 	Crossings   int64 // windows synchronized across all shards (full barrier)
 	SoloWindows int64 // windows run on the coordinator: all events on one shard
 	Delivered   int64 // cross-shard envelopes delivered at barriers
-	// Busy[i] is the wall time shard i spent running its part of parallel
-	// crossings. Wait[i] is the wall time the goroutine owning shard i
-	// spent at the barrier: for shard 0, the coordinator waiting for the
-	// workers to finish a crossing; for a worker, spinning or parked from
-	// the end of one crossing to the start of the next, which spans the
-	// coordinator's solo windows and deliveries. Both are zero in
-	// sequential runs.
-	Busy, Wait []time.Duration
 }
 
 // envelope is one cross-shard message in flight.
@@ -102,8 +93,6 @@ type Shard[M any] struct {
 	pending []envelope[M]
 	next    int
 	pump    func()
-	// busy and wait feed Stats; see there.
-	busy, wait time.Duration
 }
 
 // Sim returns the shard's simulator.
@@ -297,18 +286,9 @@ func NewGroup[M any](n int, lookahead sim.Duration) *Group[M] {
 // Shard returns shard i.
 func (g *Group[M]) Shard(i int) *Shard[M] { return g.shards[i] }
 
-// Stats returns window/barrier counters and wall times accumulated by Run.
-// They describe wall-clock work only — virtual-time output is independent
-// of them.
-func (g *Group[M]) Stats() Stats {
-	st := g.stats
-	st.Busy = make([]time.Duration, len(g.shards))
-	st.Wait = make([]time.Duration, len(g.shards))
-	for i, sh := range g.shards {
-		st.Busy[i], st.Wait[i] = sh.busy, sh.wait
-	}
-	return st
-}
+// Stats returns the window/barrier counters accumulated by Run.
+// Virtual-time output is independent of them.
+func (g *Group[M]) Stats() Stats { return g.stats }
 
 // GrowActors sizes the per-actor sequence table for actor ids < n. Every
 // id passed to Send must be below the largest n given.
@@ -443,8 +423,7 @@ func (g *Group[M]) activeShards(cmd windowCmd) int {
 	return n
 }
 
-// runAll executes one window on every shard. Only parallel crossings are
-// timed: a clock read costs about as much as a solo window's idle shard.
+// runAll executes one window on every shard.
 func (g *Group[M]) runAll(parallel bool, cmd windowCmd) {
 	if !parallel {
 		for _, sh := range g.shards {
@@ -453,13 +432,8 @@ func (g *Group[M]) runAll(parallel bool, cmd windowCmd) {
 		return
 	}
 	g.publish(cmd)
-	sh := g.shards[0]
-	t0 := time.Now()
-	sh.runWindow(cmd)
-	t1 := time.Now()
+	g.shards[0].runWindow(cmd)
 	g.coord.wait(g.workersDone, g.spin)
-	sh.busy += t1.Sub(t0)
-	sh.wait += time.Since(t1)
 }
 
 func (g *Group[M]) workersDone() bool { return g.running.Load() == 0 }
@@ -543,7 +517,6 @@ func (g *Group[M]) publish(cmd windowCmd) {
 // seen is the generation current when the worker started.
 func (g *Group[M]) work(sh *Shard[M], w *waiter, seen uint64) {
 	defer g.exited.Done()
-	t0 := time.Now()
 	for {
 		w.wait(func() bool { return g.gen.Load() != seen }, g.spin)
 		seen = g.gen.Load()
@@ -551,12 +524,7 @@ func (g *Group[M]) work(sh *Shard[M], w *waiter, seen uint64) {
 		if cmd.stop {
 			return
 		}
-		t1 := time.Now()
 		sh.runWindow(cmd)
-		t2 := time.Now()
-		sh.wait += t1.Sub(t0)
-		sh.busy += t2.Sub(t1)
-		t0 = t2
 		if g.running.Add(-1) == 0 {
 			g.coord.signal()
 		}

@@ -233,60 +233,6 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 }
 
-func TestFIFOResourceSerial(t *testing.T) {
-	s := New()
-	r := NewFIFOResource(s, "link")
-	var doneAt []Time
-	r.Submit(2, func() { doneAt = append(doneAt, s.Now()) })
-	r.Submit(3, func() { doneAt = append(doneAt, s.Now()) })
-	r.Submit(1, func() { doneAt = append(doneAt, s.Now()) })
-	if !r.Busy() {
-		t.Fatal("resource should be busy after submit")
-	}
-	if r.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2", r.QueueLen())
-	}
-	if r.Backlog() != 4 {
-		t.Fatalf("Backlog = %v, want 4", r.Backlog())
-	}
-	s.RunAll()
-	want := []Time{2, 5, 6}
-	for i := range want {
-		if doneAt[i] != want[i] {
-			t.Fatalf("doneAt = %v, want %v", doneAt, want)
-		}
-	}
-	if r.Busy() || r.Served != 3 || r.BusyTime != 6 {
-		t.Errorf("final state busy=%v served=%d busyTime=%v", r.Busy(), r.Served, r.BusyTime)
-	}
-}
-
-func TestFIFOResourceZeroDuration(t *testing.T) {
-	s := New()
-	r := NewFIFOResource(s, "link")
-	order := []int{}
-	r.Submit(0, func() { order = append(order, 1) })
-	r.Submit(0, func() { order = append(order, 2) })
-	s.RunAll()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v, want [1 2]", order)
-	}
-}
-
-func TestFIFOResourceSubmitFromCallback(t *testing.T) {
-	s := New()
-	r := NewFIFOResource(s, "link")
-	var doneAt []Time
-	r.Submit(1, func() {
-		doneAt = append(doneAt, s.Now())
-		r.Submit(1, func() { doneAt = append(doneAt, s.Now()) })
-	})
-	s.RunAll()
-	if len(doneAt) != 2 || doneAt[0] != 1 || doneAt[1] != 2 {
-		t.Fatalf("doneAt = %v, want [1 2]", doneAt)
-	}
-}
-
 func TestDurationHelpers(t *testing.T) {
 	if Seconds(1.5) != 1.5 {
 		t.Error("Seconds")

@@ -435,12 +435,6 @@ func (d *diurnalArrivals) Name() string {
 	return fmt.Sprintf("diurnal(%.2f,flash x%.0f)", d.base, flashCrowdFactor)
 }
 
-// MeanRate implements RateEstimator (the sinusoid averages out; the
-// flash crowd adds ~flashCrowdLen·(factor-1)).
-func (d *diurnalArrivals) MeanRate() float64 {
-	return d.base * (1 + flashCrowdLen*(flashCrowdFactor-1))
-}
-
 // mixShiftSource alternates the request *shape* on a square wave: phases
 // of long prompts with near-trivial outputs (all the work is prefill)
 // swap with phases of short prompts and long generations (all the work

@@ -42,37 +42,6 @@ func TestNonPositiveCountIsEmpty(t *testing.T) {
 	}
 }
 
-// TestSourceForMatchesGenerateFor does the same for duration-bounded
-// streams, including the trailing discarded draw that advances the rng.
-func TestSourceForMatchesGenerateFor(t *testing.T) {
-	const span = sim.Duration(120)
-	g1 := NewGenerator(LongBench(), PoissonArrivals{Rate: 3}, 7)
-	want := g1.GenerateFor(span)
-	g2 := NewGenerator(LongBench(), PoissonArrivals{Rate: 3}, 7)
-	src := g2.SourceFor(span)
-	var got []Request
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("source yielded %d requests, generate %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("request %d differs: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	// Generator state must match too: the next draw after draining is the
-	// same either way.
-	if a, b := g1.Next(), g2.Next(); a != b {
-		t.Errorf("post-drain generator state diverged: %+v != %+v", a, b)
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	reqs := NewGenerator(ShareGPT(), UniformArrivals{Rate: 2}, 1).Generate(5)
 	src := NewSliceSource(reqs)
@@ -87,17 +56,6 @@ func TestSliceSource(t *testing.T) {
 	}
 	if _, ok := NewSliceSource(nil).Next(); ok {
 		t.Fatal("empty slice source yielded a request")
-	}
-}
-
-// TestGenerateForPrealloc checks the ExpectedMean-derived capacity hint
-// actually lands near the final length (no repeated regrowth, no gross
-// overallocation).
-func TestGenerateForPrealloc(t *testing.T) {
-	g := NewGenerator(ShareGPT(), PoissonArrivals{Rate: 10}, 42)
-	out := g.GenerateFor(300) // expect ~3000 requests
-	if c := cap(out); c < len(out)/2 || c > 4*len(out) {
-		t.Errorf("cap %d far from len %d: hint not effective", c, len(out))
 	}
 }
 

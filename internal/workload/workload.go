@@ -375,74 +375,15 @@ func (s *genSource) Next() (Request, bool) {
 	return s.g.Next(), true
 }
 
-// genForSource streams requests until one arrives past end; that request
-// is consumed and discarded, exactly as GenerateFor always did, so the
-// generator's state after draining matches the materialized path.
-type genForSource struct {
-	g    *Generator
-	end  sim.Time
-	done bool
-}
-
-func (s *genForSource) Next() (Request, bool) {
-	if s.done {
-		return Request{}, false
-	}
-	r := s.g.Next()
-	if r.Arrival > s.end {
-		s.done = true
-		return Request{}, false
-	}
-	return r, true
-}
-
 // Source returns a stream of the generator's next n requests (none when
 // n <= 0). Draining it yields the identical sequence Generate(n)
 // materializes for the same generator state.
 func (g *Generator) Source(n int) Source { return &genSource{g: g, remaining: n} }
 
-// SourceFor returns a stream of requests arriving within d of virtual time.
-func (g *Generator) SourceFor(d sim.Duration) Source {
-	return &genForSource{g: g, end: sim.Time(0).Add(d)}
-}
-
-// RateEstimator is implemented by arrival processes that know their
-// long-run mean rate (req/s); generators use it to size preallocations.
-type RateEstimator interface{ MeanRate() float64 }
-
-// MeanRate implements RateEstimator.
-func (p PoissonArrivals) MeanRate() float64 { return p.Rate }
-
-// MeanRate implements RateEstimator.
-func (u UniformArrivals) MeanRate() float64 { return u.Rate }
-
-// MeanRate implements RateEstimator. Bursty gaps are normalized so the
-// long-run mean rate stays Rate regardless of the burst parameters.
-func (b BurstyArrivals) MeanRate() float64 { return b.Rate }
-
 // Generate produces n requests in arrival order (none when n <= 0).
 func (g *Generator) Generate(n int) []Request {
 	out := make([]Request, 0, max(n, 0))
 	src := g.Source(n)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
-// GenerateFor produces requests until the trace spans d of virtual time.
-// The expected count (span times the process's mean rate) sizes the slice
-// up front, so long traces don't pay repeated append regrowth.
-func (g *Generator) GenerateFor(d sim.Duration) []Request {
-	hint := 16
-	if re, ok := g.Process.(RateEstimator); ok {
-		hint += int(d.Seconds() * re.MeanRate())
-	}
-	out := make([]Request, 0, hint)
-	src := g.SourceFor(d)
 	for {
 		r, ok := src.Next()
 		if !ok {

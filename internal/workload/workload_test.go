@@ -181,19 +181,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-func TestGenerateFor(t *testing.T) {
-	g := NewGenerator(Fixed(10, 5, 100), UniformArrivals{Rate: 2}, 1)
-	reqs := g.GenerateFor(sim.Seconds(10))
-	if len(reqs) < 18 || len(reqs) > 21 {
-		t.Errorf("got %d requests in 10s at 2/s, want ~20", len(reqs))
-	}
-	for _, r := range reqs {
-		if r.Arrival > 10 {
-			t.Fatalf("request at %v beyond horizon", r.Arrival)
-		}
-	}
-}
-
 func TestTraceSaveLoadRoundTrip(t *testing.T) {
 	reqs := NewGenerator(ShareGPT(), PoissonArrivals{Rate: 4}, 5).Generate(50)
 	var buf bytes.Buffer

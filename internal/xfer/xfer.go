@@ -20,17 +20,29 @@ import (
 // 32 GB/s × 0.72 ≈ 65 ms, matching the paper's measurement.
 const DefaultEfficiency = 0.72
 
-// Link is a serially-shared unidirectional interconnect path.
+// Link is a serially-shared unidirectional interconnect path: transfers
+// queue and cross one at a time in submission order, each occupying the
+// link for its TransferTime, so later transfers wait behind it.
 type Link struct {
-	res  *sim.FIFOResource
+	sim  *sim.Simulator
+	name string
 	spec gpu.LinkSpec
 	eff  float64
 	// degrade scales effective bandwidth below nominal (fault injection);
 	// 0 and 1 both mean healthy.
 	degrade float64
 
+	busy  bool  // a transfer is in service
+	queue []job // transfers waiting behind it
+
 	// BytesMoved accumulates total payload for utilization reporting.
 	BytesMoved float64
+}
+
+// job is one queued transfer: its service time and completion callback.
+type job struct {
+	d    sim.Duration
+	done func()
 }
 
 // NewLink builds a link on the simulator from a hardware spec.
@@ -38,14 +50,14 @@ func NewLink(s *sim.Simulator, name string, spec gpu.LinkSpec, efficiency float6
 	if efficiency <= 0 || efficiency > 1 {
 		panic(fmt.Sprintf("xfer: efficiency %v out of (0,1]", efficiency))
 	}
-	return &Link{res: sim.NewFIFOResource(s, name), spec: spec, eff: efficiency}
+	return &Link{sim: s, name: name, spec: spec, eff: efficiency}
 }
 
 // Spec returns the underlying hardware path.
 func (l *Link) Spec() gpu.LinkSpec { return l.spec }
 
 // Name returns the link's trace/debug name.
-func (l *Link) Name() string { return l.res.Name() }
+func (l *Link) Name() string { return l.name }
 
 // NominalRate returns the healthy effective throughput in bytes/second
 // (raw bandwidth × protocol efficiency, ignoring any injected
@@ -83,10 +95,30 @@ func (l *Link) TransferTime(bytes float64) sim.Duration {
 }
 
 // Transfer enqueues a copy; done fires when the payload has fully crossed
-// the link (after any queued transfers ahead of it).
+// the link (after any queued transfers ahead of it). Zero-duration
+// transfers still keep FIFO order.
 func (l *Link) Transfer(bytes float64, done func()) {
 	l.BytesMoved += bytes
-	l.res.Submit(l.TransferTime(bytes), done)
+	l.queue = append(l.queue, job{d: l.TransferTime(bytes), done: done})
+	if !l.busy {
+		l.startNext()
+	}
+}
+
+// startNext puts the front transfer in service: one event at its
+// completion runs done, then starts the next.
+func (l *Link) startNext() {
+	if len(l.queue) == 0 {
+		l.busy = false
+		return
+	}
+	j := l.queue[0]
+	l.queue = l.queue[1:]
+	l.busy = true
+	l.sim.Schedule(j.d, func() {
+		j.done()
+		l.startNext()
+	})
 }
 
 // AccountBytes records payload that crossed the link outside the FIFO
@@ -101,13 +133,4 @@ func (l *Link) AccountBytes(bytes float64) {
 }
 
 // Busy reports whether a transfer is in flight.
-func (l *Link) Busy() bool { return l.res.Busy() }
-
-// QueueLen returns the number of waiting transfers.
-func (l *Link) QueueLen() int { return l.res.QueueLen() }
-
-// Backlog returns the total queued (not yet started) service time.
-func (l *Link) Backlog() sim.Duration { return l.res.Backlog() }
-
-// BusyTime returns cumulative occupied time, for utilization metrics.
-func (l *Link) BusyTime() sim.Duration { return l.res.BusyTime }
+func (l *Link) Busy() bool { return l.busy }

@@ -2,8 +2,8 @@
 # Regenerates BENCH_sim.json: the benchmark module's end-to-end set
 # (sim req/s, peak RSS, set-up time and allocations per request, with its
 # run manifest), kernel micro-benchmarks (ns/op, allocs/op), per-exhibit
-# regeneration cost, windbench serial-vs-parallel wall clock, and the
-# ext-fleet-scale shard sweep. Run from anywhere in the repo:
+# regeneration cost and windbench serial-vs-parallel wall clock. Run from
+# anywhere in the repo:
 #
 #   scripts/bench.sh [--smoke] [output.json]
 #
@@ -39,12 +39,10 @@ trap 'rm -rf "$tmp"' EXIT
 benchtime=1s
 all_n=300
 bench_args=()
-scale_args=(ext-fleet-scale)
 if [[ $smoke -eq 1 ]]; then
     benchtime=100x
     all_n=120
     bench_args=(-reps 1)
-    scale_args=(-n 20000 ext-fleet-scale)
 fi
 
 echo "== end-to-end benchmark set (benchmark/run.sh) ==" >&2
@@ -76,16 +74,11 @@ serial=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 parallel=$(echo "$t2 $t1" | awk '{printf "%.3f", $1 - $2}')
 echo "serial ${serial}s  parallel ${parallel}s  ($(nproc) cores)" >&2
 
-echo "== ext-fleet-scale: 64-replica fleet across shard counts ==" >&2
-"$tmp/windbench" "${scale_args[@]}" | tee "$tmp/scale.txt" >&2
-grep -q "byte-identical virtual-time results" "$tmp/scale.txt" \
-    || { echo "bench.sh: sharded fleet results diverged" >&2; exit 1; }
-
 # Physical core count from the host, not Python's os.cpu_count(): under a
 # container cpuset/affinity mask the latter reports the mask width (often
 # 1), which misdocuments the machine the numbers came from. gomaxprocs is
-# what the Go scheduler actually got — the bound on any within-run
-# (shards) or across-run (-parallel) speedup measured above. The embedded
+# what the Go scheduler actually got — the bound on the across-run
+# (-parallel) speedup measured above. The embedded
 # benchmark manifest records its own nproc and gomaxprocs.
 host_cores=$(nproc --all 2>/dev/null || getconf _NPROCESSORS_CONF)
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
@@ -112,28 +105,6 @@ def parse(path):
         rows.append(row)
     return rows
 
-def parse_scale(path):
-    rows = []
-    for line in open(path):
-        m = re.match(r'^(\d+)\s+([\d.]+)\s+(\d+)\s+([\d.]+)x\s+(\d+)\s+(\d+)'
-                     r'\s+([\d.]+)\s+([\d.]+)\s+([0-9a-f]+)\s+(\d+)\s+(\d+)\s*$', line)
-        if not m:
-            continue
-        rows.append({
-            "shards": int(m.group(1)),
-            "wall_seconds": float(m.group(2)),
-            "sim_req_per_sec": int(m.group(3)),
-            "speedup": float(m.group(4)),
-            "windows": int(m.group(5)),
-            "crossings": int(m.group(6)),
-            "busy_seconds": float(m.group(7)),
-            "wait_seconds": float(m.group(8)),
-            "result_digest": m.group(9),
-            "completed": int(m.group(10)),
-            "unfinished": int(m.group(11)),
-        })
-    return rows
-
 micro = parse(f"{tmp}/micro.txt")
 ns = {r["name"]: r["ns_per_op"] for r in micro}
 heap_ns = ns.get("BenchmarkEventQueueHeap10k")
@@ -157,18 +128,6 @@ doc = {
         "note": "hold model with 10k pending events; the calendar queue's "
                 "O(1) expected schedule/fire replaces the binary heap's "
                 "O(log n) sift",
-    },
-    "ext_fleet_scale": {
-        "args": "ext-fleet-scale (64 replicas, 1,000,000 streamed requests, "
-                "least-loaded, shards in {1, 4, 8, NumCPU})",
-        "rows": parse_scale(f"{tmp}/scale.txt"),
-        "note": "wall_seconds/sim_req_per_sec/speedup are host measurements; "
-                "busy_seconds/wait_seconds split the barrier crossings' wall "
-                "time, summed over shards, into window work and barrier wait "
-                "(spin plus park); result_digest fingerprints the virtual-time Result and is "
-                "identical across rows (sharded == sequential, byte for "
-                "byte). Speedup is bounded by min(shards, gomaxprocs); "
-                f"this capture ran with gomaxprocs={gomaxprocs}.",
     },
     "exhibits": parse(f"{tmp}/exhibit.txt"),
     "windbench_all": {
