@@ -1005,6 +1005,9 @@ func (ins *Instance) visit(r *Req, p int) {
 		ins.visiting = nil
 		r.Phase = PhaseDone
 		ins.ReleaseKV(r)
+		// The dead handle would pin its chunk of handles for as long as
+		// anything still holds the finished request.
+		r.kv = nil
 		if ins.hooks.OnComplete != nil {
 			ins.hooks.OnComplete(r)
 		}

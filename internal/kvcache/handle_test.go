@@ -140,3 +140,36 @@ func TestAllocHandleOtherManager(t *testing.T) {
 		t.Error("unallocated request resolved to a handle")
 	}
 }
+
+// TestReleasedHandleStaysDead: handles come from shared chunks, but a
+// released one is never handed out again. After more allocations than a
+// chunk holds, the same ID among them, the old handle is still dead.
+func TestReleasedHandleStaysDead(t *testing.T) {
+	m := mustMgr(t, 1<<20, 0)
+	if err := m.Allocate(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Alloc(1)
+	if err := m.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	for id := RequestID(1); id <= 3*allocChunk; id++ {
+		if err := m.Allocate(id, 10); err != nil {
+			t.Fatal(err)
+		}
+		if id%2 == 0 {
+			if err := m.Release(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if h.LiveOn(m) {
+		t.Fatal("released handle is live again")
+	}
+	if err := h.Grow(20); !errors.Is(err, ErrUnknownRequest) {
+		t.Fatalf("released handle Grow = %v, want ErrUnknownRequest", err)
+	}
+	if m.Tokens(1) != 10 || m.Alloc(1) == h {
+		t.Errorf("re-allocated request 1: %d tokens, same handle %v", m.Tokens(1), m.Alloc(1) == h)
+	}
+}

@@ -178,10 +178,10 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 		m.prefix[pkey{group, i}].lastUse = m.useSeq
 	}
 
-	m.tables[id] = &Alloc{
-		m: m, id: id, tokens: tokens, blocks: privateBlocks, loc: OnGPU,
+	m.tables[id] = m.newAlloc(Alloc{
+		id: id, tokens: tokens, blocks: privateBlocks, loc: OnGPU,
 		group: group, shared: nShare,
-	}
+	})
 	m.touchPeak()
 
 	hitTokens := hitBlocks * m.blockSize

@@ -71,14 +71,23 @@ func TestCompletedRecordEmitsPlanned(t *testing.T) {
 	}
 }
 
-func TestPctEmptyAndSingle(t *testing.T) {
-	for _, p := range []float64{0, 50, 90, 99, 100} {
-		if v := pct(nil, p); v != 0 {
-			t.Errorf("pct(nil, %v) = %v, want 0 (never NaN)", p, v)
+// TestSummarizeSingleRecord: with one record every percentile is that
+// record's own value.
+func TestSummarizeSingleRecord(t *testing.T) {
+	r := buildRecord(t, 10, 1, 1.5, 2, 2.1, 2.9)
+	s := Summarize([]*Record{r}, SLO{TTFT: sim.Seconds(1), TPOT: sim.Seconds(0.1)})
+	for name, got := range map[string]sim.Duration{"TTFTP50": s.TTFTP50, "TTFTP90": s.TTFTP90, "TTFTP99": s.TTFTP99} {
+		if got != r.TTFT() {
+			t.Errorf("%s = %v, want %v", name, got, r.TTFT())
 		}
-		if v := pct([]float64{4.2}, p); v != 4.2 {
-			t.Errorf("pct([4.2], %v) = %v, want 4.2", p, v)
+	}
+	for name, got := range map[string]sim.Duration{"TPOTP50": s.TPOTP50, "TPOTP90": s.TPOTP90, "TPOTP99": s.TPOTP99} {
+		if got != r.TPOT() {
+			t.Errorf("%s = %v, want %v", name, got, r.TPOT())
 		}
+	}
+	if s.DecodeQueueP99 != r.DecodeQueueDelay() {
+		t.Errorf("DecodeQueueP99 = %v, want %v", s.DecodeQueueP99, r.DecodeQueueDelay())
 	}
 }
 

@@ -134,7 +134,15 @@ type Recorder struct {
 	// and recycles the Record structs past a retention cap, bounding memory
 	// on long horizons. Nil for the exact (default) recorder.
 	stream *streamAgg
+	// chunk is the unused rest of the block the exact recorder carves new
+	// records from. It keeps every record, so a chunk never pins dead
+	// ones, and the []*Record views stay valid.
+	chunk []Record
 }
+
+// recordChunk is how many records one exact-recorder heap allocation
+// holds (~22 KiB).
+const recordChunk = 256
 
 // NewRecorder returns an empty exact recorder: every finalized record is
 // retained, and Summarize computes exact percentiles over all of them.
@@ -147,16 +155,23 @@ func (rec *Recorder) Arrive(id uint64, prompt, output int, at sim.Time) {
 	if _, ok := rec.open[id]; ok {
 		panic(fmt.Sprintf("metrics: duplicate arrival for request %d", id))
 	}
+	var r *Record
 	if s := rec.stream; s != nil {
 		if n := len(s.free); n > 0 {
-			r := s.free[n-1]
+			r = s.free[n-1]
 			s.free = s.free[:n-1]
-			*r = Record{ID: id, PromptTokens: prompt, OutputTokens: output, Arrival: at}
-			rec.open[id] = r
-			return
+		} else {
+			r = new(Record)
 		}
+	} else {
+		if len(rec.chunk) == 0 {
+			rec.chunk = make([]Record, recordChunk)
+		}
+		r = &rec.chunk[0]
+		rec.chunk = rec.chunk[1:]
 	}
-	rec.open[id] = &Record{ID: id, PromptTokens: prompt, OutputTokens: output, Arrival: at}
+	*r = Record{ID: id, PromptTokens: prompt, OutputTokens: output, Arrival: at}
+	rec.open[id] = r
 }
 
 func (rec *Recorder) get(id uint64) *Record {
@@ -320,7 +335,7 @@ type Summary struct {
 	TokensPerSec float64 // output tokens per second of span
 }
 
-// summarizeScratch pools the percentile sort buffers Summarize fills and
+// summarizeScratch pools the percentile buffers Summarize fills and
 // discards on every call — one call per printed row and per run, and the
 // parallel experiment runner summarizes several runs concurrently, so the
 // scratch is a sync.Pool rather than package-level state.
@@ -377,24 +392,26 @@ func Summarize(records []*Record, slo SLO) Summary {
 		}
 		outTokens += r.OutputTokens
 	}
-	slices.Sort(ttft)
-	slices.Sort(tpot)
-	slices.Sort(dq)
+	var ttftP, tpotP [3]float64
+	var dqP99 [1]float64
+	stats.SelectPercentiles(ttft, ttftP[:], 50, 90, 99)
+	stats.SelectPercentiles(tpot, tpotP[:], 50, 90, 99)
+	stats.SelectPercentiles(dq, dqP99[:], 99)
 	span := maxDone.Sub(minArr).Seconds()
 	s := Summary{
 		Requests: n,
-		TTFTP50:  sim.Seconds(pct(ttft, 50)),
-		TTFTP90:  sim.Seconds(pct(ttft, 90)),
-		TTFTP99:  sim.Seconds(pct(ttft, 99)),
-		TPOTP50:  sim.Seconds(pct(tpot, 50)),
-		TPOTP90:  sim.Seconds(pct(tpot, 90)),
-		TPOTP99:  sim.Seconds(pct(tpot, 99)),
+		TTFTP50:  sim.Seconds(ttftP[0]),
+		TTFTP90:  sim.Seconds(ttftP[1]),
+		TTFTP99:  sim.Seconds(ttftP[2]),
+		TPOTP50:  sim.Seconds(tpotP[0]),
+		TPOTP90:  sim.Seconds(tpotP[1]),
+		TPOTP99:  sim.Seconds(tpotP[2]),
 		TTFTMean: sim.Seconds(ttftSum / float64(n)),
 		TPOTMean: sim.Seconds(tpotSum / float64(n)),
 
 		PrefillQueueMean: sim.Seconds(pqSum / float64(n)),
 		DecodeQueueMean:  sim.Seconds(dqSum / float64(n)),
-		DecodeQueueP99:   sim.Seconds(pct(dq, 99)),
+		DecodeQueueP99:   sim.Seconds(dqP99[0]),
 
 		Attainment:     float64(meets) / float64(n),
 		TTFTAttainment: float64(meetsTTFT) / float64(n),
@@ -406,16 +423,6 @@ func Summarize(records []*Record, slo SLO) Summary {
 		s.TokensPerSec = float64(outTokens) / span
 	}
 	return s
-}
-
-// pct is stats.PercentileSorted, except that an empty class is 0, not
-// NaN — NaN poisons downstream CSV parsing and comparisons the first time
-// a fault plan empties a class (e.g. zero aborted requests).
-func pct(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return stats.PercentileSorted(sorted, p)
 }
 
 // WriteRecordsCSV emits one line per completed request — the raw material

@@ -1,0 +1,172 @@
+package serve
+
+import (
+	"runtime"
+	"testing"
+
+	"windserve/internal/engine"
+	"windserve/internal/workload"
+)
+
+// These tests pin the life of a pooled KV copy record (kvCopy): a copy
+// whose destination crashes under it re-routes exactly once, and the
+// re-route's new copy can take the very record that just completed.
+
+// distBed builds a DistServe cluster of np prefill and nd decode
+// instances as RunDistServe wires it, without a workload.
+func distBed(t *testing.T, np, nd int) *pd {
+	t.Helper()
+	cfg := cfg13B(t)
+	cfg.NumPrefill, cfg.NumDecode = np, nd
+	r, err := newRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newPD(r, r.cfg, pdHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.queueDepth = d.queueDepth
+	r.onAbort = d.abort
+	return d
+}
+
+// arrive registers a request with the runner and returns it, unrouted.
+func arrive(r *runner, id uint64, prompt, output int) *engine.Req {
+	q := engine.NewReq(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: output})
+	r.live[id] = q
+	r.rec.Arrive(id, prompt, output, r.s.Now())
+	return q
+}
+
+// decodesOn returns the index of the one decode instance running q, or
+// -1 when none or several do.
+func decodesOn(ins []*engine.Instance, q *engine.Req) int {
+	at := -1
+	for j, in := range ins {
+		for _, x := range in.Running() {
+			if x == q {
+				if at >= 0 {
+					return -1
+				}
+				at = j
+			}
+		}
+	}
+	return at
+}
+
+// TestDistServeDecodeCrashUnderCopy: with 1P/2D, the decode instance a
+// prefilled request's KV is crossing to crashes while the payload is on
+// the link. When the copy lands the request re-routes to the other decode
+// instance, whose copy reuses the record, and completes once with no KV
+// left anywhere.
+func TestDistServeDecodeCrashUnderCopy(t *testing.T) {
+	d := distBed(t, 1, 2)
+	r := d.r
+	q := arrive(r, 1, 1500, 40)
+	d.prefillRR(q)
+	for !(q.Phase == engine.PhaseTransferring && d.pdLink(0, 0).Busy()) && r.s.Step() {
+	}
+	j, ok := d.decodeAt[q.W.ID]
+	if !ok || j != 0 || !d.decodes[0].KV().Has(q.KVID()) {
+		t.Fatalf("copy to decode 0 not under way: decodeAt=%d,%v %v", j, ok, q)
+	}
+	if len(d.copies) != 0 {
+		t.Fatalf("%d pooled copy records while the only copy is in flight", len(d.copies))
+	}
+	d.crash(len(d.prefills) + 0)
+	for q.Phase != engine.PhaseDecoding && r.s.Step() {
+	}
+	if at := decodesOn(d.decodes, q); at != 1 || d.decodeAt[q.W.ID] != 1 {
+		t.Fatalf("request decodes on %d (decodeAt %d), want the surviving decode 1", at, d.decodeAt[q.W.ID])
+	}
+	r.s.RunAll()
+	if !q.Finished() || len(r.rec.Completed()) != 1 {
+		t.Fatalf("request not completed exactly once: %v, %d completed", q, len(r.rec.Completed()))
+	}
+	if len(d.copies) != 1 {
+		t.Errorf("%d copy records made for the copy and its re-route, want 1 reused", len(d.copies))
+	}
+	checkDrained(t, r.rec, d.ins)
+}
+
+// TestWindAsyncDecodeCrashUnderCopy: WindServe's async copy loses its
+// destination. Mid-prefill, the crash drops the async transfer and the
+// prefill's end serial-transfers to the survivor while the stale copy
+// completes into nothing. After the prefill, on a link slow enough that
+// the copy is still on it, the copy's landing re-routes the request. It
+// completes once on the other decode instance with no KV left anywhere.
+func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		degrade    float64 // link bandwidth fraction; 1 is healthy
+		prefillEnd bool    // crash once the prefill is done
+	}{
+		{"mid-prefill", 1, false},
+		{"after-prefill", 0.01, true},
+	} {
+		w := windBed(t, 1, 2)
+		d, r := w.d, w.r
+		d.degradeLinks(tc.degrade)
+		q := arrive(r, 1, 1500, 40)
+		d.prefillAt[q.W.ID] = 0
+		d.prefills[0].EnqueuePrefill(q)
+		for r.s.Step() {
+			ax, ok := w.async[q.W.ID]
+			if ok && ax.prefillDone == tc.prefillEnd {
+				break
+			}
+		}
+		ax, ok := w.async[q.W.ID]
+		if !ok || ax.xferDone || ax.prefillDone != tc.prefillEnd || ax.decodeIdx != 0 {
+			t.Fatalf("%s: async copy to decode 0 not under way: %+v, %v", tc.name, ax, ok)
+		}
+		d.crash(len(d.prefills) + 0)
+		for q.Phase != engine.PhaseDecoding && r.s.Step() {
+		}
+		if at := decodesOn(d.decodes, q); at != 1 || d.decodeAt[q.W.ID] != 1 {
+			t.Fatalf("%s: request decodes on %d (decodeAt %d), want the surviving decode 1",
+				tc.name, at, d.decodeAt[q.W.ID])
+		}
+		r.s.RunAll()
+		if !q.Finished() || len(r.rec.Completed()) != 1 || r.recovered[q.W.ID] {
+			t.Fatalf("%s: request not completed exactly once without a re-prefill: %v, %d completed, recovered=%v",
+				tc.name, q, len(r.rec.Completed()), r.recovered[q.W.ID])
+		}
+		if len(w.async) != 0 {
+			t.Errorf("%s: %d async entries left", tc.name, len(w.async))
+		}
+		checkDrained(t, r.rec, d.ins)
+	}
+}
+
+// TestTestbedAllocsPerRequest is the per-request heap allocation budget
+// of the testbed's arrival → prefill → KV copy → decode path, on DistServe
+// with the exact recorder. Two stream sizes share their set-up cost, so
+// the difference of their allocation counts is the streams' own.
+func TestTestbedAllocsPerRequest(t *testing.T) {
+	cfg := cfg13B(t)
+	rate := 3.0 * float64(cfg.TotalGPUs())
+	mallocs := func(n int) uint64 {
+		src := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 42).Source(n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := RunDistServeFrom(cfg, src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != n {
+			t.Fatalf("%d of %d requests completed", len(res.Records), n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs(4_000), mallocs(16_000)
+	per := float64(large-small) / 12_000
+	t.Logf("%.3f heap allocations per request (%d at 4k requests, %d at 16k)", per, small, large)
+	if per > 1.25 {
+		t.Errorf("%.3f heap allocations per request, budget 1.25", per)
+	}
+}

@@ -94,6 +94,11 @@ type pd struct {
 	// transferPending are prefilled requests waiting for decode KV.
 	transferPending []*engine.Req
 
+	// copies pools the records of KV copies not on a link (see kvCopy);
+	// serialDone is d.finishSerial, bound once.
+	copies     []*kvCopy
+	serialDone func(kvCopy)
+
 	rr struct{ prefill, decode int }
 
 	// stats
@@ -157,6 +162,7 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 		prefillAt: make(map[uint64]int),
 		decodeAt:  make(map[uint64]int),
 	}
+	d.serialDone = d.finishSerial
 	if ph.elastic {
 		d.flipped = make([]bool, len(asg))
 	}
@@ -455,44 +461,91 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 			d.rr.decode = (j + 1) % n
 			d.decodeAt[q.W.ID] = j
 			d.cfg.Decisions.AddRoute(d.r.s.Now(), q.W.ID, d.dIns(j).Name(), "transfer-round-robin")
-			start := d.r.s.Now()
-			bytes := d.kvBytes(q.Ctx())
-			lk := d.pdLink(i, j)
-			lk.Transfer(bytes, func() {
-				d.observeTransfer(bytes, start)
-				if d.cfg.Tracer != nil {
-					d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
-						fmt.Sprintf("req%d %d tokens", q.W.ID, q.Ctx()))
-				}
-				d.pIns(i).ReleaseKV(q)
-				if q.Phase == engine.PhaseAborted {
-					d.releaseAt(d.dIns(j), q)
-					return
-				}
-				if d.dIns(j).Down() || !d.dIns(j).KV().Has(q.KVID()) {
-					// The target crashed while the payload was in flight — its
-					// KV reset dropped the allocation — and may even have
-					// restored already with empty blocks. Re-route through the
-					// serial path to an instance holding a fresh allocation.
-					delete(d.decodeAt, q.W.ID)
-					d.serialTransfer(q)
-					return
-				}
-				if d.ph.elastic && !d.actingDecode(j) {
-					// The target flipped to prefill while the payload was in
-					// flight; hand the stream to a current acting decode
-					// instead of loading the fresh prefill role with it.
-					d.releaseAt(d.dIns(j), q)
-					delete(d.decodeAt, q.W.ID)
-					d.serialTransfer(q)
-					return
-				}
-				d.dIns(j).AdmitDecode(q)
-			})
+			d.startCopy(kvCopy{q: q, i: i, j: j, bytes: d.kvBytes(q.Ctx()), lk: d.pdLink(i, j), then: d.serialDone})
 			return true
 		}
 	}
 	return false
+}
+
+// kvCopy is one KV copy on a link whose life ends at its completion: a
+// prefill→decode transfer, serial or WindServe's async one, or a WindServe
+// backup. The pd pools the records, and each binds its done method value
+// once, when first made, so starting a copy allocates nothing.
+type kvCopy struct {
+	d  *pd
+	fn func() // done, bound once
+	// then handles the completion, given the record's fields.
+	then func(kvCopy)
+
+	q *engine.Req
+	// i and j are the copy's prefill-space and decode-space ends.
+	i, j   int
+	tokens int    // backups: the context snapshot copied
+	stamp  uint64 // async copies: the asyncXfer the copy serves
+	start  sim.Time
+	bytes  float64
+	lk     *xfer.Link
+}
+
+// startCopy puts c's bytes on c.lk in a pooled record, stamped with the
+// current time; c.then runs when the payload has crossed.
+func (d *pd) startCopy(c kvCopy) {
+	var rec *kvCopy
+	if n := len(d.copies); n > 0 {
+		rec = d.copies[n-1]
+		d.copies = d.copies[:n-1]
+	} else {
+		rec = new(kvCopy)
+		rec.fn = rec.done
+	}
+	c.d, c.fn, c.start = d, rec.fn, d.r.s.Now()
+	*rec = c
+	c.lk.Transfer(c.bytes, rec.fn)
+}
+
+// done is a copy's link completion. It takes the fields, returns the
+// record to the pool, then runs the handler: a re-route inside the
+// handler may start a new copy, and can take this very record.
+func (c *kvCopy) done() {
+	v := *c
+	*c = kvCopy{fn: c.fn}
+	v.d.copies = append(v.d.copies, c)
+	v.then(v)
+}
+
+// finishSerial lands a serial prefill→decode copy.
+func (d *pd) finishSerial(c kvCopy) {
+	q, i, j := c.q, c.i, c.j
+	d.observeTransfer(c.bytes, c.start)
+	if d.cfg.Tracer != nil {
+		d.cfg.Tracer.Add("link "+c.lk.Name(), trace.KindKVTransfer, c.start, d.r.s.Now(),
+			fmt.Sprintf("req%d %d tokens", q.W.ID, q.Ctx()))
+	}
+	d.pIns(i).ReleaseKV(q)
+	if q.Phase == engine.PhaseAborted {
+		d.releaseAt(d.dIns(j), q)
+		return
+	}
+	if d.dIns(j).Down() || !d.dIns(j).KV().Has(q.KVID()) {
+		// The target crashed while the payload was in flight — its KV
+		// reset dropped the allocation — and may even have restored
+		// already with empty blocks. Re-route through the serial path to
+		// an instance holding a fresh allocation.
+		delete(d.decodeAt, q.W.ID)
+		d.serialTransfer(q)
+		return
+	}
+	if d.ph.elastic && !d.actingDecode(j) {
+		// The target flipped to prefill while the payload was in flight;
+		// hand the stream to a current acting decode instead of loading
+		// the fresh prefill role with it.
+		d.releaseAt(d.dIns(j), q)
+		delete(d.decodeAt, q.W.ID)
+		d.serialTransfer(q)
+		return
+	}
+	d.dIns(j).AdmitDecode(q)
 }
 
 // observeTransfer feeds a completed prefill→decode copy back to the hooks

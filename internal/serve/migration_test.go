@@ -27,7 +27,7 @@ func windBed(t *testing.T, np, nd int) *windState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bareWindState(r)
+	w := newWindState(r)
 	d, err := newPD(r, r.cfg, pdHooks{
 		onPrefillStart:  w.maybeStartAsyncTransfer,
 		transfer:        w.finishPrefillTransfer,

@@ -42,13 +42,7 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 	}
 	cfg = r.cfg
 
-	w := &windState{
-		r:              r,
-		cfg:            cfg,
-		async:          make(map[uint64]*asyncXfer),
-		backupInFlight: make(map[uint64]bool),
-		backupAt:       make(map[uint64]int),
-	}
+	w := newWindState(r)
 	d, err := newPD(r, cfg, pdHooks{
 		onPrefillStart:     w.maybeStartAsyncTransfer,
 		transfer:           w.finishPrefillTransfer,
@@ -105,13 +99,30 @@ type windState struct {
 	d     *pd
 	coord *sched.Coordinator
 
-	async          map[uint64]*asyncXfer
+	async          map[uint64]asyncXfer
+	asyncSeq       uint64 // stamps asyncXfers
 	backupInFlight map[uint64]bool
 	backupAt       map[uint64]int // request → prefill instance holding its backup
+
+	// asyncDone and backupDone are w.finishAsyncCopy and w.finishBackup,
+	// bound once.
+	asyncDone, backupDone func(kvCopy)
 
 	dispatched  int
 	rescheduled int
 	backups     int
+}
+
+// newWindState is a windState on r with its maps made and no cluster.
+func newWindState(r *runner) *windState {
+	w := &windState{
+		r: r, cfg: r.cfg,
+		async:          make(map[uint64]asyncXfer),
+		backupInFlight: make(map[uint64]bool),
+		backupAt:       make(map[uint64]int),
+	}
+	w.asyncDone, w.backupDone = w.finishAsyncCopy, w.finishBackup
+	return w
 }
 
 func (w *windState) systemName() string {
@@ -259,10 +270,13 @@ func (w *windState) observeTransfer(bytes float64, elapsed sim.Duration) {
 
 // asyncXfer tracks a transfer overlapped with prefill: the request may
 // only start decoding when both the prefill and the copy have finished.
+// stamp tells the copy's completion whether it still serves this entry:
+// after crash recovery the request may have a newer one.
 type asyncXfer struct {
 	xferDone    bool
 	prefillDone bool
 	decodeIdx   int
+	stamp       uint64
 }
 
 // maybeStartAsyncTransfer begins streaming a request's KV to a decode
@@ -280,23 +294,30 @@ func (w *windState) maybeStartAsyncTransfer(q *engine.Req) {
 	if w.d.decodes[dj].KV().Allocate(q.KVID(), q.W.PromptTokens+1) != nil {
 		return // no decode blocks: fall back to the serial path at prefill end
 	}
-	ax := &asyncXfer{decodeIdx: dj}
-	w.async[q.W.ID] = ax
+	w.asyncSeq++
+	w.async[q.W.ID] = asyncXfer{decodeIdx: dj, stamp: w.asyncSeq}
 	w.d.decodeAt[q.W.ID] = dj
 	w.d.asyncXfers++
 	pi := w.d.prefillIdx(q)
-	start := w.r.s.Now()
-	bytes := w.d.kvBytes(q.W.PromptTokens)
-	lk := w.d.pdLink(pi, dj)
-	lk.Transfer(bytes, func() {
-		w.d.observeTransfer(bytes, start)
-		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, w.r.s.Now(),
-				fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
-		}
-		ax.xferDone = true
-		w.maybeFinishAsync(q, ax)
-	})
+	w.d.startCopy(kvCopy{q: q, i: pi, j: dj, stamp: w.asyncSeq,
+		bytes: w.d.kvBytes(q.W.PromptTokens), lk: w.d.pdLink(pi, dj), then: w.asyncDone})
+}
+
+// finishAsyncCopy lands an async copy.
+func (w *windState) finishAsyncCopy(c kvCopy) {
+	q := c.q
+	w.d.observeTransfer(c.bytes, c.start)
+	if w.cfg.Tracer != nil {
+		w.cfg.Tracer.Add("link "+c.lk.Name(), trace.KindKVTransfer, c.start, w.r.s.Now(),
+			fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
+	}
+	ax, ok := w.async[q.W.ID]
+	if !ok || ax.stamp != c.stamp {
+		return // superseded: crash recovery already re-routed the request
+	}
+	ax.xferDone = true
+	w.async[q.W.ID] = ax
+	w.maybeFinishAsync(q, ax)
 }
 
 // finishPrefillTransfer is the pd transfer hook: async requests complete
@@ -307,16 +328,16 @@ func (w *windState) finishPrefillTransfer(q *engine.Req) bool {
 		return false
 	}
 	ax.prefillDone = true
+	w.async[q.W.ID] = ax
 	w.maybeFinishAsync(q, ax)
 	return true
 }
 
-func (w *windState) maybeFinishAsync(q *engine.Req, ax *asyncXfer) {
+// maybeFinishAsync hands the request to its decode instance once both
+// halves of the current async transfer ax are done.
+func (w *windState) maybeFinishAsync(q *engine.Req, ax asyncXfer) {
 	if !ax.xferDone || !ax.prefillDone {
 		return
-	}
-	if w.async[q.W.ID] != ax {
-		return // superseded: crash recovery already re-routed the request
 	}
 	delete(w.async, q.W.ID)
 	dec := w.d.decodes[ax.decodeIdx]
@@ -436,22 +457,26 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 		return
 	}
 	w.backupInFlight[cand.W.ID] = true
-	start := w.r.s.Now()
-	lk := w.d.dpLink(j, pi)
-	lk.Transfer(w.d.kvBytes(snap), func() {
-		delete(w.backupInFlight, cand.W.ID)
-		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, w.r.s.Now(),
-				fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
-		}
-		if cand.Phase == engine.PhaseDone || cand.Phase == engine.PhaseAborted ||
-			!pkv.Has(cand.KVID()) || !pkv.IsBackup(cand.KVID()) {
-			return // finished, cancelled, or promoted while copying
-		}
-		cand.BackupTokens = snap
-		w.backupAt[cand.W.ID] = pi
-		w.backups++
-	})
+	w.d.startCopy(kvCopy{q: cand, i: pi, j: j, tokens: snap,
+		bytes: w.d.kvBytes(snap), lk: w.d.dpLink(j, pi), then: w.backupDone})
+}
+
+// finishBackup lands a backup copy.
+func (w *windState) finishBackup(c kvCopy) {
+	cand, pi, snap := c.q, c.i, c.tokens
+	delete(w.backupInFlight, cand.W.ID)
+	if w.cfg.Tracer != nil {
+		w.cfg.Tracer.Add("link "+c.lk.Name(), trace.KindKVTransfer, c.start, w.r.s.Now(),
+			fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
+	}
+	pkv := w.d.prefills[pi].KV()
+	if cand.Phase == engine.PhaseDone || cand.Phase == engine.PhaseAborted ||
+		!pkv.Has(cand.KVID()) || !pkv.IsBackup(cand.KVID()) {
+		return // finished, cancelled, or promoted while copying
+	}
+	cand.BackupTokens = snap
+	w.backupAt[cand.W.ID] = pi
+	w.backups++
 }
 
 // onComplete cleans up cross-instance state for a finished request.
@@ -519,7 +544,7 @@ func (w *windState) crash(k int, orphans []*engine.Req) {
 		if !ax.prefillDone {
 			// Still prefilling at the source: drop the dead transfer so
 			// prefill completion takes the serial path to a survivor. The
-			// stale link callback no-ops (map-identity check).
+			// stale copy's completion no-ops (no entry, or a newer stamp).
 			delete(w.async, id)
 			delete(w.d.decodeAt, id)
 		}

@@ -20,20 +20,10 @@ func newWindStateForTest(t *testing.T) *windState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bareWindState(r)
+	w := newWindState(r)
 	w.d = d
 	w.coord = testCoordinator(t, d)
 	return w
-}
-
-// bareWindState is a windState on r with its maps made and no cluster.
-func bareWindState(r *runner) *windState {
-	return &windState{
-		r: r, cfg: r.cfg,
-		async:          make(map[uint64]*asyncXfer),
-		backupInFlight: make(map[uint64]bool),
-		backupAt:       make(map[uint64]int),
-	}
 }
 
 // testCoordinator is a Global Scheduler profiled on d's prefill cost model.

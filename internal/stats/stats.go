@@ -7,7 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // ErrSingular is returned when a regression system has no unique solution
@@ -108,16 +109,11 @@ func PolyEval(c []float64, x float64) float64 {
 // interpolation between closest ranks. It returns NaN for an empty slice.
 // xs is not modified.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
+	return PercentilesOf(xs, p)[0]
 }
 
-// PercentilesOf computes several percentiles with a single sort.
+// PercentilesOf computes several percentiles of xs, each NaN when xs is
+// empty. xs is not modified.
 func PercentilesOf(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(xs) == 0 {
@@ -126,32 +122,127 @@ func PercentilesOf(xs []float64, ps ...float64) []float64 {
 		}
 		return out
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = PercentileSorted(sorted, p)
-	}
+	SelectPercentiles(slices.Clone(xs), out, ps...)
 	return out
 }
 
 // PercentileSorted is Percentile on data already sorted ascending and
 // non-empty.
 func PercentileSorted(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := rankOf(p, len(sorted))
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// rankOf locates percentile p among n sorted values: the closest ranks
+// lo and hi, and hi's weight in the interpolation between them.
+func rankOf(p float64, n int) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// SelectPercentiles writes the percentiles ps of the non-empty xs into
+// out, equal bit for bit to PercentileSorted on xs sorted. Instead of
+// sorting, it selects only the ranks each percentile interpolates
+// between, in expected O(len(xs)) per percentile, and reorders xs doing
+// so. NaNs order first, as in sort.Float64s.
+func SelectPercentiles(xs, out []float64, ps ...float64) {
+	n := len(xs)
+	nan := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nan] = xs[nan], x
+			nan++
+		}
+	}
+	// piv is a rank of rest already in place: nothing before it is
+	// larger and nothing after it smaller, so later selections search
+	// one side of it.
+	rest, piv := xs[nan:], -1
+	at := func(k int) float64 {
+		if k < nan {
+			return xs[k]
+		}
+		k -= nan
+		switch {
+		case piv < 0:
+			selectKth(rest, k)
+		case k > piv:
+			selectKth(rest[piv+1:], k-piv-1)
+		case k < piv:
+			selectKth(rest[:piv], k)
+		}
+		piv = k
+		return rest[k]
+	}
+	for i, p := range ps {
+		lo, hi, frac := rankOf(p, n)
+		if lo == hi {
+			out[i] = at(lo)
+			continue
+		}
+		a := at(lo)
+		out[i] = a*(1-frac) + at(hi)*frac
+	}
+}
+
+// selectKth reorders the NaN-free a so that a[k] holds its k-th smallest
+// value, with nothing larger before it and nothing smaller after it:
+// quickselect with median-of-three pivots and a three-way partition (so
+// runs of equal values cost one pass), falling back to a sort if the
+// partitions keep coming out lopsided.
+func selectKth(a []float64, k int) {
+	if k == 0 {
+		m := 0
+		for i := 1; i < len(a); i++ {
+			if a[i] < a[m] {
+				m = i
+			}
+		}
+		a[0], a[m] = a[m], a[0]
+		return
+	}
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
+		// a[lo:lt] < pivot, a[lt:i] == pivot, a[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				a[i], a[gt] = a[gt], v
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
 }
 
 // Mean returns the arithmetic mean of xs (NaN if empty).

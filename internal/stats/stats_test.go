@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -205,5 +207,107 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedPercentiles is the sort-based reference SelectPercentiles must
+// match bit for bit.
+func sortedPercentiles(xs []float64, ps []float64) []float64 {
+	sorted := slices.Clone(xs)
+	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = PercentileSorted(sorted, p)
+	}
+	return out
+}
+
+// TestPropertySelectMatchesSort: selected percentiles equal the sorted
+// reference bit for bit on random inputs with many duplicates, at short
+// lengths where the closest ranks collide, on orderings that defeat naive
+// pivots, with NaNs, and for ps in any order.
+func TestPropertySelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pss := [][]float64{
+		{0, 50, 90, 99, 100},
+		{99, 0, 50, 100, 90},
+		{50}, {90, 90}, {100, 0}, {12.5, 33, 66.6, 99.9},
+	}
+	gen := []func(n int) []float64{
+		func(n int) []float64 { // few distinct values
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(4)) - 1
+			}
+			return xs
+		},
+		func(n int) []float64 { // continuous, with some repeats
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.ExpFloat64()
+				if i > 0 && rng.Intn(4) == 0 {
+					xs[i] = xs[rng.Intn(i)]
+				}
+			}
+			return xs
+		},
+		func(n int) []float64 { // ascending
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i / 3)
+			}
+			return xs
+		},
+		func(n int) []float64 { // descending
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n - i)
+			}
+			return xs
+		},
+		func(n int) []float64 { // organ pipe
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(min(i, n-1-i))
+			}
+			return xs
+		},
+		func(n int) []float64 { // NaNs among values
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.Float64()
+				if rng.Intn(5) == 0 {
+					xs[i] = math.NaN()
+				}
+			}
+			return xs
+		},
+	}
+	lengths := []int{1, 2, 3, 4, 5, 7, 16, 101, 1000, 4097}
+	for trial := 0; trial < 8; trial++ {
+		for gi, g := range gen {
+			for _, n := range lengths {
+				xs := g(n)
+				for _, ps := range pss {
+					want := sortedPercentiles(xs, ps)
+					work := slices.Clone(xs)
+					got := make([]float64, len(ps))
+					SelectPercentiles(work, got, ps...)
+					for i := range ps {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("gen %d n %d ps %v: P%v = %v, want %v", gi, n, ps, ps[i], got[i], want[i])
+						}
+					}
+					ref := slices.Clone(xs)
+					slices.Sort(ref)
+					slices.Sort(work)
+					if !slices.EqualFunc(work, ref, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) {
+						t.Fatalf("gen %d n %d: selection lost or changed values", gi, n)
+					}
+				}
+			}
+		}
 	}
 }

@@ -32,8 +32,13 @@ type Link struct {
 	// 0 and 1 both mean healthy.
 	degrade float64
 
-	busy  bool  // a transfer is in service
-	queue []job // transfers waiting behind it
+	// cur is the done of the transfer in service, nil when idle;
+	// queue[head:] wait behind it. finish is the completion event, bound
+	// once in NewLink, so a transfer schedules no closure of its own.
+	cur    func()
+	queue  []job
+	head   int
+	finish func()
 
 	// BytesMoved accumulates total payload for utilization reporting.
 	BytesMoved float64
@@ -50,7 +55,9 @@ func NewLink(s *sim.Simulator, name string, spec gpu.LinkSpec, efficiency float6
 	if efficiency <= 0 || efficiency > 1 {
 		panic(fmt.Sprintf("xfer: efficiency %v out of (0,1]", efficiency))
 	}
-	return &Link{sim: s, name: name, spec: spec, eff: efficiency}
+	l := &Link{sim: s, name: name, spec: spec, eff: efficiency}
+	l.finish = l.complete
+	return l
 }
 
 // Spec returns the underlying hardware path.
@@ -99,26 +106,54 @@ func (l *Link) TransferTime(bytes float64) sim.Duration {
 // transfers still keep FIFO order.
 func (l *Link) Transfer(bytes float64, done func()) {
 	l.BytesMoved += bytes
-	l.queue = append(l.queue, job{d: l.TransferTime(bytes), done: done})
-	if !l.busy {
+	l.push(job{d: l.TransferTime(bytes), done: done})
+	if l.cur == nil {
 		l.startNext()
 	}
 }
 
+// push appends a transfer behind the queue. A full queue first reclaims
+// the slots its head has passed: in place once they are at least half of
+// it, else by moving the backlog into a buffer twice its size. So a link
+// that never drains holds at most about twice its peak backlog, and each
+// transfer is copied O(1) times on average.
+func (l *Link) push(j job) {
+	if len(l.queue) == cap(l.queue) {
+		live := l.queue[l.head:]
+		if 2*l.head >= len(l.queue) {
+			n := copy(l.queue, live)
+			clear(l.queue[n:])
+			l.queue = l.queue[:n]
+		} else {
+			q := make([]job, len(live), 2*len(live)+1)
+			copy(q, live)
+			l.queue = q
+		}
+		l.head = 0
+	}
+	l.queue = append(l.queue, j)
+}
+
 // startNext puts the front transfer in service: one event at its
-// completion runs done, then starts the next.
+// completion runs done, then starts the next. A drained queue rewinds to
+// its start.
 func (l *Link) startNext() {
-	if len(l.queue) == 0 {
-		l.busy = false
+	if l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+		l.cur = nil
 		return
 	}
-	j := l.queue[0]
-	l.queue = l.queue[1:]
-	l.busy = true
-	l.sim.Schedule(j.d, func() {
-		j.done()
-		l.startNext()
-	})
+	j := l.queue[l.head]
+	l.queue[l.head] = job{}
+	l.head++
+	l.cur = j.done
+	l.sim.Schedule(j.d, l.finish)
+}
+
+// complete is the in-service transfer's completion event.
+func (l *Link) complete() {
+	l.cur()
+	l.startNext()
 }
 
 // AccountBytes records payload that crossed the link outside the FIFO
@@ -133,4 +168,4 @@ func (l *Link) AccountBytes(bytes float64) {
 }
 
 // Busy reports whether a transfer is in flight.
-func (l *Link) Busy() bool { return l.busy }
+func (l *Link) Busy() bool { return l.cur != nil }

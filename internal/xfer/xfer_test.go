@@ -109,6 +109,65 @@ func TestLinkTransferFromCallback(t *testing.T) {
 	}
 }
 
+// TestLinkNeverDrains keeps a link busy across more than 10k transfers
+// whose backlog rises and falls but never empties: completions still
+// follow submission order back to back, and the queue's capacity stays
+// within twice its peak backlog.
+func TestLinkNeverDrains(t *testing.T) {
+	s := sim.New()
+	l := unitLink(s)
+	const total = 12000
+	var sizes []int // seconds of service, by submission order
+	var order []int
+	var doneAt []sim.Time
+	peak := 0
+	var submit func()
+	submit = func() {
+		id := len(sizes)
+		sizes = append(sizes, 1+id%3)
+		l.Transfer(float64(sizes[id])*1e9, func() {
+			order = append(order, id)
+			doneAt = append(doneAt, s.Now())
+			// Each completion submits 0, 1 or 2 more, so the backlog
+			// swings between 1 and ~60 without draining.
+			more := 1
+			switch phase := len(order) / 500 % 2; {
+			case phase == 0 && id%2 == 0:
+				more = 2
+			case phase == 1 && id%2 == 0:
+				more = 0
+			}
+			for k := 0; k < more && len(sizes) < total; k++ {
+				submit()
+			}
+			if len(sizes) < total && l.head == len(l.queue) {
+				t.Fatalf("queue drained after %d completions", len(order))
+			}
+		})
+		peak = max(peak, len(l.queue)-l.head)
+	}
+	for k := 0; k < 8; k++ {
+		submit()
+	}
+	s.RunAll()
+	if len(order) != total {
+		t.Fatalf("completed %d transfers, want %d", len(order), total)
+	}
+	var at sim.Time
+	for i, id := range order {
+		at += sim.Time(sizes[i])
+		if id != i || doneAt[i] != at {
+			t.Fatalf("completion %d: transfer %d at %v, want transfer %d at %v", i, id, doneAt[i], i, at)
+		}
+	}
+	if c := cap(l.queue); c > 2*peak+4 {
+		t.Errorf("queue capacity %d, peak backlog %d", c, peak)
+	}
+	if peak < 20 {
+		t.Errorf("peak backlog %d: the test never built a deep queue", peak)
+	}
+}
+
 func TestLatencyFloor(t *testing.T) {
 	s := sim.New()
 	l := NewLink(s, "link", gpu.LinkSpec{Kind: gpu.LinkPCIeSwitch, GBs: 32, LatencyUS: 100}, 1)
