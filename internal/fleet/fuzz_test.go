@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"windserve/internal/elastic"
 	"windserve/internal/model"
 	"windserve/internal/serve"
 	"windserve/internal/sim"
@@ -96,5 +97,97 @@ func FuzzArrivals(f *testing.F) {
 		} else {
 			partition("fleet", fres.Completed, fres.Aborted, fres.Rejected, fres.Unfinished, fres.Requests)
 		}
+	})
+}
+
+// FuzzFleetConfig runs a 4-request stream through fleets built from
+// fuzzed counts, durations, router policy and elastic settings, with
+// replica and shard counts kept small. No input may panic. A config with
+// an invalid field must be refused with an error that names the field,
+// and a config with none must run.
+func FuzzFleetConfig(f *testing.F) {
+	f.Add(int8(2), int8(1), int8(1), int8(1), int8(0), int8(0), 20.0, 0.0, 600.0, "round-robin", false, 0.25, 5.0, 2.0, 0.5, int8(1), int8(1))
+	f.Add(int8(3), int8(2), int8(2), int8(1), int8(4), int8(2), 0.0, 3.0, 0.0, "weighted", true, 0.0, 0.0, 0.0, 0.05, int8(0), int8(0))
+	f.Add(int8(0), int8(-1), int8(-1), int8(-2), int8(-1), int8(-1), -1.0, math.NaN(), math.Inf(1), "fastest", true, -1.0, math.NaN(), math.Inf(-1), -0.5, int8(-1), int8(-3))
+	f.Add(int8(1), int8(3), int8(1), int8(2), int8(0), int8(1), 1e-300, 1e-9, 1e300, "prefix-affinity", true, 1e-300, 1e300, 1e9, 1e9, int8(5), int8(5))
+	rcfg, err := serve.DefaultConfig(model.OPT13B)
+	if err != nil {
+		f.Fatal(err)
+	}
+	reqs := []workload.Request{
+		{ID: 1, Arrival: 0, PromptTokens: 512, OutputTokens: 16},
+		{ID: 2, Arrival: 0.1, PromptTokens: 64, OutputTokens: 40},
+		{ID: 3, Arrival: 0.2, PromptTokens: 1024, OutputTokens: 4},
+		{ID: 4, Arrival: 0.3, PromptTokens: 256, OutputTokens: 8},
+	}
+	f.Fuzz(func(t *testing.T, replicas, shards, prefill, decode, maxQueue, brownout int8,
+		failover, deadline, horizon float64, policy string,
+		enabled bool, every, cooldown, ratio, minPressure float64, minPrefill, minDecode int8) {
+		cfg := Config{
+			Replica:         rcfg,
+			NumReplicas:     int(replicas) % 4,
+			Shards:          int(shards) % 4,
+			Policy:          policy,
+			FailoverTimeout: sim.Duration(failover),
+			MaxQueueDepth:   int(maxQueue),
+			TTFTDeadline:    sim.Duration(deadline),
+			BrownoutDepth:   int(brownout),
+			Horizon:         sim.Duration(horizon),
+			Elastic: elastic.Policy{
+				Enabled: enabled, Every: sim.Duration(every), Cooldown: sim.Duration(cooldown),
+				Ratio: ratio, MinPressure: minPressure, MinPrefill: int(minPrefill), MinDecode: int(minDecode),
+			},
+		}
+		cfg.Replica.NumPrefill, cfg.Replica.NumDecode = int(prefill)%3, int(decode)%3
+		// Two durations act as periods: the role controller ticks every
+		// Every while requests are in flight, and a brown-out defers a
+		// failover by FailoverTimeout at a time. A period far below a
+		// millisecond is valid but costs (busy time / period) steps, so
+		// the fuzzer skips it.
+		tiny := func(v float64) bool { return v > 0 && v < 1e-3 }
+		if tiny(failover) || (enabled && tiny(every)) {
+			t.Skip()
+		}
+
+		bad := map[string]bool{}
+		flag := func(name string, invalid bool) {
+			if invalid {
+				bad[name] = true
+			}
+		}
+		badDuration := func(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
+		flag("NumReplicas", cfg.NumReplicas < 1)
+		flag("Shards", cfg.Shards < 0)
+		flag("MaxQueueDepth", cfg.MaxQueueDepth < 0)
+		flag("BrownoutDepth", cfg.BrownoutDepth < 0)
+		flag("FailoverTimeout", badDuration(failover))
+		flag("TTFTDeadline", badDuration(deadline))
+		flag("Horizon", badDuration(horizon))
+		flag("policy", !map[string]bool{"": true, "round-robin": true, "least-loaded": true, "weighted": true, "prefix-affinity": true}[policy])
+		flag("NumPrefill", cfg.Replica.NumPrefill < 0)
+		flag("NumDecode", cfg.Replica.NumDecode < 0)
+		if enabled {
+			flag("Every", badDuration(every))
+			flag("Cooldown", badDuration(cooldown))
+			flag("Ratio", badDuration(ratio))
+			flag("MinPressure", badDuration(minPressure))
+			flag("MinPrefill", cfg.Elastic.MinPrefill < 0)
+			flag("MinDecode", cfg.Elastic.MinDecode < 0)
+		}
+
+		res, err := RunFrom(cfg, workload.NewSliceSource(reqs))
+		if err == nil {
+			if len(bad) > 0 {
+				t.Fatalf("config with invalid %v accepted", bad)
+			}
+			checkPartition(t, res)
+			return
+		}
+		for name := range bad {
+			if strings.Contains(err.Error(), name) {
+				return
+			}
+		}
+		t.Fatalf("error names none of the invalid fields %v: %v", bad, err)
 	})
 }

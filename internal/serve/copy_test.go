@@ -18,17 +18,7 @@ func distBed(t *testing.T, np, nd int) *pd {
 	t.Helper()
 	cfg := cfg13B(t)
 	cfg.NumPrefill, cfg.NumDecode = np, nd
-	r, err := newRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := newPD(r, r.cfg, pdHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.queueDepth = d.queueDepth
-	r.onAbort = d.abort
-	return d
+	return bed(t, withoutMechanisms(cfg), "", false)
 }
 
 // arrive registers a request with the runner and returns it, unrouted.
@@ -106,19 +96,19 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 		{"mid-prefill", 1, false},
 		{"after-prefill", 0.01, true},
 	} {
-		w := windBed(t, 1, 2)
-		d, r := w.d, w.r
+		d := windBed(t, 1, 2)
+		r := d.r
 		d.degradeLinks(tc.degrade)
 		q := arrive(r, 1, 1500, 40)
 		d.prefillAt[q.W.ID] = 0
 		d.prefills[0].EnqueuePrefill(q)
 		for r.s.Step() {
-			ax, ok := w.async[q.W.ID]
+			ax, ok := d.async[q.W.ID]
 			if ok && ax.prefillDone == tc.prefillEnd {
 				break
 			}
 		}
-		ax, ok := w.async[q.W.ID]
+		ax, ok := d.async[q.W.ID]
 		if !ok || ax.xferDone || ax.prefillDone != tc.prefillEnd || ax.decodeIdx != 0 {
 			t.Fatalf("%s: async copy to decode 0 not under way: %+v, %v", tc.name, ax, ok)
 		}
@@ -134,8 +124,8 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 			t.Fatalf("%s: request not completed exactly once without a re-prefill: %v, %d completed, recovered=%v",
 				tc.name, q, len(r.rec.Completed()), r.recovered[q.W.ID])
 		}
-		if len(w.async) != 0 {
-			t.Errorf("%s: %d async entries left", tc.name, len(w.async))
+		if len(d.async) != 0 {
+			t.Errorf("%s: %d async entries left", tc.name, len(d.async))
 		}
 		checkDrained(t, r.rec, d.ins)
 	}

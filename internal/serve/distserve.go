@@ -5,6 +5,7 @@ import (
 
 	"windserve/internal/cluster"
 	"windserve/internal/engine"
+	"windserve/internal/sched"
 	"windserve/internal/sim"
 	"windserve/internal/trace"
 	"windserve/internal/workload"
@@ -18,8 +19,9 @@ import (
 // prefill-side copy is dropped, and the request queues for decode
 // admission — the behaviors whose costs Fig. 1 and Fig. 3 measure.
 //
-// With multiple instances (Config.NumPrefill/NumDecode), requests are
-// routed round-robin — DistServe's orchestration is static.
+// DistServe is the prefill/decode system with none of WindServe's
+// mechanisms: with multiple instances (Config.NumPrefill/NumDecode),
+// requests are routed round-robin — DistServe's orchestration is static.
 func RunDistServe(cfg Config, reqs []workload.Request) (*Result, error) {
 	return RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 }
@@ -28,39 +30,23 @@ func RunDistServe(cfg Config, reqs []workload.Request) (*Result, error) {
 // arrivals are scheduled one at a time as the stream is consumed, so the
 // trace is never materialized.
 func RunDistServeFrom(cfg Config, src workload.Source) (*Result, error) {
-	r, err := newRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = r.cfg
-
-	d, err := newPD(r, cfg, pdHooks{})
-	if err != nil {
-		return nil, fmt.Errorf("serve: planning DistServe: %w", err)
-	}
-	r.queueDepth = d.queueDepth
-	r.onAbort = d.abort
-	if err := installPDFaults(r, d); err != nil {
-		return nil, err
-	}
-	r.scheduleStream(src, func(q *engine.Req) {
-		d.prefillRR(q)
-	})
-	res, err := r.run("DistServe")
-	if err != nil {
-		return nil, err
-	}
-	d.finalize(res)
-	return res, nil
+	return RunWindServeFrom(withoutMechanisms(cfg), src)
 }
 
-// pd is the shared prefill+decode cluster both DistServe and WindServe
-// build on. DistServe uses it as-is with round-robin routing; WindServe
-// attaches the Global Scheduler.
+// withoutMechanisms turns all five of WindServe's mechanisms off: the
+// empty set, which is DistServe.
+func withoutMechanisms(cfg Config) Config {
+	w := &cfg.Wind
+	w.DisableSBD, w.DisableResched, w.DisableDispatch, w.DisableAsyncTransfer, w.DisableBackup = true, true, true, true, true
+	return cfg
+}
+
+// pd is the one prefill/decode system. DistServe is pd with every
+// WindServe mechanism off (Config.Wind); each mechanism's method returns
+// early when its Disable* flag is set.
 type pd struct {
 	r   *runner
 	cfg Config
-	ph  pdHooks
 	// ins holds every physical instance: the home prefills at 0..P-1, then
 	// the home decodes at P..P+D-1. prefills and decodes are the two
 	// sub-slices ins[:P] and ins[P:].
@@ -74,12 +60,12 @@ type pd struct {
 	link [][]*xfer.Link
 
 	// flipped[k] marks physical instance k acting against its home role;
-	// nil unless ph.elastic. Routing works in two index spaces over the
-	// same instances: a prefill-space index is the physical index, and
-	// decode-space j names physical (j+P) % (P+D), so home decodes come
-	// first. With elastic wiring off the spaces shrink to [0,P) and
-	// [0,D) — the static layout. prefillAt holds prefill-space indices,
-	// decodeAt decode-space indices.
+	// nil unless the cluster is wired elastic. Routing works in two index
+	// spaces over the same instances: a prefill-space index is the
+	// physical index, and decode-space j names physical (j+P) % (P+D), so
+	// home decodes come first. With elastic wiring off the spaces shrink
+	// to [0,P) and [0,D) — the static layout. prefillAt holds prefill-space
+	// indices, decodeAt decode-space indices.
 	flipped []bool
 
 	// migrating holds every live migration of a running request (see
@@ -94,55 +80,42 @@ type pd struct {
 	// transferPending are prefilled requests waiting for decode KV.
 	transferPending []*engine.Req
 
+	// coord is the Global Scheduler: its Profiler prices Algorithm 1's
+	// candidates and its Coordinator decides. Nil with dispatch off, its
+	// only reader.
+	coord *sched.Coordinator
+
+	// async holds the transfers overlapped with prefill, stamped from
+	// asyncSeq; backupInFlight the backups being copied; backupAt the
+	// prefill instance holding each landed backup.
+	async          map[uint64]asyncXfer
+	asyncSeq       uint64
+	backupInFlight map[uint64]bool
+	backupAt       map[uint64]int
+
 	// copies pools the records of KV copies not on a link (see kvCopy);
-	// serialDone is d.finishSerial, bound once.
-	copies     []*kvCopy
-	serialDone func(kvCopy)
+	// serialDone, asyncDone and backupDone are d.finishSerial,
+	// d.finishAsyncCopy and d.finishBackup, bound once.
+	copies                            []*kvCopy
+	serialDone, asyncDone, backupDone func(kvCopy)
 
 	rr struct{ prefill, decode int }
 
 	// stats
-	asyncXfers int
-	flips      int
+	asyncXfers, flips                int
+	dispatched, rescheduled, backups int
 }
 
-// pdHooks lets WindServe inject policy into the shared wiring, and a
-// fleet replica name and widen it.
-type pdHooks struct {
-	// prefix prepends every instance, link, and trace name — fleet
-	// replicas use "r<i>/" so names stay unique on a shared simulator.
-	prefix string
-	// elastic wires the cluster for runtime role flipping: the link
-	// matrix between physical instances gains its same-role off-diagonal
-	// entries (static wiring has only the cross-role ones), each instance
-	// gets a flipped-role bit, and the drain/migrate protocol behind
-	// Replica.Flip is enabled. Only fleet replicas set it; the flip
-	// decisions themselves come from the fleet's role controller.
-	elastic bool
-	// onPrefillStart fires at a prefill instance (async transfers).
-	onPrefillStart func(q *engine.Req)
-	// transfer overrides the post-prefill transfer path. Return true if
-	// handled; false falls back to the serial DistServe path.
-	transfer func(q *engine.Req) bool
-	// onDecodeIterEnd fires after each pass of decode instance j.
-	onDecodeIterEnd func(j int)
-	// onComplete observes completions on any instance (backup cleanup).
-	onComplete func(q *engine.Req)
-	// onTransfer observes every completed prefill→decode KV copy (payload
-	// bytes and wall time including link queuing) — the Profiler's
-	// transfer-rate feedback.
-	onTransfer func(bytes float64, elapsed sim.Duration)
-	// crash recovers the live orphans of crashed physical instance k
-	// (WindServe's backup-aware path). Nil re-prefills each from scratch.
-	crash func(k int, orphans []*engine.Req)
-	// decodeSBD enables the second stream on decode instances.
-	decodeSBD bool
-	// decodeAllowPrefill lets decode instances run prefill in their main
-	// stream (WindServe-no-split ablation).
-	decodeAllowPrefill bool
-}
-
-func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
+// newPD plans and wires the cluster r.cfg describes and makes it r's
+// system. prefix prepends every instance, link, and trace name — fleet
+// replicas use "r<i>/" so names stay unique on a shared simulator.
+// elastic wires the cluster for runtime role flipping: the link matrix
+// between physical instances gains its same-role off-diagonal entries,
+// each instance gets a flipped-role bit, and the drain/migrate protocol
+// behind Replica.Flip is enabled. Only fleet replicas set it; the flip
+// decisions themselves come from the fleet's role controller.
+func newPD(r *runner, prefix string, elastic bool) (*pd, error) {
+	cfg := r.cfg
 	np := cfg.NumPrefill
 	specs := make([]cluster.InstanceSpec, 0, np+cfg.NumDecode)
 	for i := 0; i < np; i++ {
@@ -157,16 +130,18 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 	}
 
 	d := &pd{
-		r: r, cfg: cfg, ph: ph,
-		migrating: make(map[uint64]*migration),
-		prefillAt: make(map[uint64]int),
-		decodeAt:  make(map[uint64]int),
+		r: r, cfg: cfg,
+		migrating:      make(map[uint64]*migration),
+		prefillAt:      make(map[uint64]int),
+		decodeAt:       make(map[uint64]int),
+		async:          make(map[uint64]asyncXfer),
+		backupInFlight: make(map[uint64]bool),
+		backupAt:       make(map[uint64]int),
 	}
-	d.serialDone = d.finishSerial
-	if ph.elastic {
+	d.serialDone, d.asyncDone, d.backupDone = d.finishSerial, d.finishAsyncCopy, d.finishBackup
+	if elastic {
 		d.flipped = make([]bool, len(asg))
 	}
-	px := ph.prefix
 	// home names physical instance k by role and home index: p0, d1, ...
 	home := func(k int) string {
 		if k < np {
@@ -178,11 +153,11 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 	for a := range d.link {
 		d.link[a] = make([]*xfer.Link, len(asg))
 		for b := range d.link[a] {
-			if a == b || (!ph.elastic && (a < np) == (b < np)) {
+			if a == b || (!elastic && (a < np) == (b < np)) {
 				continue
 			}
 			spec := cluster.TransferLink(cfg.Topo, asg[a], asg[b])
-			d.link[a][b] = xfer.NewLink(r.s, px+home(a)+"-"+home(b), spec, xfer.DefaultEfficiency)
+			d.link[a][b] = xfer.NewLink(r.s, prefix+home(a)+"-"+home(b), spec, xfer.DefaultEfficiency)
 		}
 	}
 
@@ -190,55 +165,48 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 		role, idx, hooks := "prefill", k, d.prefillHooks()
 		ec := engine.Config{AllowPrefill: true}
 		if k >= np {
+			// Without SBD a dispatched prefill joins the decode
+			// instance's main stream (WindServe-no-split).
 			role, idx, hooks = "decode", k-np, d.decodeHooks(k-np)
-			ec = engine.Config{AllowPrefill: ph.decodeAllowPrefill, SBD: ph.decodeSBD}
+			ec = engine.Config{AllowPrefill: cfg.Wind.DisableSBD, SBD: !cfg.Wind.DisableSBD}
 		}
-		ec.Name = fmt.Sprintf("%s%s-%d", px, role, idx)
-		ins, err := r.newInstance(a, ec, fmt.Sprintf("%s%s%d-host", px, role, idx), hooks)
+		ec.Name = fmt.Sprintf("%s%s-%d", prefix, role, idx)
+		ins, err := r.newInstance(a, ec, fmt.Sprintf("%s%s%d-host", prefix, role, idx), hooks)
 		if err != nil {
 			return nil, err
 		}
 		d.ins = append(d.ins, ins)
 	}
 	d.prefills, d.decodes = d.ins[:np], d.ins[np:]
+	if !cfg.Wind.DisableDispatch {
+		if err := d.startScheduler(); err != nil {
+			return nil, err
+		}
+	}
+	r.queueDepth, r.onAbort = d.queueDepth, d.abort
 	return d, nil
 }
 
 // prefillHooks wires a home prefill instance.
 func (d *pd) prefillHooks() engine.Hooks {
-	r, ph, elastic := d.r, d.ph, d.ph.elastic
+	r, elastic := d.r, d.flipped != nil
 	hooks := r.recorderHooks()
 	hooks.OnPrefillStart = func(q *engine.Req) {
 		r.led.PrefillStart(q.W.ID, r.s.Now())
-		if ph.onPrefillStart != nil {
-			ph.onPrefillStart(q)
-		}
+		d.maybeStartAsyncTransfer(q)
 	}
-	hooks.OnPrefillDone = func(q *engine.Req) {
-		if ph.transfer != nil && ph.transfer(q) {
-			return
-		}
-		d.serialTransfer(q)
-	}
-	if ph.onComplete != nil || elastic {
-		base := hooks.OnComplete
-		hooks.OnComplete = func(q *engine.Req) {
-			base(q)
-			if ph.onComplete != nil {
-				ph.onComplete(q)
-			}
-			if elastic {
-				// A home prefill acting as decode retires streams here.
-				delete(d.decodeAt, q.W.ID)
-				delete(d.prefillAt, q.W.ID)
-				d.retryTransfers()
-			}
+	hooks.OnPrefillDone = d.transfer
+	base := hooks.OnComplete
+	hooks.OnComplete = func(q *engine.Req) {
+		base(q)
+		d.forget(q)
+		if elastic {
+			// A home prefill acting as decode freed decode KV.
+			d.retryTransfers()
 		}
 	}
 	if elastic {
-		hooks.OnIterationEnd = func() {
-			d.retryTransfers()
-		}
+		hooks.OnIterationEnd = d.retryTransfers
 		hooks.OnEvicted = d.recompute
 	}
 	return hooks
@@ -246,16 +214,13 @@ func (d *pd) prefillHooks() engine.Hooks {
 
 // decodeHooks wires home decode instance j.
 func (d *pd) decodeHooks(j int) engine.Hooks {
-	ph := d.ph
+	elastic := d.flipped != nil
 	hooks := d.r.recorderHooks()
 	hooks.OnPrefillDone = func(q *engine.Req) {
-		if ph.elastic && !q.Assist {
+		if elastic && !q.Assist {
 			// Main-stream prefill on a home decode acting as prefill:
 			// the KV crosses to an acting decode like any other.
-			if ph.transfer != nil && ph.transfer(q) {
-				return
-			}
-			d.serialTransfer(q)
+			d.transfer(q)
 			return
 		}
 		// Only reachable for dispatched assists (WindServe): the first
@@ -264,22 +229,30 @@ func (d *pd) decodeHooks(j int) engine.Hooks {
 	}
 	hooks.OnIterationEnd = func() {
 		d.retryTransfers()
-		if ph.onDecodeIterEnd != nil {
-			ph.onDecodeIterEnd(j)
-		}
+		d.onDecodeIterEnd(j)
 	}
 	hooks.OnEvicted = d.recompute
 	base := hooks.OnComplete
 	hooks.OnComplete = func(q *engine.Req) {
 		base(q)
-		if ph.onComplete != nil {
-			ph.onComplete(q)
-		}
-		delete(d.decodeAt, q.W.ID)
-		delete(d.prefillAt, q.W.ID)
+		d.forget(q)
 		d.retryTransfers()
 	}
 	return hooks
+}
+
+// transfer moves a prefilled request's KV to decode: an async transfer
+// completes its handoff once its copy has landed too, anything else
+// takes the serial path.
+func (d *pd) transfer(q *engine.Req) {
+	ax, ok := d.async[q.W.ID]
+	if !ok {
+		d.serialTransfer(q)
+		return
+	}
+	ax.prefillDone = true
+	d.async[q.W.ID] = ax
+	d.maybeFinishAsync(q, ax)
 }
 
 // recompute re-routes a request its acting decode evicted for lack of
@@ -536,7 +509,7 @@ func (d *pd) finishSerial(c kvCopy) {
 		d.serialTransfer(q)
 		return
 	}
-	if d.ph.elastic && !d.actingDecode(j) {
+	if d.flipped != nil && !d.actingDecode(j) {
 		// The target flipped to prefill while the payload was in flight;
 		// hand the stream to a current acting decode instead of loading
 		// the fresh prefill role with it.
@@ -548,11 +521,13 @@ func (d *pd) finishSerial(c kvCopy) {
 	d.dIns(j).AdmitDecode(q)
 }
 
-// observeTransfer feeds a completed prefill→decode copy back to the hooks
-// (Profiler transfer-rate learning).
+// observeTransfer feeds a completed prefill→decode copy into the Profiler
+// so Algorithm 1's TTFT prediction prices the transfer a prefill-side
+// placement implies — on a degraded link that bias shifts dispatch toward
+// the decode instance.
 func (d *pd) observeTransfer(bytes float64, start sim.Time) {
-	if d.ph.onTransfer != nil {
-		d.ph.onTransfer(bytes, d.r.s.Now().Sub(start))
+	if d.coord != nil {
+		d.coord.Prof.ObserveTransfer(bytes, d.r.s.Now().Sub(start))
 	}
 }
 
@@ -562,6 +537,22 @@ func (d *pd) releaseAt(ins *engine.Instance, q *engine.Req) {
 		_ = ins.KV().Release(q.KVID())
 		ins.Kick()
 	}
+}
+
+// forget drops everything the cluster keeps for a request that completed,
+// aborted or restarts from scratch: any KV it still holds on any
+// instance (backups, stale migration targets, async copies), its
+// placement, and its async-transfer and backup entries.
+func (d *pd) forget(q *engine.Req) {
+	for _, ins := range d.ins {
+		d.releaseAt(ins, q)
+	}
+	id := q.W.ID
+	delete(d.prefillAt, id)
+	delete(d.decodeAt, id)
+	delete(d.async, id)
+	delete(d.backupInFlight, id)
+	delete(d.backupAt, id)
 }
 
 // retryTransfers re-attempts queued transfers FCFS whenever decode blocks
@@ -588,18 +579,17 @@ func (d *pd) queueDepth() int {
 	return n
 }
 
-// abort scrubs a terminated request (Phase already PhaseAborted) from the
-// cluster: both owning instances, its migration and the transfer queue.
-// KV held on a post-prefill transfer in flight is released by that
-// transfer's own callback.
+// abort is the runner's onAbort: it scrubs a terminated request (Phase
+// already PhaseAborted) from the cluster: both owning instances, its
+// migration, the transfer queue, and whatever it holds anywhere else
+// (backups, async copies). KV held on a post-prefill transfer in flight
+// is released by that transfer's own callback.
 func (d *pd) abort(q *engine.Req) {
 	if i, ok := d.prefillAt[q.W.ID]; ok {
 		d.pIns(i).Abort(q)
-		delete(d.prefillAt, q.W.ID)
 	}
 	if j, ok := d.decodeAt[q.W.ID]; ok {
 		d.dIns(j).Abort(q)
-		delete(d.decodeAt, q.W.ID)
 	}
 	if m, ok := d.migrating[q.W.ID]; ok {
 		d.drop(m)
@@ -610,6 +600,20 @@ func (d *pd) abort(q *engine.Req) {
 			break
 		}
 	}
+	d.forget(q)
+}
+
+// reset forgets every request the cluster tracks, for a whole-replica
+// crash. In-flight copy and migration callbacks find their entries gone
+// and no-op.
+func (d *pd) reset() {
+	d.transferPending = d.transferPending[:0]
+	clear(d.prefillAt)
+	clear(d.decodeAt)
+	clear(d.migrating)
+	clear(d.async)
+	clear(d.backupInFlight)
+	clear(d.backupAt)
 }
 
 // degradeLinks scales every cross-instance link to frac of nominal
@@ -623,42 +627,6 @@ func (d *pd) degradeLinks(frac float64) {
 			}
 		}
 	}
-}
-
-// crash takes physical instance k down, drops the migrations that touch
-// it, and recovers its live orphans: the requests queued, running or
-// swapped there, the prefilled ones waiting in transferPending on KV that
-// died with it (pulled out of the queue), and the paused migrations it
-// was the source of. Recovery goes through the system's hook when it has
-// one, else re-prefills each from scratch on a survivor (DistServe keeps
-// no backups to restore from).
-func (d *pd) crash(k int) {
-	orphans := d.ins[k].Crash()
-	keep := d.transferPending[:0]
-	for _, q := range d.transferPending {
-		if d.prefillAt[q.W.ID] == k {
-			orphans = append(orphans, q)
-		} else {
-			keep = append(keep, q)
-		}
-	}
-	d.transferPending = keep
-	orphans = liveOrphans(append(orphans, d.dropMigrations(k)...))
-	if d.ph.crash != nil {
-		d.ph.crash(k, orphans)
-		return
-	}
-	for _, q := range orphans {
-		d.reprefill(q, d.prefillRR)
-	}
-}
-
-// reprefill forgets a request's placement and progress and routes it back
-// in as a fresh prefill — scratch recovery for KV lost to a crash.
-func (d *pd) reprefill(q *engine.Req, route func(*engine.Req)) {
-	delete(d.prefillAt, q.W.ID)
-	delete(d.decodeAt, q.W.ID)
-	d.r.restart(q, route)
 }
 
 // finalize fills the pd-specific parts of a result, aggregating across
@@ -696,4 +664,10 @@ func (d *pd) finalize(res *Result) {
 		}
 	}
 	res.AsyncXfers = d.asyncXfers
+	res.Dispatched = d.dispatched
+	res.Rescheduled = d.rescheduled
+	res.Backups = d.backups
+	if d.coord != nil {
+		res.TransferRateBps = d.coord.Prof.TransferRate()
+	}
 }

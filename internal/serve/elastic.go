@@ -40,7 +40,7 @@ type FlipResult struct {
 // shrinking role is taken, ties to the lowest index. The flip never
 // drops the acting count of the shrinking role to zero.
 func (d *pd) flip(toDecode bool) FlipResult {
-	if !d.ph.elastic {
+	if d.flipped == nil {
 		return FlipResult{}
 	}
 	if toDecode {

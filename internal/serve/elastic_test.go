@@ -15,17 +15,8 @@ func elasticPD(t *testing.T) (*runner, *pd) {
 	cfg := cfg13B(t)
 	cfg.NumPrefill = 2
 	cfg.NumDecode = 2
-	r, err := newRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := newPD(r, r.cfg, pdHooks{elastic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.queueDepth = d.queueDepth
-	r.onAbort = d.abort
-	return r, d
+	d := bed(t, withoutMechanisms(cfg), "", true)
+	return d.r, d
 }
 
 // burst builds n requests with the given shape arriving dt apart.
@@ -177,14 +168,7 @@ func TestStaticPDRefusesFlip(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.NumPrefill = 2
 	cfg.NumDecode = 2
-	r, err := newRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := newPD(r, r.cfg, pdHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := bed(t, withoutMechanisms(cfg), "", false)
 	if fr := d.flip(true); fr.OK {
 		t.Fatalf("static pd accepted a flip: %+v", fr)
 	}
@@ -204,14 +188,7 @@ func TestPDLayout(t *testing.T) {
 			np, nd := shape[0], shape[1]
 			cfg := cfg13B(t)
 			cfg.NumPrefill, cfg.NumDecode = np, nd
-			r, err := newRunner(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := newPD(r, r.cfg, pdHooks{prefix: "r3/", elastic: elastic})
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := bed(t, withoutMechanisms(cfg), "r3/", elastic)
 			tag := fmt.Sprintf("%dP/%dD elastic=%v", np, nd, elastic)
 			home := func(k int) string {
 				if k < np {

@@ -256,33 +256,33 @@ func TestSlowdownHurtsLatency(t *testing.T) {
 // a surviving snapshot promotes in place, generation rolls back to it,
 // and the request resumes decoding on the backup's instance.
 func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	q := engine.NewReq(workload.Request{ID: 5, PromptTokens: 1000, OutputTokens: 300})
 	q.PrefillDone = 1000
 	q.SetGenerated(200)
 	q.Phase = engine.PhaseDecoding
-	w.r.live[q.W.ID] = q
-	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
+	d.r.live[q.W.ID] = q
+	d.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
 	q.BackupTokens = 1100 // snapshot taken at generated=100
-	w.backupAt[q.W.ID] = 0
-	pkv := w.d.prefills[0].KV()
+	d.backupAt[q.W.ID] = 0
+	pkv := d.prefills[0].KV()
 	if err := pkv.AllocateBackup(q.KVID(), 1100); err != nil {
 		t.Fatal(err)
 	}
-	w.recoverDecodeOrphan(q)
+	d.recoverDecodeOrphan(q)
 	if !pkv.Has(q.KVID()) || pkv.IsBackup(q.KVID()) {
 		t.Fatal("backup was not promoted to a working copy")
 	}
 	if q.Generated() != 100 {
 		t.Errorf("generation not rolled back to the snapshot: %d, want 100", q.Generated())
 	}
-	if q.BackupTokens != 0 || len(w.backupAt) != 0 {
+	if q.BackupTokens != 0 || len(d.backupAt) != 0 {
 		t.Error("backup bookkeeping not cleared")
 	}
-	if w.d.prefills[0].NumRunning() != 1 {
+	if d.prefills[0].NumRunning() != 1 {
 		t.Error("request not resumed on the backup's instance")
 	}
-	if len(w.r.recovered) != 1 {
+	if len(d.r.recovered) != 1 {
 		t.Error("recovery not counted")
 	}
 }
@@ -290,28 +290,28 @@ func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 // TestRecoverDecodeOrphanScratch: without a backup the orphan loses all
 // progress and re-enters dispatch as a fresh prefill.
 func TestRecoverDecodeOrphanScratch(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	q := engine.NewReq(workload.Request{ID: 6, PromptTokens: 800, OutputTokens: 100})
 	q.PrefillDone = 800
 	q.SetGenerated(40)
 	q.Phase = engine.PhaseDecoding
-	w.r.live[q.W.ID] = q
-	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
-	w.recoverDecodeOrphan(q)
+	d.r.live[q.W.ID] = q
+	d.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
+	d.recoverDecodeOrphan(q)
 	if q.Generated() != 0 || q.PrefillDone != 0 {
 		t.Errorf("scratch recovery kept progress: prefill=%d generated=%d", q.PrefillDone, q.Generated())
 	}
 	queued := 0
-	for _, ins := range w.d.prefills {
+	for _, ins := range d.prefills {
 		queued += ins.NumQueued()
 	}
-	for _, ins := range w.d.decodes {
+	for _, ins := range d.decodes {
 		queued += ins.NumQueued() + ins.PendingAdmits() + len(ins.Running())
 	}
 	if queued != 1 {
 		t.Errorf("orphan not resubmitted exactly once (found %d)", queued)
 	}
-	if len(w.r.recovered) != 1 {
+	if len(d.r.recovered) != 1 {
 		t.Error("recovery not counted")
 	}
 }
@@ -431,15 +431,8 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 	cfg.Prefix = PrefixPolicy{Enabled: true}
 	crashAt := sim.Seconds(5)
 	cfg.Faults = mustPlan(t, 1, "crash:p0@5")
-	r, err := newRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := newPD(r, r.cfg, pdHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.onAbort = d.abort
+	d := bed(t, withoutMechanisms(cfg), "", false)
+	r := d.r
 	if err := installPDFaults(r, d); err != nil {
 		t.Fatal(err)
 	}

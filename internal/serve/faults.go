@@ -5,10 +5,10 @@ import (
 	"windserve/internal/fault"
 )
 
-// installPDFaults compiles the configured fault plan into hooks against a
-// prefill/decode cluster. Crashes go through pd.crash: the pd layer's
-// re-prefill-from-scratch recovery, or WindServe's backup-aware
-// pdHooks.crash.
+// installPDFaults compiles the configured fault plan into fault hooks
+// against a prefill/decode cluster. Crashes go through pd.crash, the one
+// recovery path: orphans restore from a KV backup when one survives and
+// re-prefill from scratch otherwise, which with backups off is always.
 func installPDFaults(r *runner, d *pd) error {
 	if r.cfg.Faults == nil {
 		return nil

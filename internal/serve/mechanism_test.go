@@ -4,57 +4,44 @@ import (
 	"testing"
 
 	"windserve/internal/engine"
-	"windserve/internal/sched"
 	"windserve/internal/workload"
 )
 
-// newWindStateForTest builds a windState over a real pd without running a
-// workload, for unit-testing the migration state machine's edges.
-func newWindStateForTest(t *testing.T) *windState {
+// bed builds the prefill/decode system cfg describes, with the given
+// name prefix and elastic wiring, as the builders wire it, without a
+// workload.
+func bed(t *testing.T, cfg Config, prefix string, elastic bool) *pd {
 	t.Helper()
-	r, err := newRunner(cfg13B(t))
+	r, err := newRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newPD(r, r.cfg, pdHooks{})
+	d, err := newPD(r, prefix, elastic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWindState(r)
-	w.d = d
-	w.coord = testCoordinator(t, d)
-	return w
-}
-
-// testCoordinator is a Global Scheduler profiled on d's prefill cost model.
-func testCoordinator(t *testing.T, d *pd) *sched.Coordinator {
-	t.Helper()
-	prof, err := sched.Profile(d.prefills[0].CM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &sched.Coordinator{Prof: prof, Thrd: d.cfg.SLO.TTFT}
+	return d
 }
 
 func TestAbortMigrationReleasesDestination(t *testing.T) {
 	for _, phase := range []engine.Phase{engine.PhaseDone, engine.PhaseSwapped, engine.PhaseWaiting} {
-		w := newWindStateForTest(t)
+		d := bed(t, cfg13B(t), "", false)
 		q := engine.NewReq(workload.Request{ID: 7, PromptTokens: 500, OutputTokens: 50})
 		q.PrefillDone = 500
 		q.SetGenerated(10)
 		q.Migrating = true
 		q.Phase = phase
-		pkv := w.d.prefills[0].KV()
+		pkv := d.prefills[0].KV()
 		if err := pkv.Allocate(q.KVID(), q.Ctx()+1); err != nil {
 			t.Fatal(err)
 		}
-		m := &migration{q: q, src: len(w.d.prefills), dst: 0}
-		w.d.migrating[q.W.ID] = m
-		w.d.copyRound(m)
+		m := &migration{q: q, src: len(d.prefills), dst: 0}
+		d.migrating[q.W.ID] = m
+		d.copyRound(m)
 		if q.Migrating {
 			t.Errorf("phase %v: Migrating flag not cleared", phase)
 		}
-		if len(w.d.migrating) != 0 {
+		if len(d.migrating) != 0 {
 			t.Errorf("phase %v: migration entry not removed", phase)
 		}
 		if pkv.Has(q.KVID()) {
@@ -64,23 +51,23 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 }
 
 func TestAbortMigrationNotTakenWhileDecoding(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	q := engine.NewReq(workload.Request{ID: 8, PromptTokens: 500, OutputTokens: 50})
 	q.PrefillDone = 500
 	q.SetGenerated(10)
 	q.Phase = engine.PhaseDecoding
-	m := &migration{q: q, src: len(w.d.prefills), dst: 0}
-	w.d.migrating[q.W.ID] = m
-	w.d.copyRound(m)
-	if w.d.migrating[q.W.ID] != m || q.Phase != engine.PhaseDecoding {
+	m := &migration{q: q, src: len(d.prefills), dst: 0}
+	d.migrating[q.W.ID] = m
+	d.copyRound(m)
+	if d.migrating[q.W.ID] != m || q.Phase != engine.PhaseDecoding {
 		t.Fatal("live migration dropped")
 	}
 }
 
 func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	// Fill the prefill instance's KV so the destination allocation fails.
-	pkv := w.d.prefills[0].KV()
+	pkv := d.prefills[0].KV()
 	if err := pkv.Allocate(999, pkv.FreeTokens()); err != nil {
 		t.Fatal(err)
 	}
@@ -88,38 +75,38 @@ func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
 	q.PrefillDone = 1000
 	q.SetGenerated(5)
 	q.Phase = engine.PhaseDecoding
-	w.startMigration(q, 0, 0.05)
-	if q.Migrating || len(w.d.migrating) != 0 || w.rescheduled != 0 {
+	d.startMigration(q, 0, 0.05)
+	if q.Migrating || len(d.migrating) != 0 || d.rescheduled != 0 {
 		t.Error("migration should not start without destination blocks")
 	}
 }
 
 func TestStartMigrationUsesBackupDelta(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	q := engine.NewReq(workload.Request{ID: 10, PromptTokens: 1000, OutputTokens: 200})
 	q.PrefillDone = 1000
 	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
 	// The engine will decode it to completion and report to the recorder.
-	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
-	w.r.rec.PrefillStart(q.W.ID, 0)
-	w.r.rec.FirstToken(q.W.ID, 0)
+	d.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
+	d.r.rec.PrefillStart(q.W.ID, 0)
+	d.r.rec.FirstToken(q.W.ID, 0)
 	q.BackupTokens = 1050
-	w.backupAt[q.W.ID] = 0
-	pkv := w.d.prefills[0].KV()
+	d.backupAt[q.W.ID] = 0
+	pkv := d.prefills[0].KV()
 	if err := pkv.AllocateBackup(q.KVID(), 1050); err != nil {
 		t.Fatal(err)
 	}
 	// Decode-side allocation so the drain path can release it.
-	if err := w.d.decodes[0].KV().Allocate(q.KVID(), q.Ctx()+1); err != nil {
+	if err := d.decodes[0].KV().Allocate(q.KVID(), q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
-	w.d.decodes[0].InsertRunning(q)
-	w.startMigration(q, 0, 0.05)
+	d.decodes[0].InsertRunning(q)
+	d.startMigration(q, 0, 0.05)
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	m := w.d.migrating[q.W.ID]
+	m := d.migrating[q.W.ID]
 	if m == nil || m.clean != 1050 {
 		t.Fatalf("migration clean = %+v, want backup-seeded 1050", m)
 	}
@@ -128,18 +115,18 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	}
 	// Let the copy rounds, the drain, and the remaining decoding (now on
 	// the prefill instance) run to completion.
-	w.r.s.RunAll()
+	d.r.s.RunAll()
 	if q.Migrating {
 		t.Error("migration never drained")
 	}
 	if !q.Finished() {
 		t.Errorf("request did not finish post-migration: %v", q)
 	}
-	if w.d.decodes[0].KV().Has(q.KVID()) || pkv.Has(q.KVID()) {
+	if d.decodes[0].KV().Has(q.KVID()) || pkv.Has(q.KVID()) {
 		t.Error("KV leaked after post-migration completion")
 	}
 	// Completion cleanup removes routing entries.
-	if len(w.d.decodeAt) != 0 {
+	if len(d.decodeAt) != 0 {
 		t.Error("decode routing table not cleaned")
 	}
 }
@@ -149,26 +136,26 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 // observe the terminal phase, cancel the migration, and release the
 // destination allocation instead of copying a dead request's KV.
 func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	q := engine.NewReq(workload.Request{ID: 11, PromptTokens: 4000, OutputTokens: 200})
 	q.PrefillDone = 4000
 	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
-	w.startMigration(q, 0, 0.05) // dirty span ≫ drain threshold → copy round in flight
+	d.startMigration(q, 0, 0.05) // dirty span ≫ drain threshold → copy round in flight
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	pkv := w.d.ins[w.d.migrating[q.W.ID].dst].KV()
+	pkv := d.ins[d.migrating[q.W.ID].dst].KV()
 	if !pkv.Has(q.KVID()) {
 		t.Fatal("destination not allocated")
 	}
 	// The request completes while the round's transfer is still in flight.
 	q.Phase = engine.PhaseDone
-	w.r.s.RunAll()
+	d.r.s.RunAll()
 	if q.Migrating {
 		t.Error("Migrating flag survived completion")
 	}
-	if len(w.d.migrating) != 0 {
+	if len(d.migrating) != 0 {
 		t.Error("migration entry survived completion")
 	}
 	if pkv.Has(q.KVID()) {
@@ -181,27 +168,27 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 // eviction). The drain callback must not double-release, and the request
 // must still resume decoding on the destination.
 func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
-	w := newWindStateForTest(t)
+	d := bed(t, cfg13B(t), "", false)
 	q := engine.NewReq(workload.Request{ID: 12, PromptTokens: 1000, OutputTokens: 200})
 	q.PrefillDone = 1000
 	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
-	w.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
-	w.r.rec.PrefillStart(q.W.ID, 0)
-	w.r.rec.FirstToken(q.W.ID, 0)
+	d.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
+	d.r.rec.PrefillStart(q.W.ID, 0)
+	d.r.rec.FirstToken(q.W.ID, 0)
 	// Backup-seeded so the dirty span is below the drain threshold and the
 	// migration goes straight to the drain.
 	q.BackupTokens = 1050
-	w.backupAt[q.W.ID] = 0
-	if err := w.d.prefills[0].KV().AllocateBackup(q.KVID(), 1050); err != nil {
+	d.backupAt[q.W.ID] = 0
+	if err := d.prefills[0].KV().AllocateBackup(q.KVID(), 1050); err != nil {
 		t.Fatal(err)
 	}
-	dkv := w.d.decodes[0].KV()
+	dkv := d.decodes[0].KV()
 	if err := dkv.Allocate(q.KVID(), q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
-	w.d.decodes[0].InsertRunning(q)
-	w.startMigration(q, 0, 0.05)
+	d.decodes[0].InsertRunning(q)
+	d.startMigration(q, 0, 0.05)
 	if q.Phase != engine.PhaseDraining {
 		t.Fatalf("phase %v, want immediate drain", q.Phase)
 	}
@@ -209,14 +196,14 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 	if err := dkv.Release(q.KVID()); err != nil {
 		t.Fatal(err)
 	}
-	w.r.s.RunAll()
-	if q.Migrating || len(w.d.migrating) != 0 {
+	d.r.s.RunAll()
+	if q.Migrating || len(d.migrating) != 0 {
 		t.Error("migration never resolved")
 	}
 	if !q.Finished() {
 		t.Errorf("request did not resume on the destination: %v", q)
 	}
-	if w.d.prefills[0].KV().Has(q.KVID()) || dkv.Has(q.KVID()) {
+	if d.prefills[0].KV().Has(q.KVID()) || dkv.Has(q.KVID()) {
 		t.Error("KV leaked after drain raced eviction")
 	}
 }

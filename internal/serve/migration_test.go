@@ -15,55 +15,34 @@ import (
 // and checks that the request has one owner afterwards and that the run
 // drains with nothing left open and no KV block left allocated.
 
-// windBed builds a WindServe cluster wired as RunWindServe wires it (hooks,
-// crash recovery, abort scrub) without a workload. Rescheduling and
-// backups never trigger on their own, so migrations start only by hand.
-func windBed(t *testing.T, np, nd int) *windState {
+// windBed builds a WindServe cluster wired as RunWindServe wires it,
+// without a workload. Rescheduling and backups never trigger on their
+// own, so migrations start only by hand.
+func windBed(t *testing.T, np, nd int) *pd {
 	t.Helper()
 	cfg := cfg13B(t)
 	cfg.NumPrefill, cfg.NumDecode = np, nd
 	cfg.Wind.DisableResched, cfg.Wind.DisableBackup = true, true
-	r, err := newRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWindState(r)
-	d, err := newPD(r, r.cfg, pdHooks{
-		onPrefillStart:  w.maybeStartAsyncTransfer,
-		transfer:        w.finishPrefillTransfer,
-		onDecodeIterEnd: w.onDecodeIterEnd,
-		onComplete:      w.onComplete,
-		onTransfer:      w.observeTransfer,
-		crash:           w.crash,
-		decodeSBD:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.d = d
-	w.coord = testCoordinator(t, d)
-	r.queueDepth = d.queueDepth
-	r.onAbort = w.abort
-	return w
+	return bed(t, cfg, "", false)
 }
 
 // decodingAt admits a request straight into decode instance j's running
 // batch, prefilled, with generated tokens already out and its KV resident.
-func decodingAt(t *testing.T, w *windState, id uint64, prompt, generated, output, j int) *engine.Req {
+func decodingAt(t *testing.T, d *pd, id uint64, prompt, generated, output, j int) *engine.Req {
 	t.Helper()
 	q := engine.NewReq(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: output})
 	q.PrefillDone = prompt
 	q.SetGenerated(generated)
-	now := w.r.s.Now()
-	w.r.rec.Arrive(id, prompt, output, now)
-	w.r.rec.PrefillStart(id, now)
-	w.r.rec.FirstToken(id, now)
-	w.r.live[id] = q
-	dec := w.d.decodes[j]
+	now := d.r.s.Now()
+	d.r.rec.Arrive(id, prompt, output, now)
+	d.r.rec.PrefillStart(id, now)
+	d.r.rec.FirstToken(id, now)
+	d.r.live[id] = q
+	dec := d.decodes[j]
 	if err := dec.KV().Allocate(q.KVID(), q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
-	w.d.decodeAt[id] = j
+	d.decodeAt[id] = j
 	dec.InsertRunning(q)
 	return q
 }
@@ -135,28 +114,28 @@ func TestWindMigrationDestinationCrash(t *testing.T) {
 		{"mid-round", 4000, engine.PhaseDecoding}, // dirty span ≫ drain threshold
 		{"mid-drain", 40, engine.PhaseDraining},   // ctx 50 ≤ drain threshold
 	} {
-		w := windBed(t, 1, 1)
-		q := decodingAt(t, w, 1, tc.prompt, 10, 400, 0)
-		w.startMigration(q, 0, 0.05)
-		if !q.Migrating || q.Phase != tc.phase || !w.d.prefills[0].KV().Has(q.KVID()) {
+		d := windBed(t, 1, 1)
+		q := decodingAt(t, d, 1, tc.prompt, 10, 400, 0)
+		d.startMigration(q, 0, 0.05)
+		if !q.Migrating || q.Phase != tc.phase || !d.prefills[0].KV().Has(q.KVID()) {
 			t.Fatalf("%s: migration not under way: %v", tc.name, q)
 		}
-		w.d.crash(0)
-		settle(w.r.s, q)
+		d.crash(0)
+		settle(d.r.s, q)
 		if q.Migrating || q.Phase != engine.PhaseDecoding {
 			t.Fatalf("%s: victim not back to plain decoding: %v migrating=%v", tc.name, q, q.Migrating)
 		}
-		if runningOn(w.d.ins, q) != 1 || runningOn(w.d.decodes, q) != 1 {
+		if runningOn(d.ins, q) != 1 || runningOn(d.decodes, q) != 1 {
 			t.Fatalf("%s: victim not running at its source alone", tc.name)
 		}
-		if w.d.prefills[0].KV().Has(q.KVID()) {
+		if d.prefills[0].KV().Has(q.KVID()) {
 			t.Fatalf("%s: destination still holds the victim's blocks", tc.name)
 		}
-		w.r.s.RunAll()
+		d.r.s.RunAll()
 		if !q.Finished() {
 			t.Fatalf("%s: victim never finished: %v", tc.name, q)
 		}
-		checkDrained(t, w.r.rec, w.d.ins)
+		checkDrained(t, d.r.rec, d.ins)
 	}
 }
 
@@ -166,52 +145,52 @@ func TestWindMigrationDestinationCrash(t *testing.T) {
 // one; the migration's destination frees its copy either way.
 func TestWindMigrationSourceCrashMidDrain(t *testing.T) {
 	for _, backup := range []bool{true, false} {
-		w := windBed(t, 2, 2)
-		q := decodingAt(t, w, 1, 40, 10, 200, 0)
-		w.startMigration(q, 0, 0.05) // ctx 50 ≤ drain threshold: straight to the drain
+		d := windBed(t, 2, 2)
+		q := decodingAt(t, d, 1, 40, 10, 200, 0)
+		d.startMigration(q, 0, 0.05) // ctx 50 ≤ drain threshold: straight to the drain
 		if q.Phase != engine.PhaseDraining {
 			t.Fatalf("backup=%v: phase %v, want an immediate drain", backup, q.Phase)
 		}
-		if !w.d.prefills[0].KV().Has(q.KVID()) {
+		if !d.prefills[0].KV().Has(q.KVID()) {
 			t.Fatalf("backup=%v: drain not headed for prefill 0", backup)
 		}
 		if backup {
 			// A backup taken at 5 generated tokens landed at prefill 1
 			// while the migration was under way.
-			if err := w.d.prefills[1].KV().AllocateBackup(q.KVID(), 45); err != nil {
+			if err := d.prefills[1].KV().AllocateBackup(q.KVID(), 45); err != nil {
 				t.Fatal(err)
 			}
 			q.BackupTokens = 45
-			w.backupAt[q.W.ID] = 1
+			d.backupAt[q.W.ID] = 1
 		}
-		w.d.crash(len(w.d.prefills))
-		settle(w.r.s, q)
+		d.crash(len(d.prefills))
+		settle(d.r.s, q)
 		if q.Migrating {
 			t.Fatalf("backup=%v: migration never resolved", backup)
 		}
-		if w.d.prefills[0].KV().Has(q.KVID()) {
+		if d.prefills[0].KV().Has(q.KVID()) {
 			t.Errorf("backup=%v: migration destination still holds the request's blocks", backup)
 		}
-		if !w.r.recovered[q.W.ID] {
+		if !d.r.recovered[q.W.ID] {
 			t.Errorf("backup=%v: recovery not counted", backup)
 		}
 		if backup {
-			if runningOn(w.d.ins, q) != 1 || runningOn(w.d.prefills[1:], q) != 1 {
+			if runningOn(d.ins, q) != 1 || runningOn(d.prefills[1:], q) != 1 {
 				t.Fatalf("request not resumed at the backup's instance alone: %v", q)
 			}
-			if q.Generated() != 5 || holdingKV(w.d.ins, q) != 1 {
-				t.Errorf("restore: generated %d (want 5), KV on %d instances (want 1)", q.Generated(), holdingKV(w.d.ins, q))
+			if q.Generated() != 5 || holdingKV(d.ins, q) != 1 {
+				t.Errorf("restore: generated %d (want 5), KV on %d instances (want 1)", q.Generated(), holdingKV(d.ins, q))
 			}
 		} else {
-			if runningOn(w.d.ins, q) != 0 || q.PrefillDone != 0 || q.Generated() != 0 {
+			if runningOn(d.ins, q) != 0 || q.PrefillDone != 0 || q.Generated() != 0 {
 				t.Fatalf("request not re-prefilling from scratch: %v", q)
 			}
 		}
-		w.r.s.RunAll()
+		d.r.s.RunAll()
 		if !q.Finished() {
 			t.Fatalf("backup=%v: request never finished: %v", backup, q)
 		}
-		checkDrained(t, w.r.rec, w.d.ins)
+		checkDrained(t, d.r.rec, d.ins)
 	}
 }
 
@@ -220,32 +199,32 @@ func TestWindMigrationSourceCrashMidDrain(t *testing.T) {
 // its own migration before the old copy lands. The old migration's
 // callback is stale and must touch neither request.
 func TestWindMigrationAbortMidDrainThenResubmit(t *testing.T) {
-	w := windBed(t, 1, 1)
-	old := decodingAt(t, w, 7, 40, 10, 200, 0)
-	w.startMigration(old, 0, 0.05)
+	d := windBed(t, 1, 1)
+	old := decodingAt(t, d, 7, 40, 10, 200, 0)
+	d.startMigration(old, 0, 0.05)
 	if old.Phase != engine.PhaseDraining {
 		t.Fatalf("phase %v, want an immediate drain", old.Phase)
 	}
-	w.r.abortReq(old.W.ID)
-	if holdingKV(w.d.ins, old) != 0 || runningOn(w.d.ins, old) != 0 || old.Migrating {
+	d.r.abortReq(old.W.ID)
+	if holdingKV(d.ins, old) != 0 || runningOn(d.ins, old) != 0 || old.Migrating {
 		t.Fatalf("abort left the migration behind: KV on %d, running on %d, migrating=%v",
-			holdingKV(w.d.ins, old), runningOn(w.d.ins, old), old.Migrating)
+			holdingKV(d.ins, old), runningOn(d.ins, old), old.Migrating)
 	}
-	q := decodingAt(t, w, 7, 40, 10, 200, 0)
-	w.startMigration(q, 0, 0.05)
-	settle(w.r.s, q)
-	if old.Phase != engine.PhaseAborted || runningOn(w.d.ins, old) != 0 {
+	q := decodingAt(t, d, 7, 40, 10, 200, 0)
+	d.startMigration(q, 0, 0.05)
+	settle(d.r.s, q)
+	if old.Phase != engine.PhaseAborted || runningOn(d.ins, old) != 0 {
 		t.Fatalf("stale callback revived the aborted request: %v", old)
 	}
-	if runningOn(w.d.ins, q) != 1 || runningOn(w.d.prefills, q) != 1 || holdingKV(w.d.ins, q) != 1 {
+	if runningOn(d.ins, q) != 1 || runningOn(d.prefills, q) != 1 || holdingKV(d.ins, q) != 1 {
 		t.Fatalf("newcomer did not land at the prefill alone: running on %d, KV on %d: %v",
-			runningOn(w.d.ins, q), holdingKV(w.d.ins, q), q)
+			runningOn(d.ins, q), holdingKV(d.ins, q), q)
 	}
-	w.r.s.RunAll()
+	d.r.s.RunAll()
 	if !q.Finished() {
 		t.Fatalf("newcomer never finished: %v", q)
 	}
-	checkDrained(t, w.r.rec, w.d.ins)
+	checkDrained(t, d.r.rec, d.ins)
 }
 
 // flipMidDecode runs the burst of TestFlipToPrefillMigratesRunningStreams

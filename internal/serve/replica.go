@@ -10,13 +10,13 @@ import (
 	"windserve/internal/workload"
 )
 
-// Replica is one fleet member: a complete DistServe-style prefill/decode
-// group living on a simulator shared with its same-shard siblings. The
-// fleet router owns the request lifecycle — arrivals, admission, deadline
-// aborts, failover — and a Replica only executes what is submitted to it.
-// Intra-replica routing stays what DistServe does (round-robin prefill,
-// round-robin transfer), and every decision still flows through the
-// DecisionLog under the replica's name.
+// Replica is one fleet member: a DistServe prefill/decode group — the
+// system with none of WindServe's mechanisms — living on a simulator
+// shared with its same-shard siblings. The fleet router owns the request
+// lifecycle — arrivals, admission, deadline aborts, failover — and a
+// Replica only executes what is submitted to it. Intra-replica routing is
+// DistServe's (round-robin prefill, round-robin transfer), and every
+// decision still flows through the DecisionLog under the replica's name.
 type Replica struct {
 	name string
 	r    *runner
@@ -30,8 +30,9 @@ type Replica struct {
 // timestamped call to the router, which owns the recorder). name (e.g.
 // "r3") prefixes every instance, link, and trace name as "r3/" so names
 // stay unique across the fleet; elastic wires the replica for role flips
-// (see Flip). cfg.Shed and cfg.Faults must be zero — the router owns
-// shedding, and fault plans compile at the fleet level.
+// (see Flip). Every cfg.Wind.Disable* flag is set, so a replica is
+// DistServe. cfg.Shed and cfg.Faults must be zero — the router owns shedding, and fault plans
+// compile at the fleet level.
 func NewReplica(s *sim.Simulator, led Ledger, cfg Config, name string, elastic bool) (*Replica, error) {
 	if cfg.Faults != nil {
 		return nil, fmt.Errorf("serve: replica %q: fault plans attach to the fleet, not a replica", name)
@@ -39,16 +40,14 @@ func NewReplica(s *sim.Simulator, led Ledger, cfg Config, name string, elastic b
 	if cfg.Shed != (ShedPolicy{}) {
 		return nil, fmt.Errorf("serve: replica %q: shedding is the router's job; leave Shed zero", name)
 	}
-	r, err := newRunnerOn(s, led, cfg)
+	r, err := newRunnerOn(s, led, withoutMechanisms(cfg))
 	if err != nil {
 		return nil, err
 	}
-	d, err := newPD(r, r.cfg, pdHooks{prefix: name + "/", elastic: elastic})
+	d, err := newPD(r, name+"/", elastic)
 	if err != nil {
 		return nil, fmt.Errorf("serve: planning replica %q: %w", name, err)
 	}
-	r.queueDepth = d.queueDepth
-	r.onAbort = d.abort
 	return &Replica{name: name, r: r, d: d}, nil
 }
 
@@ -72,7 +71,7 @@ func (rp *Replica) InFlight() int { return len(rp.r.live) }
 func (rp *Replica) Submit(w workload.Request) {
 	q := engine.NewReq(w)
 	rp.r.live[w.ID] = q
-	rp.d.prefillRR(q)
+	rp.d.submit(q)
 }
 
 // Abort terminates a request owned by this replica: the record finalizes
@@ -115,12 +114,7 @@ func (rp *Replica) Crash() []*engine.Req {
 		q.Phase = engine.PhaseAborted
 		orphans = append(orphans, q)
 	}
-	rp.d.transferPending = rp.d.transferPending[:0]
-	clear(rp.d.prefillAt)
-	clear(rp.d.decodeAt)
-	// In-flight migration callbacks check the registry by pointer and
-	// no-op once their entries are gone.
-	clear(rp.d.migrating)
+	rp.d.reset()
 	return orphans
 }
 
