@@ -72,7 +72,8 @@ func (p Policy) WithDefaults() Policy {
 // Validate rejects nonsensical policies before a run starts, with an
 // error naming the field. Non-finite values are rejected too: a NaN
 // period never advances the controller's clock, and an infinite cooldown
-// or threshold silently disables every flip.
+// or threshold silently disables every flip. So is a positive Every below
+// sim.MinPeriod, which would tick the controller without end.
 func (p Policy) Validate() error {
 	if !p.Enabled {
 		return nil
@@ -89,6 +90,10 @@ func (p Policy) Validate() error {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("elastic: %s %g must be finite and non-negative", f.name, f.v)
 		}
+	}
+	if p.Every > 0 && p.Every < sim.MinPeriod {
+		return fmt.Errorf("elastic: Every %v is below the %v minimum period (0 means the default)",
+			p.Every, sim.MinPeriod)
 	}
 	for _, f := range []struct {
 		name string

@@ -33,6 +33,7 @@ func TestValidate(t *testing.T) {
 		{Enabled: true, Cooldown: sim.Duration(math.Inf(1))},
 		{Enabled: true, Ratio: math.NaN()},
 		{Enabled: true, MinPressure: math.Inf(1)},
+		{Enabled: true, Every: sim.Microseconds(999)},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -75,6 +75,8 @@ type Req struct {
 	Assist bool
 	// Migrating marks an in-progress stall-free migration.
 	Migrating bool
+	// BackupInFlight marks a proactive KV backup still being copied.
+	BackupInFlight bool
 	// BackupTokens is how many context tokens are already backed up at the
 	// prefill instance (reduces migration cost, paper §3.3).
 	BackupTokens int
@@ -87,6 +89,9 @@ type Req struct {
 	PrefixHit int
 	// Evictions counts preemptions (swap-outs and recompute evictions).
 	Evictions int
+	// Owner is the serving layer's per-request state; the engine never
+	// reads it.
+	Owner any
 
 	// gen is the stored output-token count (prefill produces the first).
 	// While the request runs, Generated adds the decode passes its

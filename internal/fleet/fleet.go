@@ -267,6 +267,10 @@ func (c *Config) validate() error {
 			return fmt.Errorf("fleet: %s %g must be finite and non-negative", f.name, f.v)
 		}
 	}
+	if c.FailoverTimeout > 0 && c.FailoverTimeout < sim.MinPeriod {
+		return fmt.Errorf("fleet: FailoverTimeout %v is below the %v minimum period (0 disables it)",
+			c.FailoverTimeout, sim.MinPeriod)
+	}
 	if c.Shards > 1 && c.Replica.Tracer != nil {
 		return fmt.Errorf("fleet: Replica.Tracer is single-threaded; set Shards <= 1 (got %d)", c.Shards)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"windserve/internal/elastic"
 	"windserve/internal/fault"
 	"windserve/internal/model"
 	"windserve/internal/sched"
@@ -271,6 +272,8 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"BrownoutDepth", func(c *Config) { c.BrownoutDepth = -4 }},
 		{"FailoverTimeout", func(c *Config) { c.FailoverTimeout = -sim.Seconds(1) }},
 		{"FailoverTimeout", func(c *Config) { c.FailoverTimeout = nan }},
+		{"FailoverTimeout", func(c *Config) { c.FailoverTimeout = sim.Microseconds(500) }},
+		{"Every", func(c *Config) { c.Elastic = elastic.Policy{Enabled: true, Every: sim.Microseconds(1)} }},
 		{"TTFTDeadline", func(c *Config) { c.TTFTDeadline = -sim.Seconds(1) }},
 		{"TTFTDeadline", func(c *Config) { c.TTFTDeadline = inf }},
 		{"Horizon", func(c *Config) { c.Horizon = -sim.Seconds(1) }},

@@ -139,16 +139,6 @@ func FuzzFleetConfig(f *testing.F) {
 			},
 		}
 		cfg.Replica.NumPrefill, cfg.Replica.NumDecode = int(prefill)%3, int(decode)%3
-		// Two durations act as periods: the role controller ticks every
-		// Every while requests are in flight, and a brown-out defers a
-		// failover by FailoverTimeout at a time. A period far below a
-		// millisecond is valid but costs (busy time / period) steps, so
-		// the fuzzer skips it.
-		tiny := func(v float64) bool { return v > 0 && v < 1e-3 }
-		if tiny(failover) || (enabled && tiny(every)) {
-			t.Skip()
-		}
-
 		bad := map[string]bool{}
 		flag := func(name string, invalid bool) {
 			if invalid {
@@ -156,18 +146,23 @@ func FuzzFleetConfig(f *testing.F) {
 			}
 		}
 		badDuration := func(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
+		// Two durations act as periods: the role controller ticks every
+		// Every while requests are in flight, and a brown-out defers a
+		// failover by FailoverTimeout at a time. A positive period below
+		// sim.MinPeriod is rejected.
+		badPeriod := func(v float64) bool { return badDuration(v) || (v > 0 && v < float64(sim.MinPeriod)) }
 		flag("NumReplicas", cfg.NumReplicas < 1)
 		flag("Shards", cfg.Shards < 0)
 		flag("MaxQueueDepth", cfg.MaxQueueDepth < 0)
 		flag("BrownoutDepth", cfg.BrownoutDepth < 0)
-		flag("FailoverTimeout", badDuration(failover))
+		flag("FailoverTimeout", badPeriod(failover))
 		flag("TTFTDeadline", badDuration(deadline))
 		flag("Horizon", badDuration(horizon))
 		flag("policy", !map[string]bool{"": true, "round-robin": true, "least-loaded": true, "weighted": true, "prefix-affinity": true}[policy])
 		flag("NumPrefill", cfg.Replica.NumPrefill < 0)
 		flag("NumDecode", cfg.Replica.NumDecode < 0)
 		if enabled {
-			flag("Every", badDuration(every))
+			flag("Every", badPeriod(every))
 			flag("Cooldown", badDuration(cooldown))
 			flag("Ratio", badDuration(ratio))
 			flag("MinPressure", badDuration(minPressure))

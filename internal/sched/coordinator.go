@@ -200,14 +200,14 @@ func ShouldBackup(decodeFreeFrac, prefillFreeFrac float64) bool {
 
 // PickBackupCandidate returns the longest running request above the
 // length floor that has no backup yet, is not migrating and has no backup
-// copy in flight (inFlight, by request ID), or nil.
-func PickBackupCandidate(running []*engine.Req, inFlight map[uint64]bool) *engine.Req {
+// copy in flight, or nil.
+func PickBackupCandidate(running []*engine.Req) *engine.Req {
 	var best *engine.Req
 	for _, r := range running {
-		if r.Migrating || r.BackupTokens > 0 || r.Ctx() < backupMinContextTokens {
+		if r.Migrating || r.BackupInFlight || r.BackupTokens > 0 || r.Ctx() < backupMinContextTokens {
 			continue
 		}
-		if (best == nil || r.Ctx() > best.Ctx()) && !inFlight[r.W.ID] {
+		if best == nil || r.Ctx() > best.Ctx() {
 			best = r
 		}
 	}

@@ -346,16 +346,17 @@ func TestBackupPolicy(t *testing.T) {
 	short := mkReq(2, 100, 10)
 	backed := mkReq(3, 1900, 10)
 	backed.BackupTokens = 1900
-	got := PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
+	got := PickBackupCandidate([]*engine.Req{short, long, backed})
 	if got != long {
 		t.Fatalf("candidate = %v, want the long unbacked request", got)
 	}
-	if PickBackupCandidate([]*engine.Req{short}, nil) != nil {
+	if PickBackupCandidate([]*engine.Req{short}) != nil {
 		t.Error("short requests should not be backed up")
 	}
 	// A copy in flight rules the longest out; the next longest wins.
 	mid := mkReq(4, 1000, 10)
-	if got := PickBackupCandidate([]*engine.Req{mid, long}, map[uint64]bool{1: true}); got != mid {
+	long.BackupInFlight = true
+	if got := PickBackupCandidate([]*engine.Req{mid, long}); got != mid {
 		t.Errorf("candidate = %v, want the next longest with no copy in flight", got)
 	}
 }

@@ -50,10 +50,9 @@ type runner struct {
 	// per-system lookup. Systems never touch it directly: admit adds,
 	// recorderHooks' OnComplete and abortReq remove.
 	live map[uint64]*engine.Req
-	// recovered collects ids that survived an instance crash (re-prefilled
-	// or restored from backup). A set, not a counter: one request can be
-	// orphaned by several crashes but counts once.
-	recovered map[uint64]bool
+	// recovered counts requests that survived an instance crash (see
+	// markRecovered).
+	recovered int
 
 	aborted  int
 	rejected int
@@ -66,7 +65,7 @@ type runner struct {
 	// policy's deadline timers.
 	expire func(uint64)
 	// onAbort removes an aborted request from the owning system's
-	// structures (queues, running batches, KV, transfer maps). The
+	// structures (queues, running batches, KV, transfer queue). The
 	// request's Phase is already PhaseAborted when it is called.
 	onAbort func(q *engine.Req)
 
@@ -91,16 +90,41 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 	cfg.fillDefaults()
 	rec, _ := led.(*metrics.Recorder)
 	r := &runner{
-		s:         s,
-		led:       led,
-		rec:       rec,
-		cfg:       cfg,
-		live:      make(map[uint64]*engine.Req),
-		recovered: make(map[uint64]bool),
+		s:    s,
+		led:  led,
+		rec:  rec,
+		cfg:  cfg,
+		live: make(map[uint64]*engine.Req),
 	}
 	r.expire = r.abortReq
 	return r, nil
 }
+
+// flight is a request's one allocation: the engine's Req, which it embeds
+// and whose Owner points back at it, and the serving layer's state for it.
+type flight struct {
+	engine.Req
+	// pi is the prefill-space index the request was routed to (for vLLM,
+	// its replica), di its decode-space index (see pd), and backupAt the
+	// prefill-space index holding its landed backup; noIdx when none.
+	pi, di, backupAt int
+	async            asyncXfer  // the KV copy overlapped with its prefill; zero when none
+	mig              *migration // its live migration, or nil
+	recovered        bool       // it survived an instance crash
+}
+
+// noIdx is a flight's unset instance index.
+const noIdx = -1
+
+// newFlight allocates an admitted request's flight and returns its Req.
+func newFlight(w workload.Request) *engine.Req {
+	f := &flight{Req: engine.Req{W: w}, pi: noIdx, di: noIdx, backupAt: noIdx}
+	f.Owner = f
+	return &f.Req
+}
+
+// fl returns the flight q belongs to.
+func fl(q *engine.Req) *flight { return q.Owner.(*flight) }
 
 // scheduleStream feeds a request source into the system via submit
 // through the front door, which schedules only the first arrival; each
@@ -117,7 +141,7 @@ func (r *runner) admit(w workload.Request) {
 		r.rejected++
 		return
 	}
-	q := engine.NewReq(w)
+	q := newFlight(w)
 	r.live[w.ID] = q
 	r.submit(q)
 	if r.cfg.Tracer != nil {
@@ -153,8 +177,14 @@ func (r *runner) cancelFrac(frac float64, seed int64) {
 	}
 }
 
-// markRecovered notes that a request survived an instance crash.
-func (r *runner) markRecovered(q *engine.Req) { r.recovered[q.W.ID] = true }
+// markRecovered notes that a request survived an instance crash. It
+// counts once however many crashes orphan it.
+func (r *runner) markRecovered(q *engine.Req) {
+	if f := fl(q); !f.recovered {
+		f.recovered = true
+		r.recovered++
+	}
+}
 
 // restart is scratch recovery for a request whose KV died in a crash: it
 // forgets all progress (Req.Restart), counts as recovered, and goes back
@@ -203,7 +233,7 @@ func (r *runner) run(system string) (*Result, error) {
 		RejectedRecords: r.rec.Rejected(),
 		Aborted:         r.aborted,
 		Rejected:        r.rejected,
-		Recovered:       len(r.recovered),
+		Recovered:       r.recovered,
 		Summary:         r.rec.Summary(r.cfg.SLO),
 	}, nil
 }
@@ -256,8 +286,9 @@ func (res *Result) fold(ins *engine.Instance, kv *kvcache.Stats, cu, bu *float64
 	res.LiveKVBlocks += ins.KV().UsedBlocks()
 }
 
-// sortedIDs returns a map's keys ascending — deterministic recovery order.
-func sortedIDs[V any](m map[uint64]V) []uint64 {
+// sortedIDs returns the IDs of a request index ascending — deterministic
+// recovery order.
+func sortedIDs(m map[uint64]*engine.Req) []uint64 {
 	ids := make([]uint64, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)

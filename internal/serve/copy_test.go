@@ -23,7 +23,7 @@ func distBed(t *testing.T, np, nd int) *pd {
 
 // arrive registers a request with the runner and returns it, unrouted.
 func arrive(r *runner, id uint64, prompt, output int) *engine.Req {
-	q := engine.NewReq(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: output})
+	q := newFlight(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: output})
 	r.live[id] = q
 	r.rec.Arrive(id, prompt, output, r.s.Now())
 	return q
@@ -58,9 +58,8 @@ func TestDistServeDecodeCrashUnderCopy(t *testing.T) {
 	d.prefillRR(q)
 	for !(q.Phase == engine.PhaseTransferring && d.pdLink(0, 0).Busy()) && r.s.Step() {
 	}
-	j, ok := d.decodeAt[q.W.ID]
-	if !ok || j != 0 || !d.decodes[0].KV().Has(q.KVID()) {
-		t.Fatalf("copy to decode 0 not under way: decodeAt=%d,%v %v", j, ok, q)
+	if j := fl(q).di; j != 0 || !d.decodes[0].KV().Has(q.KVID()) {
+		t.Fatalf("copy to decode 0 not under way: di=%d %v", j, q)
 	}
 	if len(d.copies) != 0 {
 		t.Fatalf("%d pooled copy records while the only copy is in flight", len(d.copies))
@@ -68,8 +67,8 @@ func TestDistServeDecodeCrashUnderCopy(t *testing.T) {
 	d.crash(len(d.prefills) + 0)
 	for q.Phase != engine.PhaseDecoding && r.s.Step() {
 	}
-	if at := decodesOn(d.decodes, q); at != 1 || d.decodeAt[q.W.ID] != 1 {
-		t.Fatalf("request decodes on %d (decodeAt %d), want the surviving decode 1", at, d.decodeAt[q.W.ID])
+	if at := decodesOn(d.decodes, q); at != 1 || fl(q).di != 1 {
+		t.Fatalf("request decodes on %d (di %d), want the surviving decode 1", at, fl(q).di)
 	}
 	r.s.RunAll()
 	if !q.Finished() || len(r.rec.Completed()) != 1 {
@@ -100,63 +99,71 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 		r := d.r
 		d.degradeLinks(tc.degrade)
 		q := arrive(r, 1, 1500, 40)
-		d.prefillAt[q.W.ID] = 0
+		f := fl(q)
+		f.pi = 0
 		d.prefills[0].EnqueuePrefill(q)
 		for r.s.Step() {
-			ax, ok := d.async[q.W.ID]
-			if ok && ax.prefillDone == tc.prefillEnd {
+			if f.async.stamp != 0 && f.async.prefillDone == tc.prefillEnd {
 				break
 			}
 		}
-		ax, ok := d.async[q.W.ID]
-		if !ok || ax.xferDone || ax.prefillDone != tc.prefillEnd || ax.decodeIdx != 0 {
-			t.Fatalf("%s: async copy to decode 0 not under way: %+v, %v", tc.name, ax, ok)
+		if ax := f.async; ax.stamp == 0 || ax.xferDone || ax.prefillDone != tc.prefillEnd || f.di != 0 {
+			t.Fatalf("%s: async copy to decode 0 not under way: %+v, di %d", tc.name, ax, f.di)
 		}
 		d.crash(len(d.prefills) + 0)
 		for q.Phase != engine.PhaseDecoding && r.s.Step() {
 		}
-		if at := decodesOn(d.decodes, q); at != 1 || d.decodeAt[q.W.ID] != 1 {
-			t.Fatalf("%s: request decodes on %d (decodeAt %d), want the surviving decode 1",
-				tc.name, at, d.decodeAt[q.W.ID])
+		if at := decodesOn(d.decodes, q); at != 1 || f.di != 1 {
+			t.Fatalf("%s: request decodes on %d (di %d), want the surviving decode 1",
+				tc.name, at, f.di)
 		}
 		r.s.RunAll()
-		if !q.Finished() || len(r.rec.Completed()) != 1 || r.recovered[q.W.ID] {
+		if !q.Finished() || len(r.rec.Completed()) != 1 || f.recovered {
 			t.Fatalf("%s: request not completed exactly once without a re-prefill: %v, %d completed, recovered=%v",
-				tc.name, q, len(r.rec.Completed()), r.recovered[q.W.ID])
+				tc.name, q, len(r.rec.Completed()), f.recovered)
 		}
-		if len(d.async) != 0 {
-			t.Errorf("%s: %d async entries left", tc.name, len(d.async))
+		if f.async != (asyncXfer{}) {
+			t.Errorf("%s: async transfer left: %+v", tc.name, f.async)
 		}
 		checkDrained(t, r.rec, d.ins)
 	}
 }
 
 // TestTestbedAllocsPerRequest is the per-request heap allocation budget
-// of the testbed's arrival → prefill → KV copy → decode path, on DistServe
-// with the exact recorder. Two stream sizes share their set-up cost, so
-// the difference of their allocation counts is the streams' own.
+// of the testbed's arrival → prefill → KV copy → decode path, with the
+// exact recorder, on DistServe and on WindServe. Two stream sizes share
+// their set-up cost, so the difference of their allocation counts is the
+// streams' own.
 func TestTestbedAllocsPerRequest(t *testing.T) {
 	cfg := cfg13B(t)
 	rate := 3.0 * float64(cfg.TotalGPUs())
-	mallocs := func(n int) uint64 {
-		src := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 42).Source(n)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := RunDistServeFrom(cfg, src)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	for _, sys := range []struct {
+		name string
+		run  func(Config, workload.Source) (*Result, error)
+	}{
+		{"DistServe", RunDistServeFrom},
+		{"WindServe", RunWindServeFrom},
+	} {
+		mallocs := func(n int) uint64 {
+			src := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 42).Source(n)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res, err := sys.run(cfg, src)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Records) != n {
+				t.Fatalf("%s: %d of %d requests completed", sys.name, len(res.Records), n)
+			}
+			return after.Mallocs - before.Mallocs
 		}
-		if len(res.Records) != n {
-			t.Fatalf("%d of %d requests completed", len(res.Records), n)
+		small, large := mallocs(4_000), mallocs(16_000)
+		per := float64(large-small) / 12_000
+		t.Logf("%s: %.3f heap allocations per request (%d at 4k requests, %d at 16k)", sys.name, per, small, large)
+		if per > 1.25 {
+			t.Errorf("%s: %.3f heap allocations per request, budget 1.25", sys.name, per)
 		}
-		return after.Mallocs - before.Mallocs
-	}
-	small, large := mallocs(4_000), mallocs(16_000)
-	per := float64(large-small) / 12_000
-	t.Logf("%.3f heap allocations per request (%d at 4k requests, %d at 16k)", per, small, large)
-	if per > 1.25 {
-		t.Errorf("%.3f heap allocations per request, budget 1.25", per)
 	}
 }

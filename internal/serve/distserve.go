@@ -64,18 +64,13 @@ type pd struct {
 	// spaces over the same instances: a prefill-space index is the
 	// physical index, and decode-space j names physical (j+P) % (P+D), so
 	// home decodes come first. With elastic wiring off the spaces shrink
-	// to [0,P) and [0,D) — the static layout. prefillAt holds prefill-space
-	// indices, decodeAt decode-space indices.
+	// to [0,P) and [0,D) — the static layout. A flight's pi is a
+	// prefill-space index and its di a decode-space index.
 	flipped []bool
 
-	// migrating holds every live migration of a running request (see
-	// migration.go), WindServe's and a flip's alike.
-	migrating map[uint64]*migration
-
-	// prefillAt and decodeAt remember each request's instances, so
-	// transfers pick the right link and releases hit the right manager.
-	prefillAt map[uint64]int
-	decodeAt  map[uint64]int
+	// migs holds every live migration (see migration.go), WindServe's and
+	// a flip's alike, in no particular order.
+	migs []*migration
 
 	// transferPending are prefilled requests waiting for decode KV.
 	transferPending []*engine.Req
@@ -85,13 +80,8 @@ type pd struct {
 	// only reader.
 	coord *sched.Coordinator
 
-	// async holds the transfers overlapped with prefill, stamped from
-	// asyncSeq; backupInFlight the backups being copied; backupAt the
-	// prefill instance holding each landed backup.
-	async          map[uint64]asyncXfer
-	asyncSeq       uint64
-	backupInFlight map[uint64]bool
-	backupAt       map[uint64]int
+	// asyncSeq stamps the transfers overlapped with prefill.
+	asyncSeq uint64
 
 	// copies pools the records of KV copies not on a link (see kvCopy);
 	// serialDone, asyncDone and backupDone are d.finishSerial,
@@ -129,15 +119,7 @@ func newPD(r *runner, prefix string, elastic bool) (*pd, error) {
 		return nil, err
 	}
 
-	d := &pd{
-		r: r, cfg: cfg,
-		migrating:      make(map[uint64]*migration),
-		prefillAt:      make(map[uint64]int),
-		decodeAt:       make(map[uint64]int),
-		async:          make(map[uint64]asyncXfer),
-		backupInFlight: make(map[uint64]bool),
-		backupAt:       make(map[uint64]int),
-	}
+	d := &pd{r: r, cfg: cfg}
 	d.serialDone, d.asyncDone, d.backupDone = d.finishSerial, d.finishAsyncCopy, d.finishBackup
 	if elastic {
 		d.flipped = make([]bool, len(asg))
@@ -245,14 +227,13 @@ func (d *pd) decodeHooks(j int) engine.Hooks {
 // completes its handoff once its copy has landed too, anything else
 // takes the serial path.
 func (d *pd) transfer(q *engine.Req) {
-	ax, ok := d.async[q.W.ID]
-	if !ok {
+	f := fl(q)
+	if f.async.stamp == 0 {
 		d.serialTransfer(q)
 		return
 	}
-	ax.prefillDone = true
-	d.async[q.W.ID] = ax
-	d.maybeFinishAsync(q, ax)
+	f.async.prefillDone = true
+	d.maybeFinishAsync(q)
 }
 
 // recompute re-routes a request its acting decode evicted for lack of
@@ -261,7 +242,7 @@ func (d *pd) transfer(q *engine.Req) {
 // the prefill progress and Generated stands.
 func (d *pd) recompute(q *engine.Req) {
 	q.Assist = false
-	delete(d.decodeAt, q.W.ID)
+	fl(q).di = noIdx
 	d.prefillRR(q)
 }
 
@@ -347,14 +328,10 @@ func (d *pd) prefillRR(q *engine.Req) {
 		i = d.rr.prefill % n
 	}
 	d.rr.prefill = i + 1
-	d.prefillAt[q.W.ID] = i
+	fl(q).pi = i
 	d.cfg.Decisions.AddRoute(d.r.s.Now(), q.W.ID, d.pIns(i).Name(), "round-robin")
 	d.pIns(i).EnqueuePrefill(q)
 }
-
-// prefillIdx returns the prefill-space index a request belongs to (0 if
-// it was never routed — defensive).
-func (d *pd) prefillIdx(q *engine.Req) int { return d.prefillAt[q.W.ID] }
 
 // pickDecode returns the live acting-decode index with the most free KV
 // tokens, or -1 when every decode instance is down.
@@ -411,7 +388,7 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 	// instances that are down, not acting the decode role, or unable to
 	// hold the request right now.
 	n := d.dSpace()
-	i := d.prefillIdx(q)
+	i := fl(q).pi
 	for k := 0; k < n; k++ {
 		j := (d.rr.decode + k) % n
 		if d.dIns(j).Down() || !d.actingDecode(j) {
@@ -425,14 +402,14 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 				continue
 			}
 			d.rr.decode = (j + 1) % n
-			d.decodeAt[q.W.ID] = j
+			fl(q).di = j
 			d.cfg.Decisions.AddRoute(d.r.s.Now(), q.W.ID, d.dIns(j).Name(), "transfer-local")
 			d.dIns(j).AdmitDecode(q)
 			return true
 		}
 		if d.dIns(j).KV().Allocate(q.KVID(), q.Ctx()+1) == nil {
 			d.rr.decode = (j + 1) % n
-			d.decodeAt[q.W.ID] = j
+			fl(q).di = j
 			d.cfg.Decisions.AddRoute(d.r.s.Now(), q.W.ID, d.dIns(j).Name(), "transfer-round-robin")
 			d.startCopy(kvCopy{q: q, i: i, j: j, bytes: d.kvBytes(q.Ctx()), lk: d.pdLink(i, j), then: d.serialDone})
 			return true
@@ -505,7 +482,7 @@ func (d *pd) finishSerial(c kvCopy) {
 		// reset dropped the allocation — and may even have restored
 		// already with empty blocks. Re-route through the serial path to
 		// an instance holding a fresh allocation.
-		delete(d.decodeAt, q.W.ID)
+		fl(q).di = noIdx
 		d.serialTransfer(q)
 		return
 	}
@@ -514,7 +491,7 @@ func (d *pd) finishSerial(c kvCopy) {
 		// hand the stream to a current acting decode instead of loading
 		// the fresh prefill role with it.
 		d.releaseAt(d.dIns(j), q)
-		delete(d.decodeAt, q.W.ID)
+		fl(q).di = noIdx
 		d.serialTransfer(q)
 		return
 	}
@@ -540,19 +517,17 @@ func (d *pd) releaseAt(ins *engine.Instance, q *engine.Req) {
 }
 
 // forget drops everything the cluster keeps for a request that completed,
-// aborted or restarts from scratch: any KV it still holds on any
-// instance (backups, stale migration targets, async copies), its
-// placement, and its async-transfer and backup entries.
+// aborted, restarts from scratch or was orphaned by a replica crash: any
+// KV it still holds on any instance (backups, stale migration targets,
+// async copies), its placement, and its async-transfer and backup state.
+// Its migration and its recovered bit stay.
 func (d *pd) forget(q *engine.Req) {
 	for _, ins := range d.ins {
 		d.releaseAt(ins, q)
 	}
-	id := q.W.ID
-	delete(d.prefillAt, id)
-	delete(d.decodeAt, id)
-	delete(d.async, id)
-	delete(d.backupInFlight, id)
-	delete(d.backupAt, id)
+	f := fl(q)
+	f.pi, f.di, f.backupAt = noIdx, noIdx, noIdx
+	f.async, f.BackupInFlight = asyncXfer{}, false
 }
 
 // retryTransfers re-attempts queued transfers FCFS whenever decode blocks
@@ -585,14 +560,15 @@ func (d *pd) queueDepth() int {
 // (backups, async copies). KV held on a post-prefill transfer in flight
 // is released by that transfer's own callback.
 func (d *pd) abort(q *engine.Req) {
-	if i, ok := d.prefillAt[q.W.ID]; ok {
-		d.pIns(i).Abort(q)
+	f := fl(q)
+	if f.pi != noIdx {
+		d.pIns(f.pi).Abort(q)
 	}
-	if j, ok := d.decodeAt[q.W.ID]; ok {
-		d.dIns(j).Abort(q)
+	if f.di != noIdx {
+		d.dIns(f.di).Abort(q)
 	}
-	if m, ok := d.migrating[q.W.ID]; ok {
-		d.drop(m)
+	if f.mig != nil {
+		d.drop(f.mig)
 	}
 	for i, p := range d.transferPending {
 		if p == q {
@@ -601,19 +577,6 @@ func (d *pd) abort(q *engine.Req) {
 		}
 	}
 	d.forget(q)
-}
-
-// reset forgets every request the cluster tracks, for a whole-replica
-// crash. In-flight copy and migration callbacks find their entries gone
-// and no-op.
-func (d *pd) reset() {
-	d.transferPending = d.transferPending[:0]
-	clear(d.prefillAt)
-	clear(d.decodeAt)
-	clear(d.migrating)
-	clear(d.async)
-	clear(d.backupInFlight)
-	clear(d.backupAt)
 }
 
 // degradeLinks scales every cross-instance link to frac of nominal

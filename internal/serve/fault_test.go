@@ -8,6 +8,7 @@ import (
 
 	"windserve/internal/engine"
 	"windserve/internal/fault"
+	"windserve/internal/perf"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
 )
@@ -47,7 +48,7 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.NumDecode = 2
 	cfg.Faults = mustPlan(t, 7, "crash:d0@20; slow:p0@5x2+15; degrade@10x0.3+20; cancel@25x0.25")
-	cfg.Shed = ShedPolicy{MaxQueueDepth: 64, TTFTDeadline: sim.Seconds(30)}
+	cfg.Shed = ShedPolicy{MaxQueueDepth: 64, TTFTDeadline: sim.Seconds(1)}
 	reqs := trace13B(2, 120, 11)
 	for name, run := range allSystems() {
 		a, err := run(cfg, reqs)
@@ -257,14 +258,14 @@ func TestSlowdownHurtsLatency(t *testing.T) {
 // and the request resumes decoding on the backup's instance.
 func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
-	q := engine.NewReq(workload.Request{ID: 5, PromptTokens: 1000, OutputTokens: 300})
+	q := newFlight(workload.Request{ID: 5, PromptTokens: 1000, OutputTokens: 300})
 	q.PrefillDone = 1000
 	q.SetGenerated(200)
 	q.Phase = engine.PhaseDecoding
 	d.r.live[q.W.ID] = q
 	d.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
 	q.BackupTokens = 1100 // snapshot taken at generated=100
-	d.backupAt[q.W.ID] = 0
+	fl(q).backupAt = 0
 	pkv := d.prefills[0].KV()
 	if err := pkv.AllocateBackup(q.KVID(), 1100); err != nil {
 		t.Fatal(err)
@@ -276,13 +277,13 @@ func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 	if q.Generated() != 100 {
 		t.Errorf("generation not rolled back to the snapshot: %d, want 100", q.Generated())
 	}
-	if q.BackupTokens != 0 || len(d.backupAt) != 0 {
+	if q.BackupTokens != 0 || fl(q).backupAt != noIdx {
 		t.Error("backup bookkeeping not cleared")
 	}
 	if d.prefills[0].NumRunning() != 1 {
 		t.Error("request not resumed on the backup's instance")
 	}
-	if len(d.r.recovered) != 1 {
+	if d.r.recovered != 1 || !fl(q).recovered {
 		t.Error("recovery not counted")
 	}
 }
@@ -291,7 +292,7 @@ func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 // progress and re-enters dispatch as a fresh prefill.
 func TestRecoverDecodeOrphanScratch(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
-	q := engine.NewReq(workload.Request{ID: 6, PromptTokens: 800, OutputTokens: 100})
+	q := newFlight(workload.Request{ID: 6, PromptTokens: 800, OutputTokens: 100})
 	q.PrefillDone = 800
 	q.SetGenerated(40)
 	q.Phase = engine.PhaseDecoding
@@ -311,7 +312,7 @@ func TestRecoverDecodeOrphanScratch(t *testing.T) {
 	if queued != 1 {
 		t.Errorf("orphan not resubmitted exactly once (found %d)", queued)
 	}
-	if len(d.r.recovered) != 1 {
+	if d.r.recovered != 1 || !fl(q).recovered {
 		t.Error("recovery not counted")
 	}
 }
@@ -338,7 +339,7 @@ func TestPropertyInvariantsUnderFaults(t *testing.T) {
 		for _, prefix := range []bool{false, true} {
 			cfg := cfg13B(t)
 			cfg.NumPrefill, cfg.NumDecode = 2, 2
-			cfg.Shed = ShedPolicy{MaxQueueDepth: 128, TTFTDeadline: sim.Seconds(60)}
+			cfg.Shed = ShedPolicy{MaxQueueDepth: 128, TTFTDeadline: sim.Seconds(1)}
 			cfg.Faults = mustPlan(t, int64(pi+1), spec)
 			reqs, row := trace13B(1.5, 90, int64(100+pi)), spec
 			if prefix {
@@ -442,7 +443,7 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 	}
 	var orphans []*engine.Req
 	for id := uint64(1); id <= 2; id++ {
-		q := engine.NewReq(workload.Request{ID: id, PromptTokens: 512, OutputTokens: 20,
+		q := newFlight(workload.Request{ID: id, PromptTokens: 512, OutputTokens: 20,
 			PrefixGroup: 9, PrefixTokens: 256})
 		r.live[id] = q
 		r.rec.Arrive(id, q.W.PromptTokens, q.W.OutputTokens, r.s.Now())
@@ -467,8 +468,85 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 			t.Errorf("req%d re-prefills with stale progress: generated=%d prefixHit=%d prefillDone=%d backup=%d",
 				q.W.ID, q.Generated(), q.PrefixHit, q.PrefillDone, q.BackupTokens)
 		}
-		if q.Phase != engine.PhaseWaiting || !r.recovered[q.W.ID] {
-			t.Errorf("req%d not requeued as a recovered prefill: %v, recovered=%v", q.W.ID, q, r.recovered[q.W.ID])
+		if q.Phase != engine.PhaseWaiting || !fl(q).recovered {
+			t.Errorf("req%d not requeued as a recovered prefill: %v, recovered=%v", q.W.ID, q, fl(q).recovered)
 		}
+	}
+}
+
+// TestFlightsForgottenAcrossFaults: once a run has drained, no request's
+// flight may still name a placement, an async transfer, a backup or a
+// migration. WindServe and DistServe run 2P2D under a prefill crash, a
+// decode crash that catches async copies and landed backups, client
+// cancellation and a TTFT deadline. A reset that forget misses shows up
+// here as a field still set.
+func TestFlightsForgottenAcrossFaults(t *testing.T) {
+	const decodeCrash = 19.0 // seconds; the d0 crash in the plan below
+	for _, sys := range []struct {
+		name string
+		wind bool
+	}{{"DistServe", false}, {"WindServe", true}} {
+		cfg := cfg13B(t)
+		cfg.NumPrefill, cfg.NumDecode = 2, 2
+		cfg.DecodePlace = perf.Placement{TP: 1, PP: 1} // decode KV pressure: backups
+		if !sys.wind {
+			cfg = withoutMechanisms(cfg)
+		}
+		cfg.Faults = mustPlan(t, 3, fmt.Sprintf("crash:p0@10+5; crash:d0@%g+5; cancel@30x0.2", decodeCrash))
+		cfg.Shed = ShedPolicy{TTFTDeadline: sim.Seconds(1)}
+		r, err := newRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := newPD(r, "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := installPDFaults(r, d); err != nil {
+			t.Fatal(err)
+		}
+		var flights []*flight
+		asyncAtCrash, backupsAtCrash := 0, 0
+		r.s.At(sim.Time(0).Add(sim.Seconds(decodeCrash-1e-6)), func() {
+			for _, f := range flights {
+				if f.async.stamp != 0 && f.di == 0 {
+					asyncAtCrash++
+				}
+				if f.backupAt != noIdx && f.di == 0 {
+					backupsAtCrash++
+				}
+			}
+		})
+		reqs := trace13B(5, 600, 9)
+		r.scheduleStream(workload.NewSliceSource(reqs), func(q *engine.Req) {
+			flights = append(flights, fl(q))
+			d.submit(q)
+		})
+		res, err := r.run(sys.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConservation(t, sys.name, res, len(reqs))
+		if res.Unfinished != 0 || res.Aborted == 0 || res.Recovered == 0 {
+			t.Fatalf("%s: %d unfinished, %d aborted, %d recovered; want 0 and some of each",
+				sys.name, res.Unfinished, res.Aborted, res.Recovered)
+		}
+		if sys.wind && (asyncAtCrash == 0 || backupsAtCrash == 0) {
+			t.Fatalf("%s: the decode crash caught %d async copies into d0 and %d landed backups of d0 requests; want some of each",
+				sys.name, asyncAtCrash, backupsAtCrash)
+		}
+		t.Logf("%s: %v; d0 crash caught %d async copies and %d landed backups of its requests",
+			sys.name, res, asyncAtCrash, backupsAtCrash)
+		for _, f := range flights {
+			if f.pi != noIdx || f.di != noIdx || f.async != (asyncXfer{}) || f.backupAt != noIdx ||
+				f.BackupInFlight || f.mig != nil {
+				t.Fatalf("%s: req%d (%v) not forgotten: prefill %d, decode %d, async %+v, backup at %d, backup copying %v, migration %v",
+					sys.name, f.W.ID, f.Phase, f.pi, f.di, f.async, f.backupAt, f.BackupInFlight, f.mig)
+			}
+		}
+		if len(d.migs) != 0 || len(d.transferPending) != 0 {
+			t.Errorf("%s: %d migrations and %d pending transfers left", sys.name, len(d.migs), len(d.transferPending))
+		}
+		checkDrained(t, r.rec, d.ins)
 	}
 }

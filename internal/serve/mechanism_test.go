@@ -26,7 +26,7 @@ func bed(t *testing.T, cfg Config, prefix string, elastic bool) *pd {
 func TestAbortMigrationReleasesDestination(t *testing.T) {
 	for _, phase := range []engine.Phase{engine.PhaseDone, engine.PhaseSwapped, engine.PhaseWaiting} {
 		d := bed(t, cfg13B(t), "", false)
-		q := engine.NewReq(workload.Request{ID: 7, PromptTokens: 500, OutputTokens: 50})
+		q := newFlight(workload.Request{ID: 7, PromptTokens: 500, OutputTokens: 50})
 		q.PrefillDone = 500
 		q.SetGenerated(10)
 		q.Migrating = true
@@ -36,12 +36,12 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := &migration{q: q, src: len(d.prefills), dst: 0}
-		d.migrating[q.W.ID] = m
+		fl(q).mig, d.migs = m, append(d.migs, m)
 		d.copyRound(m)
 		if q.Migrating {
 			t.Errorf("phase %v: Migrating flag not cleared", phase)
 		}
-		if len(d.migrating) != 0 {
+		if fl(q).mig != nil || len(d.migs) != 0 {
 			t.Errorf("phase %v: migration entry not removed", phase)
 		}
 		if pkv.Has(q.KVID()) {
@@ -52,14 +52,14 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 
 func TestAbortMigrationNotTakenWhileDecoding(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
-	q := engine.NewReq(workload.Request{ID: 8, PromptTokens: 500, OutputTokens: 50})
+	q := newFlight(workload.Request{ID: 8, PromptTokens: 500, OutputTokens: 50})
 	q.PrefillDone = 500
 	q.SetGenerated(10)
 	q.Phase = engine.PhaseDecoding
 	m := &migration{q: q, src: len(d.prefills), dst: 0}
-	d.migrating[q.W.ID] = m
+	fl(q).mig, d.migs = m, append(d.migs, m)
 	d.copyRound(m)
-	if d.migrating[q.W.ID] != m || q.Phase != engine.PhaseDecoding {
+	if fl(q).mig != m || len(d.migs) != 1 || q.Phase != engine.PhaseDecoding {
 		t.Fatal("live migration dropped")
 	}
 }
@@ -71,19 +71,19 @@ func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
 	if err := pkv.Allocate(999, pkv.FreeTokens()); err != nil {
 		t.Fatal(err)
 	}
-	q := engine.NewReq(workload.Request{ID: 9, PromptTokens: 1000, OutputTokens: 50})
+	q := newFlight(workload.Request{ID: 9, PromptTokens: 1000, OutputTokens: 50})
 	q.PrefillDone = 1000
 	q.SetGenerated(5)
 	q.Phase = engine.PhaseDecoding
 	d.startMigration(q, 0, 0.05)
-	if q.Migrating || len(d.migrating) != 0 || d.rescheduled != 0 {
+	if q.Migrating || fl(q).mig != nil || len(d.migs) != 0 || d.rescheduled != 0 {
 		t.Error("migration should not start without destination blocks")
 	}
 }
 
 func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
-	q := engine.NewReq(workload.Request{ID: 10, PromptTokens: 1000, OutputTokens: 200})
+	q := newFlight(workload.Request{ID: 10, PromptTokens: 1000, OutputTokens: 200})
 	q.PrefillDone = 1000
 	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
@@ -92,7 +92,7 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	d.r.rec.PrefillStart(q.W.ID, 0)
 	d.r.rec.FirstToken(q.W.ID, 0)
 	q.BackupTokens = 1050
-	d.backupAt[q.W.ID] = 0
+	fl(q).backupAt = 0
 	pkv := d.prefills[0].KV()
 	if err := pkv.AllocateBackup(q.KVID(), 1050); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	m := d.migrating[q.W.ID]
+	m := fl(q).mig
 	if m == nil || m.clean != 1050 {
 		t.Fatalf("migration clean = %+v, want backup-seeded 1050", m)
 	}
@@ -125,9 +125,9 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	if d.decodes[0].KV().Has(q.KVID()) || pkv.Has(q.KVID()) {
 		t.Error("KV leaked after post-migration completion")
 	}
-	// Completion cleanup removes routing entries.
-	if len(d.decodeAt) != 0 {
-		t.Error("decode routing table not cleaned")
+	// Completion cleanup forgets the placement.
+	if f := fl(q); f.pi != noIdx || f.di != noIdx {
+		t.Errorf("placement not forgotten: prefill %d, decode %d", f.pi, f.di)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 // destination allocation instead of copying a dead request's KV.
 func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
-	q := engine.NewReq(workload.Request{ID: 11, PromptTokens: 4000, OutputTokens: 200})
+	q := newFlight(workload.Request{ID: 11, PromptTokens: 4000, OutputTokens: 200})
 	q.PrefillDone = 4000
 	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
@@ -145,7 +145,7 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	pkv := d.ins[d.migrating[q.W.ID].dst].KV()
+	pkv := d.ins[fl(q).mig.dst].KV()
 	if !pkv.Has(q.KVID()) {
 		t.Fatal("destination not allocated")
 	}
@@ -155,7 +155,7 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	if q.Migrating {
 		t.Error("Migrating flag survived completion")
 	}
-	if len(d.migrating) != 0 {
+	if fl(q).mig != nil || len(d.migs) != 0 {
 		t.Error("migration entry survived completion")
 	}
 	if pkv.Has(q.KVID()) {
@@ -169,7 +169,7 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 // must still resume decoding on the destination.
 func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
-	q := engine.NewReq(workload.Request{ID: 12, PromptTokens: 1000, OutputTokens: 200})
+	q := newFlight(workload.Request{ID: 12, PromptTokens: 1000, OutputTokens: 200})
 	q.PrefillDone = 1000
 	q.SetGenerated(100)
 	q.Phase = engine.PhaseDecoding
@@ -179,7 +179,7 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 	// Backup-seeded so the dirty span is below the drain threshold and the
 	// migration goes straight to the drain.
 	q.BackupTokens = 1050
-	d.backupAt[q.W.ID] = 0
+	fl(q).backupAt = 0
 	if err := d.prefills[0].KV().AllocateBackup(q.KVID(), 1050); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.r.s.RunAll()
-	if q.Migrating || len(d.migrating) != 0 {
+	if q.Migrating || fl(q).mig != nil || len(d.migs) != 0 {
 		t.Error("migration never resolved")
 	}
 	if !q.Finished() {

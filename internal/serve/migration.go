@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"windserve/internal/engine"
 	"windserve/internal/sched"
@@ -25,11 +27,13 @@ import (
 //   - land: the source frees its copy and decoding resumes at the
 //     destination.
 //
-// pd.migrating holds every live migration, and each has exactly one
-// pending link callback, which acts only while the registry still maps
-// its request to it. pd.abort and pd.crash drop the migrations that touch
-// an aborted request or a crashed instance (Replica.Crash clears them
-// all), which leaves their callbacks stale.
+// pd.migs holds every live migration, and each has exactly one pending
+// link callback, which acts only while its request's flight still points
+// at it. pd.abort and pd.crash drop the migrations that touch an aborted
+// request or a crashed instance (Replica.Crash clears them all), which
+// leaves their callbacks stale. A request that completes mid-copy-round
+// keeps its migration until the next callback drops it, so pd.migs, not
+// runner.live, is where a crash finds every migration.
 
 // migration is one running request's move between two instances.
 type migration struct {
@@ -47,7 +51,8 @@ type migration struct {
 // keeps decoding, or straight at the drain.
 func (d *pd) migrate(m *migration, rounds bool) {
 	m.q.Migrating = true
-	d.migrating[m.q.W.ID] = m
+	fl(m.q).mig = m
+	d.migs = append(d.migs, m)
 	if rounds {
 		d.copyRound(m)
 	} else {
@@ -72,7 +77,7 @@ func (d *pd) copyRound(m *migration) {
 	}
 	target, start, lk := q.Ctx(), d.r.s.Now(), d.link[m.src][m.dst]
 	lk.Transfer(d.kvBytes(dirty), func() {
-		if d.migrating[q.W.ID] != m {
+		if fl(q).mig != m {
 			return
 		}
 		d.logRound(m, "copy", lk, start, dirty)
@@ -89,7 +94,7 @@ func (d *pd) drain(m *migration) {
 	q.Phase = engine.PhaseDraining
 	dirty, start, lk := q.Ctx()-m.clean, d.r.s.Now(), d.link[m.src][m.dst]
 	lk.Transfer(d.kvBytes(dirty), func() {
-		if d.migrating[q.W.ID] != m {
+		if fl(q).mig != m {
 			return
 		}
 		d.logRound(m, "drain", lk, start, dirty)
@@ -101,19 +106,17 @@ func (d *pd) drain(m *migration) {
 }
 
 // land resumes m's request at its destination: the source frees its copy,
-// the placement maps record the destination under its acting role, and
-// the destination's allocation catches up with the tokens decoded during
-// the copy rounds (the engine's own growth path recovers any shortfall).
+// the flight records the destination under its acting role, and the
+// destination's allocation catches up with the tokens decoded during the
+// copy rounds (the engine's own growth path recovers any shortfall).
 func (d *pd) land(m *migration) {
-	q, id := m.q, m.q.W.ID
-	delete(d.migrating, id)
-	q.Migrating = false
+	q, f := m.q, fl(m.q)
+	d.end(m)
 	d.releaseAt(d.ins[m.src], q)
 	if d.actingPrefill(m.dst) {
-		delete(d.decodeAt, id)
-		d.prefillAt[id] = m.dst
+		f.pi, f.di = m.dst, noIdx
 	} else {
-		d.decodeAt[id] = (m.dst + len(d.decodes)) % len(d.ins) // its decode-space index
+		f.di = (m.dst + len(d.decodes)) % len(d.ins) // its decode-space index
 	}
 	dst := d.ins[m.dst]
 	_ = dst.KV().Grow(q.KVID(), q.Ctx()+1)
@@ -134,12 +137,17 @@ func (d *pd) logRound(m *migration, kind string, lk *xfer.Link, start sim.Time, 
 	}
 }
 
-// drop abandons m: its registry entry goes, leaving its pending callback
-// stale, its decision record reads "dead", and the destination frees what
-// it holds for the request.
+// end unregisters m, which leaves its pending callback stale.
+func (d *pd) end(m *migration) {
+	m.q.Migrating, fl(m.q).mig = false, nil
+	i := slices.Index(d.migs, m)
+	d.migs = slices.Delete(d.migs, i, i+1)
+}
+
+// drop abandons m: it ends, its decision record reads "dead", and the
+// destination frees what it holds for the request.
 func (d *pd) drop(m *migration) {
-	delete(d.migrating, m.q.W.ID)
-	m.q.Migrating = false
+	d.end(m)
 	if m.rec != nil {
 		m.rec.Outcome = "dead"
 	}
@@ -152,9 +160,9 @@ func (d *pd) drop(m *migration) {
 // when the source is up and holds its KV; otherwise it is returned for
 // orphan recovery.
 func (d *pd) dropMigrations(k int) []*engine.Req {
+	sort.Slice(d.migs, func(a, b int) bool { return d.migs[a].q.W.ID < d.migs[b].q.W.ID })
 	var orphans []*engine.Req
-	for _, id := range sortedIDs(d.migrating) {
-		m := d.migrating[id]
+	for _, m := range slices.Clone(d.migs) {
 		if m.src != k && m.dst != k {
 			continue
 		}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"sort"
 	"testing"
 
 	"windserve/internal/engine"
 	"windserve/internal/metrics"
+	"windserve/internal/sched"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
 )
@@ -30,7 +32,7 @@ func windBed(t *testing.T, np, nd int) *pd {
 // batch, prefilled, with generated tokens already out and its KV resident.
 func decodingAt(t *testing.T, d *pd, id uint64, prompt, generated, output, j int) *engine.Req {
 	t.Helper()
-	q := engine.NewReq(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: output})
+	q := newFlight(workload.Request{ID: id, PromptTokens: prompt, OutputTokens: output})
 	q.PrefillDone = prompt
 	q.SetGenerated(generated)
 	now := d.r.s.Now()
@@ -42,7 +44,7 @@ func decodingAt(t *testing.T, d *pd, id uint64, prompt, generated, output, j int
 	if err := dec.KV().Allocate(q.KVID(), q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
-	d.decodeAt[id] = j
+	fl(q).di = j
 	dec.InsertRunning(q)
 	return q
 }
@@ -139,6 +141,42 @@ func TestWindMigrationDestinationCrash(t *testing.T) {
 	}
 }
 
+// TestWindMigrationCrashAfterCompletion: the victim finishes decoding
+// while a copy round is on the wire, so it leaves runner.live but keeps
+// its migration until the round lands. The destination prefill then
+// crashes. The crash drops that migration at once, as it drops every
+// migration touching the instance: the round's callback goes stale, and
+// the decision record reads "dead" with no round logged.
+func TestWindMigrationCrashAfterCompletion(t *testing.T) {
+	cfg := cfg13B(t)
+	cfg.NumPrefill, cfg.NumDecode = 1, 1
+	cfg.Wind.DisableResched, cfg.Wind.DisableBackup = true, true
+	cfg.Decisions = sched.NewDecisionLog()
+	d := bed(t, cfg, "", false)
+	q := decodingAt(t, d, 1, 4000, 198, 200, 0)
+	d.startMigration(q, 0, 0.05) // dirty span ≫ drain threshold → copy round in flight
+	m := fl(q).mig
+	if m == nil || m.rec == nil || q.Phase != engine.PhaseDecoding {
+		t.Fatalf("copy round not under way: %v", q)
+	}
+	for q.Phase != engine.PhaseDone && d.r.s.Step() {
+	}
+	if _, live := d.r.live[q.W.ID]; live || fl(q).mig != m || len(d.migs) != 1 || len(m.rec.Rounds) != 0 {
+		t.Fatalf("request did not complete mid-round: %v, live=%v, %d migrations, %d rounds",
+			q, live, len(d.migs), len(m.rec.Rounds))
+	}
+	d.crash(0)
+	if q.Migrating || fl(q).mig != nil || len(d.migs) != 0 || m.rec.Outcome != "dead" {
+		t.Fatalf("crash kept the finished request's migration: migrating=%v, %d migrations, outcome %q",
+			q.Migrating, len(d.migs), m.rec.Outcome)
+	}
+	d.r.s.RunAll()
+	if len(m.rec.Rounds) != 0 {
+		t.Errorf("stale callback logged %d rounds", len(m.rec.Rounds))
+	}
+	checkDrained(t, d.r.rec, d.ins)
+}
+
 // TestWindMigrationSourceCrashMidDrain: the source decode crashes while
 // the paused tail copies. Its KV is gone, so the request restores from a
 // backup a surviving prefill holds, or re-prefills from scratch without
@@ -161,7 +199,7 @@ func TestWindMigrationSourceCrashMidDrain(t *testing.T) {
 				t.Fatal(err)
 			}
 			q.BackupTokens = 45
-			d.backupAt[q.W.ID] = 1
+			fl(q).backupAt = 1
 		}
 		d.crash(len(d.prefills))
 		settle(d.r.s, q)
@@ -171,7 +209,7 @@ func TestWindMigrationSourceCrashMidDrain(t *testing.T) {
 		if d.prefills[0].KV().Has(q.KVID()) {
 			t.Errorf("backup=%v: migration destination still holds the request's blocks", backup)
 		}
-		if !d.r.recovered[q.W.ID] {
+		if !fl(q).recovered {
 			t.Errorf("backup=%v: recovery not counted", backup)
 		}
 		if backup {
@@ -227,6 +265,16 @@ func TestWindMigrationAbortMidDrainThenResubmit(t *testing.T) {
 	checkDrained(t, d.r.rec, d.ins)
 }
 
+// migratingReqs returns the requests of d's live migrations in ID order.
+func migratingReqs(d *pd) []*engine.Req {
+	var qs []*engine.Req
+	for _, m := range d.migs {
+		qs = append(qs, m.q)
+	}
+	sort.Slice(qs, func(a, b int) bool { return qs[a].W.ID < qs[b].W.ID })
+	return qs
+}
+
 // flipMidDecode runs the burst of TestFlipToPrefillMigratesRunningStreams
 // on an elastic cluster and, right after the flip to prefill at 1.5 s,
 // hands the lowest migrating ID to fault.
@@ -234,11 +282,11 @@ func flipMidDecode(t *testing.T, s *sim.Simulator, flip func() FlipResult, d *pd
 	t.Helper()
 	s.At(sim.Time(0).Add(sim.Seconds(1.5)), func() {
 		fr := flip()
-		ids := sortedIDs(d.migrating)
-		if !fr.OK || fr.Migrating == 0 || len(ids) == 0 {
+		qs := migratingReqs(d)
+		if !fr.OK || fr.Migrating == 0 || len(qs) == 0 {
 			t.Fatalf("flip mid-decode migrated nothing: %+v", fr)
 		}
-		fault(ids[0])
+		fault(qs[0].W.ID)
 	})
 }
 
@@ -295,9 +343,7 @@ func TestFlipMigrationReplicaCrashMidFlight(t *testing.T) {
 	}
 	var stale []*engine.Req
 	flipMidDecode(t, s, func() FlipResult { return rp.Flip(false) }, rp.d, func(uint64) {
-		for _, id := range sortedIDs(rp.d.migrating) {
-			stale = append(stale, rp.d.migrating[id].q)
-		}
+		stale = migratingReqs(rp.d)
 		orphans := rp.Crash()
 		rp.Restore()
 		for _, q := range orphans {

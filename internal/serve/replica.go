@@ -69,7 +69,7 @@ func (rp *Replica) InFlight() int { return len(rp.r.live) }
 // the arrival; a failover submits a fresh request object under the same
 // ID, which the first-call-wins recorder folds into the original record.
 func (rp *Replica) Submit(w workload.Request) {
-	q := engine.NewReq(w)
+	q := newFlight(w)
 	rp.r.live[w.ID] = q
 	rp.d.submit(q)
 }
@@ -98,23 +98,29 @@ func (rp *Replica) Evict(id uint64) *engine.Req {
 // in-flight passes, and every request still owned here is orphaned. The
 // orphans come back in ID order (deterministic), already scrubbed and
 // phase-aborted, with their lost work readable off PrefillDone/Generated;
-// their records stay open so the router can fail them over.
+// their records stay open so the router can fail them over. In-flight
+// copy and migration callbacks find their flights cleared and no-op.
 func (rp *Replica) Crash() []*engine.Req {
 	rp.down = true
-	for _, ins := range rp.d.ins {
+	d := rp.d
+	for _, ins := range d.ins {
 		if !ins.Down() {
 			ins.Crash()
 		}
 	}
+	for _, m := range d.migs {
+		fl(m.q).mig = nil
+	}
+	d.migs, d.transferPending = d.migs[:0], d.transferPending[:0]
 	ids := sortedIDs(rp.r.live)
 	orphans := make([]*engine.Req, 0, len(ids))
 	for _, id := range ids {
 		q := rp.r.live[id]
 		delete(rp.r.live, id)
 		q.Phase = engine.PhaseAborted
+		d.forget(q)
 		orphans = append(orphans, q)
 	}
-	rp.d.reset()
 	return orphans
 }
 

@@ -44,20 +44,12 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 		return nil, fmt.Errorf("serve: planning vLLM: %w", err)
 	}
 
-	at := make(map[uint64]int) // request → replica, for abort scrubbing
 	instances := make([]*engine.Instance, replicas)
 	for i, a := range asg {
-		hooks := r.recorderHooks() // nil OnPrefillDone: finished prompts join the local batch
-		base := hooks.OnComplete
-		// Scrub the routing entry on completion, not just on abort —
-		// otherwise the map grows with every request ever served.
-		hooks.OnComplete = func(q *engine.Req) {
-			base(q)
-			delete(at, q.W.ID)
-		}
+		// nil OnPrefillDone: finished prompts join the local batch.
 		ins, err := r.newInstance(a, engine.Config{
 			Name: fmt.Sprintf("vllm-%d", i), AllowPrefill: true, AlwaysChunk: true,
-		}, fmt.Sprintf("host-%d", i), hooks)
+		}, fmt.Sprintf("host-%d", i), r.recorderHooks())
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +72,7 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 			i = next % replicas
 		}
 		next = i + 1
-		at[q.W.ID] = i
+		fl(q).pi = i
 		cfg.Decisions.AddRoute(r.s.Now(), q.W.ID, instances[i].Name(), "round-robin")
 		instances[i].EnqueuePrefill(q)
 	}
@@ -91,12 +83,7 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 		}
 		return n
 	}
-	r.onAbort = func(q *engine.Req) {
-		if i, ok := at[q.W.ID]; ok {
-			instances[i].Abort(q)
-			delete(at, q.W.ID)
-		}
-	}
+	r.onAbort = func(q *engine.Req) { instances[fl(q).pi].Abort(q) }
 	if err := installVLLMFaults(r, instances, route); err != nil {
 		return nil, err
 	}

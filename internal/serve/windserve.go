@@ -164,7 +164,7 @@ func (d *pd) submit(q *engine.Req) {
 		d.logDispatch(q, in, decision, dec, target, toDecode)
 		if toDecode {
 			d.dispatched++
-			d.decodeAt[q.W.ID] = dj
+			fl(q).di = dj
 			now := d.r.s.Now()
 			if d.cfg.Tracer != nil {
 				d.cfg.Tracer.Add("scheduler", trace.KindDispatch, now, now,
@@ -176,7 +176,7 @@ func (d *pd) submit(q *engine.Req) {
 	} else {
 		d.cfg.Decisions.AddRoute(d.r.s.Now(), q.W.ID, d.prefills[pi].Name(), "least-loaded")
 	}
-	d.prefillAt[q.W.ID] = pi
+	fl(q).pi = pi
 	d.prefills[pi].EnqueuePrefill(q)
 }
 
@@ -229,12 +229,13 @@ func (d *pd) logDispatch(q *engine.Req, in sched.DispatchInput,
 
 // asyncXfer tracks a transfer overlapped with prefill: the request may
 // only start decoding when both the prefill and the copy have finished.
-// stamp tells the copy's completion whether it still serves this entry:
-// after crash recovery the request may have a newer one.
+// Its destination is the flight's decode index. stamp tells the copy's
+// completion whether it still serves this transfer: after crash recovery
+// the request may have a newer one. Stamps start at 1; the zero value is
+// no transfer.
 type asyncXfer struct {
 	xferDone    bool
 	prefillDone bool
-	decodeIdx   int
 	stamp       uint64
 }
 
@@ -254,10 +255,10 @@ func (d *pd) maybeStartAsyncTransfer(q *engine.Req) {
 		return // no decode blocks: fall back to the serial path at prefill end
 	}
 	d.asyncSeq++
-	d.async[q.W.ID] = asyncXfer{decodeIdx: dj, stamp: d.asyncSeq}
-	d.decodeAt[q.W.ID] = dj
+	f := fl(q)
+	f.async, f.di = asyncXfer{stamp: d.asyncSeq}, dj
 	d.asyncXfers++
-	pi := d.prefillIdx(q)
+	pi := f.pi
 	d.startCopy(kvCopy{q: q, i: pi, j: dj, stamp: d.asyncSeq,
 		bytes: d.kvBytes(q.W.PromptTokens), lk: d.pdLink(pi, dj), then: d.asyncDone})
 }
@@ -270,25 +271,25 @@ func (d *pd) finishAsyncCopy(c kvCopy) {
 		d.cfg.Tracer.Add("link "+c.lk.Name(), trace.KindKVTransfer, c.start, d.r.s.Now(),
 			fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
 	}
-	ax, ok := d.async[q.W.ID]
-	if !ok || ax.stamp != c.stamp {
+	f := fl(q)
+	if f.async.stamp != c.stamp {
 		return // superseded: crash recovery already re-routed the request
 	}
-	ax.xferDone = true
-	d.async[q.W.ID] = ax
-	d.maybeFinishAsync(q, ax)
+	f.async.xferDone = true
+	d.maybeFinishAsync(q)
 }
 
 // maybeFinishAsync hands the request to its decode instance once both
-// halves of the current async transfer ax are done.
-func (d *pd) maybeFinishAsync(q *engine.Req, ax asyncXfer) {
-	if !ax.xferDone || !ax.prefillDone {
+// halves of its async transfer are done.
+func (d *pd) maybeFinishAsync(q *engine.Req) {
+	f := fl(q)
+	if !f.async.xferDone || !f.async.prefillDone {
 		return
 	}
-	delete(d.async, q.W.ID)
-	dec := d.decodes[ax.decodeIdx]
+	f.async = asyncXfer{}
+	dec := d.decodes[f.di]
 	if q.Phase == engine.PhaseAborted {
-		d.prefills[d.prefillIdx(q)].ReleaseKV(q)
+		d.prefills[f.pi].ReleaseKV(q)
 		d.releaseAt(dec, q)
 		return
 	}
@@ -296,11 +297,11 @@ func (d *pd) maybeFinishAsync(q *engine.Req, ax asyncXfer) {
 		// The destination crashed under the copy (its allocation is gone).
 		// The prefilled KV still exists at the source — keep it and
 		// serial-transfer to a survivor instead of recomputing.
-		delete(d.decodeAt, q.W.ID)
+		f.di = noIdx
 		d.serialTransfer(q)
 		return
 	}
-	d.prefills[d.prefillIdx(q)].ReleaseKV(q)
+	d.prefills[f.pi].ReleaseKV(q)
 	dec.AdmitDecode(q)
 }
 
@@ -316,10 +317,10 @@ func (d *pd) onDecodeIterEnd(j int) {
 	freeFrac := 1 - dkv.Utilization()
 	if !d.cfg.Wind.DisableResched {
 		pol := d.cfg.Wind.Resched
-		if pol.ShouldTrigger(freeFrac) && len(d.migrating) < pol.MaxConcurrentMigrations {
+		if pol.ShouldTrigger(freeFrac) && len(d.migs) < pol.MaxConcurrentMigrations {
 			capTokens := dkv.TotalBlocks() * dkv.BlockSize()
 			need := int((pol.TargetFree - freeFrac) * float64(capTokens))
-			victims := pol.PickVictims(dec.Running(), need, pol.MaxConcurrentMigrations-len(d.migrating))
+			victims := pol.PickVictims(dec.Running(), need, pol.MaxConcurrentMigrations-len(d.migs))
 			for _, v := range victims {
 				d.startMigration(v, j, freeFrac)
 			}
@@ -342,14 +343,15 @@ func (d *pd) startMigration(q *engine.Req, src int, freeFrac float64) {
 	id := q.KVID()
 	clean := 0
 	dst := d.freestPrefillIdx()
-	if bi, ok := d.backupAt[q.W.ID]; ok && q.BackupTokens > 0 {
+	f := fl(q)
+	if bi := f.backupAt; bi != noIdx && q.BackupTokens > 0 {
 		pkv := d.prefills[bi].KV()
 		if pkv.Has(id) && pkv.IsBackup(id) && pkv.PromoteBackup(id) == nil {
 			// A backup already holds the first BackupTokens of context at
 			// instance bi; only the delta must move there.
 			dst = bi
 			clean = q.BackupTokens
-			delete(d.backupAt, q.W.ID)
+			f.backupAt = noIdx
 		}
 	}
 	if clean == 0 {
@@ -397,7 +399,7 @@ func (d *pd) maybeBackup(j int, decodeFreeFrac float64) {
 	if !sched.ShouldBackup(decodeFreeFrac, prefillFree) {
 		return
 	}
-	cand := sched.PickBackupCandidate(d.decodes[j].Running(), d.backupInFlight)
+	cand := sched.PickBackupCandidate(d.decodes[j].Running())
 	if cand == nil {
 		return
 	}
@@ -405,7 +407,7 @@ func (d *pd) maybeBackup(j int, decodeFreeFrac float64) {
 	if pkv.AllocateBackup(cand.KVID(), snap) != nil {
 		return
 	}
-	d.backupInFlight[cand.W.ID] = true
+	cand.BackupInFlight = true
 	d.startCopy(kvCopy{q: cand, i: pi, j: j, tokens: snap,
 		bytes: d.kvBytes(snap), lk: d.dpLink(j, pi), then: d.backupDone})
 }
@@ -413,7 +415,7 @@ func (d *pd) maybeBackup(j int, decodeFreeFrac float64) {
 // finishBackup lands a backup copy.
 func (d *pd) finishBackup(c kvCopy) {
 	cand, pi, snap := c.q, c.i, c.tokens
-	delete(d.backupInFlight, cand.W.ID)
+	cand.BackupInFlight = false
 	if d.cfg.Tracer != nil {
 		d.cfg.Tracer.Add("link "+c.lk.Name(), trace.KindKVTransfer, c.start, d.r.s.Now(),
 			fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
@@ -424,7 +426,7 @@ func (d *pd) finishBackup(c kvCopy) {
 		return // finished, cancelled, or promoted while copying
 	}
 	cand.BackupTokens = snap
-	d.backupAt[cand.W.ID] = pi
+	fl(cand).backupAt = pi
 	d.backups++
 }
 
@@ -434,9 +436,8 @@ func (d *pd) finishBackup(c kvCopy) {
 // short version: a crash loses an instance's KV and in-flight work;
 // payloads already on a link are "captured" and complete; orphans restore
 // from a KV backup when one survives, and re-prefill from scratch (losing
-// generated-token KV, hence re-decoding) otherwise. All map iteration
-// below walks sorted keys so recovery order — and therefore the whole
-// simulation — is deterministic.
+// generated-token KV, hence re-decoding) otherwise. Recovery visits
+// orphans in a fixed order, so the whole simulation is deterministic.
 
 // crash takes physical instance k down, drops the migrations that touch
 // it, and recovers its live orphans: the requests queued, running or
@@ -450,7 +451,7 @@ func (d *pd) crash(k int) {
 	orphans := d.ins[k].Crash()
 	keep := d.transferPending[:0]
 	for _, q := range d.transferPending {
-		if d.prefillAt[q.W.ID] == k {
+		if fl(q).pi == k {
 			orphans = append(orphans, q)
 		} else {
 			keep = append(keep, q)
@@ -458,13 +459,13 @@ func (d *pd) crash(k int) {
 	}
 	d.transferPending = keep
 	orphans = liveOrphans(append(orphans, d.dropMigrations(k)...))
+	// The walks of runner.live below may go in any order: each step only
+	// clears fields of the request it visits. Every landed backup and
+	// async transfer belongs to a live request.
 	if k < len(d.prefills) {
-		for _, id := range sortedIDs(d.backupAt) {
-			if d.backupAt[id] != k {
-				continue
-			}
-			delete(d.backupAt, id)
-			if q, ok := d.r.live[id]; ok {
+		for _, q := range d.r.live {
+			if f := fl(q); f.backupAt == k {
+				f.backupAt = noIdx
 				q.BackupTokens = 0
 			}
 		}
@@ -474,20 +475,15 @@ func (d *pd) crash(k int) {
 		return
 	}
 	j := k - len(d.prefills)
-	for _, id := range sortedIDs(d.async) {
-		ax := d.async[id]
-		if ax.decodeIdx != j {
-			continue
+	for _, q := range d.r.live {
+		// A request still prefilling at the source drops its dead
+		// transfer, so prefill completion takes the serial path to a
+		// survivor; the stale copy's completion no-ops (no transfer, or a
+		// newer stamp). With prefillDone set the request waits only on the
+		// copy, whose callback's Down/Has guard re-routes it.
+		if f := fl(q); f.async.stamp != 0 && f.di == j && !f.async.prefillDone {
+			f.async, f.di = asyncXfer{}, noIdx
 		}
-		if !ax.prefillDone {
-			// Still prefilling at the source: drop the dead transfer so
-			// prefill completion takes the serial path to a survivor. The
-			// stale copy's completion no-ops (no entry, or a newer stamp).
-			delete(d.async, id)
-			delete(d.decodeAt, id)
-		}
-		// With prefillDone set the request waits only on the copy; its
-		// callback's Down/Has guard re-routes it when it fires.
 	}
 	for _, q := range orphans {
 		d.recoverDecodeOrphan(q)
@@ -501,14 +497,13 @@ func (d *pd) crash(k int) {
 // crash and are re-decoded). Otherwise the request re-prefills from
 // scratch.
 func (d *pd) recoverDecodeOrphan(q *engine.Req) {
-	id := q.W.ID
-	delete(d.async, id)
-	delete(d.backupInFlight, id)
-	delete(d.decodeAt, id)
-	if bi, ok := d.backupAt[id]; ok && q.BackupTokens > 0 && !d.prefills[bi].Down() {
+	f := fl(q)
+	f.async, f.di = asyncXfer{}, noIdx
+	q.BackupInFlight = false
+	if bi := f.backupAt; bi != noIdx && q.BackupTokens > 0 && !d.prefills[bi].Down() {
 		pkv := d.prefills[bi].KV()
 		if pkv.Has(q.KVID()) && pkv.IsBackup(q.KVID()) && pkv.PromoteBackup(q.KVID()) == nil {
-			delete(d.backupAt, id)
+			f.backupAt = noIdx
 			// Drop any other allocation the request holds (a stale async
 			// copy) — everything but the promoted backup.
 			for k, ins := range d.ins {
@@ -521,7 +516,7 @@ func (d *pd) recoverDecodeOrphan(q *engine.Req) {
 			if gen := snap - q.W.PromptTokens; gen >= 1 && gen < q.Generated() {
 				q.SetGenerated(gen)
 			}
-			d.prefillAt[id] = bi
+			f.pi = bi
 			d.r.markRecovered(q)
 			d.prefills[bi].InsertRunning(q)
 			return

@@ -22,6 +22,11 @@ type Duration float64
 // Forever is a time later than any event a simulation will ever schedule.
 const Forever Time = math.MaxFloat64 / 4
 
+// MinPeriod is the shortest positive period a recurring timer may have.
+// A period far below it costs (busy time / period) events, so a run with
+// one in practice never ends.
+const MinPeriod Duration = 1e-3
+
 // Seconds constructs a Duration from a float64 number of seconds.
 func Seconds(s float64) Duration { return Duration(s) }
 
