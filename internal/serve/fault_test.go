@@ -48,7 +48,7 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.NumDecode = 2
 	cfg.Faults = mustPlan(t, 7, "crash:d0@20; slow:p0@5x2+15; degrade@10x0.3+20; cancel@25x0.25")
-	cfg.Shed = ShedPolicy{MaxQueueDepth: 64, TTFTDeadline: sim.Seconds(1)}
+	cfg.Shed = ShedPolicy{MaxQueueDepth: 64, TTFTDeadline: sim.Seconds(30)}
 	reqs := trace13B(2, 120, 11)
 	for name, run := range allSystems() {
 		a, err := run(cfg, reqs)
@@ -339,7 +339,7 @@ func TestPropertyInvariantsUnderFaults(t *testing.T) {
 		for _, prefix := range []bool{false, true} {
 			cfg := cfg13B(t)
 			cfg.NumPrefill, cfg.NumDecode = 2, 2
-			cfg.Shed = ShedPolicy{MaxQueueDepth: 128, TTFTDeadline: sim.Seconds(1)}
+			cfg.Shed = ShedPolicy{MaxQueueDepth: 128, TTFTDeadline: sim.Seconds(60)}
 			cfg.Faults = mustPlan(t, int64(pi+1), spec)
 			reqs, row := trace13B(1.5, 90, int64(100+pi)), spec
 			if prefix {

@@ -40,6 +40,8 @@ type migration struct {
 	q *engine.Req
 	// src and dst are physical instance indices.
 	src, dst int
+	// at is m's index in pd.migs.
+	at int
 	// clean counts context tokens already resident at dst.
 	clean int
 	// rec is WindServe's decision-log entry (nil for a flip or with
@@ -52,7 +54,7 @@ type migration struct {
 func (d *pd) migrate(m *migration, rounds bool) {
 	m.q.Migrating = true
 	fl(m.q).mig = m
-	d.migs = append(d.migs, m)
+	m.at, d.migs = len(d.migs), append(d.migs, m)
 	if rounds {
 		d.copyRound(m)
 	} else {
@@ -137,11 +139,14 @@ func (d *pd) logRound(m *migration, kind string, lk *xfer.Link, start sim.Time, 
 	}
 }
 
-// end unregisters m, which leaves its pending callback stale.
+// end unregisters m, which leaves its pending callback stale. The last
+// migration takes m's slot in pd.migs, whose order nothing reads.
 func (d *pd) end(m *migration) {
 	m.q.Migrating, fl(m.q).mig = false, nil
-	i := slices.Index(d.migs, m)
-	d.migs = slices.Delete(d.migs, i, i+1)
+	n := len(d.migs) - 1
+	last := d.migs[n]
+	d.migs[m.at], last.at = last, m.at
+	d.migs[n], d.migs = nil, d.migs[:n]
 }
 
 // drop abandons m: it ends, its decision record reads "dead", and the
@@ -160,9 +165,10 @@ func (d *pd) drop(m *migration) {
 // when the source is up and holds its KV; otherwise it is returned for
 // orphan recovery.
 func (d *pd) dropMigrations(k int) []*engine.Req {
-	sort.Slice(d.migs, func(a, b int) bool { return d.migs[a].q.W.ID < d.migs[b].q.W.ID })
+	migs := slices.Clone(d.migs)
+	sort.Slice(migs, func(a, b int) bool { return migs[a].q.W.ID < migs[b].q.W.ID })
 	var orphans []*engine.Req
-	for _, m := range slices.Clone(d.migs) {
+	for _, m := range migs {
 		if m.src != k && m.dst != k {
 			continue
 		}
