@@ -646,6 +646,12 @@ func (ins *Instance) step() {
 		}
 	}
 	plan.epoch = ins.epoch
+	if initiation == dur {
+		// Both bodies would fire back to back at one instant: nothing can
+		// be ordered between two consecutive seqs at the same time.
+		ins.sim.Schedule(dur, plan.passed)
+		return
+	}
 	ins.sim.Schedule(initiation, plan.initiated)
 	ins.sim.Schedule(dur, plan.completed)
 }
@@ -665,8 +671,9 @@ type passPlan struct {
 	// instance's, so the events of a pass in flight see the mismatch.
 	epoch uint64
 	// initiated frees the engine for the next pass; completed applies the
-	// pass and returns the plan to the free list.
-	initiated, completed func()
+	// pass and returns the plan to the free list. passed runs both, for a
+	// pass whose initiation interval is its latency.
+	initiated, completed, passed func()
 }
 
 // newPlan takes a plan off the free list, or builds one with its events.
@@ -693,6 +700,10 @@ func (ins *Instance) newPlan() *passPlan {
 			ins.complete(p)
 		}
 		ins.freePlans = append(ins.freePlans, p)
+	}
+	p.passed = func() {
+		p.initiated()
+		p.completed()
 	}
 	return p
 }

@@ -1165,3 +1165,26 @@ func benchDecodePass(b *testing.B, running int) {
 		pass()
 	}
 }
+
+// TestPassEventCount pins how many kernel events a pass costs: one when
+// its initiation interval is its latency (PP-1), two for a pure-prefill
+// PP-2 pass, whose engine frees after one stage but whose effects land
+// at the full latency.
+func TestPassEventCount(t *testing.T) {
+	for _, tc := range []struct{ pp, events int }{{1, 1}, {2, 2}} {
+		h := newHarness(t, 1<<20, 0, func(c *Config) {
+			c.CM = perf.MustNew(tinyModel(), gpu.A800, perf.Placement{TP: 1, PP: tc.pp}, gpu.NVLinkBridge, perf.DefaultParams())
+		}, nil)
+		h.ins.EnqueuePrefill(req(1, 512, 4))
+		if !h.s.Step() || h.ins.Iterations != 1 {
+			t.Fatalf("PP-%d: the first kick did not start a pass", tc.pp)
+		}
+		if got := h.s.Pending(); got != tc.events {
+			t.Errorf("PP-%d: a pure-prefill pass scheduled %d events, want %d", tc.pp, got, tc.events)
+		}
+		h.s.RunAll()
+		if len(h.completed) != 1 {
+			t.Fatalf("PP-%d: completed %d of 1", tc.pp, len(h.completed))
+		}
+	}
+}

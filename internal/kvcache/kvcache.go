@@ -152,11 +152,18 @@ type Manager struct {
 	// A released handle is never handed out again: it must stay dead.
 	chunk []Alloc
 
+	// backups counts the allocations flagged as backup copies, so a GPU
+	// shortfall with none skips dropBackups' walk of the table.
+	backups int
+
 	// Prefix-cache state (see prefix.go); nil maps when disabled.
+	// gpuIdle/hostIdle are each tier's unreferenced blocks by recency.
 	prefixMode bool
 	tiered     bool
 	prefix     map[pkey]*pblock
 	useSeq     uint64
+	gpuIdle    idleHeap
+	hostIdle   idleHeap
 }
 
 // New creates a manager with capacity for gpuTokens of KV cache on device
@@ -337,6 +344,9 @@ func (t *Alloc) Grow(newTokens int) error {
 		m.stats.FailedAllocs++
 		return ErrNoSpace
 	}
+	if t.dead { // a growing backup was itself reclaimed to make room
+		return ErrUnknownRequest
+	}
 	m.gpuFree -= need
 	t.blocks += need
 	t.tokens = newTokens
@@ -364,6 +374,9 @@ func (m *Manager) Release(id RequestID) error {
 
 // drop removes an allocation from the table and kills its handles.
 func (m *Manager) drop(t *Alloc) {
+	if t.isBackup {
+		m.backups--
+	}
 	t.dead = true
 	delete(m.tables, t.id)
 }
@@ -425,6 +438,7 @@ func (m *Manager) AllocateBackup(id RequestID, tokens int) error {
 		return err
 	}
 	m.tables[id].isBackup = true
+	m.backups++
 	return nil
 }
 
@@ -440,6 +454,9 @@ func (m *Manager) PromoteBackup(id RequestID) error {
 	t, ok := m.tables[id]
 	if !ok {
 		return ErrUnknownRequest
+	}
+	if t.isBackup {
+		m.backups--
 	}
 	t.isBackup = false
 	return nil
@@ -457,8 +474,12 @@ func (m *Manager) Reset() {
 		t.dead = true
 	}
 	m.tables = make(map[RequestID]*Alloc)
+	m.backups = 0
 	if m.prefixMode {
 		m.prefix = make(map[pkey]*pblock)
+		clear(m.gpuIdle)
+		clear(m.hostIdle)
+		m.gpuIdle, m.hostIdle = m.gpuIdle[:0], m.hostIdle[:0]
 	}
 }
 

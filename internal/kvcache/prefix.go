@@ -22,7 +22,8 @@
 // prefixes yield before any running request is disturbed. Recency stamps
 // are issued tail-first within a chain, which makes LRU eviction trim
 // chains strictly from the tail — a cached chain is never holed in the
-// middle.
+// middle. Each tier keeps its idle (refs==0) blocks in a min-heap on the
+// stamp, so a victim costs O(log n), not a scan of the pool.
 //
 // In tiered mode an evicted-but-warm block is demoted to host memory
 // instead of dropped (an asynchronous write-back off the critical path,
@@ -32,7 +33,10 @@
 // IS on the critical path, is timed.
 package kvcache
 
-import "sort"
+import (
+	"container/heap"
+	"sort"
+)
 
 // pkey identifies one shared prefix block: the group stands in for the
 // content-hash chain, idx for the block's position in it.
@@ -41,11 +45,70 @@ type pkey struct {
 	idx   int
 }
 
-// pblock is one refcounted shared block.
+// pblock is one refcounted shared block. It carries its own key, so a
+// victim popped off an idle heap can leave the pool; the narrow fields
+// keep it at 32 bytes.
 type pblock struct {
-	refs    int
-	onGPU   bool   // false: demoted to the host tier
+	group   uint64
 	lastUse uint64 // monotone recency stamp; unique per block
+	idx     int32
+	refs    int32
+	heapIdx int32 // position in its tier's idle heap; -1 while referenced
+	onGPU   bool  // false: demoted to the host tier
+}
+
+func (b *pblock) key() pkey { return pkey{b.group, int(b.idx)} }
+
+// idleHeap holds one tier's unreferenced blocks, least recently used on
+// top: the tier's next reclaim victim.
+type idleHeap []*pblock
+
+func (h idleHeap) Len() int           { return len(h) }
+func (h idleHeap) Less(i, j int) bool { return h[i].lastUse < h[j].lastUse }
+func (h idleHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
+}
+
+func (h *idleHeap) Push(x any) {
+	b := x.(*pblock)
+	b.heapIdx = int32(len(*h))
+	*h = append(*h, b)
+}
+
+func (h *idleHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	b := old[n]
+	old[n] = nil
+	b.heapIdx = -1
+	*h = old[:n]
+	return b
+}
+
+// idleOf returns the idle heap of the tier b sits on.
+func (m *Manager) idleOf(b *pblock) *idleHeap {
+	if b.onGPU {
+		return &m.gpuIdle
+	}
+	return &m.hostIdle
+}
+
+// ref takes a reference on b; an idle block leaves its tier's heap.
+func (m *Manager) ref(b *pblock) {
+	if b.refs == 0 {
+		heap.Remove(m.idleOf(b), int(b.heapIdx))
+	}
+	b.refs++
+}
+
+// unref drops a reference on b; a block left idle joins its tier's heap.
+func (m *Manager) unref(b *pblock) {
+	b.refs--
+	if b.refs == 0 {
+		heap.Push(m.idleOf(b), b)
+	}
 }
 
 // PrefixAcquire reports what AllocatePrefixed found in the cache.
@@ -148,11 +211,11 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	// Acquire references before reclaiming so eviction cannot take the
 	// very blocks this request is hitting; roll back on failure.
 	for _, b := range chain {
-		b.refs++
+		m.ref(b)
 	}
 	if gpuNeed > m.gpuFree && !m.ensureFree(gpuNeed) {
 		for _, b := range chain {
-			b.refs--
+			m.unref(b)
 		}
 		m.stats.FailedAllocs++
 		return PrefixAcquire{}, ErrNoSpace
@@ -169,13 +232,19 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	// Publish missed blocks immediately: followers share them while this
 	// request is still prefilling, holding a reference the whole time.
 	for i := hitBlocks; i < nShare; i++ {
-		m.prefix[pkey{group, i}] = &pblock{refs: 1, onGPU: true}
+		b := &pblock{group: group, idx: int32(i), refs: 1, heapIdx: -1, onGPU: true}
+		if stale, ok := m.prefix[b.key()]; ok {
+			m.dropStale(stale)
+		}
+		m.prefix[b.key()] = b
+		chain = append(chain, b)
 	}
 	// Stamp recency tail-first so LRU eviction trims chains from the
 	// tail: within a group, lastUse stays strictly decreasing in idx.
+	// Every block of the chain is referenced, so no heap holds one.
 	for i := nShare - 1; i >= 0; i-- {
 		m.useSeq++
-		m.prefix[pkey{group, i}].lastUse = m.useSeq
+		chain[i].lastUse = m.useSeq
 	}
 
 	m.tables[id] = m.newAlloc(Alloc{
@@ -194,12 +263,27 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	}, nil
 }
 
+// dropStale frees a block cached past a hole in its chain, which a fresh
+// block is about to replace. Holes open when a demotion finds the host
+// tier full and drops the victim, while an older block of its chain sits
+// on the host. The stale block is idle: a request holds its whole chain
+// from the head, so no request can reference a block past a hole.
+func (m *Manager) dropStale(b *pblock) {
+	heap.Remove(m.idleOf(b), int(b.heapIdx))
+	if b.onGPU {
+		m.gpuFree++
+	} else {
+		m.cpuFree++
+	}
+	m.stats.PrefixEvictions++
+}
+
 // derefShared drops a releasing request's references on its shared
 // chain. Blocks stay cached at refs==0 until pressure evicts them.
 func (m *Manager) derefShared(t *Alloc) {
 	for i := 0; i < t.shared; i++ {
 		if b, ok := m.prefix[pkey{t.group, i}]; ok && b.refs > 0 {
-			b.refs--
+			m.unref(b)
 		}
 	}
 }
@@ -229,6 +313,9 @@ func (m *Manager) ensureFree(need int) bool {
 // determinism) until need GPU blocks are free or none remain. Dropping a
 // backup is always safe: every consumer checks Has/IsBackup before use.
 func (m *Manager) dropBackups(need int) {
+	if m.backups == 0 {
+		return
+	}
 	var ids []RequestID
 	for id, t := range m.tables {
 		if t.isBackup && t.loc == OnGPU {
@@ -253,28 +340,16 @@ func (m *Manager) dropBackups(need int) {
 // untimed); otherwise it is dropped. Victim choice is deterministic:
 // lastUse stamps are unique.
 func (m *Manager) evictPrefixBlocks(n int) {
-	for n > 0 {
-		var vk pkey
-		var victim *pblock
-		for k, b := range m.prefix {
-			if b.refs > 0 || !b.onGPU {
-				continue
-			}
-			if victim == nil || b.lastUse < victim.lastUse {
-				victim, vk = b, k
-			}
-		}
-		if victim == nil {
-			return
-		}
+	for ; n > 0 && len(m.gpuIdle) > 0; n-- {
+		victim := heap.Pop(&m.gpuIdle).(*pblock)
 		m.gpuFree++
-		n--
 		if m.tiered && m.cpuFree > 0 {
 			m.cpuFree--
 			victim.onGPU = false
+			heap.Push(&m.hostIdle, victim)
 			m.stats.PrefixDemotions++
 		} else {
-			delete(m.prefix, vk)
+			delete(m.prefix, victim.key())
 			m.stats.PrefixEvictions++
 		}
 	}
@@ -291,21 +366,12 @@ func (m *Manager) ensureHostFree(need int) bool {
 		return false
 	}
 	for need > m.cpuFree {
-		var vk pkey
-		var victim *pblock
-		for k, b := range m.prefix {
-			if b.refs > 0 || b.onGPU {
-				continue
-			}
-			if victim == nil || b.lastUse < victim.lastUse {
-				victim, vk = b, k
-			}
-		}
-		if victim == nil {
+		if len(m.hostIdle) == 0 {
 			return false
 		}
+		victim := heap.Pop(&m.hostIdle).(*pblock)
 		m.cpuFree++
-		delete(m.prefix, vk)
+		delete(m.prefix, victim.key())
 		m.stats.PrefixEvictions++
 	}
 	return true

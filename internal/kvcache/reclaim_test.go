@@ -1,0 +1,259 @@
+package kvcache
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"unsafe"
+)
+
+// refVictim is the full-map scan reclaim used before the idle heaps, kept
+// as the executable specification of victim choice: the unreferenced
+// block on the given tier with the smallest recency stamp, or nil.
+func refVictim(m *Manager, onGPU bool) *pblock {
+	var victim *pblock
+	for _, b := range m.prefix {
+		if b.refs > 0 || b.onGPU != onGPU {
+			continue
+		}
+		if victim == nil || b.lastUse < victim.lastUse {
+			victim = b
+		}
+	}
+	return victim
+}
+
+// refOrder is the order repeated refVictim calls would reclaim a tier's
+// idle blocks in, skipping the blocks in held (taken by the operation
+// about to run, so not idle while it reclaims).
+func refOrder(m *Manager, onGPU bool, held map[pkey]bool) []pkey {
+	var idle []*pblock
+	for k, b := range m.prefix {
+		if b.refs == 0 && b.onGPU == onGPU && !held[k] {
+			idle = append(idle, b)
+		}
+	}
+	sort.Slice(idle, func(i, j int) bool { return idle[i].lastUse < idle[j].lastUse })
+	keys := make([]pkey, len(idle))
+	for i, b := range idle {
+		keys[i] = b.key()
+	}
+	return keys
+}
+
+// checkIdleHeaps asserts that every idle block sits in exactly its tier's
+// heap at its stored index, every referenced block in none, that both
+// heaps are heap-ordered, and that each heap's top is refVictim's pick.
+// It also checks the backup count and that each tier's used blocks are
+// exactly the pool's and the allocations' blocks on it.
+func checkIdleHeaps(t *testing.T, m *Manager, where string) {
+	t.Helper()
+	idle := map[bool]int{}
+	for k, b := range m.prefix {
+		if b.key() != k {
+			t.Fatalf("%s: block under key %v carries key %v", where, k, b.key())
+		}
+		if b.refs < 0 {
+			t.Fatalf("%s: block %v has %d refs", where, k, b.refs)
+		}
+		if b.refs > 0 {
+			if b.heapIdx != -1 {
+				t.Fatalf("%s: referenced block %v has heap index %d", where, k, b.heapIdx)
+			}
+			continue
+		}
+		idle[b.onGPU]++
+		h := *m.idleOf(b)
+		if int(b.heapIdx) >= len(h) || b.heapIdx < 0 || h[b.heapIdx] != b {
+			t.Fatalf("%s: idle block %v (onGPU %v) is not at its stored index %d", where, k, b.onGPU, b.heapIdx)
+		}
+	}
+	for _, tier := range []struct {
+		onGPU bool
+		h     idleHeap
+	}{{true, m.gpuIdle}, {false, m.hostIdle}} {
+		if len(tier.h) != idle[tier.onGPU] {
+			t.Fatalf("%s: onGPU=%v heap holds %d blocks, pool has %d idle", where, tier.onGPU, len(tier.h), idle[tier.onGPU])
+		}
+		for i := 1; i < len(tier.h); i++ {
+			if tier.h.Less(i, (i-1)/2) {
+				t.Fatalf("%s: onGPU=%v heap out of order at %d", where, tier.onGPU, i)
+			}
+		}
+		want := refVictim(m, tier.onGPU)
+		var got *pblock
+		if len(tier.h) > 0 {
+			got = tier.h[0]
+		}
+		if got != want {
+			t.Fatalf("%s: onGPU=%v heap's next victim %+v, reference scan picks %+v", where, tier.onGPU, got, want)
+		}
+	}
+	backups := 0
+	used := map[bool]int{true: idle[true], false: idle[false]}
+	for _, b := range m.prefix {
+		if b.refs > 0 {
+			used[b.onGPU]++
+		}
+	}
+	for _, a := range m.tables {
+		if a.isBackup {
+			backups++
+		}
+		used[a.loc == OnGPU] += a.blocks
+	}
+	if backups != m.backups {
+		t.Fatalf("%s: backup count %d, table holds %d backups", where, m.backups, backups)
+	}
+	if used[true] != m.gpuBlocks-m.gpuFree || used[false] != m.cpuBlocks-m.cpuFree {
+		t.Fatalf("%s: blocks held GPU %d host %d, accounted GPU %d host %d",
+			where, used[true], used[false], m.gpuBlocks-m.gpuFree, m.cpuBlocks-m.cpuFree)
+	}
+}
+
+// checkVictims asserts that the blocks an operation reclaimed from a tier
+// are exactly the first ones of the tier's reference order taken before
+// it: a GPU victim was demoted or dropped, a host victim dropped.
+func checkVictims(t *testing.T, m *Manager, where string, onGPU bool, order []pkey) {
+	t.Helper()
+	n := 0
+	for n < len(order) {
+		b, ok := m.prefix[order[n]]
+		if ok && b.onGPU == onGPU {
+			break
+		}
+		n++
+	}
+	for _, k := range order[n:] {
+		if b, ok := m.prefix[k]; !ok || b.onGPU != onGPU {
+			t.Fatalf("%s: onGPU=%v reclaimed %v out of LRU order (first %d of %d reclaimed before it)", where, onGPU, k, n, len(order))
+		}
+	}
+}
+
+// TestPropertyPrefixReclaimMatchesScan drives prefix-mode managers, tiered
+// and not, through seeded random traffic — prefixed hits, misses and
+// rolled-back failures, plain allocations and growth, releases, swaps
+// that force host-tier eviction, backups and their reclaim, single-victim
+// reclaims and resets — and checks the idle heaps against the reference
+// scan around every operation.
+func TestPropertyPrefixReclaimMatchesScan(t *testing.T) {
+	if got := unsafe.Sizeof(pblock{}); got != 32 {
+		t.Fatalf("pblock is %d bytes, want 32", got)
+	}
+	for _, tiered := range []bool{false, true} {
+		for seed := int64(0); seed < 20; seed++ {
+			runReclaimScript(t, tiered, seed)
+		}
+	}
+}
+
+func runReclaimScript(t *testing.T, tiered bool, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	m := mustMgr(t, 48*DefaultBlockSize, 16*DefaultBlockSize)
+	m.EnablePrefixCache(tiered)
+	var live []RequestID
+	next := RequestID(1)
+	forget := func(i int) {
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	for op := 0; op < 1500; op++ {
+		var held map[pkey]bool
+		group := uint64(1 + rng.Intn(4))
+		prefixTokens := rng.Intn(12) * DefaultBlockSize
+		tokens := 1 + rng.Intn(320)
+		x := rng.Intn(100)
+		if x < 40 {
+			held = map[pkey]bool{}
+			for i := 0; i*DefaultBlockSize < prefixTokens; i++ {
+				held[pkey{group, i}] = true
+			}
+		}
+		gpuOrder := refOrder(m, true, held)
+		hostOrder := refOrder(m, false, held)
+		what := ""
+		switch {
+		case x < 40:
+			what = "AllocatePrefixed"
+			if _, err := m.AllocatePrefixed(next, tokens, group, prefixTokens); err == nil {
+				live = append(live, next)
+			}
+			next++
+		case x < 48:
+			what = "Allocate"
+			if m.Allocate(next, tokens) == nil {
+				live = append(live, next)
+			}
+			next++
+		case x < 55 && len(live) > 0:
+			what = "Grow"
+			id := live[rng.Intn(len(live))]
+			if loc, _ := m.LocationOf(id); loc == OnGPU {
+				_ = m.Grow(id, m.Tokens(id)+rng.Intn(64))
+			}
+		case x < 75 && len(live) > 0:
+			what = "Release"
+			i := rng.Intn(len(live))
+			if err := m.Release(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			forget(i)
+		case x < 83 && len(live) > 0:
+			what = "SwapOut/SwapIn"
+			id := live[rng.Intn(len(live))]
+			if loc, _ := m.LocationOf(id); loc == OnGPU {
+				_, _ = m.SwapOut(id)
+			} else {
+				_, _ = m.SwapIn(id)
+			}
+		case x < 91:
+			what = "AllocateBackup"
+			if m.AllocateBackup(next, tokens/2+1) == nil {
+				live = append(live, next)
+				if rng.Intn(4) == 0 {
+					_ = m.PromoteBackup(next)
+				}
+			}
+			next++
+		case x < 95:
+			what = "evict one"
+			if m.evictPrefixBlocks(1); len(gpuOrder) > 0 {
+				if b, ok := m.prefix[gpuOrder[0]]; ok && b.onGPU {
+					t.Fatalf("tiered=%v seed %d op %d: single GPU reclaim left the reference victim %v", tiered, seed, op, gpuOrder[0])
+				}
+			}
+		case x < 98:
+			what = "drop one host block"
+			if m.ensureHostFree(m.cpuFree + 1); len(hostOrder) > 0 {
+				if _, ok := m.prefix[hostOrder[0]]; ok {
+					t.Fatalf("tiered=%v seed %d op %d: single host reclaim left the reference victim %v", tiered, seed, op, hostOrder[0])
+				}
+			}
+		default:
+			what = "Reset"
+			m.Reset()
+			live = live[:0]
+		}
+		// Backups dropped by a reclaim are gone from the table.
+		for i := 0; i < len(live); {
+			if m.Has(live[i]) {
+				i++
+			} else {
+				forget(i)
+			}
+		}
+		where := fmt.Sprintf("tiered=%v seed %d op %d (%s)", tiered, seed, op, what)
+		if what != "Reset" {
+			checkVictims(t, m, where, true, gpuOrder)
+			checkVictims(t, m, where, false, hostOrder)
+		}
+		checkIdleHeaps(t, m, where)
+	}
+	st := m.Stats()
+	if st.PrefixEvictions == 0 || st.PrefixHitTokens == 0 || st.BackupReclaims == 0 || (tiered && (st.PrefixDemotions == 0 || st.PrefixRestores == 0)) {
+		t.Fatalf("tiered=%v seed %d: script missed a reclaim path: %+v", tiered, seed, st)
+	}
+}

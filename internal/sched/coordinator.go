@@ -203,12 +203,13 @@ func ShouldBackup(decodeFreeFrac, prefillFreeFrac float64) bool {
 // copy in flight, or nil.
 func PickBackupCandidate(running []*engine.Req) *engine.Req {
 	var best *engine.Req
+	bestCtx := backupMinContextTokens - 1
 	for _, r := range running {
-		if r.Migrating || r.BackupInFlight || r.BackupTokens > 0 || r.Ctx() < backupMinContextTokens {
+		if r.Migrating || r.BackupInFlight || r.BackupTokens > 0 {
 			continue
 		}
-		if best == nil || r.Ctx() > best.Ctx() {
-			best = r
+		if ctx := r.Ctx(); ctx > bestCtx {
+			best, bestCtx = r, ctx
 		}
 	}
 	return best

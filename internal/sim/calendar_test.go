@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -33,6 +34,16 @@ func (h *refHeap) Pop() any {
 	old[n] = nil
 	ev.index = -1
 	*h = old[:n]
+	return ev
+}
+
+// pop removes and returns the calendar's next event in (at, seq) order.
+// The kernel merges peek with its same-instant lane instead.
+func (q *calendarQueue) pop() *event {
+	ev := q.peek()
+	if ev != nil {
+		q.remove(ev)
+	}
 	return ev
 }
 
@@ -353,5 +364,225 @@ func BenchmarkServeSteady(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Schedule(20, fn)
 		s.Step()
+	}
+}
+
+// refSim is a simulator over the reference heap alone: no lane, every
+// event in one (at, seq) order. It mirrors the kernel's Run, RunWindow
+// and Halt semantics for TestLaneKernelOrder.
+type refSim struct {
+	now    Time
+	seq    uint64
+	h      refHeap
+	halted bool
+}
+
+func (r *refSim) Now() Time    { return r.now }
+func (r *refSim) Pending() int { return r.h.Len() }
+func (r *refSim) Halt()        { r.halted = true }
+
+func (r *refSim) Schedule(d Duration, fn func()) func() bool {
+	ev := &event{at: r.now.Add(d), seq: r.seq, fn: fn}
+	r.seq++
+	heap.Push(&r.h, ev)
+	return func() bool {
+		if ev.index < 0 {
+			return false
+		}
+		heap.Remove(&r.h, ev.index)
+		return true
+	}
+}
+
+func (r *refSim) Step() bool {
+	if r.h.Len() == 0 {
+		return false
+	}
+	ev := heap.Pop(&r.h).(*event)
+	r.now = ev.at
+	ev.fn()
+	return true
+}
+
+func (r *refSim) NextAt() (Time, bool) {
+	if r.h.Len() == 0 {
+		return 0, false
+	}
+	return r.h[0].at, true
+}
+
+func (r *refSim) Run(until Time) {
+	r.halted = false
+	for !r.halted && r.h.Len() > 0 {
+		if r.h[0].at > until {
+			r.now = until
+			return
+		}
+		r.Step()
+	}
+}
+
+func (r *refSim) RunWindow(end Time) {
+	r.halted = false
+	for !r.halted && r.h.Len() > 0 && r.h[0].at < end {
+		r.Step()
+	}
+	if end > r.now {
+		r.now = end
+	}
+}
+
+// kernelUnderTest is the surface TestLaneKernelOrder drives on both the
+// kernel and refSim.
+type kernelUnderTest interface {
+	Now() Time
+	Pending() int
+	Halt()
+	Schedule(d Duration, fn func()) (cancel func() bool)
+	Step() bool
+	NextAt() (Time, bool)
+	Run(until Time)
+	RunWindow(end Time)
+}
+
+type simUnderTest struct{ *Simulator }
+
+func (s simUnderTest) Schedule(d Duration, fn func()) func() bool {
+	id := s.Simulator.Schedule(d, fn)
+	return func() bool { return s.Cancel(id) }
+}
+
+// laneScript drives one kernel through a seeded random stream and
+// returns the labels of the events it fired, in order, interleaved with
+// the clock and pending count after every driver operation.
+func laneScript(k kernelUnderTest, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var log []string
+	type pending struct {
+		label  int
+		cancel func() bool
+	}
+	var live []pending
+	forget := func(label int) {
+		for i, p := range live {
+			if p.label == label {
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				return
+			}
+		}
+	}
+	delay := func() Duration {
+		switch x := rng.Float64(); {
+		case x < 0.4:
+			return 0
+		case x < 0.7:
+			return Duration([]float64{0.25, 0.5, 1, 2}[rng.Intn(4)])
+		default:
+			return Duration(rng.Float64() * 3)
+		}
+	}
+	next := 0
+	// Halt is only exercised inside Run: a RunWindow halted early would
+	// park the clock past events still pending, which no kernel allows.
+	halting := false
+	var schedule func(d Duration)
+	schedule = func(d Duration) {
+		label := next
+		next++
+		cancel := k.Schedule(d, func() {
+			forget(label)
+			log = append(log, fmt.Sprintf("fire %d at %v", label, k.Now()))
+			// Children, zero-delay ones among them, scheduled from inside
+			// the callback; a child cancelled at once is a lane tombstone.
+			for n := rng.Intn(3); n > 0; n-- {
+				schedule(delay())
+				if rng.Float64() < 0.15 {
+					p := live[len(live)-1]
+					forget(p.label)
+					log = append(log, fmt.Sprintf("cancel child %d: %v", p.label, p.cancel()))
+				}
+			}
+			if len(live) > 0 && rng.Float64() < 0.2 {
+				p := live[rng.Intn(len(live))]
+				forget(p.label)
+				log = append(log, fmt.Sprintf("cancel %d: %v", p.label, p.cancel()))
+			}
+			if halting && rng.Float64() < 0.05 {
+				k.Halt()
+			}
+		})
+		live = append(live, pending{label, cancel})
+	}
+	for i := 0; i < 16; i++ {
+		schedule(delay())
+	}
+	for op := 0; op < 400; op++ {
+		switch x := rng.Float64(); {
+		case x < 0.45:
+			k.Step()
+		case x < 0.6:
+			// Park the clock on a window boundary, as the shard executor
+			// does: later zero-delay events share that instant with
+			// calendar events already due at it.
+			k.RunWindow(k.Now() + Time(delay()))
+		case x < 0.7:
+			// A Halt here leaves same-instant events in the lane.
+			halting = true
+			k.Run(k.Now() + Time(delay()))
+			halting = false
+		case x < 0.9 || len(live) == 0:
+			schedule(delay())
+		default:
+			p := live[rng.Intn(len(live))]
+			forget(p.label)
+			log = append(log, fmt.Sprintf("cancel %d: %v", p.label, p.cancel()))
+		}
+		at, ok := k.NextAt()
+		log = append(log, fmt.Sprintf("op %d: now %v pending %d next %v %v", op, k.Now(), k.Pending(), at, ok))
+	}
+	k.Run(Forever)
+	return append(log, fmt.Sprintf("drained: now %v pending %d", k.Now(), k.Pending()))
+}
+
+// TestLaneKernelOrder checks the kernel with its same-instant lane against
+// the reference heap: zero-delay schedules made from callbacks, cancels of
+// lane events, lane and calendar events sharing a timestamp, and RunWindow
+// parking must fire, cancel and count exactly as one (at, seq) heap does.
+func TestLaneKernelOrder(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		got := laneScript(simUnderTest{New()}, seed)
+		want := laneScript(&refSim{}, seed)
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				g := "<end>"
+				if i < len(got) {
+					g = got[i]
+				}
+				t.Fatalf("seed %d step %d: kernel %q, reference %q", seed, i, g, want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: kernel logged %d steps, reference %d", seed, len(got), len(want))
+		}
+	}
+}
+
+// TestLaneAfterHorizonRewind pins the lane's one-instant rule: Run with a
+// horizon behind the clock rewinds it while the lane still holds events
+// for the old instant, so an event for the new instant must not queue
+// behind them.
+func TestLaneAfterHorizonRewind(t *testing.T) {
+	s := New()
+	var got []string
+	s.Schedule(1, func() { got = append(got, "first") })
+	s.Schedule(1, func() { got = append(got, "calendar") })
+	s.Step()
+	s.Schedule(0, func() { got = append(got, "lane") })
+	s.Run(0.5)
+	s.Schedule(0, func() { got = append(got, "rewound") })
+	s.RunAll()
+	if want := "[first rewound calendar lane]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
 	}
 }

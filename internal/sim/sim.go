@@ -215,15 +215,6 @@ func (q *calendarQueue) peek() *event {
 	return best
 }
 
-// pop removes and returns the next event in (at, seq) order.
-func (q *calendarQueue) pop() *event {
-	ev := q.peek()
-	if ev != nil {
-		q.remove(ev)
-	}
-	return ev
-}
-
 // resize rebuilds the calendar with nb buckets and a width re-estimated
 // from the current population's spacing, keeping amortized bucket
 // occupancy O(1) as the pending count grows and shrinks. The minimum it
@@ -306,8 +297,27 @@ type EventID struct {
 // Valid reports whether the id refers to a (possibly already fired) event.
 func (id EventID) Valid() bool { return id.ev != nil }
 
+// laneBucket marks an event queued in the simulator's same-instant lane
+// rather than in a calendar bucket.
+const laneBucket = -1
+
+// laneEntry is one event in the same-instant lane, with the incarnation it
+// was queued under. Cancelling a lane event recycles it, which bumps its
+// gen and leaves the entry behind as a tombstone the lane skips.
+type laneEntry struct {
+	ev  *event
+	gen uint64
+}
+
 // Simulator is a single-threaded discrete-event scheduler.
 // The zero value is not usable; call New.
+//
+// Events scheduled for the current instant (zero-delay kicks, a pass's
+// follow-ups) skip the calendar: they go to a FIFO lane. Every lane event
+// carries a larger seq than anything already pending and all share the
+// lane's instant, so the lane is sorted by (at, seq) and the earliest
+// event overall is the earlier of the lane's front and the calendar's
+// head. Firing order is exactly the calendar-only order.
 type Simulator struct {
 	now       Time
 	q         *calendarQueue
@@ -315,6 +325,12 @@ type Simulator struct {
 	fired     uint64
 	lastFired Time
 	halted    bool
+	// lane holds the same-instant events from laneHead on, all at laneAt;
+	// laneN counts the live ones among them.
+	lane     []laneEntry
+	laneHead int
+	laneN    int
+	laneAt   Time
 	// free recycles fired/cancelled event structs. Bounded by the peak
 	// number of simultaneously pending events, it eliminates the
 	// per-Schedule heap allocation on the kernel's hottest path.
@@ -333,7 +349,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
-func (s *Simulator) Pending() int { return s.q.n }
+func (s *Simulator) Pending() int { return s.q.n + s.laneN }
 
 // Schedule runs fn after delay d (>= 0). Scheduling in the past panics,
 // since it indicates a cost-model bug rather than a recoverable condition.
@@ -355,8 +371,61 @@ func (s *Simulator) At(t Time, fn func()) EventID {
 	ev := s.alloc()
 	ev.at, ev.seq, ev.fn = t, s.seq, fn
 	s.seq++
-	s.q.push(ev)
+	if t == s.now && (s.laneN == 0 || s.laneAt == t) {
+		s.pushLane(ev)
+	} else {
+		s.q.push(ev)
+	}
 	return EventID{ev: ev, gen: ev.gen}
+}
+
+// pushLane appends an event for the current instant to the lane, sliding
+// the live entries down first rather than growing a lane whose front has
+// been consumed.
+func (s *Simulator) pushLane(ev *event) {
+	if len(s.lane) == cap(s.lane) && s.laneHead > 0 {
+		n := copy(s.lane, s.lane[s.laneHead:])
+		clear(s.lane[n:])
+		s.lane, s.laneHead = s.lane[:n], 0
+	}
+	ev.bucket, ev.index = laneBucket, 0
+	s.lane = append(s.lane, laneEntry{ev: ev, gen: ev.gen})
+	s.laneN++
+	s.laneAt = ev.at
+}
+
+// laneFront returns the lane's first live event, dropping the tombstones
+// ahead of it, or nil.
+func (s *Simulator) laneFront() *event {
+	for s.laneN > 0 {
+		e := s.lane[s.laneHead]
+		if e.ev.gen == e.gen {
+			return e.ev
+		}
+		s.lane[s.laneHead] = laneEntry{}
+		s.laneHead++
+	}
+	return nil
+}
+
+// unlinkLane takes a live event out of the lane's count; the lane is
+// emptied, tombstones included, once none is left.
+func (s *Simulator) unlinkLane(ev *event) {
+	ev.index = -1
+	s.laneN--
+	if s.laneN == 0 {
+		clear(s.lane)
+		s.lane, s.laneHead = s.lane[:0], 0
+	}
+}
+
+// next returns the earliest pending event in (at, seq) order, or nil.
+func (s *Simulator) next() *event {
+	c := s.q.peek()
+	if l := s.laneFront(); l != nil && (c == nil || l.before(c)) {
+		return l
+	}
+	return c
 }
 
 // alloc takes an event off the free list, or allocates the list's first
@@ -385,7 +454,11 @@ func (s *Simulator) Cancel(id EventID) bool {
 	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
 		return false
 	}
-	s.q.remove(id.ev)
+	if id.ev.bucket == laneBucket {
+		s.unlinkLane(id.ev)
+	} else {
+		s.q.remove(id.ev)
+	}
 	s.recycle(id.ev)
 	return true
 }
@@ -396,9 +469,16 @@ func (s *Simulator) Halt() { s.halted = true }
 // Step fires the single earliest pending event, if any, advancing the clock.
 // It reports whether an event fired.
 func (s *Simulator) Step() bool {
-	ev := s.q.pop()
+	ev := s.next()
 	if ev == nil {
 		return false
+	}
+	if ev.bucket == laneBucket {
+		s.lane[s.laneHead] = laneEntry{}
+		s.laneHead++
+		s.unlinkLane(ev)
+	} else {
+		s.q.remove(ev)
 	}
 	if ev.at < s.now {
 		panic("sim: time went backwards")
@@ -421,7 +501,7 @@ func (s *Simulator) Step() bool {
 func (s *Simulator) Run(until Time) {
 	s.halted = false
 	for !s.halted {
-		next := s.q.peek()
+		next := s.next()
 		if next == nil {
 			return
 		}
@@ -438,7 +518,7 @@ func (s *Simulator) RunAll() { s.Run(Forever) }
 
 // NextAt returns the time of the earliest pending event, if any.
 func (s *Simulator) NextAt() (Time, bool) {
-	next := s.q.peek()
+	next := s.next()
 	if next == nil {
 		return 0, false
 	}
@@ -457,7 +537,7 @@ func (s *Simulator) LastFired() Time { return s.lastFired }
 func (s *Simulator) RunWindow(end Time) {
 	s.halted = false
 	for !s.halted {
-		next := s.q.peek()
+		next := s.next()
 		if next == nil || next.at >= end {
 			break
 		}
