@@ -313,7 +313,7 @@ func ExpFig7(o Options, w io.Writer) (string, string, error) {
 			r := engine.NewReq(workload.Request{ID: uint64(i), PromptTokens: 1024, OutputTokens: 64})
 			r.PrefillDone = 1024
 			r.SetGenerated(1)
-			if err := kv.Allocate(r.KVID(), 1025); err != nil {
+			if err := ins.AllocateKV(r, 1025); err != nil {
 				return "", err
 			}
 			ins.AdmitDecode(r)
@@ -322,7 +322,7 @@ func ExpFig7(o Options, w io.Writer) (string, string, error) {
 		s.Schedule(sim.Milliseconds(30), func() {
 			r := engine.NewReq(workload.Request{ID: 4, PromptTokens: 2048, OutputTokens: 8})
 			if sbd {
-				if err := kv.Allocate(r.KVID(), 2049); err != nil {
+				if err := ins.AllocateKV(r, 2049); err != nil {
 					panic(err)
 				}
 				ins.EnqueueAssist(r)

@@ -196,9 +196,18 @@ func NewInstance(s *sim.Simulator, cfg Config, hooks Hooks) (*Instance, error) {
 // Name returns the instance name.
 func (ins *Instance) Name() string { return ins.cfg.Name }
 
-// KV exposes the instance's block manager (systems allocate transfer
-// targets and backups through it).
+// KV exposes the instance's block manager.
 func (ins *Instance) KV() *kvcache.Manager { return ins.cfg.KV }
+
+// KVOf returns r's live allocation here, or nil.
+func (ins *Instance) KVOf(r *Req) *kvcache.Alloc { return r.Holder.On(ins.cfg.KV) }
+
+// AllocateKV reserves KV for tokens of r's context here (a transfer or
+// migration target); r must hold none here yet.
+func (ins *Instance) AllocateKV(r *Req, tokens int) error {
+	_, err := ins.cfg.KV.Allocate(&r.Holder, r.KVID(), tokens)
+	return err
+}
 
 // CM exposes the cost model (the Profiler profiles against it).
 func (ins *Instance) CM() *perf.CostModel { return ins.cfg.CM }
@@ -343,7 +352,7 @@ func (ins *Instance) gained(r *Req) int {
 
 // syncKV grows r's allocation to ctx tokens, inside the blocks it holds.
 func (ins *Instance) syncKV(r *Req, ctx int) {
-	if err := r.kv.Grow(ctx); err != nil {
+	if err := ins.KVOf(r).Grow(ctx); err != nil {
 		panic(fmt.Sprintf("engine: %s sync KV of %v to %d tokens: %v", ins.cfg.Name, r, ctx, err))
 	}
 }
@@ -358,11 +367,7 @@ func (ins *Instance) schedule(r *Req, pass int) {
 // ReleaseKV frees a request's blocks here and re-kicks the engine (freed
 // space may unblock queued work).
 func (ins *Instance) ReleaseKV(r *Req) {
-	if ins.cfg.KV.Has(r.KVID()) {
-		if err := ins.cfg.KV.Release(r.KVID()); err != nil {
-			panic(fmt.Sprintf("engine: %s release %v: %v", ins.cfg.Name, r, err))
-		}
-	}
+	_ = ins.KVOf(r).Release() // a request holding none here is a no-op
 	ins.Kick()
 }
 
@@ -471,7 +476,7 @@ func (ins *Instance) DrainPrefillQueue() []*Req {
 	var drained []*Req
 	keep := ins.prefillQ[:0]
 	for _, r := range ins.prefillQ {
-		if r.inPass || ins.cfg.KV.Has(r.KVID()) {
+		if r.inPass || ins.KVOf(r) != nil {
 			keep = append(keep, r)
 		} else {
 			drained = append(drained, r)
@@ -759,7 +764,7 @@ func (ins *Instance) admit() {
 func (ins *Instance) trySwapIn() {
 	for len(ins.swapped) > 0 && len(ins.running) < ins.cfg.MaxDecodeBatch {
 		r := ins.swapped[0]
-		tokens, err := ins.cfg.KV.SwapIn(r.KVID())
+		tokens, err := ins.KVOf(r).SwapIn()
 		if err != nil {
 			return // no space yet; retry on a later kick
 		}
@@ -860,7 +865,7 @@ func (ins *Instance) fillWholePrompts(plan *passPlan) {
 		if n > budget && len(plan.prefillSegs) > 0 {
 			break // keep FCFS: stop at the first request that doesn't fit
 		}
-		if !ins.ensureKV(r) {
+		if !ins.AllocatePrefillKV(r) {
 			break // head-of-line blocks until space frees
 		}
 		if rem := r.PrefillRemaining(); rem < n {
@@ -889,7 +894,7 @@ func (ins *Instance) fillChunked(plan *passPlan) {
 		if r.inPass {
 			continue
 		}
-		if !ins.ensureKV(r) {
+		if !ins.AllocatePrefillKV(r) {
 			break
 		}
 		n := r.PrefillRemaining()
@@ -904,11 +909,6 @@ func (ins *Instance) fillChunked(plan *passPlan) {
 	}
 }
 
-// ensureKV allocates prompt+1 tokens for a request about to prefill here.
-func (ins *Instance) ensureKV(r *Req) bool {
-	return ins.AllocatePrefillKV(r)
-}
-
 // AllocatePrefillKV reserves KV for a request about to prefill on this
 // instance. With prefix caching enabled on the manager and prefix
 // identity on the request, shared blocks are acquired instead of fresh
@@ -918,32 +918,33 @@ func (ins *Instance) ensureKV(r *Req) bool {
 // runs. Exported so the serve layer's decode-side assist path allocates
 // through the same logic.
 func (ins *Instance) AllocatePrefillKV(r *Req) bool {
-	kv := ins.cfg.KV
-	if kv.Has(r.KVID()) {
+	if ins.KVOf(r) != nil {
 		return true
 	}
-	if kv.PrefixEnabled() && r.W.PrefixGroup != 0 && r.PrefillDone == 0 {
-		acq, err := kv.AllocatePrefixed(r.KVID(), r.W.PromptTokens+1, r.W.PrefixGroup, r.W.PrefixTokens)
-		if err != nil {
-			return false
-		}
-		if hit := acq.HitTokens; hit > 0 {
-			// At least the last prompt token is always computed.
-			if hit > r.W.PromptTokens-1 {
-				hit = r.W.PromptTokens - 1
-			}
-			r.PrefixHit = hit
-			r.PrefillDone = hit
-		}
-		if acq.RestoredTokens > 0 {
-			if ins.cfg.HostLink != nil {
-				ins.cfg.HostLink.AccountBytes(float64(acq.RestoredTokens) * ins.cfg.CM.Cfg.KVBytesPerToken())
-			}
-			ins.stall(ins.swapTime(acq.RestoredTokens), trace.KindSwapIn, r)
-		}
-		return true
+	// A hit counts as prefill progress, so only a fresh prompt looks one up.
+	group := r.W.PrefixGroup
+	if r.PrefillDone != 0 {
+		group = 0
 	}
-	return kv.Allocate(r.KVID(), r.W.PromptTokens+1) == nil
+	_, acq, err := ins.cfg.KV.AllocatePrefixed(&r.Holder, r.KVID(), r.W.PromptTokens+1, group, r.W.PrefixTokens)
+	if err != nil {
+		return false
+	}
+	if hit := acq.HitTokens; hit > 0 {
+		// At least the last prompt token is always computed.
+		if hit > r.W.PromptTokens-1 {
+			hit = r.W.PromptTokens - 1
+		}
+		r.PrefixHit = hit
+		r.PrefillDone = hit
+	}
+	if acq.RestoredTokens > 0 {
+		if ins.cfg.HostLink != nil {
+			ins.cfg.HostLink.AccountBytes(float64(acq.RestoredTokens) * ins.cfg.CM.Cfg.KVBytesPerToken())
+		}
+		ins.stall(ins.swapTime(acq.RestoredTokens), trace.KindSwapIn, r)
+	}
+	return true
 }
 
 func (ins *Instance) startPrefillOnce(r *Req) {
@@ -1016,31 +1017,28 @@ func (ins *Instance) visit(r *Req, p int) {
 		ins.visiting = nil
 		r.Phase = PhaseDone
 		ins.ReleaseKV(r)
-		// The dead handle would pin its chunk of handles for as long as
-		// anything still holds the finished request.
-		r.kv = nil
 		if ins.hooks.OnComplete != nil {
 			ins.hooks.OnComplete(r)
 		}
 		return
 	}
-	ins.growOrPreempt(r)
+	a := ins.growOrPreempt(r)
 	ins.visiting = nil
 	if r.runningOn != ins {
 		return // evicted
 	}
 	r.fresh = false
 	r.key = r.seq
-	ins.schedule(r, p+ins.dueIn(r))
+	ins.schedule(r, p+ins.dueIn(r, a))
 }
 
 // dueIn is how many passes from now r must be visited again: when it
 // finishes, when its next token no longer fits its blocks, or one block of
-// passes ahead, whichever comes first. r's KV has just grown to its
+// passes ahead, whichever comes first. r's KV, a, has just grown to its
 // context.
-func (ins *Instance) dueIn(r *Req) int {
+func (ins *Instance) dueIn(r *Req, a *kvcache.Alloc) int {
 	n := r.W.OutputTokens - r.gen
-	if room := r.kv.Cap() - r.Ctx() + 1; room < n {
+	if room := a.Cap() - r.Ctx() + 1; room < n {
 		n = room
 	}
 	return min(n, ins.cfg.KV.BlockSize())
@@ -1099,27 +1097,22 @@ func (ins *Instance) dequeuePrefill(r *Req) {
 
 // growOrPreempt extends r's KV by one token, evicting low-priority
 // requests (LIFO — latest admitted first, vLLM's policy) until it fits.
-func (ins *Instance) growOrPreempt(r *Req) {
-	kv := ins.cfg.KV
-	for {
-		if !r.kv.LiveOn(kv) {
-			r.kv = kv.Alloc(r.KVID())
-		}
-		err := r.kv.Grow(r.Ctx())
-		if err == nil {
-			return
-		}
+// It returns the grown allocation, or nil when r was evicted.
+func (ins *Instance) growOrPreempt(r *Req) *kvcache.Alloc {
+	a := ins.KVOf(r)
+	for a.Grow(r.Ctx()) != nil {
 		victim := ins.pickVictim()
 		if victim == nil {
 			// Nothing left to evict but the request itself.
 			ins.evict(r)
-			return
+			return nil
 		}
 		ins.evict(victim)
 		if victim == r {
-			return
+			return nil
 		}
 	}
+	return a
 }
 
 // pickVictim returns the latest-admitted running request, preferring not
@@ -1141,7 +1134,7 @@ func (ins *Instance) pickVictim() *Req {
 func (ins *Instance) evict(r *Req) {
 	ins.RemoveRunning(r)
 	r.Evictions++
-	tokens, err := ins.cfg.KV.SwapOut(r.KVID())
+	tokens, err := ins.KVOf(r).SwapOut()
 	if err == nil {
 		r.Phase = PhaseSwapped
 		ins.swapped = append(ins.swapped, r)

@@ -239,7 +239,7 @@ func TestAdmitDecodeExternalKV(t *testing.T) {
 	r := req(1, 100, 5)
 	r.PrefillDone = 100
 	r.SetGenerated(1)
-	if err := h.kv.Allocate(r.KVID(), 101); err != nil {
+	if err := h.ins.AllocateKV(r, 101); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.AdmitDecode(r)
@@ -319,13 +319,13 @@ func TestSBDAssistRunsConcurrently(t *testing.T) {
 	d := req(1, 100, 400)
 	d.PrefillDone = 100
 	d.SetGenerated(1)
-	if err := h.kv.Allocate(d.KVID(), 101); err != nil {
+	if err := h.ins.AllocateKV(d, 101); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.AdmitDecode(d)
 	// An assist prefill dispatched here (KV pre-allocated by the system).
 	a := req(2, 1024, 5)
-	if err := h.kv.Allocate(a.KVID(), 1025); err != nil {
+	if err := h.ins.AllocateKV(a, 1025); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.EnqueueAssist(a)
@@ -355,7 +355,7 @@ func TestAssistBatchingSharesOnePass(t *testing.T) {
 	}, nil)
 	for i := 1; i <= 4; i++ {
 		a := req(uint64(i), 400, 2)
-		if err := h.kv.Allocate(a.KVID(), 401); err != nil {
+		if err := h.ins.AllocateKV(a, 401); err != nil {
 			t.Fatal(err)
 		}
 		h.ins.EnqueueAssist(a)
@@ -383,7 +383,7 @@ func TestAssistLargerThanBudgetStillRuns(t *testing.T) {
 		c.MaxPrefillTokens = 256 // smaller than the prompt
 	}, nil)
 	a := req(1, 1024, 2)
-	if err := h.kv.Allocate(a.KVID(), 1025); err != nil {
+	if err := h.ins.AllocateKV(a, 1025); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.EnqueueAssist(a)
@@ -396,7 +396,7 @@ func TestAssistLargerThanBudgetStillRuns(t *testing.T) {
 func TestAssistWithoutSBDFallsBackToQueue(t *testing.T) {
 	h := newHarness(t, 1<<20, 0, func(c *Config) { c.SBD = false }, nil)
 	a := req(1, 256, 3)
-	if err := h.kv.Allocate(a.KVID(), 257); err != nil {
+	if err := h.ins.AllocateKV(a, 257); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.EnqueueAssist(a)
@@ -432,7 +432,7 @@ func TestMaxDecodeBatchCapsAdmission(t *testing.T) {
 		r := req(uint64(i), 100, 30)
 		r.PrefillDone = 100
 		r.SetGenerated(1)
-		if err := h.kv.Allocate(r.KVID(), 101); err != nil {
+		if err := h.ins.AllocateKV(r, 101); err != nil {
 			t.Fatal(err)
 		}
 		h.ins.AdmitDecode(r)
@@ -500,7 +500,7 @@ func TestInsertAndRemoveRunning(t *testing.T) {
 	r := req(1, 100, 50)
 	r.PrefillDone = 100
 	r.SetGenerated(1)
-	if err := h.kv.Allocate(r.KVID(), 101); err != nil {
+	if err := h.ins.AllocateKV(r, 101); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.InsertRunning(r)
@@ -634,7 +634,7 @@ func newEagerModel(t *testing.T) *eagerModel {
 
 // heldBlocks is the number of KV blocks r holds on x.
 func heldBlocks(x *Instance, r *Req) int {
-	a := x.KV().Alloc(r.KVID())
+	a := x.KVOf(r)
 	if a == nil {
 		return 0
 	}
@@ -704,7 +704,7 @@ func (m *eagerModel) do(op func()) {
 		for _, r := range x.running {
 			if !slices.Contains(pre.running, r) {
 				// Off every batch until now, so its KV count is exact.
-				m.tokens[r], m.blocks[r] = x.KV().Tokens(r.KVID()), heldBlocks(x, r)
+				m.tokens[r], m.blocks[r] = x.KVOf(r).Tokens(), heldBlocks(x, r)
 			}
 		}
 	}
@@ -852,13 +852,11 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 		// place gives r KV on x alone, reporting whether it fits.
 		place := func(x *Instance, r *Req) bool {
 			for _, o := range inst {
-				if o != x && o.KV().Has(r.KVID()) {
-					if err := o.KV().Release(r.KVID()); err != nil {
-						t.Fatal(err)
-					}
+				if o != x {
+					_ = o.KVOf(r).Release()
 				}
 			}
-			return x.KV().Has(r.KVID()) || x.KV().Allocate(r.KVID(), r.Ctx()+1) == nil
+			return x.KVOf(r) != nil || x.AllocateKV(r, r.Ctx()+1) == nil
 		}
 		check := func() {
 			t.Helper()
@@ -929,7 +927,7 @@ func TestRunningMembershipMatchesScan(t *testing.T) {
 				}
 				if want {
 					detached = append(detached, r)
-					if tok := x.KV().Tokens(r.KVID()); tok != m.tokens[r] {
+					if tok := x.KVOf(r).Tokens(); tok != m.tokens[r] {
 						t.Fatalf("seed %d step %d: %v left %s with %d KV tokens, eager rule %d",
 							seed, step, r, x.Name(), tok, m.tokens[r])
 					}
@@ -1011,7 +1009,7 @@ func (h *harness) running(t *testing.T, id uint64, prompt, gen, output, kvTokens
 	r := req(id, prompt, output)
 	r.PrefillDone = prompt
 	r.SetGenerated(gen)
-	if err := h.kv.Allocate(r.KVID(), kvTokens); err != nil {
+	if err := h.ins.AllocateKV(r, kvTokens); err != nil {
 		t.Fatal(err)
 	}
 	h.ins.InsertRunning(r)
@@ -1076,8 +1074,8 @@ func TestVictimPassedByTheVisitKeepsItsToken(t *testing.T) {
 // TestGrowHandleFollowsTheRequest: a decoding request keeps growing its
 // KV after it moves to another instance's manager (whether or not the old
 // copy stays allocated, as a backup does) and after its KV is released
-// and allocated anew on the same manager, because its cached allocation
-// handle is re-resolved whenever it is dead or foreign.
+// and allocated anew on the same manager, because the instance finds its
+// allocation through the request's holder.
 func TestGrowHandleFollowsTheRequest(t *testing.T) {
 	h := newHarness(t, 1<<20, 0, func(c *Config) { c.AllowPrefill = false },
 		func(_ *harness, hk *Hooks) { *hk = Hooks{} })
@@ -1094,11 +1092,11 @@ func TestGrowHandleFollowsTheRequest(t *testing.T) {
 			from.RemoveRunning(r)
 		}
 		if from != nil && !keep {
-			if err := from.KV().Release(r.KVID()); err != nil {
+			if err := from.KVOf(r).Release(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := to.KV().Allocate(r.KVID(), r.Ctx()+1); err != nil {
+		if err := to.AllocateKV(r, r.Ctx()+1); err != nil {
 			t.Fatal(err)
 		}
 		to.InsertRunning(r)
@@ -1131,7 +1129,8 @@ func TestGrowHandleFollowsTheRequest(t *testing.T) {
 // requests on a decode-only instance, none close to finishing. CI gates
 // it at 0 allocs/op: the pass plan and events are recycled, the roofline
 // keeps no state, and a pass visits only the requests whose next token
-// crosses a KV block, growing each through its cached allocation handle.
+// crosses a KV block, growing each through the allocation its holder has
+// on the instance.
 func BenchmarkDecodePass(b *testing.B) { benchDecodePass(b, 64) }
 
 // BenchmarkDecodePassWide is BenchmarkDecodePass with 512 running
@@ -1146,7 +1145,7 @@ func benchDecodePass(b *testing.B, running int) {
 		r := req(uint64(i), 512, 1<<30)
 		r.PrefillDone = 512
 		r.SetGenerated(2)
-		if err := h.kv.Allocate(r.KVID(), r.Ctx()+1); err != nil {
+		if err := h.ins.AllocateKV(r, r.Ctx()+1); err != nil {
 			b.Fatal(err)
 		}
 		h.ins.InsertRunning(r)

@@ -103,6 +103,11 @@ type Req struct {
 	// not yet applied — pipelined prefill passes overlap, and a request
 	// must never be in two passes at once.
 	inPass bool
+	// fresh marks a request the instance has not visited since it joined
+	// the batch; its KV token count is still the one it joined with. It
+	// shares a word with inPass, which keeps a serve flight in the 256-byte
+	// size class.
+	fresh bool
 	// runningOn is the instance whose running batch holds the request, nil
 	// when it is in none. Every push onto a running batch sets it and every
 	// removal clears it, so membership is one pointer compare.
@@ -117,19 +122,16 @@ type Req struct {
 	// due is the decode pass at which the instance next visits the request:
 	// it finishes then, or its next token crosses the KV blocks it holds.
 	due int
-	// fresh marks a request the instance has not visited since it joined
-	// the batch; its KV token count is still the one it joined with.
-	fresh bool
-	// kv is the handle to the KV allocation this request last grew,
-	// re-resolved only when it is dead or on another instance's manager
-	// (migration, release, crash, re-allocation).
-	kv *kvcache.Alloc
+
+	// Holder holds the request's KV allocations, at most one per
+	// instance; every allocation, release and grow goes through it.
+	kvcache.Holder
 }
 
 // NewReq wraps a workload request.
 func NewReq(w workload.Request) *Req { return &Req{W: w} }
 
-// KVID is the request's key in KV managers.
+// KVID labels the request's KV allocations.
 func (r *Req) KVID() kvcache.RequestID { return kvcache.RequestID(r.W.ID) }
 
 // Generated counts output tokens produced; prefill produces the first.

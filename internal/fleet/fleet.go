@@ -153,9 +153,11 @@ type Result struct {
 	Elapsed sim.Time
 	Summary metrics.Summary
 
-	// LiveKVBlocks nonzero with Unfinished == 0 means a leak — except
-	// under prefix caching, where resident cached blocks are expected to
-	// outlive their requests.
+	// LiveKVBlocks is the replicas' GPU blocks still allocated at the end
+	// (the sum of their Result.LiveKVBlocks; host-memory blocks are not
+	// counted). Nonzero with Unfinished == 0 means a leak — except under
+	// prefix caching, where resident cached blocks are expected to outlive
+	// their requests.
 	LiveKVBlocks int
 	TransferGB   float64
 	// PrefillKV / DecodeKV aggregate KV-manager counters across replicas

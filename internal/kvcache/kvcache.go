@@ -5,13 +5,14 @@
 // backup copies used by WindServe's rescheduling (paper §3.3).
 //
 // Because allocation is paged there is no fragmentation to model; the
-// manager tracks block counts and per-request block tables, which is all
-// the schedulers observe.
+// manager tracks block counts, and each allocation is a handle its request
+// holds (see Holder), which is all the schedulers observe.
 package kvcache
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // DefaultBlockSize is the tokens-per-block used by vLLM and DistServe.
@@ -23,15 +24,16 @@ var ErrNoSpace = errors.New("kvcache: insufficient free GPU blocks")
 // ErrNoCPUSpace is returned when swap space is exhausted.
 var ErrNoCPUSpace = errors.New("kvcache: insufficient free CPU swap blocks")
 
-// ErrUnknownRequest is returned for operations on requests with no
-// allocation.
+// ErrUnknownRequest is returned for operations through a nil or dead
+// handle.
 var ErrUnknownRequest = errors.New("kvcache: unknown request")
 
 // RequestID identifies a request's allocation.
 type RequestID uint64
 
-// Location says where a request's KV blocks currently live.
-type Location int
+// Location says where a request's KV blocks currently live. It is one
+// byte, which keeps an Alloc at 64 bytes and a chunk of them at 2 KiB.
+type Location int8
 
 const (
 	// OnGPU means all the request's blocks are in device memory.
@@ -40,19 +42,20 @@ const (
 	Swapped
 )
 
-// Alloc is one request's allocation on one manager. A *Alloc is also the
-// resolved handle a caller can keep to grow the request every decode step
-// without a table lookup (see Manager.Alloc). Release, Reset and backup
-// reclaim mark the allocation dead, so a handle taken before them never
-// resolves again, even once the same ID is allocated anew.
+// Alloc is one request's allocation on one manager, and its one name: the
+// allocating call returns it and every later operation is a method on it.
+// Release, backup reclaim and the manager's Reset kill it, so a handle
+// taken before them never resolves again, even once the same request is
+// allocated anew. The request ID is a label only: error text and the
+// order backups are reclaimed in.
 type Alloc struct {
 	m        *Manager
 	id       RequestID
+	epoch    uint64 // m's epoch while live; 0 once released or reclaimed
 	tokens   int
 	blocks   int // private blocks only; shared prefix blocks are counted in shared
 	loc      Location
 	isBackup bool
-	dead     bool
 	// group/shared link the request to the prefix pool: the first
 	// shared*blockSize tokens live in refcounted blocks of the given
 	// prefix group (see prefix.go). Zero for plain allocations.
@@ -138,6 +141,44 @@ func (s *Stats) Accumulate(o Stats) {
 	}
 }
 
+// Holder is one request's KV allocations, at most one live handle per
+// manager. A request holds KV on up to three instances at once — its
+// prefill copy, its decode copy, and a backup or migration target — so
+// the handles sit inline and finding the one on a manager is a pointer
+// compare per slot. The zero value holds nothing.
+type Holder struct {
+	held [3]*Alloc
+}
+
+// On returns the holder's live allocation on m, or nil. It clears the
+// dead handles it passes, so a request does not pin the chunk of a handle
+// that died under it.
+func (h *Holder) On(m *Manager) *Alloc {
+	for i, t := range h.held {
+		if t.LiveOn(m) {
+			return t
+		}
+		if !t.live() {
+			h.held[i] = nil
+		}
+	}
+	return nil
+}
+
+// slot returns the slot for a new allocation on m: one whose handle is
+// dead. A live allocation on m already is an error, as is a full holder.
+func (h *Holder) slot(m *Manager, id RequestID) (**Alloc, error) {
+	if h.On(m) != nil {
+		return nil, fmt.Errorf("kvcache: request %d already allocated", id)
+	}
+	for i, t := range h.held {
+		if !t.live() {
+			return &h.held[i], nil
+		}
+	}
+	return nil, fmt.Errorf("kvcache: request %d already holds KV on %d instances", id, len(h.held))
+}
+
 // Manager is a block allocator for one serving instance. It is not
 // goroutine-safe; the event-driven simulation is single-threaded.
 type Manager struct {
@@ -146,15 +187,20 @@ type Manager struct {
 	gpuFree   int
 	cpuBlocks int
 	cpuFree   int
-	tables    map[RequestID]*Alloc
-	stats     Stats
+	// epoch kills every handle at once: a handle is live only while its
+	// epoch matches, and Reset moves it on. It starts at 1, so the zero
+	// epoch of a released handle never matches.
+	epoch uint64
+	// live counts the live allocations.
+	live  int
+	stats Stats
 	// chunk is the unused rest of the block new handles are carved from.
 	// A released handle is never handed out again: it must stay dead.
 	chunk []Alloc
 
-	// backups counts the allocations flagged as backup copies, so a GPU
-	// shortfall with none skips dropBackups' walk of the table.
-	backups int
+	// backups lists the live allocations flagged as backup copies, the
+	// only ones dropBackups may reclaim.
+	backups []*Alloc
 
 	// Prefix-cache state (see prefix.go); nil maps when disabled.
 	// gpuIdle/hostIdle are each tier's unreferenced blocks by recency.
@@ -180,7 +226,7 @@ func New(gpuTokens, cpuTokens, blockSize int) (*Manager, error) {
 		blockSize: blockSize,
 		gpuBlocks: g, gpuFree: g,
 		cpuBlocks: c, cpuFree: c,
-		tables: make(map[RequestID]*Alloc),
+		epoch: 1,
 	}, nil
 }
 
@@ -228,58 +274,32 @@ func (m *Manager) Utilization() float64 {
 // Stats returns a copy of the accumulated statistics.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Has reports whether the request has an allocation (on GPU or swapped).
-func (m *Manager) Has(id RequestID) bool {
-	_, ok := m.tables[id]
-	return ok
+// LiveAllocs returns the number of live allocations, on GPU or swapped,
+// whether or not they hold blocks.
+func (m *Manager) LiveAllocs() int { return m.live }
+
+// Allocate reserves GPU blocks for request id's new allocation with the
+// given context length, keeps its handle in h and returns it. h must hold
+// nothing live on m yet. In prefix mode a shortfall first reclaims
+// backups and then idle prefix blocks.
+func (m *Manager) Allocate(h *Holder, id RequestID, tokens int) (*Alloc, error) {
+	return m.allocate(h, id, tokens, true)
 }
 
-// LocationOf returns where the request's blocks live.
-func (m *Manager) LocationOf(id RequestID) (Location, error) {
-	t, ok := m.tables[id]
-	if !ok {
-		return OnGPU, ErrUnknownRequest
-	}
-	return t.loc, nil
-}
-
-// Tokens returns the number of tokens allocated for the request.
-func (m *Manager) Tokens(id RequestID) int {
-	if t, ok := m.tables[id]; ok {
-		return t.tokens
-	}
-	return 0
-}
-
-// CanAllocate reports whether tokens more could be allocated on GPU now.
-func (m *Manager) CanAllocate(tokens int) bool {
-	return m.BlocksFor(tokens) <= m.gpuFree
-}
-
-// Allocate reserves GPU blocks for a new request with the given context
-// length. Allocating an existing id is an error. In prefix mode a
-// shortfall first reclaims backups and then idle prefix blocks.
-func (m *Manager) Allocate(id RequestID, tokens int) error {
-	return m.allocate(id, tokens, true)
-}
-
-func errAlreadyAllocated(id RequestID) error {
-	return fmt.Errorf("kvcache: request %d already allocated", id)
-}
-
-func (m *Manager) allocate(id RequestID, tokens int, reclaim bool) error {
-	if _, ok := m.tables[id]; ok {
-		return errAlreadyAllocated(id)
+func (m *Manager) allocate(h *Holder, id RequestID, tokens int, reclaim bool) (*Alloc, error) {
+	s, err := h.slot(m, id)
+	if err != nil {
+		return nil, err
 	}
 	need := m.BlocksFor(tokens)
 	if need > m.gpuFree && (!reclaim || !m.ensureFree(need)) {
 		m.stats.FailedAllocs++
-		return ErrNoSpace
+		return nil, ErrNoSpace
 	}
 	m.gpuFree -= need
-	m.tables[id] = m.newAlloc(Alloc{id: id, tokens: tokens, blocks: need, loc: OnGPU})
+	*s = m.newAlloc(Alloc{id: id, tokens: tokens, blocks: need, loc: OnGPU})
 	m.touchPeak()
-	return nil
+	return *s, nil
 }
 
 // allocChunk is how many handles one heap allocation holds: enough to
@@ -288,8 +308,8 @@ func (m *Manager) allocate(id RequestID, tokens int, reclaim bool) error {
 // fleet run, whose long decodes each pin a chunk.
 const allocChunk = 32
 
-// newAlloc places a into a fresh handle on m, carved from the current
-// chunk.
+// newAlloc places a into a fresh live handle on m, carved from the
+// current chunk.
 func (m *Manager) newAlloc(a Alloc) *Alloc {
 	if len(m.chunk) == 0 {
 		m.chunk = make([]Alloc, allocChunk)
@@ -297,33 +317,41 @@ func (m *Manager) newAlloc(a Alloc) *Alloc {
 	t := &m.chunk[0]
 	m.chunk = m.chunk[1:]
 	*t = a
-	t.m = m
+	t.m, t.epoch = m, m.epoch
+	m.live++
 	return t
 }
 
-// Grow extends a request's allocation to newTokens total (e.g. one more
-// token per decode step). Shrinking is not supported; growing a swapped
-// request is an error.
-func (m *Manager) Grow(id RequestID, newTokens int) error {
-	return m.tables[id].Grow(newTokens)
+// live reports whether the handle still names an allocation.
+func (t *Alloc) live() bool { return t != nil && t.epoch == t.m.epoch }
+
+// LiveOn reports whether the handle still names an allocation on m. It is
+// false for a nil handle, a handle from another manager, and a dead one.
+func (t *Alloc) LiveOn(m *Manager) bool { return t != nil && t.m == m && t.epoch == m.epoch }
+
+// Tokens returns the allocation's context length, 0 once it is dead.
+func (t *Alloc) Tokens() int {
+	if !t.live() {
+		return 0
+	}
+	return t.tokens
 }
 
-// Alloc returns the request's live allocation as a handle, or nil.
-func (m *Manager) Alloc(id RequestID) *Alloc { return m.tables[id] }
+// Location returns where a live allocation's private blocks are.
+func (t *Alloc) Location() Location { return t.loc }
 
-// LiveOn reports whether the handle still resolves to an allocation on m.
-// It is false for a nil handle, a handle from another manager, and a dead
-// one.
-func (t *Alloc) LiveOn(m *Manager) bool { return t != nil && t.m == m && !t.dead }
+// IsBackup reports whether the handle names a live backup copy.
+func (t *Alloc) IsBackup() bool { return t.live() && t.isBackup }
 
 // Cap is the token capacity of the blocks the allocation holds, shared
 // prefix blocks included: a Grow to at most Cap takes no new block.
 func (t *Alloc) Cap() int { return (t.shared + t.blocks) * t.m.blockSize }
 
-// Grow is Manager.Grow through the handle; a nil or dead handle reports
-// ErrUnknownRequest.
+// Grow extends the allocation to newTokens total (e.g. one more token per
+// decode step). Shrinking is not supported; growing a swapped allocation
+// is an error, and a nil or dead handle reports ErrUnknownRequest.
 func (t *Alloc) Grow(newTokens int) error {
-	if t == nil || t.dead {
+	if !t.live() {
 		return ErrUnknownRequest
 	}
 	if t.loc != OnGPU {
@@ -344,7 +372,7 @@ func (t *Alloc) Grow(newTokens int) error {
 		m.stats.FailedAllocs++
 		return ErrNoSpace
 	}
-	if t.dead { // a growing backup was itself reclaimed to make room
+	if t.epoch == 0 { // a growing backup was itself reclaimed to make room
 		return ErrUnknownRequest
 	}
 	m.gpuFree -= need
@@ -354,14 +382,14 @@ func (t *Alloc) Grow(newTokens int) error {
 	return nil
 }
 
-// Release frees all private blocks of a request (on GPU or in swap) and
-// drops its references on shared prefix blocks. The shared blocks
-// themselves stay cached until evicted.
-func (m *Manager) Release(id RequestID) error {
-	t, ok := m.tables[id]
-	if !ok {
+// Release frees the allocation's private blocks (on GPU or in swap) and
+// drops its references on shared prefix blocks, which stay cached until
+// evicted. The handle dies; a nil or dead one reports ErrUnknownRequest.
+func (t *Alloc) Release() error {
+	if !t.live() {
 		return ErrUnknownRequest
 	}
+	m := t.m
 	if t.loc == OnGPU {
 		m.gpuFree += t.blocks
 	} else {
@@ -372,25 +400,23 @@ func (m *Manager) Release(id RequestID) error {
 	return nil
 }
 
-// drop removes an allocation from the table and kills its handles.
+// drop kills a live handle.
 func (m *Manager) drop(t *Alloc) {
-	if t.isBackup {
-		m.backups--
-	}
-	t.dead = true
-	delete(m.tables, t.id)
+	m.unback(t)
+	t.epoch = 0
+	m.live--
 }
 
-// SwapOut moves a request's blocks to host memory, freeing GPU blocks.
-// Returns the number of tokens moved (for transfer timing).
-func (m *Manager) SwapOut(id RequestID) (tokens int, err error) {
-	t, ok := m.tables[id]
-	if !ok {
+// SwapOut moves the allocation's blocks to host memory, freeing GPU
+// blocks. Returns the number of tokens moved (for transfer timing).
+func (t *Alloc) SwapOut() (tokens int, err error) {
+	if !t.live() {
 		return 0, ErrUnknownRequest
 	}
 	if t.loc == Swapped {
-		return 0, fmt.Errorf("kvcache: request %d already swapped", id)
+		return 0, fmt.Errorf("kvcache: request %d already swapped", t.id)
 	}
+	m := t.m
 	if t.blocks > m.cpuFree && !m.ensureHostFree(t.blocks) {
 		return 0, ErrNoCPUSpace
 	}
@@ -403,16 +429,16 @@ func (m *Manager) SwapOut(id RequestID) (tokens int, err error) {
 	return moved, nil
 }
 
-// SwapIn moves a swapped request's blocks back to GPU memory.
+// SwapIn moves a swapped allocation's blocks back to GPU memory.
 // Returns the number of tokens moved.
-func (m *Manager) SwapIn(id RequestID) (tokens int, err error) {
-	t, ok := m.tables[id]
-	if !ok {
+func (t *Alloc) SwapIn() (tokens int, err error) {
+	if !t.live() {
 		return 0, ErrUnknownRequest
 	}
 	if t.loc == OnGPU {
-		return 0, fmt.Errorf("kvcache: request %d is not swapped", id)
+		return 0, fmt.Errorf("kvcache: request %d is not swapped", t.id)
 	}
+	m := t.m
 	if t.blocks > m.gpuFree && !m.ensureFree(t.blocks) {
 		m.stats.SwapInFailures++
 		return 0, ErrNoSpace
@@ -431,50 +457,48 @@ func (m *Manager) SwapIn(id RequestID) (tokens int, err error) {
 // instance's KV cache for a request (WindServe's migration-cost
 // optimization, §3.3). Backups are identical to normal allocations except
 // they are flagged, so the engine can reclaim them first under pressure.
-func (m *Manager) AllocateBackup(id RequestID, tokens int) error {
+func (m *Manager) AllocateBackup(h *Holder, id RequestID, tokens int) (*Alloc, error) {
 	// A backup is an opportunistic use of spare memory, so it never
 	// reclaims other backups or cached prefix blocks to fit.
-	if err := m.allocate(id, tokens, false); err != nil {
-		return err
+	t, err := m.allocate(h, id, tokens, false)
+	if err != nil {
+		return nil, err
 	}
-	m.tables[id].isBackup = true
-	m.backups++
-	return nil
+	t.isBackup = true
+	m.backups = append(m.backups, t)
+	return t, nil
 }
 
-// IsBackup reports whether the request's allocation is a backup copy.
-func (m *Manager) IsBackup(id RequestID) bool {
-	t, ok := m.tables[id]
-	return ok && t.isBackup
-}
-
-// PromoteBackup converts a backup into a normal allocation (when the
-// backed-up request is actually rescheduled here).
-func (m *Manager) PromoteBackup(id RequestID) error {
-	t, ok := m.tables[id]
-	if !ok {
+// Promote converts a backup into a normal allocation (when the backed-up
+// request is actually rescheduled here).
+func (t *Alloc) Promote() error {
+	if !t.live() {
 		return ErrUnknownRequest
 	}
-	if t.isBackup {
-		m.backups--
-	}
-	t.isBackup = false
+	t.m.unback(t)
 	return nil
+}
+
+// unback makes t a plain allocation, off the backup list.
+func (m *Manager) unback(t *Alloc) {
+	if t.isBackup {
+		i := slices.Index(m.backups, t)
+		m.backups = slices.Delete(m.backups, i, i+1)
+		t.isBackup = false
+	}
 }
 
 // Reset drops every allocation — GPU, swap, backups, and the shared
 // prefix pool on both tiers — restoring full free capacity, as when an
-// instance crashes and its memory contents are lost. Statistics
-// accumulate across resets so a run's totals survive; prefix mode stays
-// enabled and the pool refills from post-crash traffic.
+// instance crashes and its memory contents are lost. Moving the epoch on
+// kills every handle without visiting one. Statistics accumulate across
+// resets so a run's totals survive; prefix mode stays enabled and the pool
+// refills from post-crash traffic.
 func (m *Manager) Reset() {
 	m.gpuFree = m.gpuBlocks
 	m.cpuFree = m.cpuBlocks
-	for _, t := range m.tables {
-		t.dead = true
-	}
-	m.tables = make(map[RequestID]*Alloc)
-	m.backups = 0
+	m.epoch++
+	m.live, m.backups = 0, nil
 	if m.prefixMode {
 		m.prefix = make(map[pkey]*pblock)
 		clear(m.gpuIdle)
@@ -491,5 +515,5 @@ func (m *Manager) touchPeak() {
 
 func (m *Manager) String() string {
 	return fmt.Sprintf("kvcache: %d/%d GPU blocks used (%.0f%%), %d/%d CPU blocks used, %d requests",
-		m.UsedBlocks(), m.gpuBlocks, 100*m.Utilization(), m.cpuBlocks-m.cpuFree, m.cpuBlocks, len(m.tables))
+		m.UsedBlocks(), m.gpuBlocks, 100*m.Utilization(), m.cpuBlocks-m.cpuFree, m.cpuBlocks, m.live)
 }

@@ -45,100 +45,113 @@ func TestBlocksFor(t *testing.T) {
 	}
 }
 
+// mustAlloc allocates tokens for id on m and returns the handle.
+func mustAlloc(t *testing.T, m *Manager, id RequestID, tokens int) *Alloc {
+	t.Helper()
+	a, err := m.Allocate(new(Holder), id, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestAllocateReleaseCycle(t *testing.T) {
 	m := mustMgr(t, 160, 0) // 10 blocks
-	if err := m.Allocate(1, 100); err != nil {
+	var h Holder
+	a, err := m.Allocate(&h, 1, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 7 || m.FreeBlocks() != 3 {
 		t.Errorf("used/free = %d/%d, want 7/3", m.UsedBlocks(), m.FreeBlocks())
 	}
-	if !m.Has(1) || m.Tokens(1) != 100 {
+	if h.On(m) != a || a.Tokens() != 100 || m.LiveAllocs() != 1 {
 		t.Error("allocation not recorded")
 	}
-	if err := m.Allocate(1, 10); err == nil {
-		t.Error("double allocate accepted")
+	if _, err := m.Allocate(&h, 1, 10); err == nil || !strings.Contains(err.Error(), "already allocated") {
+		t.Errorf("double allocate = %v", err)
 	}
-	if err := m.Release(1); err != nil {
+	if err := a.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 0 || m.Has(1) {
+	if m.UsedBlocks() != 0 || h.On(m) != nil || m.LiveAllocs() != 0 {
 		t.Error("release did not free")
 	}
-	if err := m.Release(1); !errors.Is(err, ErrUnknownRequest) {
+	if err := a.Release(); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("double release = %v", err)
+	}
+	if h.On(m) != nil {
+		t.Error("holder resolves a dead allocation")
 	}
 }
 
 func TestAllocateNoSpace(t *testing.T) {
 	m := mustMgr(t, 160, 0)
-	if err := m.Allocate(1, 161); !errors.Is(err, ErrNoSpace) {
-		t.Errorf("oversized alloc = %v, want ErrNoSpace", err)
+	if a, err := m.Allocate(new(Holder), 1, 161); !errors.Is(err, ErrNoSpace) || a != nil {
+		t.Errorf("oversized alloc = %v, %v, want ErrNoSpace", a, err)
 	}
 	if m.Stats().FailedAllocs != 1 {
 		t.Error("failed alloc not counted")
 	}
-	if !m.CanAllocate(160) || m.CanAllocate(161) {
-		t.Error("CanAllocate mismatch")
+	// The failed allocation took nothing: the whole capacity still fits.
+	if _, err := m.Allocate(new(Holder), 2, 160); err != nil || m.FreeBlocks() != 0 {
+		t.Errorf("full-capacity alloc after a failure = %v, %d blocks free", err, m.FreeBlocks())
 	}
 }
 
 func TestGrow(t *testing.T) {
 	m := mustMgr(t, 160, 0)
-	if err := m.Allocate(1, 16); err != nil {
-		t.Fatal(err)
-	}
+	a := mustAlloc(t, m, 1, 16)
 	// Growing within the same block consumes nothing... only new blocks.
-	if err := m.Grow(1, 17); err != nil {
+	if err := a.Grow(17); err != nil {
 		t.Fatal(err)
 	}
 	if m.UsedBlocks() != 2 {
 		t.Errorf("used = %d, want 2", m.UsedBlocks())
 	}
-	if err := m.Grow(1, 10); err == nil {
+	if err := a.Grow(10); err == nil {
 		t.Error("shrink accepted")
 	}
-	if err := m.Grow(2, 20); !errors.Is(err, ErrUnknownRequest) {
+	var none *Alloc
+	if err := none.Grow(20); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("grow unknown = %v", err)
 	}
-	if err := m.Grow(1, 1000); !errors.Is(err, ErrNoSpace) {
+	if err := a.Grow(1000); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("grow beyond capacity = %v", err)
 	}
 	// Failed grow must not corrupt state.
-	if m.Tokens(1) != 17 || m.UsedBlocks() != 2 {
+	if a.Tokens() != 17 || m.UsedBlocks() != 2 {
 		t.Error("failed grow mutated state")
 	}
 }
 
 func TestSwapOutIn(t *testing.T) {
 	m := mustMgr(t, 160, 160)
-	if err := m.Allocate(1, 64); err != nil {
-		t.Fatal(err)
-	}
-	tokens, err := m.SwapOut(1)
+	a := mustAlloc(t, m, 1, 64)
+	tokens, err := a.SwapOut()
 	if err != nil || tokens != 64 {
 		t.Fatalf("SwapOut = %d, %v", tokens, err)
 	}
 	if m.UsedBlocks() != 0 {
 		t.Error("swap out should free GPU blocks")
 	}
-	if loc, _ := m.LocationOf(1); loc != Swapped {
+	if a.Location() != Swapped {
 		t.Error("location should be Swapped")
 	}
-	if _, err := m.SwapOut(1); err == nil {
+	if _, err := a.SwapOut(); err == nil {
 		t.Error("double swap out accepted")
 	}
-	if err := m.Grow(1, 65); err == nil {
+	if err := a.Grow(65); err == nil {
 		t.Error("grow while swapped accepted")
 	}
-	tokens, err = m.SwapIn(1)
+	tokens, err = a.SwapIn()
 	if err != nil || tokens != 64 {
 		t.Fatalf("SwapIn = %d, %v", tokens, err)
 	}
-	if loc, _ := m.LocationOf(1); loc != OnGPU {
+	if a.Location() != OnGPU {
 		t.Error("location should be OnGPU after swap in")
 	}
-	if _, err := m.SwapIn(1); err == nil {
+	if _, err := a.SwapIn(); err == nil {
 		t.Error("swap in of resident request accepted")
 	}
 	st := m.Stats()
@@ -149,74 +162,64 @@ func TestSwapOutIn(t *testing.T) {
 
 func TestSwapOutNoCPUSpace(t *testing.T) {
 	m := mustMgr(t, 160, 16) // only 1 CPU block
-	if err := m.Allocate(1, 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SwapOut(1); !errors.Is(err, ErrNoCPUSpace) {
+	if _, err := mustAlloc(t, m, 1, 64).SwapOut(); !errors.Is(err, ErrNoCPUSpace) {
 		t.Errorf("SwapOut = %v, want ErrNoCPUSpace", err)
 	}
 }
 
 func TestSwapInNoGPUSpace(t *testing.T) {
 	m := mustMgr(t, 160, 160)
-	if err := m.Allocate(1, 96); err != nil {
+	a := mustAlloc(t, m, 1, 96)
+	if _, err := a.SwapOut(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SwapOut(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Allocate(2, 160); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SwapIn(1); !errors.Is(err, ErrNoSpace) {
+	mustAlloc(t, m, 2, 160)
+	if _, err := a.SwapIn(); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("SwapIn with full GPU = %v, want ErrNoSpace", err)
 	}
 }
 
 func TestReleaseSwappedFreesCPU(t *testing.T) {
 	m := mustMgr(t, 160, 160)
-	if err := m.Allocate(1, 160); err != nil {
+	a := mustAlloc(t, m, 1, 160)
+	if _, err := a.SwapOut(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SwapOut(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Release(1); err != nil {
+	if err := a.Release(); err != nil {
 		t.Fatal(err)
 	}
 	// All CPU space should be free again: a full swap-out must succeed.
-	if err := m.Allocate(2, 160); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SwapOut(2); err != nil {
+	if _, err := mustAlloc(t, m, 2, 160).SwapOut(); err != nil {
 		t.Errorf("CPU space not reclaimed: %v", err)
 	}
 }
 
 func TestBackups(t *testing.T) {
 	m := mustMgr(t, 320, 0)
-	if err := m.AllocateBackup(7, 100); err != nil {
+	b, err := m.AllocateBackup(new(Holder), 7, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.IsBackup(7) {
-		t.Error("IsBackup(7) = false")
+	if !b.IsBackup() {
+		t.Error("IsBackup = false")
 	}
-	if m.IsBackup(8) {
-		t.Error("IsBackup of unknown request = true")
+	if mustAlloc(t, m, 8, 0).IsBackup() {
+		t.Error("IsBackup of a plain allocation = true")
 	}
 	if got := m.UsedBlocks(); got != 7 {
 		t.Errorf("backup holds %d GPU blocks, want 7", got)
 	}
-	if err := m.PromoteBackup(7); err != nil {
+	if err := b.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if m.IsBackup(7) {
+	if b.IsBackup() || len(m.backups) != 0 {
 		t.Error("promote did not clear backup flag")
 	}
 	if got := m.UsedBlocks(); got != 7 {
 		t.Errorf("promoted allocation holds %d GPU blocks, want 7", got)
 	}
-	if err := m.PromoteBackup(99); !errors.Is(err, ErrUnknownRequest) {
+	var none *Alloc
+	if err := none.Promote(); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("promote unknown = %v", err)
 	}
 }
@@ -226,13 +229,13 @@ func TestUtilizationAndPeak(t *testing.T) {
 	if m.Utilization() != 0 {
 		t.Error("empty utilization should be 0")
 	}
-	m.Allocate(1, 80)
+	a := mustAlloc(t, m, 1, 80)
 	if u := m.Utilization(); u != 0.5 {
 		t.Errorf("Utilization = %v, want 0.5", u)
 	}
-	m.Allocate(2, 80)
-	m.Release(1)
-	m.Release(2)
+	b := mustAlloc(t, m, 2, 80)
+	a.Release()
+	b.Release()
 	if m.Stats().PeakBlocks != 10 {
 		t.Errorf("PeakBlocks = %d, want 10", m.Stats().PeakBlocks)
 	}
@@ -242,20 +245,36 @@ func TestUtilizationAndPeak(t *testing.T) {
 	}
 }
 
+// TestLocationOfUnknown: a nil or dead handle is no allocation — it holds
+// no tokens, is no backup, and every operation on it is ErrUnknownRequest.
 func TestLocationOfUnknown(t *testing.T) {
-	m := mustMgr(t, 160, 0)
-	if _, err := m.LocationOf(42); !errors.Is(err, ErrUnknownRequest) {
-		t.Errorf("LocationOf unknown = %v", err)
+	m := mustMgr(t, 160, 160)
+	a := mustAlloc(t, m, 1, 40)
+	m.Reset()
+	for _, h := range []*Alloc{nil, a} {
+		if h.Tokens() != 0 || h.IsBackup() || h.LiveOn(m) {
+			t.Errorf("dead handle %p: %d tokens, backup %v, live %v", h, h.Tokens(), h.IsBackup(), h.LiveOn(m))
+		}
+		if _, err := h.SwapOut(); !errors.Is(err, ErrUnknownRequest) {
+			t.Errorf("SwapOut of dead handle = %v", err)
+		}
+		if _, err := h.SwapIn(); !errors.Is(err, ErrUnknownRequest) {
+			t.Errorf("SwapIn of dead handle = %v", err)
+		}
+		if err := h.Release(); !errors.Is(err, ErrUnknownRequest) {
+			t.Errorf("Release of dead handle = %v", err)
+		}
 	}
-	if m.Tokens(42) != 0 {
-		t.Error("Tokens of unknown should be 0")
+	if m.FreeBlocks() != m.TotalBlocks() || m.LiveAllocs() != 0 {
+		t.Errorf("operations on dead handles moved blocks: %v", m)
 	}
 }
 
 func TestStringer(t *testing.T) {
 	m := mustMgr(t, 160, 160)
-	m.Allocate(1, 32)
-	if s := m.String(); !strings.Contains(s, "2/10") {
+	mustAlloc(t, m, 1, 32)
+	mustAlloc(t, m, 2, 0)
+	if s := m.String(); !strings.Contains(s, "2/10") || !strings.Contains(s, "2 requests") {
 		t.Errorf("String = %q", s)
 	}
 }
@@ -267,59 +286,58 @@ func TestPropertyConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := MustNew(64*16, 32*16, 16)
-		live := map[RequestID]bool{}
+		live := map[RequestID]*Alloc{}
 		next := RequestID(1)
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(5) {
 			case 0: // allocate
 				id := next
 				next++
-				if m.Allocate(id, rng.Intn(200)+1) == nil {
-					live[id] = true
+				if a, err := m.Allocate(new(Holder), id, rng.Intn(200)+1); err == nil {
+					live[id] = a
 				}
 			case 1: // grow
-				for id := range live {
-					if loc, _ := m.LocationOf(id); loc == OnGPU {
-						m.Grow(id, m.Tokens(id)+rng.Intn(40)+1)
+				for _, a := range live {
+					if a.Location() == OnGPU {
+						a.Grow(a.Tokens() + rng.Intn(40) + 1)
 					}
 					break
 				}
 			case 2: // release
-				for id := range live {
-					m.Release(id)
+				for id, a := range live {
+					a.Release()
 					delete(live, id)
 					break
 				}
 			case 3: // swap out
-				for id := range live {
-					if loc, _ := m.LocationOf(id); loc == OnGPU {
-						m.SwapOut(id)
+				for _, a := range live {
+					if a.Location() == OnGPU {
+						a.SwapOut()
 					}
 					break
 				}
 			case 4: // swap in
-				for id := range live {
-					if loc, _ := m.LocationOf(id); loc == Swapped {
-						m.SwapIn(id)
+				for _, a := range live {
+					if a.Location() == Swapped {
+						a.SwapIn()
 					}
 					break
 				}
 			}
 			// Invariants.
 			gpuHeld, cpuHeld := 0, 0
-			for id := range live {
-				loc, err := m.LocationOf(id)
-				if err != nil {
+			for _, a := range live {
+				if !a.LiveOn(m) {
 					return false
 				}
-				blocks := m.BlocksFor(m.Tokens(id))
-				if loc == OnGPU {
+				blocks := m.BlocksFor(a.Tokens())
+				if a.Location() == OnGPU {
 					gpuHeld += blocks
 				} else {
 					cpuHeld += blocks
 				}
 			}
-			if m.UsedBlocks() != gpuHeld {
+			if m.UsedBlocks() != gpuHeld || m.LiveAllocs() != len(live) {
 				return false
 			}
 			if m.FreeBlocks()+gpuHeld != 64 {

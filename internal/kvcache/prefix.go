@@ -34,8 +34,9 @@
 package kvcache
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // pkey identifies one shared prefix block: the group stands in for the
@@ -132,21 +133,6 @@ func (m *Manager) EnablePrefixCache(tiered bool) {
 	m.prefix = make(map[pkey]*pblock)
 }
 
-// PrefixEnabled reports whether EnablePrefixCache was called.
-func (m *Manager) PrefixEnabled() bool { return m.prefixMode }
-
-// PrefixBlocks returns the cached shared blocks on (GPU, host) tiers.
-func (m *Manager) PrefixBlocks() (gpu, host int) {
-	for _, b := range m.prefix {
-		if b.onGPU {
-			gpu++
-		} else {
-			host++
-		}
-	}
-	return gpu, host
-}
-
 // PeekPrefix returns how many tokens of a prompt's shared prefix are
 // currently cached (either tier), without acquiring anything — the
 // scheduler's view of the cache before it commits a dispatch.
@@ -171,12 +157,11 @@ func (m *Manager) PeekPrefix(group uint64, prefixTokens int) int {
 // published for later arrivals. The remainder of the context gets
 // private blocks as usual. With the cache disabled or group 0 it
 // degenerates to plain Allocate.
-func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefixTokens int) (PrefixAcquire, error) {
+func (m *Manager) AllocatePrefixed(h *Holder, id RequestID, tokens int,
+	group uint64, prefixTokens int) (*Alloc, PrefixAcquire, error) {
 	if !m.prefixMode || group == 0 || prefixTokens < m.blockSize {
-		return PrefixAcquire{}, m.Allocate(id, tokens)
-	}
-	if _, ok := m.tables[id]; ok {
-		return PrefixAcquire{}, errAlreadyAllocated(id)
+		t, err := m.Allocate(h, id, tokens)
+		return t, PrefixAcquire{}, err
 	}
 	// Only whole blocks strictly inside the prompt are sharable: the
 	// request always computes at least its last token itself.
@@ -186,7 +171,12 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	}
 	nShare := share / m.blockSize
 	if nShare <= 0 {
-		return PrefixAcquire{}, m.Allocate(id, tokens)
+		t, err := m.Allocate(h, id, tokens)
+		return t, PrefixAcquire{}, err
+	}
+	s, err := h.slot(m, id)
+	if err != nil {
+		return nil, PrefixAcquire{}, err
 	}
 	m.stats.PrefixLookups++
 
@@ -218,7 +208,7 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 			m.unref(b)
 		}
 		m.stats.FailedAllocs++
-		return PrefixAcquire{}, ErrNoSpace
+		return nil, PrefixAcquire{}, ErrNoSpace
 	}
 	m.gpuFree -= gpuNeed
 	for _, b := range chain {
@@ -247,7 +237,7 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 		chain[i].lastUse = m.useSeq
 	}
 
-	m.tables[id] = m.newAlloc(Alloc{
+	*s = m.newAlloc(Alloc{
 		id: id, tokens: tokens, blocks: privateBlocks, loc: OnGPU,
 		group: group, shared: nShare,
 	})
@@ -256,7 +246,7 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	hitTokens := hitBlocks * m.blockSize
 	m.stats.PrefixHitTokens += uint64(hitTokens)
 	m.stats.PrefixMissTokens += uint64(tokens - hitTokens)
-	return PrefixAcquire{
+	return *s, PrefixAcquire{
 		HitTokens:      hitTokens,
 		MissTokens:     tokens - hitTokens,
 		RestoredTokens: restoreBlocks * m.blockSize,
@@ -309,28 +299,20 @@ func (m *Manager) ensureFree(need int) bool {
 	return need <= m.gpuFree
 }
 
-// dropBackups releases backup allocations (ascending request id, for
-// determinism) until need GPU blocks are free or none remain. Dropping a
-// backup is always safe: every consumer checks Has/IsBackup before use.
+// dropBackups releases GPU-resident backup allocations, in ascending
+// request ID for determinism, until need GPU blocks are free or none
+// remain. Dropping a backup is always safe: every consumer checks that its
+// handle is a live backup before use.
 func (m *Manager) dropBackups(need int) {
-	if m.backups == 0 {
-		return
-	}
-	var ids []RequestID
-	for id, t := range m.tables {
-		if t.isBackup && t.loc == OnGPU {
-			ids = append(ids, id)
+	slices.SortStableFunc(m.backups, func(a, b *Alloc) int { return cmp.Compare(a.id, b.id) })
+	for i := 0; i < len(m.backups) && m.gpuFree < need; {
+		if t := m.backups[i]; t.loc == OnGPU {
+			m.gpuFree += t.blocks
+			m.drop(t)
+			m.stats.BackupReclaims++
+		} else {
+			i++
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if m.gpuFree >= need {
-			return
-		}
-		t := m.tables[id]
-		m.gpuFree += t.blocks
-		m.drop(t)
-		m.stats.BackupReclaims++
 	}
 }
 

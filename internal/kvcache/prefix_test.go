@@ -11,16 +11,12 @@ import (
 // failures.
 func TestSwapInFailureCounter(t *testing.T) {
 	m := mustMgr(t, 160, 320) // 10 GPU blocks
-	if err := m.Allocate(1, 64); err != nil {
+	a := mustAlloc(t, m, 1, 64)
+	if _, err := a.SwapOut(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SwapOut(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Allocate(2, 160); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SwapIn(1); !errors.Is(err, ErrNoSpace) {
+	mustAlloc(t, m, 2, 160)
+	if _, err := a.SwapIn(); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("SwapIn under pressure = %v, want ErrNoSpace", err)
 	}
 	st := m.Stats()
@@ -31,7 +27,7 @@ func TestSwapInFailureCounter(t *testing.T) {
 		t.Errorf("FailedAllocs = %d, want 0: swap-in retries are not admission failures", st.FailedAllocs)
 	}
 	// A true admission failure still lands in FailedAllocs.
-	if err := m.Allocate(3, 32); !errors.Is(err, ErrNoSpace) {
+	if _, err := m.Allocate(new(Holder), 3, 32); !errors.Is(err, ErrNoSpace) {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.FailedAllocs != 1 || st.SwapInFailures != 1 {
@@ -39,11 +35,23 @@ func TestSwapInFailureCounter(t *testing.T) {
 	}
 }
 
+// prefixBlocks returns the cached shared blocks on (GPU, host) tiers.
+func prefixBlocks(m *Manager) (gpu, host int) {
+	for _, b := range m.prefix {
+		if b.onGPU {
+			gpu++
+		} else {
+			host++
+		}
+	}
+	return gpu, host
+}
+
 func TestPrefixSharing(t *testing.T) {
 	m := mustMgr(t, 320, 0) // 20 blocks
 	m.EnablePrefixCache(false)
 
-	acq, err := m.AllocatePrefixed(1, 100, 7, 64)
+	_, acq, err := m.AllocatePrefixed(new(Holder), 1, 100, 7, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +63,7 @@ func TestPrefixSharing(t *testing.T) {
 		t.Fatalf("used = %d, want 7", m.UsedBlocks())
 	}
 
-	acq, err = m.AllocatePrefixed(2, 100, 7, 64)
+	_, acq, err = m.AllocatePrefixed(new(Holder), 2, 100, 7, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +95,14 @@ func TestPrefixSharing(t *testing.T) {
 func TestPrefixReleaseKeepsSharedBlocks(t *testing.T) {
 	m := mustMgr(t, 320, 0)
 	m.EnablePrefixCache(false)
+	var a [3]*Alloc
 	for id := RequestID(1); id <= 2; id++ {
-		if _, err := m.AllocatePrefixed(id, 100, 7, 64); err != nil {
+		var err error
+		if a[id], _, err = m.AllocatePrefixed(new(Holder), id, 100, 7, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Release(1); err != nil {
+	if err := a[1].Release(); err != nil {
 		t.Fatal(err)
 	}
 	// Sharer 2 still holds the chain: 4 shared + its 3 private blocks.
@@ -102,14 +112,14 @@ func TestPrefixReleaseKeepsSharedBlocks(t *testing.T) {
 	if got := m.PeekPrefix(7, 64); got != 64 {
 		t.Fatalf("shared blocks freed with a sharer in flight: peek = %d", got)
 	}
-	if err := m.Grow(2, 120); err != nil { // sharer 2 keeps decoding fine
+	if err := a[2].Grow(120); err != nil { // sharer 2 keeps decoding fine
 		t.Fatal(err)
 	}
-	if err := m.Release(2); err != nil {
+	if err := a[2].Release(); err != nil {
 		t.Fatal(err)
 	}
 	// Last sharer gone: chain stays cached, only private blocks freed.
-	if gpu, host := m.PrefixBlocks(); gpu != 4 || host != 0 {
+	if gpu, host := prefixBlocks(m); gpu != 4 || host != 0 {
 		t.Fatalf("cached blocks = %d/%d, want 4/0", gpu, host)
 	}
 	if m.UsedBlocks() != 4 {
@@ -123,13 +133,12 @@ func TestPrefixReleaseKeepsSharedBlocks(t *testing.T) {
 func TestPrefixEvictionRespectsRefs(t *testing.T) {
 	m := mustMgr(t, 128, 0) // 8 blocks
 	m.EnablePrefixCache(false)
-	if _, err := m.AllocatePrefixed(1, 65, 9, 64); err != nil { // 4 shared + 1 private
+	a, _, err := m.AllocatePrefixed(new(Holder), 1, 65, 9, 64) // 4 shared + 1 private
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Allocate(2, 48); err != nil { // 3 blocks, GPU now full
-		t.Fatal(err)
-	}
-	if err := m.Allocate(3, 16); !errors.Is(err, ErrNoSpace) {
+	mustAlloc(t, m, 2, 48) // 3 blocks, GPU now full
+	if _, err := m.Allocate(new(Holder), 3, 16); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("alloc over referenced blocks = %v, want ErrNoSpace", err)
 	}
 	if st := m.Stats(); st.PrefixEvictions != 0 {
@@ -138,14 +147,12 @@ func TestPrefixEvictionRespectsRefs(t *testing.T) {
 	if got := m.PeekPrefix(9, 64); got != 64 {
 		t.Fatalf("referenced chain damaged: peek = %d", got)
 	}
-	if err := m.Release(1); err != nil {
+	if err := a.Release(); err != nil {
 		t.Fatal(err)
 	}
 	// refs==0 now: the same allocation succeeds by evicting LRU blocks,
 	// and the chain is trimmed strictly from the tail.
-	if err := m.Allocate(3, 32); err != nil {
-		t.Fatal(err)
-	}
+	mustAlloc(t, m, 3, 32)
 	if st := m.Stats(); st.PrefixEvictions != 1 {
 		t.Fatalf("PrefixEvictions = %d, want 1", st.PrefixEvictions)
 	}
@@ -159,10 +166,11 @@ func TestPrefixEvictionRespectsRefs(t *testing.T) {
 func TestPrefixResetDropsPoolKeepsStats(t *testing.T) {
 	m := mustMgr(t, 320, 320)
 	m.EnablePrefixCache(true)
-	if _, err := m.AllocatePrefixed(1, 100, 7, 64); err != nil {
+	a, _, err := m.AllocatePrefixed(new(Holder), 1, 100, 7, 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AllocatePrefixed(2, 100, 7, 64); err != nil {
+	if _, _, err := m.AllocatePrefixed(new(Holder), 2, 100, 7, 64); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Stats()
@@ -170,7 +178,7 @@ func TestPrefixResetDropsPoolKeepsStats(t *testing.T) {
 		t.Fatal("setup produced no hits")
 	}
 	m.Reset()
-	if gpu, host := m.PrefixBlocks(); gpu != 0 || host != 0 {
+	if gpu, host := prefixBlocks(m); gpu != 0 || host != 0 {
 		t.Fatalf("pool survived reset: %d/%d blocks", gpu, host)
 	}
 	if m.PeekPrefix(7, 64) != 0 {
@@ -179,17 +187,20 @@ func TestPrefixResetDropsPoolKeepsStats(t *testing.T) {
 	if m.FreeBlocks() != m.TotalBlocks() {
 		t.Fatalf("free = %d, want %d", m.FreeBlocks(), m.TotalBlocks())
 	}
+	if a.LiveOn(m) || m.LiveAllocs() != 0 {
+		t.Fatal("allocation survived reset")
+	}
 	if after := m.Stats(); after != before {
 		t.Fatalf("stats changed across reset: %+v != %+v", after, before)
 	}
-	if !m.PrefixEnabled() {
+	if !m.prefixMode {
 		t.Fatal("prefix mode lost on reset")
 	}
 	// The pool refills from post-reset traffic.
-	if _, err := m.AllocatePrefixed(3, 100, 7, 64); err != nil {
+	if _, _, err := m.AllocatePrefixed(new(Holder), 3, 100, 7, 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AllocatePrefixed(4, 100, 7, 64); err != nil {
+	if _, _, err := m.AllocatePrefixed(new(Holder), 4, 100, 7, 64); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.PrefixHitTokens != before.PrefixHitTokens+64 {
@@ -203,29 +214,28 @@ func TestPrefixResetDropsPoolKeepsStats(t *testing.T) {
 func TestTieredDemoteRestore(t *testing.T) {
 	m := mustMgr(t, 128, 128) // 8 GPU + 8 host blocks
 	m.EnablePrefixCache(true)
-	if _, err := m.AllocatePrefixed(1, 65, 9, 64); err != nil {
+	a, _, err := m.AllocatePrefixed(new(Holder), 1, 65, 9, 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release(1); err != nil {
+	if err := a.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Allocate(2, 128); err != nil { // needs all 8 blocks
-		t.Fatal(err)
-	}
+	b := mustAlloc(t, m, 2, 128) // needs all 8 blocks
 	st := m.Stats()
 	if st.PrefixDemotions != 4 || st.PrefixEvictions != 0 {
 		t.Fatalf("stats = %+v, want 4 demotions, 0 evictions", st)
 	}
-	if gpu, host := m.PrefixBlocks(); gpu != 0 || host != 4 {
+	if gpu, host := prefixBlocks(m); gpu != 0 || host != 4 {
 		t.Fatalf("tiers = %d/%d, want 0/4", gpu, host)
 	}
 	if got := m.PeekPrefix(9, 64); got != 64 { // host-tier blocks still count
 		t.Fatalf("peek = %d, want 64", got)
 	}
-	if err := m.Release(2); err != nil {
+	if err := b.Release(); err != nil {
 		t.Fatal(err)
 	}
-	acq, err := m.AllocatePrefixed(3, 65, 9, 64)
+	_, acq, err := m.AllocatePrefixed(new(Holder), 3, 65, 9, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +246,7 @@ func TestTieredDemoteRestore(t *testing.T) {
 	if st.PrefixRestores != 4 || st.PrefixRestoredTokens != 64 {
 		t.Fatalf("stats = %+v, want 4 restores / 64 tokens", st)
 	}
-	if gpu, host := m.PrefixBlocks(); gpu != 4 || host != 0 {
+	if gpu, host := prefixBlocks(m); gpu != 4 || host != 0 {
 		t.Fatalf("tiers after restore = %d/%d, want 4/0", gpu, host)
 	}
 	if free := m.cpuFree; free != m.cpuBlocks {
@@ -249,30 +259,30 @@ func TestTieredDemoteRestore(t *testing.T) {
 func TestBackupsReclaimedFirst(t *testing.T) {
 	m := mustMgr(t, 128, 0) // 8 blocks
 	m.EnablePrefixCache(false)
-	if err := m.AllocateBackup(9, 32); err != nil { // 2 blocks
+	b, err := m.AllocateBackup(new(Holder), 9, 32) // 2 blocks
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AllocatePrefixed(1, 33, 5, 32); err != nil { // 2 shared + 1 private
+	a, _, err := m.AllocatePrefixed(new(Holder), 1, 33, 5, 32) // 2 shared + 1 private
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release(1); err != nil {
+	if err := a.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Allocate(2, 96); err != nil { // need 6, free 4
-		t.Fatal(err)
-	}
+	mustAlloc(t, m, 2, 96) // need 6, free 4
 	st := m.Stats()
 	if st.BackupReclaims != 1 || st.PrefixEvictions != 0 {
 		t.Fatalf("stats = %+v, want 1 backup reclaim, 0 prefix evictions", st)
 	}
-	if m.Has(9) {
+	if b.LiveOn(m) || b.IsBackup() {
 		t.Fatal("backup survived reclaim")
 	}
 	if got := m.PeekPrefix(5, 32); got != 32 {
 		t.Fatalf("prefix evicted before backups: peek = %d", got)
 	}
 	// A backup itself never reclaims cached state to fit.
-	if err := m.AllocateBackup(10, 96); !errors.Is(err, ErrNoSpace) {
+	if _, err := m.AllocateBackup(new(Holder), 10, 96); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("backup alloc reclaimed cache: %v", err)
 	}
 	if got := m.PeekPrefix(5, 32); got != 32 {

@@ -45,9 +45,10 @@ func refOrder(m *Manager, onGPU bool, held map[pkey]bool) []pkey {
 // checkIdleHeaps asserts that every idle block sits in exactly its tier's
 // heap at its stored index, every referenced block in none, that both
 // heaps are heap-ordered, and that each heap's top is refVictim's pick.
-// It also checks the backup count and that each tier's used blocks are
-// exactly the pool's and the allocations' blocks on it.
-func checkIdleHeaps(t *testing.T, m *Manager, where string) {
+// It also checks the backup list and that each tier's used blocks are
+// exactly the pool's and the live allocations' blocks on it; live holds
+// every live handle on m.
+func checkIdleHeaps(t *testing.T, m *Manager, live []*Alloc, where string) {
 	t.Helper()
 	idle := map[bool]int{}
 	for k, b := range m.prefix {
@@ -97,14 +98,20 @@ func checkIdleHeaps(t *testing.T, m *Manager, where string) {
 			used[b.onGPU]++
 		}
 	}
-	for _, a := range m.tables {
+	for _, a := range live {
 		if a.isBackup {
 			backups++
 		}
 		used[a.loc == OnGPU] += a.blocks
 	}
-	if backups != m.backups {
-		t.Fatalf("%s: backup count %d, table holds %d backups", where, m.backups, backups)
+	if backups != len(m.backups) || m.LiveAllocs() != len(live) {
+		t.Fatalf("%s: %d listed backups, %d live allocations; handles hold %d and %d",
+			where, len(m.backups), m.LiveAllocs(), backups, len(live))
+	}
+	for _, b := range m.backups {
+		if !b.IsBackup() {
+			t.Fatalf("%s: backup list holds dead or promoted request %d", where, b.id)
+		}
 	}
 	if used[true] != m.gpuBlocks-m.gpuFree || used[false] != m.cpuBlocks-m.cpuFree {
 		t.Fatalf("%s: blocks held GPU %d host %d, accounted GPU %d host %d",
@@ -154,7 +161,7 @@ func runReclaimScript(t *testing.T, tiered bool, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	m := mustMgr(t, 48*DefaultBlockSize, 16*DefaultBlockSize)
 	m.EnablePrefixCache(tiered)
-	var live []RequestID
+	var live []*Alloc
 	next := RequestID(1)
 	forget := func(i int) {
 		live[i] = live[len(live)-1]
@@ -178,43 +185,41 @@ func runReclaimScript(t *testing.T, tiered bool, seed int64) {
 		switch {
 		case x < 40:
 			what = "AllocatePrefixed"
-			if _, err := m.AllocatePrefixed(next, tokens, group, prefixTokens); err == nil {
-				live = append(live, next)
+			if a, _, err := m.AllocatePrefixed(new(Holder), next, tokens, group, prefixTokens); err == nil {
+				live = append(live, a)
 			}
 			next++
 		case x < 48:
 			what = "Allocate"
-			if m.Allocate(next, tokens) == nil {
-				live = append(live, next)
+			if a, err := m.Allocate(new(Holder), next, tokens); err == nil {
+				live = append(live, a)
 			}
 			next++
 		case x < 55 && len(live) > 0:
 			what = "Grow"
-			id := live[rng.Intn(len(live))]
-			if loc, _ := m.LocationOf(id); loc == OnGPU {
-				_ = m.Grow(id, m.Tokens(id)+rng.Intn(64))
+			if a := live[rng.Intn(len(live))]; a.Location() == OnGPU {
+				_ = a.Grow(a.Tokens() + rng.Intn(64))
 			}
 		case x < 75 && len(live) > 0:
 			what = "Release"
 			i := rng.Intn(len(live))
-			if err := m.Release(live[i]); err != nil {
+			if err := live[i].Release(); err != nil {
 				t.Fatal(err)
 			}
 			forget(i)
 		case x < 83 && len(live) > 0:
 			what = "SwapOut/SwapIn"
-			id := live[rng.Intn(len(live))]
-			if loc, _ := m.LocationOf(id); loc == OnGPU {
-				_, _ = m.SwapOut(id)
+			if a := live[rng.Intn(len(live))]; a.Location() == OnGPU {
+				_, _ = a.SwapOut()
 			} else {
-				_, _ = m.SwapIn(id)
+				_, _ = a.SwapIn()
 			}
 		case x < 91:
 			what = "AllocateBackup"
-			if m.AllocateBackup(next, tokens/2+1) == nil {
-				live = append(live, next)
+			if a, err := m.AllocateBackup(new(Holder), next, tokens/2+1); err == nil {
+				live = append(live, a)
 				if rng.Intn(4) == 0 {
-					_ = m.PromoteBackup(next)
+					_ = a.Promote()
 				}
 			}
 			next++
@@ -237,9 +242,9 @@ func runReclaimScript(t *testing.T, tiered bool, seed int64) {
 			m.Reset()
 			live = live[:0]
 		}
-		// Backups dropped by a reclaim are gone from the table.
+		// Backups dropped by a reclaim are dead.
 		for i := 0; i < len(live); {
-			if m.Has(live[i]) {
+			if live[i].LiveOn(m) {
 				i++
 			} else {
 				forget(i)
@@ -250,7 +255,7 @@ func runReclaimScript(t *testing.T, tiered bool, seed int64) {
 			checkVictims(t, m, where, true, gpuOrder)
 			checkVictims(t, m, where, false, hostOrder)
 		}
-		checkIdleHeaps(t, m, where)
+		checkIdleHeaps(t, m, live, where)
 	}
 	st := m.Stats()
 	if st.PrefixEvictions == 0 || st.PrefixHitTokens == 0 || st.BackupReclaims == 0 || (tiered && (st.PrefixDemotions == 0 || st.PrefixRestores == 0)) {

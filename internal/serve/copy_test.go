@@ -3,6 +3,7 @@ package serve
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"windserve/internal/engine"
 	"windserve/internal/workload"
@@ -58,7 +59,7 @@ func TestDistServeDecodeCrashUnderCopy(t *testing.T) {
 	d.prefillRR(q)
 	for !(q.Phase == engine.PhaseTransferring && d.pdLink(0, 0).Busy()) && r.s.Step() {
 	}
-	if j := fl(q).di; j != 0 || !d.decodes[0].KV().Has(q.KVID()) {
+	if j := fl(q).di; j != 0 || d.decodes[0].KVOf(q) == nil {
 		t.Fatalf("copy to decode 0 not under way: di=%d %v", j, q)
 	}
 	if len(d.copies) != 0 {
@@ -133,8 +134,12 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 // of the testbed's arrival → prefill → KV copy → decode path, with the
 // exact recorder, on DistServe and on WindServe. Two stream sizes share
 // their set-up cost, so the difference of their allocation counts is the
-// streams' own.
+// streams' own. The one allocation left per request is its flight, which
+// every request pays for: it must stay within the 256-byte size class.
 func TestTestbedAllocsPerRequest(t *testing.T) {
+	if size := unsafe.Sizeof(flight{}); size > 256 {
+		t.Errorf("a flight is %d bytes, past the 256-byte size class", size)
+	}
 	cfg := cfg13B(t)
 	rate := 3.0 * float64(cfg.TotalGPUs())
 	for _, sys := range []struct {

@@ -398,7 +398,7 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 			// The instance that prefilled this request flipped to decode
 			// before the transfer started: the KV is already resident, so
 			// the stream decodes in place with no copy at all.
-			if !d.dIns(j).KV().Has(q.KVID()) {
+			if d.dIns(j).KVOf(q) == nil {
 				continue
 			}
 			d.rr.decode = (j + 1) % n
@@ -407,7 +407,7 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 			d.dIns(j).AdmitDecode(q)
 			return true
 		}
-		if d.dIns(j).KV().Allocate(q.KVID(), q.Ctx()+1) == nil {
+		if d.dIns(j).AllocateKV(q, q.Ctx()+1) == nil {
 			d.rr.decode = (j + 1) % n
 			fl(q).di = j
 			d.cfg.Decisions.AddRoute(d.r.s.Now(), q.W.ID, d.dIns(j).Name(), "transfer-round-robin")
@@ -477,7 +477,7 @@ func (d *pd) finishSerial(c kvCopy) {
 		d.releaseAt(d.dIns(j), q)
 		return
 	}
-	if d.dIns(j).Down() || !d.dIns(j).KV().Has(q.KVID()) {
+	if d.dIns(j).Down() || d.dIns(j).KVOf(q) == nil {
 		// The target crashed while the payload was in flight — its KV
 		// reset dropped the allocation — and may even have restored
 		// already with empty blocks. Re-route through the serial path to
@@ -510,8 +510,7 @@ func (d *pd) observeTransfer(bytes float64, start sim.Time) {
 
 // releaseAt frees a request's KV on one instance if present, re-kicking it.
 func (d *pd) releaseAt(ins *engine.Instance, q *engine.Req) {
-	if ins.KV().Has(q.KVID()) {
-		_ = ins.KV().Release(q.KVID())
+	if ins.KVOf(q).Release() == nil {
 		ins.Kick()
 	}
 }

@@ -176,7 +176,7 @@ func (d *pd) pickMigrationDst(src int, q *engine.Req) int {
 		return cands[a] < cands[b]
 	})
 	for _, j := range cands {
-		if d.dIns(j).KV().Allocate(q.KVID(), q.Ctx()+1) == nil {
+		if d.dIns(j).AllocateKV(q, q.Ctx()+1) == nil {
 			return j
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"windserve/internal/engine"
 	"windserve/internal/fault"
+	"windserve/internal/kvcache"
 	"windserve/internal/perf"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
@@ -266,12 +267,11 @@ func TestRecoverDecodeOrphanUsesBackup(t *testing.T) {
 	d.r.rec.Arrive(q.W.ID, q.W.PromptTokens, q.W.OutputTokens, 0)
 	q.BackupTokens = 1100 // snapshot taken at generated=100
 	fl(q).backupAt = 0
-	pkv := d.prefills[0].KV()
-	if err := pkv.AllocateBackup(q.KVID(), 1100); err != nil {
+	if _, err := d.prefills[0].KV().AllocateBackup(&q.Holder, q.KVID(), 1100); err != nil {
 		t.Fatal(err)
 	}
 	d.recoverDecodeOrphan(q)
-	if !pkv.Has(q.KVID()) || pkv.IsBackup(q.KVID()) {
+	if a := d.prefills[0].KVOf(q); a == nil || a.IsBackup() {
 		t.Fatal("backup was not promoted to a working copy")
 	}
 	if q.Generated() != 100 {
@@ -438,7 +438,7 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 	dkv := d.decodes[0].KV()
-	if err := dkv.Allocate(1<<40, dkv.TotalBlocks()*dkv.BlockSize()); err != nil {
+	if _, err := dkv.Allocate(new(kvcache.Holder), 1<<40, dkv.TotalBlocks()*dkv.BlockSize()); err != nil {
 		t.Fatal(err)
 	}
 	var orphans []*engine.Req
@@ -476,10 +476,11 @@ func TestPrefillCrashResetsTransferPendingOrphan(t *testing.T) {
 
 // TestFlightsForgottenAcrossFaults: once a run has drained, no request's
 // flight may still name a placement, an async transfer, a backup or a
-// migration. WindServe and DistServe run 2P2D under a prefill crash, a
-// decode crash that catches async copies and landed backups, client
-// cancellation and a TTFT deadline. A reset that forget misses shows up
-// here as a field still set.
+// migration, nor hold a live KV allocation on any instance. WindServe and
+// DistServe run 2P2D under a prefill crash, a decode crash that catches
+// async copies and landed backups, client cancellation and a TTFT
+// deadline. A reset that forget misses shows up here as a field still
+// set, a release it misses as a live handle.
 func TestFlightsForgottenAcrossFaults(t *testing.T) {
 	const decodeCrash = 19.0 // seconds; the d0 crash in the plan below
 	for _, sys := range []struct {
@@ -542,6 +543,11 @@ func TestFlightsForgottenAcrossFaults(t *testing.T) {
 				f.BackupInFlight || f.mig != nil {
 				t.Fatalf("%s: req%d (%v) not forgotten: prefill %d, decode %d, async %+v, backup at %d, backup copying %v, migration %v",
 					sys.name, f.W.ID, f.Phase, f.pi, f.di, f.async, f.backupAt, f.BackupInFlight, f.mig)
+			}
+			for _, in := range d.ins {
+				if a := in.KVOf(&f.Req); a != nil {
+					t.Fatalf("%s: req%d (%v) still holds %d tokens of KV on %s", sys.name, f.W.ID, f.Phase, a.Tokens(), in.Name())
+				}
 			}
 		}
 		if len(d.migs) != 0 || len(d.transferPending) != 0 {

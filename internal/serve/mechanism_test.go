@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"windserve/internal/engine"
+	"windserve/internal/kvcache"
 	"windserve/internal/workload"
 )
 
@@ -31,8 +32,7 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 		q.SetGenerated(10)
 		q.Migrating = true
 		q.Phase = phase
-		pkv := d.prefills[0].KV()
-		if err := pkv.Allocate(q.KVID(), q.Ctx()+1); err != nil {
+		if err := d.prefills[0].AllocateKV(q, q.Ctx()+1); err != nil {
 			t.Fatal(err)
 		}
 		m := &migration{q: q, src: len(d.prefills), dst: 0}
@@ -44,7 +44,7 @@ func TestAbortMigrationReleasesDestination(t *testing.T) {
 		if fl(q).mig != nil || len(d.migs) != 0 {
 			t.Errorf("phase %v: migration entry not removed", phase)
 		}
-		if pkv.Has(q.KVID()) {
+		if d.prefills[0].KVOf(q) != nil {
 			t.Errorf("phase %v: destination allocation leaked", phase)
 		}
 	}
@@ -68,7 +68,7 @@ func TestStartMigrationFailsGracefullyWithoutPrefillKV(t *testing.T) {
 	d := bed(t, cfg13B(t), "", false)
 	// Fill the prefill instance's KV so the destination allocation fails.
 	pkv := d.prefills[0].KV()
-	if err := pkv.Allocate(999, pkv.FreeTokens()); err != nil {
+	if _, err := pkv.Allocate(new(kvcache.Holder), 999, pkv.FreeTokens()); err != nil {
 		t.Fatal(err)
 	}
 	q := newFlight(workload.Request{ID: 9, PromptTokens: 1000, OutputTokens: 50})
@@ -93,12 +93,12 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	d.r.rec.FirstToken(q.W.ID, 0)
 	q.BackupTokens = 1050
 	fl(q).backupAt = 0
-	pkv := d.prefills[0].KV()
-	if err := pkv.AllocateBackup(q.KVID(), 1050); err != nil {
+	p := d.prefills[0]
+	if _, err := p.KV().AllocateBackup(&q.Holder, q.KVID(), 1050); err != nil {
 		t.Fatal(err)
 	}
 	// Decode-side allocation so the drain path can release it.
-	if err := d.decodes[0].KV().Allocate(q.KVID(), q.Ctx()+1); err != nil {
+	if err := d.decodes[0].AllocateKV(q, q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
 	d.decodes[0].InsertRunning(q)
@@ -110,7 +110,7 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	if m == nil || m.clean != 1050 {
 		t.Fatalf("migration clean = %+v, want backup-seeded 1050", m)
 	}
-	if pkv.IsBackup(q.KVID()) {
+	if p.KVOf(q).IsBackup() {
 		t.Error("backup not promoted")
 	}
 	// Let the copy rounds, the drain, and the remaining decoding (now on
@@ -122,7 +122,7 @@ func TestStartMigrationUsesBackupDelta(t *testing.T) {
 	if !q.Finished() {
 		t.Errorf("request did not finish post-migration: %v", q)
 	}
-	if d.decodes[0].KV().Has(q.KVID()) || pkv.Has(q.KVID()) {
+	if d.decodes[0].KVOf(q) != nil || p.KVOf(q) != nil {
 		t.Error("KV leaked after post-migration completion")
 	}
 	// Completion cleanup forgets the placement.
@@ -145,8 +145,8 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	if !q.Migrating {
 		t.Fatal("migration did not start")
 	}
-	pkv := d.ins[fl(q).mig.dst].KV()
-	if !pkv.Has(q.KVID()) {
+	dst := d.ins[fl(q).mig.dst]
+	if dst.KVOf(q) == nil {
 		t.Fatal("destination not allocated")
 	}
 	// The request completes while the round's transfer is still in flight.
@@ -158,7 +158,7 @@ func TestMigrationAbortedWhenRequestCompletesMidRound(t *testing.T) {
 	if fl(q).mig != nil || len(d.migs) != 0 {
 		t.Error("migration entry survived completion")
 	}
-	if pkv.Has(q.KVID()) {
+	if dst.KVOf(q) != nil {
 		t.Error("destination allocation leaked after mid-round completion")
 	}
 }
@@ -180,11 +180,11 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 	// migration goes straight to the drain.
 	q.BackupTokens = 1050
 	fl(q).backupAt = 0
-	if err := d.prefills[0].KV().AllocateBackup(q.KVID(), 1050); err != nil {
+	if _, err := d.prefills[0].KV().AllocateBackup(&q.Holder, q.KVID(), 1050); err != nil {
 		t.Fatal(err)
 	}
-	dkv := d.decodes[0].KV()
-	if err := dkv.Allocate(q.KVID(), q.Ctx()+1); err != nil {
+	dec := d.decodes[0]
+	if err := dec.AllocateKV(q, q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
 	d.decodes[0].InsertRunning(q)
@@ -193,7 +193,7 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 		t.Fatalf("phase %v, want immediate drain", q.Phase)
 	}
 	// Decode-side blocks vanish while the tail is on the wire.
-	if err := dkv.Release(q.KVID()); err != nil {
+	if err := dec.KVOf(q).Release(); err != nil {
 		t.Fatal(err)
 	}
 	d.r.s.RunAll()
@@ -203,7 +203,7 @@ func TestDrainMigrationRacesDecodeKVEviction(t *testing.T) {
 	if !q.Finished() {
 		t.Errorf("request did not resume on the destination: %v", q)
 	}
-	if d.prefills[0].KV().Has(q.KVID()) || dkv.Has(q.KVID()) {
+	if d.prefills[0].KVOf(q) != nil || dec.KVOf(q) != nil {
 		t.Error("KV leaked after drain raced eviction")
 	}
 }

@@ -121,7 +121,7 @@ func (d *pd) land(m *migration) {
 		f.di = (m.dst + len(d.decodes)) % len(d.ins) // its decode-space index
 	}
 	dst := d.ins[m.dst]
-	_ = dst.KV().Grow(q.KVID(), q.Ctx()+1)
+	_ = dst.KVOf(q).Grow(q.Ctx() + 1)
 	q.BackupTokens = 0
 	dst.InsertRunning(q)
 }
@@ -176,7 +176,7 @@ func (d *pd) dropMigrations(k int) []*engine.Req {
 		if m.q.Phase != engine.PhaseDraining {
 			continue
 		}
-		if src := d.ins[m.src]; !src.Down() && src.KV().Has(m.q.KVID()) {
+		if src := d.ins[m.src]; !src.Down() && src.KVOf(m.q) != nil {
 			src.InsertRunning(m.q)
 		} else {
 			orphans = append(orphans, m.q)

@@ -41,7 +41,7 @@ func decodingAt(t *testing.T, d *pd, id uint64, prompt, generated, output, j int
 	d.r.rec.FirstToken(id, now)
 	d.r.live[id] = q
 	dec := d.decodes[j]
-	if err := dec.KV().Allocate(q.KVID(), q.Ctx()+1); err != nil {
+	if err := dec.AllocateKV(q, q.Ctx()+1); err != nil {
 		t.Fatal(err)
 	}
 	fl(q).di = j
@@ -66,7 +66,7 @@ func runningOn(ins []*engine.Instance, q *engine.Req) int {
 func holdingKV(ins []*engine.Instance, q *engine.Req) int {
 	n := 0
 	for _, in := range ins {
-		if in.KV().Has(q.KVID()) {
+		if in.KVOf(q) != nil {
 			n++
 		}
 	}
@@ -74,18 +74,17 @@ func holdingKV(ins []*engine.Instance, q *engine.Req) int {
 }
 
 // checkDrained asserts that a run left nothing behind: no open record, no
-// allocated KV block, and no request completed twice.
+// live KV allocation on any instance (on GPU or swapped, holding blocks or
+// not) and no allocated GPU block, and no request completed twice.
 func checkDrained(t *testing.T, rec *metrics.Recorder, ins []*engine.Instance) {
 	t.Helper()
 	if n := rec.Outstanding(); n != 0 {
 		t.Errorf("%d requests unfinished", n)
 	}
-	blocks := 0
 	for _, in := range ins {
-		blocks += in.KV().UsedBlocks()
-	}
-	if blocks != 0 {
-		t.Errorf("%d KV blocks still allocated", blocks)
+		if n, blocks := in.KV().LiveAllocs(), in.KV().UsedBlocks(); n != 0 || blocks != 0 {
+			t.Errorf("%s: %d KV allocations and %d GPU blocks still held", in.Name(), n, blocks)
+		}
 	}
 	seen := map[uint64]bool{}
 	for _, r := range rec.Completed() {
@@ -119,7 +118,7 @@ func TestWindMigrationDestinationCrash(t *testing.T) {
 		d := windBed(t, 1, 1)
 		q := decodingAt(t, d, 1, tc.prompt, 10, 400, 0)
 		d.startMigration(q, 0, 0.05)
-		if !q.Migrating || q.Phase != tc.phase || !d.prefills[0].KV().Has(q.KVID()) {
+		if !q.Migrating || q.Phase != tc.phase || d.prefills[0].KVOf(q) == nil {
 			t.Fatalf("%s: migration not under way: %v", tc.name, q)
 		}
 		d.crash(0)
@@ -130,7 +129,7 @@ func TestWindMigrationDestinationCrash(t *testing.T) {
 		if runningOn(d.ins, q) != 1 || runningOn(d.decodes, q) != 1 {
 			t.Fatalf("%s: victim not running at its source alone", tc.name)
 		}
-		if d.prefills[0].KV().Has(q.KVID()) {
+		if d.prefills[0].KVOf(q) != nil {
 			t.Fatalf("%s: destination still holds the victim's blocks", tc.name)
 		}
 		d.r.s.RunAll()
@@ -189,13 +188,13 @@ func TestWindMigrationSourceCrashMidDrain(t *testing.T) {
 		if q.Phase != engine.PhaseDraining {
 			t.Fatalf("backup=%v: phase %v, want an immediate drain", backup, q.Phase)
 		}
-		if !d.prefills[0].KV().Has(q.KVID()) {
+		if d.prefills[0].KVOf(q) == nil {
 			t.Fatalf("backup=%v: drain not headed for prefill 0", backup)
 		}
 		if backup {
 			// A backup taken at 5 generated tokens landed at prefill 1
 			// while the migration was under way.
-			if err := d.prefills[1].KV().AllocateBackup(q.KVID(), 45); err != nil {
+			if _, err := d.prefills[1].KV().AllocateBackup(&q.Holder, q.KVID(), 45); err != nil {
 				t.Fatal(err)
 			}
 			q.BackupTokens = 45
@@ -206,7 +205,7 @@ func TestWindMigrationSourceCrashMidDrain(t *testing.T) {
 		if q.Migrating {
 			t.Fatalf("backup=%v: migration never resolved", backup)
 		}
-		if d.prefills[0].KV().Has(q.KVID()) {
+		if d.prefills[0].KVOf(q) != nil {
 			t.Errorf("backup=%v: migration destination still holds the request's blocks", backup)
 		}
 		if !fl(q).recovered {

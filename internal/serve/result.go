@@ -25,9 +25,11 @@ type Result struct {
 	// Recovered counts requests that survived an instance crash — orphaned
 	// mid-flight and then restored from a KV backup or re-prefilled.
 	Recovered int
-	// LiveKVBlocks is the GPU+CPU blocks still allocated across all
-	// instances when the run ended; nonzero with Unfinished == 0 means a
-	// leak (crash recovery failed to release something).
+	// LiveKVBlocks is the GPU blocks still allocated across all instances
+	// when the run ended (each manager's UsedBlocks; swapped blocks in host
+	// memory are not counted). Nonzero with Unfinished == 0 means a leak
+	// (crash recovery failed to release something), except under prefix
+	// caching, where cached blocks outlive their requests.
 	LiveKVBlocks int
 	Elapsed      sim.Time
 

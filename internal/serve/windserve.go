@@ -251,7 +251,7 @@ func (d *pd) maybeStartAsyncTransfer(q *engine.Req) {
 	if dj < 0 {
 		return // every decode instance is down; serial path retries later
 	}
-	if d.decodes[dj].KV().Allocate(q.KVID(), q.W.PromptTokens+1) != nil {
+	if d.decodes[dj].AllocateKV(q, q.W.PromptTokens+1) != nil {
 		return // no decode blocks: fall back to the serial path at prefill end
 	}
 	d.asyncSeq++
@@ -293,7 +293,7 @@ func (d *pd) maybeFinishAsync(q *engine.Req) {
 		d.releaseAt(dec, q)
 		return
 	}
-	if dec.Down() || !dec.KV().Has(q.KVID()) {
+	if dec.Down() || dec.KVOf(q) == nil {
 		// The destination crashed under the copy (its allocation is gone).
 		// The prefilled KV still exists at the source — keep it and
 		// serial-transfer to a survivor instead of recomputing.
@@ -340,13 +340,11 @@ func (d *pd) onDecodeIterEnd(j int) {
 // with the most free KV. freeFrac is the source's free-KV fraction at
 // trigger time (logged).
 func (d *pd) startMigration(q *engine.Req, src int, freeFrac float64) {
-	id := q.KVID()
 	clean := 0
 	dst := d.freestPrefillIdx()
 	f := fl(q)
 	if bi := f.backupAt; bi != noIdx && q.BackupTokens > 0 {
-		pkv := d.prefills[bi].KV()
-		if pkv.Has(id) && pkv.IsBackup(id) && pkv.PromoteBackup(id) == nil {
+		if b := d.prefills[bi].KVOf(q); b.IsBackup() && b.Promote() == nil {
 			// A backup already holds the first BackupTokens of context at
 			// instance bi; only the delta must move there.
 			dst = bi
@@ -358,7 +356,7 @@ func (d *pd) startMigration(q *engine.Req, src int, freeFrac float64) {
 		if dst < 0 {
 			return // every prefill instance is down; nowhere to migrate
 		}
-		if d.prefills[dst].KV().Allocate(id, q.Ctx()+1) != nil {
+		if d.prefills[dst].AllocateKV(q, q.Ctx()+1) != nil {
 			return // prefill memory too tight; try again on a later trigger
 		}
 	}
@@ -404,7 +402,7 @@ func (d *pd) maybeBackup(j int, decodeFreeFrac float64) {
 		return
 	}
 	snap := cand.Ctx()
-	if pkv.AllocateBackup(cand.KVID(), snap) != nil {
+	if _, err := pkv.AllocateBackup(&cand.Holder, cand.KVID(), snap); err != nil {
 		return
 	}
 	cand.BackupInFlight = true
@@ -420,9 +418,8 @@ func (d *pd) finishBackup(c kvCopy) {
 		d.cfg.Tracer.Add("link "+c.lk.Name(), trace.KindKVTransfer, c.start, d.r.s.Now(),
 			fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
 	}
-	pkv := d.prefills[pi].KV()
 	if cand.Phase == engine.PhaseDone || cand.Phase == engine.PhaseAborted ||
-		!pkv.Has(cand.KVID()) || !pkv.IsBackup(cand.KVID()) {
+		!d.prefills[pi].KVOf(cand).IsBackup() {
 		return // finished, cancelled, or promoted while copying
 	}
 	cand.BackupTokens = snap
@@ -501,8 +498,7 @@ func (d *pd) recoverDecodeOrphan(q *engine.Req) {
 	f.async, f.di = asyncXfer{}, noIdx
 	q.BackupInFlight = false
 	if bi := f.backupAt; bi != noIdx && q.BackupTokens > 0 && !d.prefills[bi].Down() {
-		pkv := d.prefills[bi].KV()
-		if pkv.Has(q.KVID()) && pkv.IsBackup(q.KVID()) && pkv.PromoteBackup(q.KVID()) == nil {
+		if b := d.prefills[bi].KVOf(q); b.IsBackup() && b.Promote() == nil {
 			f.backupAt = noIdx
 			// Drop any other allocation the request holds (a stale async
 			// copy) — everything but the promoted backup.

@@ -228,7 +228,9 @@ func (s *sessionSource) Next() (Request, bool) {
 		return Request{}, false
 	}
 	// Start sessions until the earliest pending turn precedes the next
-	// session start; then emit that turn.
+	// session start; then emit that turn. A clock that runs backwards (a
+	// negative rate) starts one session per call instead of starting
+	// sessions forever; the front door rejects the decreasing arrivals.
 	for len(s.heap) == 0 || s.heap[0].at > s.clock {
 		sess := &session{
 			sid:       s.cfg.groupBase + s.nextSID,
@@ -237,7 +239,11 @@ func (s *sessionSource) Next() (Request, bool) {
 		}
 		s.nextSID++
 		s.push(turnEvent{at: s.clock, s: sess})
+		prev := s.clock
 		s.clock = s.clock.Add(s.cfg.process.NextGap(s.rng))
+		if s.clock < prev {
+			break
+		}
 	}
 	ev := s.pop()
 	sess := ev.s

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"windserve/internal/sim"
 )
@@ -167,6 +170,57 @@ func FuzzTraceReader(f *testing.F) {
 		}
 		if err := tr.Err(); err != nil && err.Error() == "" {
 			t.Fatal("trace error with an empty message")
+		}
+	})
+}
+
+// FuzzScenarioSource builds every scenario's source at any size, rate and
+// seed. Next must return for every rate: a negative one once ran the
+// session clock backwards, so chat and agentic started sessions forever.
+// The source yields exactly n requests numbered 1..n, and for a positive
+// finite rate their arrivals never decrease. An unknown scenario name is
+// an error that names it.
+func FuzzScenarioSource(f *testing.F) {
+	for _, name := range ScenarioNames() {
+		f.Add(name, 64, 4.0, int64(1))
+	}
+	f.Add("chat", 5, -1.0, int64(1))
+	f.Add("agentic", 5, -1.0, int64(1))
+	f.Add("nosuch", 5, 1.0, int64(1))
+	f.Fuzz(func(t *testing.T, name string, n int, rate float64, seed int64) {
+		sc, err := ScenarioByName(name)
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+				t.Fatalf("unknown scenario error %q does not name %q", err, name)
+			}
+			return
+		}
+		n = int(uint(n) % 256)
+		got := make(chan []Request, 1)
+		go func() {
+			src := sc.Source(n, rate, seed)
+			var reqs []Request
+			for r, ok := src.Next(); ok; r, ok = src.Next() {
+				reqs = append(reqs, r)
+			}
+			got <- reqs
+		}()
+		var reqs []Request
+		select {
+		case reqs = <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s.Source(%d, %v, %d): Next did not return", name, n, rate, seed)
+		}
+		if len(reqs) != n {
+			t.Fatalf("%s.Source(%d, %v, %d) yielded %d requests", name, n, rate, seed, len(reqs))
+		}
+		for i, r := range reqs {
+			if r.ID != uint64(i+1) {
+				t.Fatalf("%s: request %d has ID %d", name, i, r.ID)
+			}
+			if rate > 0 && !math.IsInf(rate, 1) && i > 0 && r.Arrival < reqs[i-1].Arrival {
+				t.Fatalf("%s at rate %v: request %d arrives at %v, before %v", name, rate, r.ID, r.Arrival, reqs[i-1].Arrival)
+			}
 		}
 	})
 }
