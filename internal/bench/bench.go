@@ -33,9 +33,10 @@ type Options struct {
 	// output is byte-identical at any setting.
 	Parallel int
 	// Stream opts every run into the bounded-memory streaming recorder
-	// (serve.Config.Stream): per-class online aggregates and P² percentile
-	// sketches instead of full per-request record retention. Off by
-	// default, keeping the committed exhibits byte-identical.
+	// (serve.Config.Stream): records capped per outcome class and P²
+	// percentile sketches instead of full per-request record retention.
+	// Off by default, keeping the committed exhibits byte-identical.
+	// ExpShift ignores it.
 	Stream bool
 	// MaxRecords bounds per-class record retention when Stream is set;
 	// <= 0 means metrics.DefaultMaxRecords.

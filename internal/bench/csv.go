@@ -28,7 +28,7 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 		var aborted, rejected, recovered, completed int
 		if r.Result != nil {
 			aborted, rejected, recovered = r.Result.Aborted, r.Result.Rejected, r.Result.Recovered
-			completed = len(r.Result.Records)
+			completed = s.Requests
 		}
 		rec := []string{
 			r.Model, r.Dataset, f(r.Rate), r.System,

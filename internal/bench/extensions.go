@@ -271,10 +271,11 @@ type ShiftRow struct {
 // ShareGPT). DistServe's answer to pattern shifts is offline replanning
 // with stagnation (§2.2); WindServe's dynamic scheduling absorbs the step
 // online. We report per-phase SLO attainment. (Extension — not a paper
-// exhibit.)
+// exhibit.) The phases are split by arrival time over every completed
+// record, so the runs keep every record whatever Options.Stream says.
 func ExpShift(o Options, w io.Writer) ([]ShiftRow, error) {
 	o = o.withDefaults()
-	cfg, err := o.config(model.OPT13B)
+	cfg, err := serve.DefaultConfig(model.OPT13B)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func ExpResilience(o Options, w io.Writer, plan *fault.Plan) ([]ResilienceRow, e
 				return ResilienceRow{
 					System: res.System, Plan: label,
 					GoodputRPS: res.Summary.GoodputRPS, Attainment: res.Summary.Attainment,
-					Completed: len(res.Records), Aborted: res.Aborted, Rejected: res.Rejected,
+					Completed: res.Summary.Requests, Aborted: res.Aborted, Rejected: res.Rejected,
 					Recovered: res.Recovered, Unfinished: res.Unfinished,
 				}, nil
 			})

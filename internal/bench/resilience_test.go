@@ -2,6 +2,7 @@ package bench
 
 import (
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -35,6 +36,33 @@ func TestExpResilienceShape(t *testing.T) {
 	for _, i := range []int{3, 5} {
 		if rows[i].Recovered == 0 {
 			t.Errorf("%s: decode crash recovered no orphans", rows[i].System)
+		}
+	}
+}
+
+// TestStreamingKeepsRecordExhibitsExact: the exhibits that count or split
+// completed requests print the same rows when the recorder keeps only 20
+// records per outcome as when it keeps every one.
+func TestStreamingKeepsRecordExhibitsExact(t *testing.T) {
+	exact := Options{Requests: 300, Seed: 42}
+	capped := Options{Requests: 300, Seed: 42, Stream: true, MaxRecords: 20}
+	for _, exp := range []struct {
+		name string
+		run  func(Options) (any, error)
+	}{
+		{"ext-faults", func(o Options) (any, error) { return ExpResilience(o, io.Discard, nil) }},
+		{"ext-shift", func(o Options) (any, error) { return ExpShift(o, io.Discard) }},
+	} {
+		want, err := exp.run(exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exp.run(capped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: streaming rows %+v\nexact rows     %+v", exp.name, got, want)
 		}
 	}
 }

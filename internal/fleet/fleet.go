@@ -216,12 +216,15 @@ type fleet struct {
 	state  map[uint64]*reqState
 	parked []uint64 // FIFO of requests waiting for any healthy replica
 
-	recovered map[uint64]bool
-	completed int // completions observed via mComplete
-	aborted   int // router-side aborts (parked, given-up, evict-aborted)
-	rejected  int
-	failovers int
-	wasted    int
+	recovered map[uint64]bool // requests that failed over and were re-routed
+	// recoveredDone counts completions of recovered requests: exactly
+	// once, since a request completes or aborts, never both.
+	recoveredDone int
+	completed     int // completions observed via mComplete
+	aborted       int // router-side aborts (parked, given-up, evict-aborted)
+	rejected      int
+	failovers     int
+	wasted        int
 
 	brownout      bool
 	brownoutSince sim.Time
@@ -422,6 +425,9 @@ func (f *fleet) routerMsg(idx int, m msg) {
 	case mComplete:
 		f.rec.Complete(m.id, m.t)
 		f.completed++
+		if f.recovered[m.id] {
+			f.recoveredDone++
+		}
 		sec := int(float64(m.t))
 		for len(f.completions) <= sec {
 			f.completions = append(f.completions, 0)
@@ -820,16 +826,8 @@ func (f *fleet) finish() *Result {
 	// partition (Completed+Aborted+Rejected+Unfinished == Requests) is a
 	// checkable invariant, not a tautology.
 	res.Completed = f.completed
-	// Recovered counts failed-over requests whose record closed normally:
-	// exactly-once semantics — a request is completed (and recovered) or
-	// aborted, never both.
-	for id := range f.recovered {
-		if !f.rec.InFlight(id) {
-			res.Recovered++
-		}
-	}
-	res.Recovered -= f.recoveredAborted()
-	res.Summary = f.rec.Summary(f.cfg.Replica.SLO)
+	res.Recovered = f.recoveredDone
+	res.Summary = f.rec.Summary()
 	for _, ra := range f.acts {
 		st := ra.rp.Stats(res.Elapsed)
 		res.LiveKVBlocks += st.LiveKVBlocks
@@ -851,18 +849,6 @@ func (f *fleet) finish() *Result {
 		f.cfg.Decisions.Absorb(logs...)
 	}
 	return res
-}
-
-// recoveredAborted counts failed-over requests that later aborted — they
-// must not inflate Recovered.
-func (f *fleet) recoveredAborted() int {
-	n := 0
-	for _, r := range f.rec.Aborted() {
-		if f.recovered[r.ID] {
-			n++
-		}
-	}
-	return n
 }
 
 // recoveryTimes measures, for each replica-crash event, how long fleet

@@ -210,6 +210,34 @@ func TestFleetShedding(t *testing.T) {
 	}
 }
 
+// TestRecoveredIgnoresRetention: Recovered counts the failed-over
+// requests that completed, so it reads the same whether the recorder
+// keeps every record or a single one, even when recovered requests later
+// abort on the deadline or a cancellation.
+func TestRecoveredIgnoresRetention(t *testing.T) {
+	run := func(stream serve.StreamPolicy) *Result {
+		cfg := testConfig(t, 4)
+		cfg.TTFTDeadline = sim.Seconds(15)
+		cfg.Replica.Stream = stream
+		cfg.Faults = mustPlan(t, "rcrash:r0@5+40; rcrash:r2@8+30; cancel@20x0.6")
+		cfg.Faults.Seed = 7
+		res, err := Run(cfg, trace(600, 14, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPartition(t, res)
+		return res
+	}
+	exact := run(serve.StreamPolicy{})
+	capped := run(serve.StreamPolicy{Enabled: true, MaxRecords: 1})
+	if exact.Recovered == 0 {
+		t.Fatal("the crash plan recovered no request")
+	}
+	if capped.Recovered != exact.Recovered {
+		t.Errorf("Recovered = %d keeping one record, %d keeping all", capped.Recovered, exact.Recovered)
+	}
+}
+
 // TestFleetDeterminism runs the same seeded chaos twice and requires
 // byte-identical results and decision logs — the property the CI chaos
 // gate enforces end to end.

@@ -12,7 +12,7 @@ import (
 // buildAborted runs one request through a recorder and aborts it mid-decode.
 func buildAborted(t *testing.T, planned, emitted int, first, abortAt sim.Time) *Record {
 	t.Helper()
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(1, 100, planned, 0)
 	rec.PrefillStart(1, 0.1)
 	rec.FirstToken(1, first)
@@ -72,42 +72,54 @@ func TestCompletedRecordEmitsPlanned(t *testing.T) {
 }
 
 // TestSummarizeSingleRecord: with one record every percentile is that
-// record's own value.
+// record's own value, exact or sketched.
 func TestSummarizeSingleRecord(t *testing.T) {
-	r := buildRecord(t, 10, 1, 1.5, 2, 2.1, 2.9)
-	s := Summarize([]*Record{r}, SLO{TTFT: sim.Seconds(1), TPOT: sim.Seconds(0.1)})
-	for name, got := range map[string]sim.Duration{"TTFTP50": s.TTFTP50, "TTFTP90": s.TTFTP90, "TTFTP99": s.TTFTP99} {
-		if got != r.TTFT() {
-			t.Errorf("%s = %v, want %v", name, got, r.TTFT())
+	for _, keep := range []int{0, 10} {
+		rec := NewRecorder(SLO{TTFT: sim.Seconds(1), TPOT: sim.Seconds(0.1)}, keep)
+		rec.Arrive(1, 100, 10, 1)
+		rec.PrefillStart(1, 1.5)
+		rec.FirstToken(1, 2)
+		rec.DecodeStart(1, 2.1)
+		rec.Complete(1, 2.9)
+		r, s := rec.Completed()[0], rec.Summary()
+		for name, got := range map[string]sim.Duration{"TTFTP50": s.TTFTP50, "TTFTP90": s.TTFTP90, "TTFTP99": s.TTFTP99} {
+			if got != r.TTFT() {
+				t.Errorf("keep %d: %s = %v, want %v", keep, name, got, r.TTFT())
+			}
 		}
-	}
-	for name, got := range map[string]sim.Duration{"TPOTP50": s.TPOTP50, "TPOTP90": s.TPOTP90, "TPOTP99": s.TPOTP99} {
-		if got != r.TPOT() {
-			t.Errorf("%s = %v, want %v", name, got, r.TPOT())
+		for name, got := range map[string]sim.Duration{"TPOTP50": s.TPOTP50, "TPOTP90": s.TPOTP90, "TPOTP99": s.TPOTP99} {
+			if got != r.TPOT() {
+				t.Errorf("keep %d: %s = %v, want %v", keep, name, got, r.TPOT())
+			}
 		}
-	}
-	if s.DecodeQueueP99 != r.DecodeQueueDelay() {
-		t.Errorf("DecodeQueueP99 = %v, want %v", s.DecodeQueueP99, r.DecodeQueueDelay())
+		if s.DecodeQueueP99 != r.DecodeQueueDelay() {
+			t.Errorf("keep %d: DecodeQueueP99 = %v, want %v", keep, s.DecodeQueueP99, r.DecodeQueueDelay())
+		}
 	}
 }
 
 func TestSummarizeNoNaN(t *testing.T) {
-	// A summary over zero records must be all zeros — NaN poisons CSV
+	// A summary with no completions must be all zeros — NaN poisons CSV
 	// parsing the first time a fault plan empties a class.
-	s := Summarize(nil, SLO{TTFT: sim.Seconds(1), TPOT: sim.Seconds(0.1)})
-	for name, v := range map[string]float64{
-		"TTFTP50": s.TTFTP50.Seconds(), "TTFTP99": s.TTFTP99.Seconds(),
-		"TPOTP50": s.TPOTP50.Seconds(), "TPOTP99": s.TPOTP99.Seconds(),
-		"Attainment": s.Attainment, "ThroughputRPS": s.ThroughputRPS,
-	} {
-		if math.IsNaN(v) {
-			t.Errorf("Summarize(empty).%s is NaN", name)
+	for _, keep := range []int{0, 10} {
+		rec := NewRecorder(SLO{TTFT: sim.Seconds(1), TPOT: sim.Seconds(0.1)}, keep)
+		rec.Arrive(1, 100, 10, 0)
+		rec.Abort(1, 1, 0)
+		s := rec.Summary()
+		for name, v := range map[string]float64{
+			"TTFTP50": s.TTFTP50.Seconds(), "TTFTP99": s.TTFTP99.Seconds(),
+			"TPOTP50": s.TPOTP50.Seconds(), "TPOTP99": s.TPOTP99.Seconds(),
+			"Attainment": s.Attainment, "ThroughputRPS": s.ThroughputRPS,
+		} {
+			if math.IsNaN(v) {
+				t.Errorf("keep %d: empty Summary().%s is NaN", keep, name)
+			}
 		}
 	}
 }
 
 func TestWriteRecordsCSVOutcomeColumns(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(1, 100, 50, 0)
 	rec.PrefillStart(1, 0.1)
 	rec.FirstToken(1, 0.5)

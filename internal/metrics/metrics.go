@@ -120,8 +120,18 @@ func (r *Record) MeetsSLO(slo SLO) bool {
 	return r.TTFT() <= slo.TTFT && r.TPOT() <= slo.TPOT
 }
 
-// Recorder accumulates request records during a simulation.
+// Recorder accumulates request records during a simulation. Every
+// completion folds into one set of online sums in completion order, and
+// Summary reads them, so counts, means, attainment and throughput are
+// exact however many records the recorder keeps. A recorder that keeps
+// every record computes its percentiles exactly over them; one built with
+// a retention cap keeps only the first keep records per outcome, recycles
+// the rest, and reads its percentiles from P² sketches, so a run's memory
+// no longer scales with its request count.
 type Recorder struct {
+	slo SLO
+	// keep caps the records retained per outcome; <= 0 keeps every one.
+	keep      int
 	open      map[uint64]*Record
 	completed []*Record
 	aborted   []*Record
@@ -130,24 +140,53 @@ type Recorder struct {
 	// it on every crash and cancellation event) reuses one buffer instead
 	// of allocating and sorting a fresh slice per call.
 	idsScratch []uint64
-	// stream, when non-nil, folds finalized records into online aggregates
-	// and recycles the Record structs past a retention cap, bounding memory
-	// on long horizons. Nil for the exact (default) recorder.
-	stream *streamAgg
-	// chunk is the unused rest of the block the exact recorder carves new
-	// records from. It keeps every record, so a chunk never pins dead
-	// ones, and the []*Record views stay valid.
+	// chunk is the unused rest of the block new records are carved from,
+	// and free holds records dropped past the cap, which Arrive reuses
+	// first. Every record is open, retained or free, so a chunk never
+	// pins a dead one.
 	chunk []Record
+	free  []*Record
+
+	// The online digest of every completed record; n counts them.
+	n                              int
+	ttftSum, tpotSum, pqSum, dqSum float64
+	meets, meetsTTFT, meetsTPOT    int
+	minArr, maxDone                sim.Time
+	outTokens                      int
+	// sketch estimates the percentile fields; nil when every record is kept.
+	sketch *sketches
 }
 
-// recordChunk is how many records one exact-recorder heap allocation
-// holds (~22 KiB).
+// sketches are the P² estimators of a capped recorder's percentiles.
+type sketches struct {
+	ttft, tpot [3]*stats.P2Quantile // p50, p90, p99
+	dq         *stats.P2Quantile    // p99
+}
+
+// recordChunk is how many records one heap allocation holds (~22 KiB).
 const recordChunk = 256
 
-// NewRecorder returns an empty exact recorder: every finalized record is
-// retained, and Summarize computes exact percentiles over all of them.
-func NewRecorder() *Recorder {
-	return &Recorder{open: make(map[uint64]*Record)}
+// DefaultMaxRecords is the per-outcome retention cap a streaming run uses
+// when none is given: enough for CDF plots and spot checks, small enough
+// that a million-request run keeps O(10^4) records alive.
+const DefaultMaxRecords = 10_000
+
+// NewRecorder returns an empty recorder that digests completions against
+// slo. keep <= 0 keeps every finalized record and computes exact
+// percentiles; keep > 0 retains only the first keep records per outcome
+// and estimates percentiles with P² sketches (within ~1% of exact in the
+// tested regimes).
+func NewRecorder(slo SLO, keep int) *Recorder {
+	rec := &Recorder{slo: slo, keep: keep, open: make(map[uint64]*Record)}
+	if keep > 0 {
+		sk := &sketches{dq: stats.NewP2Quantile(0.99)}
+		for i, p := range [3]float64{0.5, 0.9, 0.99} {
+			sk.ttft[i] = stats.NewP2Quantile(p)
+			sk.tpot[i] = stats.NewP2Quantile(p)
+		}
+		rec.sketch = sk
+	}
+	return rec
 }
 
 // Arrive registers a new request.
@@ -156,19 +195,13 @@ func (rec *Recorder) Arrive(id uint64, prompt, output int, at sim.Time) {
 		panic(fmt.Sprintf("metrics: duplicate arrival for request %d", id))
 	}
 	var r *Record
-	if s := rec.stream; s != nil {
-		if n := len(s.free); n > 0 {
-			r = s.free[n-1]
-			s.free = s.free[:n-1]
-		} else {
-			r = new(Record)
-		}
+	if n := len(rec.free); n > 0 {
+		r, rec.free = rec.free[n-1], rec.free[:n-1]
 	} else {
 		if len(rec.chunk) == 0 {
 			rec.chunk = make([]Record, recordChunk)
 		}
-		r = &rec.chunk[0]
-		rec.chunk = rec.chunk[1:]
+		r, rec.chunk = &rec.chunk[0], rec.chunk[1:]
 	}
 	*r = Record{ID: id, PromptTokens: prompt, OutputTokens: output, Arrival: at}
 	rec.open[id] = r
@@ -214,13 +247,8 @@ func (rec *Recorder) Complete(id uint64, at sim.Time) {
 	r.Completion = at
 	r.Emitted = r.OutputTokens
 	r.done = true
-	if s := rec.stream; s != nil {
-		s.observeCompleted(r)
-		rec.completed = s.retain(rec.completed, r)
-	} else {
-		rec.completed = append(rec.completed, r)
-	}
-	delete(rec.open, id)
+	rec.fold(r)
+	rec.finish(&rec.completed, r)
 }
 
 // Abort finalizes an in-flight request as aborted (deadline miss or
@@ -231,22 +259,10 @@ func (rec *Recorder) Complete(id uint64, at sim.Time) {
 func (rec *Recorder) Abort(id uint64, at sim.Time, emitted int) {
 	r := rec.get(id)
 	r.Completion = at
-	if emitted < 0 {
-		emitted = 0
-	}
-	if emitted > r.OutputTokens {
-		emitted = r.OutputTokens
-	}
-	r.Emitted = emitted
+	r.Emitted = min(max(emitted, 0), r.OutputTokens)
 	r.Outcome = OutcomeAborted
 	r.done = true
-	if s := rec.stream; s != nil {
-		s.observeClass(&s.aborted, r)
-		rec.aborted = s.retain(rec.aborted, r)
-	} else {
-		rec.aborted = append(rec.aborted, r)
-	}
-	delete(rec.open, id)
+	rec.finish(&rec.aborted, r)
 }
 
 // Reject finalizes a request shed at admission.
@@ -255,22 +271,62 @@ func (rec *Recorder) Reject(id uint64, at sim.Time) {
 	r.Completion = at
 	r.Outcome = OutcomeRejected
 	r.done = true
-	if s := rec.stream; s != nil {
-		s.observeClass(&s.rejected, r)
-		rec.rejected = s.retain(rec.rejected, r)
-	} else {
-		rec.rejected = append(rec.rejected, r)
-	}
-	delete(rec.open, id)
+	rec.finish(&rec.rejected, r)
 }
 
-// Completed returns finalized records in completion order.
+// finish closes a finalized record: it leaves the open set and joins its
+// outcome list, or, past the cap, waits on the free list for an Arrive.
+func (rec *Recorder) finish(list *[]*Record, r *Record) {
+	delete(rec.open, r.ID)
+	if rec.keep <= 0 || len(*list) < rec.keep {
+		*list = append(*list, r)
+	} else {
+		rec.free = append(rec.free, r)
+	}
+}
+
+// fold adds a completed record to the online digest. The sums accumulate
+// in completion order, so they equal a batch pass over the completed
+// list bit for bit.
+func (rec *Recorder) fold(r *Record) {
+	ttft, tpot, dq := r.TTFT().Seconds(), r.TPOT().Seconds(), r.DecodeQueueDelay().Seconds()
+	rec.ttftSum += ttft
+	rec.tpotSum += tpot
+	rec.pqSum += r.PrefillQueueDelay().Seconds()
+	rec.dqSum += dq
+	if r.TTFT() <= rec.slo.TTFT {
+		rec.meetsTTFT++
+	}
+	if r.TPOT() <= rec.slo.TPOT {
+		rec.meetsTPOT++
+	}
+	if r.MeetsSLO(rec.slo) {
+		rec.meets++
+	}
+	if rec.n == 0 || r.Arrival < rec.minArr {
+		rec.minArr = r.Arrival
+	}
+	if rec.n == 0 || r.Completion > rec.maxDone {
+		rec.maxDone = r.Completion
+	}
+	rec.n++
+	rec.outTokens += r.OutputTokens
+	if sk := rec.sketch; sk != nil {
+		for i := range sk.ttft {
+			sk.ttft[i].Add(ttft)
+			sk.tpot[i].Add(tpot)
+		}
+		sk.dq.Add(dq)
+	}
+}
+
+// Completed returns retained completed records in completion order.
 func (rec *Recorder) Completed() []*Record { return rec.completed }
 
-// Aborted returns aborted records in abort order.
+// Aborted returns retained aborted records in abort order.
 func (rec *Recorder) Aborted() []*Record { return rec.aborted }
 
-// Rejected returns shed records in rejection order.
+// Rejected returns retained shed records in rejection order.
 func (rec *Recorder) Rejected() []*Record { return rec.rejected }
 
 // Outstanding returns the number of requests still in flight.
@@ -335,11 +391,11 @@ type Summary struct {
 	TokensPerSec float64 // output tokens per second of span
 }
 
-// summarizeScratch pools the percentile buffers Summarize fills and
+// percentileScratch pools the buffers an exact Summary fills and
 // discards on every call — one call per printed row and per run, and the
 // parallel experiment runner summarizes several runs concurrently, so the
 // scratch is a sync.Pool rather than package-level state.
-var summarizeScratch = sync.Pool{New: func() any { return new(scratchBufs) }}
+var percentileScratch = sync.Pool{New: func() any { return new(scratchBufs) }}
 
 type scratchBufs struct{ ttft, tpot, dq []float64 }
 
@@ -351,53 +407,40 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Summarize digests the completed records against an SLO.
-func Summarize(records []*Record, slo SLO) Summary {
-	if len(records) == 0 {
+// Summary digests the completed requests against the recorder's SLO.
+// Everything but the percentile fields comes from the online sums; the
+// percentiles are exact over the retained records of a recorder that
+// keeps them all, and P² estimates on a capped one.
+func (rec *Recorder) Summary() Summary {
+	n := rec.n
+	if n == 0 {
 		return Summary{}
 	}
-	n := len(records)
-	sc := summarizeScratch.Get().(*scratchBufs)
-	defer summarizeScratch.Put(sc)
-	sc.ttft = grow(sc.ttft, n)
-	sc.tpot = grow(sc.tpot, n)
-	sc.dq = grow(sc.dq, n)
-	ttft, tpot, dq := sc.ttft, sc.tpot, sc.dq
-	var ttftSum, tpotSum, pqSum, dqSum float64
-	var meets, meetsTTFT, meetsTPOT int
-	minArr, maxDone := records[0].Arrival, records[0].Completion
-	outTokens := 0
-	for i, r := range records {
-		ttft[i] = r.TTFT().Seconds()
-		tpot[i] = r.TPOT().Seconds()
-		dq[i] = r.DecodeQueueDelay().Seconds()
-		ttftSum += ttft[i]
-		tpotSum += tpot[i]
-		pqSum += r.PrefillQueueDelay().Seconds()
-		dqSum += dq[i]
-		if r.TTFT() <= slo.TTFT {
-			meetsTTFT++
-		}
-		if r.TPOT() <= slo.TPOT {
-			meetsTPOT++
-		}
-		if r.MeetsSLO(slo) {
-			meets++
-		}
-		if r.Arrival < minArr {
-			minArr = r.Arrival
-		}
-		if r.Completion > maxDone {
-			maxDone = r.Completion
-		}
-		outTokens += r.OutputTokens
-	}
 	var ttftP, tpotP [3]float64
-	var dqP99 [1]float64
-	stats.SelectPercentiles(ttft, ttftP[:], 50, 90, 99)
-	stats.SelectPercentiles(tpot, tpotP[:], 50, 90, 99)
-	stats.SelectPercentiles(dq, dqP99[:], 99)
-	span := maxDone.Sub(minArr).Seconds()
+	var dqP99 float64
+	if sk := rec.sketch; sk != nil {
+		for i := range ttftP {
+			ttftP[i] = sk.ttft[i].Value()
+			tpotP[i] = sk.tpot[i].Value()
+		}
+		dqP99 = sk.dq.Value()
+	} else {
+		sc := percentileScratch.Get().(*scratchBufs)
+		defer percentileScratch.Put(sc)
+		ttft, tpot, dq := grow(sc.ttft, n), grow(sc.tpot, n), grow(sc.dq, n)
+		sc.ttft, sc.tpot, sc.dq = ttft, tpot, dq
+		for i, r := range rec.completed {
+			ttft[i] = r.TTFT().Seconds()
+			tpot[i] = r.TPOT().Seconds()
+			dq[i] = r.DecodeQueueDelay().Seconds()
+		}
+		var dq99 [1]float64
+		stats.SelectPercentiles(ttft, ttftP[:], 50, 90, 99)
+		stats.SelectPercentiles(tpot, tpotP[:], 50, 90, 99)
+		stats.SelectPercentiles(dq, dq99[:], 99)
+		dqP99 = dq99[0]
+	}
+	span := rec.maxDone.Sub(rec.minArr).Seconds()
 	s := Summary{
 		Requests: n,
 		TTFTP50:  sim.Seconds(ttftP[0]),
@@ -406,21 +449,21 @@ func Summarize(records []*Record, slo SLO) Summary {
 		TPOTP50:  sim.Seconds(tpotP[0]),
 		TPOTP90:  sim.Seconds(tpotP[1]),
 		TPOTP99:  sim.Seconds(tpotP[2]),
-		TTFTMean: sim.Seconds(ttftSum / float64(n)),
-		TPOTMean: sim.Seconds(tpotSum / float64(n)),
+		TTFTMean: sim.Seconds(rec.ttftSum / float64(n)),
+		TPOTMean: sim.Seconds(rec.tpotSum / float64(n)),
 
-		PrefillQueueMean: sim.Seconds(pqSum / float64(n)),
-		DecodeQueueMean:  sim.Seconds(dqSum / float64(n)),
-		DecodeQueueP99:   sim.Seconds(dqP99[0]),
+		PrefillQueueMean: sim.Seconds(rec.pqSum / float64(n)),
+		DecodeQueueMean:  sim.Seconds(rec.dqSum / float64(n)),
+		DecodeQueueP99:   sim.Seconds(dqP99),
 
-		Attainment:     float64(meets) / float64(n),
-		TTFTAttainment: float64(meetsTTFT) / float64(n),
-		TPOTAttainment: float64(meetsTPOT) / float64(n),
+		Attainment:     float64(rec.meets) / float64(n),
+		TTFTAttainment: float64(rec.meetsTTFT) / float64(n),
+		TPOTAttainment: float64(rec.meetsTPOT) / float64(n),
 	}
 	if span > 0 {
 		s.ThroughputRPS = float64(n) / span
-		s.GoodputRPS = float64(meets) / span
-		s.TokensPerSec = float64(outTokens) / span
+		s.GoodputRPS = float64(rec.meets) / span
+		s.TokensPerSec = float64(rec.outTokens) / span
 	}
 	return s
 }
@@ -492,7 +535,6 @@ func WriteRecordsCSV(w io.Writer, records []*Record) error {
 // instances, memory-bandwidth utilization of decode instances).
 type Gauge struct {
 	weighted float64 // ∫ value dt
-	total    float64 // ∫ dt
 }
 
 // AddInterval accumulates value over [from, to].
@@ -500,18 +542,7 @@ func (g *Gauge) AddInterval(from, to sim.Time, value float64) {
 	if to < from {
 		panic("metrics: gauge interval ends before it starts")
 	}
-	dt := to.Sub(from).Seconds()
-	g.weighted += value * dt
-	g.total += dt
-}
-
-// Mean returns the time-weighted mean over all recorded intervals,
-// treating uncovered time as not observed.
-func (g *Gauge) Mean() float64 {
-	if g.total == 0 {
-		return 0
-	}
-	return g.weighted / g.total
+	g.weighted += value * to.Sub(from).Seconds()
 }
 
 // MeanOver returns the time-weighted mean across a full window of length
@@ -521,105 +552,4 @@ func (g *Gauge) MeanOver(span sim.Duration) float64 {
 		return 0
 	}
 	return g.weighted / span.Seconds()
-}
-
-// ObservedTime returns the total covered time.
-func (g *Gauge) ObservedTime() sim.Duration { return sim.Seconds(g.total) }
-
-// Series is an append-only time series for plotted quantities (queue
-// depths, free blocks, ...).
-//
-// Setting Cap (>= 2) before the first Append bounds the retained points:
-// once the series fills, resolution halves — adjacent points merge into
-// buckets holding their count-weighted mean, stamped with the bucket's
-// first sample time — and later samples fold into the trailing bucket
-// until it reaches the current stride. Mean and Max stay exact regardless
-// (tracked as running aggregates over every sample); only the plotted
-// shape is decimated. Cap == 0 retains every sample, unchanged.
-type Series struct {
-	Name string
-	Cap  int
-	T    []sim.Time
-	V    []float64
-
-	cnt    []int // samples merged into each retained point (Cap > 0 only)
-	stride int   // samples a full bucket holds; doubles at each compression
-	lastT  sim.Time
-	total  int
-	sum    float64
-	max    float64
-}
-
-// Append adds a sample. Samples must arrive in time order.
-func (s *Series) Append(t sim.Time, v float64) {
-	if s.total > 0 && t < s.lastT {
-		panic("metrics: series sample out of order")
-	}
-	s.lastT = t
-	s.sum += v
-	if s.total == 0 || v > s.max {
-		s.max = v
-	}
-	s.total++
-	if s.Cap > 1 {
-		if s.stride == 0 {
-			s.stride = 1
-		}
-		if last := len(s.cnt) - 1; last >= 0 && s.cnt[last] < s.stride {
-			c := float64(s.cnt[last])
-			s.V[last] = (s.V[last]*c + v) / (c + 1)
-			s.cnt[last]++
-			return
-		}
-		if len(s.T) >= s.Cap {
-			s.compress()
-		}
-		s.cnt = append(s.cnt, 1)
-	}
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// compress halves the series resolution in place: adjacent buckets merge
-// into their count-weighted mean at the earlier bucket's timestamp.
-func (s *Series) compress() {
-	j := 0
-	for i := 0; i < len(s.T); i += 2 {
-		if i+1 < len(s.T) {
-			ca, cb := float64(s.cnt[i]), float64(s.cnt[i+1])
-			s.V[j] = (s.V[i]*ca + s.V[i+1]*cb) / (ca + cb)
-			s.cnt[j] = s.cnt[i] + s.cnt[i+1]
-		} else {
-			s.V[j] = s.V[i]
-			s.cnt[j] = s.cnt[i]
-		}
-		s.T[j] = s.T[i]
-		j++
-	}
-	s.T = s.T[:j]
-	s.V = s.V[:j]
-	s.cnt = s.cnt[:j]
-	s.stride *= 2
-}
-
-// Len returns the number of retained points (== samples when uncapped).
-func (s *Series) Len() int { return len(s.T) }
-
-// Samples returns the total number of samples ever appended.
-func (s *Series) Samples() int { return s.total }
-
-// Mean returns the exact unweighted mean over all appended samples.
-func (s *Series) Mean() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return s.sum / float64(s.total)
-}
-
-// Max returns the exact largest appended sample (0 if empty).
-func (s *Series) Max() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return s.max
 }

@@ -8,12 +8,77 @@ import (
 	"testing/quick"
 
 	"windserve/internal/sim"
+	"windserve/internal/stats"
 )
+
+// summarize is the batch reference both recorder modes are checked
+// against: one pass over a completed list, exact percentiles.
+func summarize(records []*Record, slo SLO) Summary {
+	n := len(records)
+	if n == 0 {
+		return Summary{}
+	}
+	ttft, tpot, dq := make([]float64, n), make([]float64, n), make([]float64, n)
+	var ttftSum, tpotSum, pqSum, dqSum float64
+	var meets, meetsTTFT, meetsTPOT, outTokens int
+	minArr, maxDone := records[0].Arrival, records[0].Completion
+	for i, r := range records {
+		ttft[i] = r.TTFT().Seconds()
+		tpot[i] = r.TPOT().Seconds()
+		dq[i] = r.DecodeQueueDelay().Seconds()
+		ttftSum += ttft[i]
+		tpotSum += tpot[i]
+		pqSum += r.PrefillQueueDelay().Seconds()
+		dqSum += dq[i]
+		if r.TTFT() <= slo.TTFT {
+			meetsTTFT++
+		}
+		if r.TPOT() <= slo.TPOT {
+			meetsTPOT++
+		}
+		if r.MeetsSLO(slo) {
+			meets++
+		}
+		minArr = min(minArr, r.Arrival)
+		maxDone = max(maxDone, r.Completion)
+		outTokens += r.OutputTokens
+	}
+	var ttftP, tpotP [3]float64
+	var dqP99 [1]float64
+	stats.SelectPercentiles(ttft, ttftP[:], 50, 90, 99)
+	stats.SelectPercentiles(tpot, tpotP[:], 50, 90, 99)
+	stats.SelectPercentiles(dq, dqP99[:], 99)
+	s := Summary{
+		Requests: n,
+		TTFTP50:  sim.Seconds(ttftP[0]),
+		TTFTP90:  sim.Seconds(ttftP[1]),
+		TTFTP99:  sim.Seconds(ttftP[2]),
+		TPOTP50:  sim.Seconds(tpotP[0]),
+		TPOTP90:  sim.Seconds(tpotP[1]),
+		TPOTP99:  sim.Seconds(tpotP[2]),
+		TTFTMean: sim.Seconds(ttftSum / float64(n)),
+		TPOTMean: sim.Seconds(tpotSum / float64(n)),
+
+		PrefillQueueMean: sim.Seconds(pqSum / float64(n)),
+		DecodeQueueMean:  sim.Seconds(dqSum / float64(n)),
+		DecodeQueueP99:   sim.Seconds(dqP99[0]),
+
+		Attainment:     float64(meets) / float64(n),
+		TTFTAttainment: float64(meetsTTFT) / float64(n),
+		TPOTAttainment: float64(meetsTPOT) / float64(n),
+	}
+	if span := maxDone.Sub(minArr).Seconds(); span > 0 {
+		s.ThroughputRPS = float64(n) / span
+		s.GoodputRPS = float64(meets) / span
+		s.TokensPerSec = float64(outTokens) / span
+	}
+	return s
+}
 
 // buildRecord runs one request through a recorder with the given timeline.
 func buildRecord(t *testing.T, output int, arrival, pStart, first, dStart, done sim.Time) *Record {
 	t.Helper()
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(1, 100, output, arrival)
 	rec.PrefillStart(1, pStart)
 	rec.FirstToken(1, first)
@@ -69,7 +134,7 @@ func TestMeetsSLO(t *testing.T) {
 }
 
 func TestRecorderLifecycle(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(1, 10, 5, 0)
 	rec.Arrive(2, 10, 5, 1)
 	if rec.Outstanding() != 2 {
@@ -91,7 +156,7 @@ func TestRecorderLifecycle(t *testing.T) {
 }
 
 func TestRecorderPanics(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(1, 10, 5, 0)
 	func() {
 		defer func() {
@@ -112,7 +177,8 @@ func TestRecorderPanics(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	rec := NewRecorder()
+	slo := SLO{TTFT: sim.Milliseconds(50), TPOT: sim.Milliseconds(60)}
+	rec := NewRecorder(slo, 0)
 	// 100 requests: TTFT = i ms (i=1..100), TPOT = 50 ms each (2 tokens,
 	// gap 50 ms).
 	for i := 1; i <= 100; i++ {
@@ -125,8 +191,10 @@ func TestSummarize(t *testing.T) {
 		rec.DecodeStart(id, first)
 		rec.Complete(id, first.Add(sim.Milliseconds(50)))
 	}
-	slo := SLO{TTFT: sim.Milliseconds(50), TPOT: sim.Milliseconds(60)}
-	s := Summarize(rec.Completed(), slo)
+	s := rec.Summary()
+	if want := summarize(rec.Completed(), slo); s != want {
+		t.Fatalf("Summary = %+v\nreference %+v", s, want)
+	}
 	if s.Requests != 100 {
 		t.Fatalf("Requests = %d", s.Requests)
 	}
@@ -149,27 +217,25 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil, SLO{})
-	if s.Requests != 0 || s.Attainment != 0 {
-		t.Errorf("empty summary = %+v", s)
+	for _, keep := range []int{0, 10} {
+		if s := NewRecorder(SLO{}, keep).Summary(); s != (Summary{}) {
+			t.Errorf("keep %d: empty summary = %+v", keep, s)
+		}
 	}
 }
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	if g.Mean() != 0 {
+	if g.MeanOver(sim.Seconds(10)) != 0 {
 		t.Error("empty gauge mean should be 0")
 	}
 	g.AddInterval(0, 10, 0.8)
 	g.AddInterval(10, 20, 0.2)
-	if m := g.Mean(); math.Abs(m-0.5) > 1e-9 {
-		t.Errorf("Mean = %v, want 0.5", m)
+	if m := g.MeanOver(sim.Seconds(20)); math.Abs(m-0.5) > 1e-9 {
+		t.Errorf("MeanOver(20) = %v, want 0.5", m)
 	}
 	if m := g.MeanOver(sim.Seconds(40)); math.Abs(m-0.25) > 1e-9 {
 		t.Errorf("MeanOver(40) = %v, want 0.25", m)
-	}
-	if g.ObservedTime() != 20 {
-		t.Errorf("ObservedTime = %v", g.ObservedTime())
 	}
 	if g.MeanOver(0) != 0 {
 		t.Error("MeanOver(0) should be 0")
@@ -184,29 +250,8 @@ func TestGauge(t *testing.T) {
 	}()
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 || s.Max() != 0 || s.Len() != 0 {
-		t.Error("empty series stats")
-	}
-	s.Append(1, 10)
-	s.Append(2, 30)
-	s.Append(2, 20) // equal time allowed
-	if s.Len() != 3 || s.Mean() != 20 || s.Max() != 30 {
-		t.Errorf("series stats = len %d mean %v max %v", s.Len(), s.Mean(), s.Max())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-order append should panic")
-			}
-		}()
-		s.Append(1, 5)
-	}()
-}
-
 func TestWriteRecordsCSV(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(1, 100, 5, 0)
 	rec.PrefillStart(1, 0.5)
 	rec.FirstToken(1, 1)
@@ -235,33 +280,37 @@ func TestWriteRecordsCSV(t *testing.T) {
 // Property: attainment is monotone in the SLO — loosening both targets
 // never lowers the attainment rate.
 func TestPropertyAttainmentMonotone(t *testing.T) {
-	rec := NewRecorder()
-	for i := 1; i <= 200; i++ {
-		id := uint64(i)
-		rec.Arrive(id, 10, 5, 0)
-		rec.PrefillStart(id, 0)
-		first := sim.Time(float64(i) * 0.01)
-		rec.FirstToken(id, first)
-		rec.DecodeStart(id, first)
-		rec.Complete(id, first.Add(sim.Duration(float64(i)*0.001)))
+	attainment := func(slo SLO) float64 {
+		rec := NewRecorder(slo, 0)
+		for i := 1; i <= 200; i++ {
+			id := uint64(i)
+			rec.Arrive(id, 10, 5, 0)
+			rec.PrefillStart(id, 0)
+			first := sim.Time(float64(i) * 0.01)
+			rec.FirstToken(id, first)
+			rec.DecodeStart(id, first)
+			rec.Complete(id, first.Add(sim.Duration(float64(i)*0.001)))
+		}
+		return rec.Summary().Attainment
 	}
-	recs := rec.Completed()
 	f := func(a, b uint8) bool {
 		t1 := sim.Duration(float64(a%100) * 0.01)
 		t2 := t1 + sim.Duration(float64(b%50)*0.01)
-		s1 := Summarize(recs, SLO{TTFT: t1, TPOT: t1})
-		s2 := Summarize(recs, SLO{TTFT: t2, TPOT: t2})
-		return s2.Attainment >= s1.Attainment
+		return attainment(SLO{TTFT: t2, TPOT: t2}) >= attainment(SLO{TTFT: t1, TPOT: t1})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: percentiles are ordered P50 <= P90 <= P99 and within range.
+// Property: percentiles are ordered P50 <= P90 <= P99, exact or sketched.
 func TestPropertyPercentileOrder(t *testing.T) {
-	f := func(seed uint32) bool {
-		rec := NewRecorder()
+	f := func(seed uint32, capped bool) bool {
+		keep := 0
+		if capped {
+			keep = 10
+		}
+		rec := NewRecorder(SLO{}, keep)
 		v := float64(seed%1000) + 1
 		for i := 1; i <= 50; i++ {
 			id := uint64(i)
@@ -272,7 +321,7 @@ func TestPropertyPercentileOrder(t *testing.T) {
 			rec.DecodeStart(id, first)
 			rec.Complete(id, first.Add(0.01))
 		}
-		s := Summarize(rec.Completed(), SLO{})
+		s := rec.Summary()
 		return s.TTFTP50 <= s.TTFTP90 && s.TTFTP90 <= s.TTFTP99 &&
 			s.TPOTP50 <= s.TPOTP90 && s.TPOTP90 <= s.TPOTP99
 	}

@@ -9,11 +9,10 @@ import (
 	"windserve/internal/sim"
 )
 
-// driveRecorders feeds the same synthetic lifecycle stream into an exact
-// and a streaming recorder.
-func driveRecorders(n int, slo SLO, maxRecords int) (*Recorder, *Recorder) {
-	exact := NewRecorder()
-	stream := NewStreamingRecorder(slo, maxRecords)
+// driveRecorders feeds the same synthetic lifecycle stream into a
+// recorder that keeps every record and one capped at keep.
+func driveRecorders(n int, slo SLO, keep int) (exact, capped *Recorder) {
+	exact, capped = NewRecorder(slo, 0), NewRecorder(slo, keep)
 	rng := rand.New(rand.NewSource(42))
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
@@ -23,85 +22,78 @@ func driveRecorders(n int, slo SLO, maxRecords int) (*Recorder, *Recorder) {
 		ttft := sim.Duration(0.02 + rng.ExpFloat64()*0.08)
 		tokens := 2 + rng.Intn(200)
 		tpot := sim.Duration(0.01 + rng.Float64()*0.04)
-		for _, rec := range []*Recorder{exact, stream} {
-			rec.Arrive(id, 100+rng.Intn(5)*0, tokens, arr)
+		for _, rec := range []*Recorder{exact, capped} {
+			rec.Arrive(id, 100, tokens, arr)
 			rec.PrefillStart(id, arr.Add(ttft/2))
 			rec.FirstToken(id, arr.Add(ttft))
 			rec.DecodeStart(id, arr.Add(ttft+0.005))
 			rec.Complete(id, arr.Add(ttft+sim.Duration(float64(tpot)*float64(tokens-1))))
 		}
 	}
-	return exact, stream
+	return exact, capped
 }
 
-// TestStreamingAgreesWithExact is the satellite's acceptance check: on
-// 100k samples the streaming digest matches the exact Summarize on
-// count and means bit-for-bit (same accumulation order), attainment
-// exactly, and percentile sketches within 1%.
+// withoutPercentiles zeroes a Summary's percentile fields, leaving the
+// ones both recorder modes compute exactly.
+func withoutPercentiles(s Summary) Summary {
+	s.TTFTP50, s.TTFTP90, s.TTFTP99 = 0, 0, 0
+	s.TPOTP50, s.TPOTP90, s.TPOTP99 = 0, 0, 0
+	s.DecodeQueueP99 = 0
+	return s
+}
+
+// TestStreamingAgreesWithExact: on 100k completions the uncapped
+// recorder's Summary equals the batch reference bit for bit, and the
+// capped recorder's agrees with it bit for bit on every field but the
+// percentiles (same fold, same order), whose sketches land within 1%.
 func TestStreamingAgreesWithExact(t *testing.T) {
 	slo := SLO{TTFT: sim.Seconds(0.1), TPOT: sim.Seconds(0.04)}
-	exact, stream := driveRecorders(100_000, slo, 1000)
-	want := Summarize(exact.Completed(), slo)
-	got := stream.StreamSummary()
-
-	if got.Requests != want.Requests {
-		t.Fatalf("Requests: stream %d, exact %d", got.Requests, want.Requests)
+	exact, capped := driveRecorders(100_000, slo, 1000)
+	want := exact.Summary()
+	if ref := summarize(exact.Completed(), slo); want != ref {
+		t.Fatalf("uncapped Summary = %+v\nreference       %+v", want, ref)
 	}
-	exactFields := map[string][2]float64{
-		"TTFTMean":         {got.TTFTMean.Seconds(), want.TTFTMean.Seconds()},
-		"TPOTMean":         {got.TPOTMean.Seconds(), want.TPOTMean.Seconds()},
-		"PrefillQueueMean": {got.PrefillQueueMean.Seconds(), want.PrefillQueueMean.Seconds()},
-		"DecodeQueueMean":  {got.DecodeQueueMean.Seconds(), want.DecodeQueueMean.Seconds()},
-		"Attainment":       {got.Attainment, want.Attainment},
-		"TTFTAttainment":   {got.TTFTAttainment, want.TTFTAttainment},
-		"TPOTAttainment":   {got.TPOTAttainment, want.TPOTAttainment},
-		"ThroughputRPS":    {got.ThroughputRPS, want.ThroughputRPS},
-		"GoodputRPS":       {got.GoodputRPS, want.GoodputRPS},
-		"TokensPerSec":     {got.TokensPerSec, want.TokensPerSec},
+	got := capped.Summary()
+	if withoutPercentiles(got) != withoutPercentiles(want) {
+		t.Errorf("capped Summary exact fields = %+v\nuncapped                      %+v",
+			withoutPercentiles(got), withoutPercentiles(want))
 	}
-	for name, v := range exactFields {
-		if v[0] != v[1] {
-			t.Errorf("%s: stream %v != exact %v (must be identical)", name, v[0], v[1])
-		}
-	}
-	sketchFields := map[string][2]float64{
-		"TTFTP50": {got.TTFTP50.Seconds(), want.TTFTP50.Seconds()},
-		"TTFTP99": {got.TTFTP99.Seconds(), want.TTFTP99.Seconds()},
-		"TPOTP50": {got.TPOTP50.Seconds(), want.TPOTP50.Seconds()},
-		"TPOTP99": {got.TPOTP99.Seconds(), want.TPOTP99.Seconds()},
-	}
-	for name, v := range sketchFields {
-		if err := math.Abs(v[0]-v[1]) / v[1]; err > 0.01 {
+	for name, v := range map[string][2]sim.Duration{
+		"TTFTP50": {got.TTFTP50, want.TTFTP50},
+		"TTFTP99": {got.TTFTP99, want.TTFTP99},
+		"TPOTP50": {got.TPOTP50, want.TPOTP50},
+		"TPOTP99": {got.TPOTP99, want.TPOTP99},
+	} {
+		if err := math.Abs(v[0].Seconds()-v[1].Seconds()) / v[1].Seconds(); err > 0.01 {
 			t.Errorf("%s: sketch %v vs exact %v, relative error %.4f > 1%%", name, v[0], v[1], err)
 		}
 	}
 }
 
-// TestStreamingRetentionCap: the streaming recorder keeps only the first
-// maxRecords records per class and recycles the rest.
+// TestStreamingRetentionCap: a capped recorder keeps exactly the first
+// keep completions, intact while it recycles the records past the cap,
+// and its Summary still counts every completion.
 func TestStreamingRetentionCap(t *testing.T) {
 	slo := SLO{TTFT: sim.Seconds(0.1), TPOT: sim.Seconds(0.04)}
-	_, stream := driveRecorders(5000, slo, 100)
-	if n := len(stream.Completed()); n != 100 {
-		t.Errorf("retained %d completed records, want cap 100", n)
+	exact, capped := driveRecorders(5000, slo, 100)
+	if n := len(capped.Completed()); n != 100 {
+		t.Fatalf("retained %d completed records, want cap 100", n)
 	}
-	cs := stream.ClassStats(OutcomeCompleted)
-	if cs.Count != 5000 {
-		t.Errorf("class count %d, want 5000", cs.Count)
+	if n := capped.Summary().Requests; n != 5000 {
+		t.Errorf("Summary counts %d completions, want 5000", n)
 	}
-	if cs.E2EMean <= 0 || cs.E2EMax < cs.E2EMean {
-		t.Errorf("implausible class stats: %v", cs)
-	}
-	// The retained head must be the first records in completion order.
-	if stream.Completed()[0].ID == 0 || stream.Completed()[99].Completion == 0 {
-		t.Error("retained records look unfinalized")
+	for i, r := range capped.Completed() {
+		if *r != *exact.Completed()[i] {
+			t.Fatalf("retained record %d = %+v, want %+v", i, *r, *exact.Completed()[i])
+		}
 	}
 }
 
-// TestStreamingAbortReject covers the other classes' digests and pooling.
+// TestStreamingAbortReject: the cap holds per outcome, recycling never
+// overwrites a retained record, and only completions reach the Summary.
 func TestStreamingAbortReject(t *testing.T) {
 	slo := SLO{TTFT: sim.Seconds(0.1), TPOT: sim.Seconds(0.04)}
-	rec := NewStreamingRecorder(slo, 10)
+	rec := NewRecorder(slo, 10)
 	for i := 0; i < 50; i++ {
 		id := uint64(i + 1)
 		rec.Arrive(id, 10, 5, sim.Time(float64(i)))
@@ -116,88 +108,32 @@ func TestStreamingAbortReject(t *testing.T) {
 			rec.Complete(id, sim.Time(float64(i)+0.3))
 		}
 	}
-	if got := rec.ClassStats(OutcomeRejected).Count; got != 17 {
-		t.Errorf("rejected count %d, want 17", got)
+	if got := rec.Summary().Requests; got != 16 {
+		t.Errorf("Summary counts %d completions, want 16", got)
 	}
-	if got := rec.ClassStats(OutcomeAborted).Count; got != 17 {
-		t.Errorf("aborted count %d, want 17", got)
-	}
-	if got := rec.ClassStats(OutcomeCompleted).Count; got != 16 {
-		t.Errorf("completed count %d, want 16", got)
-	}
-	if n := len(rec.Aborted()); n != 10 {
-		t.Errorf("retained %d aborted records, want cap 10", n)
+	for _, c := range []struct {
+		name  string
+		recs  []*Record
+		first uint64 // ID of the class's first record; each third ID follows
+	}{{"rejected", rec.Rejected(), 1}, {"aborted", rec.Aborted(), 2}, {"completed", rec.Completed(), 3}} {
+		if len(c.recs) != 10 {
+			t.Errorf("retained %d %s records, want cap 10", len(c.recs), c.name)
+		}
+		for i, r := range c.recs {
+			if want := c.first + 3*uint64(i); r.ID != want {
+				t.Errorf("%s record %d has ID %d, want %d", c.name, i, r.ID, want)
+			}
+		}
 	}
 	if rec.Outstanding() != 0 {
 		t.Errorf("outstanding %d, want 0", rec.Outstanding())
 	}
 }
 
-// TestSeriesDecimation: a capped series stays under its cap, keeps exact
-// Mean/Max, and retains time-ordered points.
-func TestSeriesDecimation(t *testing.T) {
-	s := Series{Name: "queue", Cap: 64}
-	rng := rand.New(rand.NewSource(5))
-	n := 10_000
-	sum, max := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := rng.Float64() * 100
-		sum += v
-		if i == 0 || v > max {
-			max = v
-		}
-		s.Append(sim.Time(float64(i)), v)
-	}
-	if s.Len() > 64 {
-		t.Errorf("retained %d points, want <= cap 64", s.Len())
-	}
-	if s.Samples() != n {
-		t.Errorf("Samples = %d, want %d", s.Samples(), n)
-	}
-	if got := s.Mean(); math.Abs(got-sum/float64(n)) > 1e-9 {
-		t.Errorf("Mean = %v, want exact %v", got, sum/float64(n))
-	}
-	if got := s.Max(); got != max {
-		t.Errorf("Max = %v, want exact %v", got, max)
-	}
-	for i := 1; i < s.Len(); i++ {
-		if s.T[i] <= s.T[i-1] {
-			t.Fatalf("decimated timestamps not increasing at %d", i)
-		}
-	}
-	// Decimated values are means of uniform[0,100) buckets: all in range.
-	for i, v := range s.V {
-		if v < 0 || v > 100 {
-			t.Errorf("decimated point %d out of range: %v", i, v)
-		}
-	}
-}
-
-// TestSeriesUncappedUnchanged pins the default path: no cap, every sample
-// retained, Mean/Max as before.
-func TestSeriesUncappedUnchanged(t *testing.T) {
-	var s Series
-	s.Append(1, 5)
-	s.Append(2, 3)
-	s.Append(3, 8)
-	if s.Len() != 3 || s.Samples() != 3 {
-		t.Fatalf("Len=%d Samples=%d, want 3,3", s.Len(), s.Samples())
-	}
-	if s.Mean() != (5+3+8)/3.0 || s.Max() != 8 {
-		t.Errorf("Mean=%v Max=%v", s.Mean(), s.Max())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order append did not panic")
-		}
-	}()
-	s.Append(2, 1)
-}
-
 // TestWriteRecordsCSVFormat pins the strconv fast path against the
 // fmt.Sprintf formatting it replaced.
 func TestWriteRecordsCSVFormat(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(SLO{}, 0)
 	rec.Arrive(7, 128, 32, 1.25)
 	rec.PrefillStart(7, 1.375)
 	rec.FirstToken(7, 1.5)

@@ -234,7 +234,7 @@ func (r *runner) run(system string) (*Result, error) {
 		Aborted:         r.aborted,
 		Rejected:        r.rejected,
 		Recovered:       r.recovered,
-		Summary:         r.rec.Summary(r.cfg.SLO),
+		Summary:         r.rec.Summary(),
 	}, nil
 }
 

@@ -107,27 +107,30 @@ type PrefixPolicy struct {
 	Tiered bool
 }
 
-// StreamPolicy opts a run into bounded-memory metrics: finalized records
-// fold into online aggregates (P² sketches for percentiles; everything
-// else exact) and only the first MaxRecords records per outcome class
-// stay retained for export. Combined with a workload.Source-fed run, a
+// StreamPolicy opts a run into bounded-memory metrics: only the first
+// MaxRecords records per outcome class stay retained for export, and the
+// percentile fields come from P² sketches (everything else in the
+// Summary stays exact). Combined with a workload.Source-fed run, a
 // million-request horizon holds O(instances + in-flight + MaxRecords)
 // state instead of O(requests).
 type StreamPolicy struct {
-	// Enabled switches the runner to a StreamingRecorder.
+	// Enabled caps the runner's recorder at MaxRecords.
 	Enabled bool
 	// MaxRecords caps retained finalized records per class
 	// (metrics.DefaultMaxRecords if 0).
 	MaxRecords int
 }
 
-// Recorder builds the recorder the policy selects: streaming when
-// Enabled, exact otherwise.
+// Recorder builds the recorder the policy selects: capped when Enabled,
+// keeping every record otherwise.
 func (p StreamPolicy) Recorder(slo metrics.SLO) *metrics.Recorder {
-	if p.Enabled {
-		return metrics.NewStreamingRecorder(slo, p.MaxRecords)
+	switch {
+	case !p.Enabled:
+		return metrics.NewRecorder(slo, 0)
+	case p.MaxRecords > 0:
+		return metrics.NewRecorder(slo, p.MaxRecords)
 	}
-	return metrics.NewRecorder()
+	return metrics.NewRecorder(slo, metrics.DefaultMaxRecords)
 }
 
 // ShedPolicy is SLO-aware load shedding: rather than queue arrivals

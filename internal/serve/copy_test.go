@@ -131,24 +131,29 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 }
 
 // TestTestbedAllocsPerRequest is the per-request heap allocation budget
-// of the testbed's arrival → prefill → KV copy → decode path, with the
-// exact recorder, on DistServe and on WindServe. Two stream sizes share
-// their set-up cost, so the difference of their allocation counts is the
-// streams' own. The one allocation left per request is its flight, which
-// every request pays for: it must stay within the 256-byte size class.
+// of the testbed's arrival → prefill → KV copy → decode path, on DistServe
+// and on WindServe, with the recorder that keeps every record and with
+// the streaming one. Two stream sizes share their set-up cost, so the
+// difference of their allocation counts is the streams' own. The one
+// allocation left per request is its flight, which every request pays
+// for: it must stay within the 256-byte size class.
 func TestTestbedAllocsPerRequest(t *testing.T) {
 	if size := unsafe.Sizeof(flight{}); size > 256 {
 		t.Errorf("a flight is %d bytes, past the 256-byte size class", size)
 	}
-	cfg := cfg13B(t)
-	rate := 3.0 * float64(cfg.TotalGPUs())
+	rate := 3.0 * float64(cfg13B(t).TotalGPUs())
 	for _, sys := range []struct {
-		name string
-		run  func(Config, workload.Source) (*Result, error)
+		name   string
+		run    func(Config, workload.Source) (*Result, error)
+		stream bool
 	}{
-		{"DistServe", RunDistServeFrom},
-		{"WindServe", RunWindServeFrom},
+		{"DistServe", RunDistServeFrom, false},
+		{"WindServe", RunWindServeFrom, false},
+		{"DistServe streaming", RunDistServeFrom, true},
+		{"WindServe streaming", RunWindServeFrom, true},
 	} {
+		cfg := cfg13B(t)
+		cfg.Stream.Enabled = sys.stream
 		mallocs := func(n int) uint64 {
 			src := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 42).Source(n)
 			var before, after runtime.MemStats
@@ -159,8 +164,8 @@ func TestTestbedAllocsPerRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Records) != n {
-				t.Fatalf("%s: %d of %d requests completed", sys.name, len(res.Records), n)
+			if res.Summary.Requests != n {
+				t.Fatalf("%s: %d of %d requests completed", sys.name, res.Summary.Requests, n)
 			}
 			return after.Mallocs - before.Mallocs
 		}

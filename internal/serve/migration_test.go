@@ -328,7 +328,7 @@ func TestFlipMigrationReplicaCrashMidFlight(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.NumPrefill, cfg.NumDecode = 2, 2
 	s := sim.New()
-	rec := metrics.NewRecorder()
+	rec := metrics.NewRecorder(cfg.SLO, 0)
 	rp, err := NewReplica(s, rec, cfg, "r0", true)
 	if err != nil {
 		t.Fatal(err)

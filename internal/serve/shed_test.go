@@ -14,7 +14,7 @@ import (
 // one that produced a first token or completed in time.
 func TestShedPolicyAdmit(t *testing.T) {
 	s := sim.New()
-	rec := metrics.NewRecorder()
+	rec := metrics.NewRecorder(metrics.SLO{}, 0)
 	p := ShedPolicy{MaxQueueDepth: 2, TTFTDeadline: sim.Seconds(1)}
 	var expired []uint64
 	expire := func(id uint64) { expired = append(expired, id) }

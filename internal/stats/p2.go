@@ -117,17 +117,15 @@ func (s *P2Quantile) linear(i int, d float64) float64 {
 
 // Value returns the current quantile estimate. With fewer than five
 // observations it falls back to the exact percentile of what has been
-// seen; with none it returns 0 (matching Summarize's empty-set convention).
+// seen; with none it returns 0 (matching an empty Summary).
 func (s *P2Quantile) Value() float64 {
 	if s.n == 0 {
 		return 0
 	}
 	if s.n < 5 {
-		var buf [5]float64
-		head := buf[:s.n]
-		copy(head, s.init[:s.n])
-		sort.Float64s(head)
-		return PercentileSorted(head, s.p*100)
+		head, v := s.init, [1]float64{}
+		SelectPercentiles(head[:s.n], v[:], s.p*100)
+		return v[0]
 	}
 	return s.q[2]
 }

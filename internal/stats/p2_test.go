@@ -35,7 +35,7 @@ func TestP2ErrorBounds(t *testing.T) {
 				xs[i] = d.draw(rng)
 				sketch.Add(xs[i])
 			}
-			exact := Percentile(xs, p*100)
+			exact := PercentilesOf(xs, p*100)[0]
 			if e := relErr(sketch.Value(), exact); e > 0.01 {
 				t.Errorf("%s p%g: sketch=%.6f exact=%.6f relative error %.4f > 1%%",
 					d.name, p*100, sketch.Value(), exact, e)
@@ -138,7 +138,7 @@ func TestP2DuplicateHeavyStreams(t *testing.T) {
 				s.Add(xs[i])
 				checkMarkers(t, s, st.name)
 			}
-			exact := Percentile(xs, p*100)
+			exact := PercentilesOf(xs, p*100)[0]
 			if d := math.Abs(s.Value() - exact); d > st.tol {
 				t.Errorf("%s p%g: sketch=%v exact=%v (|Δ|=%v > %v)",
 					st.name, p*100, s.Value(), exact, d, st.tol)
@@ -147,23 +147,8 @@ func TestP2DuplicateHeavyStreams(t *testing.T) {
 	}
 }
 
-// BenchmarkPercentileRepeated vs BenchmarkPercentilesOf quantify the
-// satellite win: N percentiles of the same slice cost one sort, not N
-// copies+sorts.
-func BenchmarkPercentileRepeated(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 10_000)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Percentile(xs, 50)
-		_ = Percentile(xs, 90)
-		_ = Percentile(xs, 99)
-	}
-}
-
+// BenchmarkPercentilesOf measures three percentiles of one slice: a
+// copy and one selection pass per percentile, no sort.
 func BenchmarkPercentilesOf(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 10_000)

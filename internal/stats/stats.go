@@ -1,6 +1,7 @@
 // Package stats provides the small numerical toolbox WindServe needs:
 // least-squares polynomial regression (used by the Profiler to fit the
-// paper's eqs. 1–2), percentile computation, and summary statistics.
+// paper's eqs. 1–2), exact percentiles by selection, and P² streaming
+// quantile sketches.
 package stats
 
 import (
@@ -105,15 +106,9 @@ func PolyEval(c []float64, x float64) float64 {
 	return y
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It returns NaN for an empty slice.
-// xs is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	return PercentilesOf(xs, p)[0]
-}
-
-// PercentilesOf computes several percentiles of xs, each NaN when xs is
-// empty. xs is not modified.
+// PercentilesOf computes the percentiles ps of xs (0 <= p <= 100, linear
+// interpolation between closest ranks), each NaN when xs is empty. xs is
+// not modified.
 func PercentilesOf(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(xs) == 0 {
@@ -124,16 +119,6 @@ func PercentilesOf(xs []float64, ps ...float64) []float64 {
 	}
 	SelectPercentiles(slices.Clone(xs), out, ps...)
 	return out
-}
-
-// PercentileSorted is Percentile on data already sorted ascending and
-// non-empty.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	lo, hi, frac := rankOf(p, len(sorted))
-	if lo == hi {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // rankOf locates percentile p among n sorted values: the closest ranks
@@ -150,8 +135,9 @@ func rankOf(p float64, n int) (lo, hi int, frac float64) {
 	return lo, hi, rank - float64(lo)
 }
 
-// SelectPercentiles writes the percentiles ps of the non-empty xs into
-// out, equal bit for bit to PercentileSorted on xs sorted. Instead of
+// SelectPercentiles writes the percentiles ps (0 <= p <= 100, linear
+// interpolation between closest ranks) of the non-empty xs into out,
+// equal bit for bit to interpolating on xs sorted. Instead of
 // sorting, it selects only the ranks each percentile interpolates
 // between, in expected O(len(xs)) per percentile, and reorders xs doing
 // so. NaNs order first, as in sort.Float64s.
@@ -255,57 +241,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sum returns the total of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// StdDev returns the population standard deviation of xs (NaN if empty).
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Max returns the maximum of xs (NaN if empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs (NaN if empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // R2 returns the coefficient of determination of predictions yhat against

@@ -97,16 +97,13 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {-5, 1}, {150, 5},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEq(got, c.want, 1e-9) {
+		if got := PercentilesOf(xs, c.p)[0]; !almostEq(got, c.want, 1e-9) {
 			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
 		}
 	}
 	// Interpolation between ranks.
-	if got := Percentile([]float64{0, 10}, 50); !almostEq(got, 5, 1e-9) {
+	if got := PercentilesOf([]float64{0, 10}, 50)[0]; !almostEq(got, 5, 1e-9) {
 		t.Errorf("interpolated median = %v, want 5", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
 	}
 }
 
@@ -127,23 +124,11 @@ func TestPercentilesOf(t *testing.T) {
 }
 
 func TestSummaryStats(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); !almostEq(m, 5, 1e-9) {
+	if m := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEq(m, 5, 1e-9) {
 		t.Errorf("Mean = %v", m)
 	}
-	if s := StdDev(xs); !almostEq(s, 2, 1e-9) {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
-	if Sum(xs) != 40 {
-		t.Errorf("Sum = %v", Sum(xs))
-	}
-	if Max(xs) != 9 || Min(xs) != 2 {
-		t.Errorf("Max/Min = %v/%v", Max(xs), Min(xs))
-	}
-	for _, f := range []func([]float64) float64{Mean, StdDev, Max, Min} {
-		if !math.IsNaN(f(nil)) {
-			t.Error("empty input should yield NaN")
-		}
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("empty input should yield NaN")
 	}
 }
 
@@ -197,8 +182,8 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 5 {
-			v := Percentile(xs, p)
-			if v < prev || v < Min(xs)-1e-9 || v > Max(xs)+1e-9 {
+			v := PercentilesOf(xs, p)[0]
+			if v < prev || v < slices.Min(xs)-1e-9 || v > slices.Max(xs)+1e-9 {
 				return false
 			}
 			prev = v
@@ -210,6 +195,16 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 }
 
+// percentileSorted is the p-th percentile of data already sorted
+// ascending and non-empty, interpolating linearly between closest ranks.
+func percentileSorted(sorted []float64, p float64) float64 {
+	lo, hi, frac := rankOf(p, len(sorted))
+	if lo == hi {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
 // sortedPercentiles is the sort-based reference SelectPercentiles must
 // match bit for bit.
 func sortedPercentiles(xs []float64, ps []float64) []float64 {
@@ -217,7 +212,7 @@ func sortedPercentiles(xs []float64, ps []float64) []float64 {
 	sort.Float64s(sorted)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = PercentileSorted(sorted, p)
+		out[i] = percentileSorted(sorted, p)
 	}
 	return out
 }
