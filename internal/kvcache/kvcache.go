@@ -202,14 +202,19 @@ type Manager struct {
 	// only ones dropBackups may reclaim.
 	backups []*Alloc
 
-	// Prefix-cache state (see prefix.go); nil maps when disabled.
-	// gpuIdle/hostIdle are each tier's unreferenced blocks by recency.
+	// Prefix-cache state (see prefix.go); a nil map when disabled.
+	// prefix holds each group's chain; gpuIdle/hostIdle are each tier's
+	// unreferenced blocks by recency. Blocks come from slab, or first
+	// from freeBlocks; carved counts those taken from slabs.
 	prefixMode bool
 	tiered     bool
-	prefix     map[pkey]*pblock
+	prefix     map[uint64][]*pblock
 	useSeq     uint64
 	gpuIdle    idleHeap
 	hostIdle   idleHeap
+	slab       []pblock
+	freeBlocks []*pblock
+	carved     int
 }
 
 // New creates a manager with capacity for gpuTokens of KV cache on device
@@ -500,7 +505,8 @@ func (m *Manager) Reset() {
 	m.epoch++
 	m.live, m.backups = 0, nil
 	if m.prefixMode {
-		m.prefix = make(map[pkey]*pblock)
+		m.prefix = make(map[uint64][]*pblock)
+		m.slab, m.freeBlocks, m.carved = nil, nil, 0
 		clear(m.gpuIdle)
 		clear(m.hostIdle)
 		m.gpuIdle, m.hostIdle = m.gpuIdle[:0], m.hostIdle[:0]

@@ -25,6 +25,14 @@
 // middle. Each tier keeps its idle (refs==0) blocks in a min-heap on the
 // stamp, so a victim costs O(log n), not a scan of the pool.
 //
+// The pool is one chain per group: a slice indexed by block index, nil
+// where a block is absent. A lookup, an acquire and a release each cost
+// one map access per request, not one per block. A block leaving the pool
+// nils its slot; the chain's trailing nils are trimmed and an emptied
+// group is deleted, so the pool holds no more than its live blocks' chains.
+// Blocks are carved from slabs, and a block that leaves is zeroed and
+// reused, so a cached block costs no heap object of its own.
+//
 // In tiered mode an evicted-but-warm block is demoted to host memory
 // instead of dropped (an asynchronous write-back off the critical path,
 // so demotion is untimed). A later hit on a demoted block promotes it
@@ -39,16 +47,9 @@ import (
 	"slices"
 )
 
-// pkey identifies one shared prefix block: the group stands in for the
-// content-hash chain, idx for the block's position in it.
-type pkey struct {
-	group uint64
-	idx   int
-}
-
-// pblock is one refcounted shared block. It carries its own key, so a
-// victim popped off an idle heap can leave the pool; the narrow fields
-// keep it at 32 bytes.
+// pblock is one refcounted shared block: block idx of its group's chain.
+// It carries its own place, so a victim popped off an idle heap can leave
+// the pool; the narrow fields keep it at 32 bytes.
 type pblock struct {
 	group   uint64
 	lastUse uint64 // monotone recency stamp; unique per block
@@ -58,7 +59,48 @@ type pblock struct {
 	onGPU   bool  // false: demoted to the host tier
 }
 
-func (b *pblock) key() pkey { return pkey{b.group, int(b.idx)} }
+// slabBlocks is how many blocks one heap allocation holds (8 KiB).
+const slabBlocks = 256
+
+// newBlock returns a zeroed block, a freed one first.
+func (m *Manager) newBlock() *pblock {
+	if n := len(m.freeBlocks); n > 0 {
+		b := m.freeBlocks[n-1]
+		m.freeBlocks = m.freeBlocks[:n-1]
+		return b
+	}
+	if len(m.slab) == 0 {
+		m.slab = make([]pblock, slabBlocks)
+	}
+	b := &m.slab[0]
+	m.slab = m.slab[1:]
+	m.carved++
+	return b
+}
+
+// freeBlock returns a block that has left the pool and both heaps.
+func (m *Manager) freeBlock(b *pblock) {
+	*b = pblock{}
+	m.freeBlocks = append(m.freeBlocks, b)
+}
+
+// unlink takes a block out of its group's chain and frees it. The chain
+// loses its trailing nils, and an emptied group leaves the pool.
+func (m *Manager) unlink(b *pblock) {
+	chain := m.prefix[b.group]
+	chain[b.idx] = nil
+	n := len(chain)
+	for n > 0 && chain[n-1] == nil {
+		n--
+	}
+	switch {
+	case n == 0:
+		delete(m.prefix, b.group)
+	case n < len(chain):
+		m.prefix[b.group] = chain[:n]
+	}
+	m.freeBlock(b)
+}
 
 // idleHeap holds one tier's unreferenced blocks, least recently used on
 // top: the tier's next reclaim victim.
@@ -130,7 +172,7 @@ type PrefixAcquire struct {
 func (m *Manager) EnablePrefixCache(tiered bool) {
 	m.prefixMode = true
 	m.tiered = tiered
-	m.prefix = make(map[pkey]*pblock)
+	m.prefix = make(map[uint64][]*pblock)
 }
 
 // PeekPrefix returns how many tokens of a prompt's shared prefix are
@@ -140,14 +182,19 @@ func (m *Manager) PeekPrefix(group uint64, prefixTokens int) int {
 	if !m.prefixMode || group == 0 {
 		return 0
 	}
-	hit := 0
-	for i := 0; i < prefixTokens/m.blockSize; i++ {
-		if _, ok := m.prefix[pkey{group, i}]; !ok {
-			break
+	return hitRun(m.prefix[group], prefixTokens/m.blockSize) * m.blockSize
+}
+
+// hitRun is the length of the unbroken run of cached blocks at the head of
+// chain, at most n.
+func hitRun(chain []*pblock, n int) int {
+	n = min(n, len(chain))
+	for i := 0; i < n; i++ {
+		if chain[i] == nil {
+			return i
 		}
-		hit++
 	}
-	return hit * m.blockSize
+	return n
 }
 
 // AllocatePrefixed is Allocate for a request whose first prefixTokens
@@ -181,37 +228,37 @@ func (m *Manager) AllocatePrefixed(h *Holder, id RequestID, tokens int,
 	m.stats.PrefixLookups++
 
 	// The hit is the unbroken run of cached blocks from the chain head.
-	chain := make([]*pblock, 0, nShare)
+	chain := m.prefix[group]
+	hitBlocks := hitRun(chain, nShare)
 	restoreBlocks := 0
-	for i := 0; i < nShare; i++ {
-		b, ok := m.prefix[pkey{group, i}]
-		if !ok {
-			break
-		}
-		chain = append(chain, b)
+	for _, b := range chain[:hitBlocks] {
 		if !b.onGPU {
 			restoreBlocks++
 		}
 	}
-	hitBlocks := len(chain)
 	missBlocks := nShare - hitBlocks
 	privateBlocks := m.BlocksFor(tokens) - nShare
 	gpuNeed := privateBlocks + missBlocks + restoreBlocks
 
 	// Acquire references before reclaiming so eviction cannot take the
 	// very blocks this request is hitting; roll back on failure.
-	for _, b := range chain {
+	for _, b := range chain[:hitBlocks] {
 		m.ref(b)
 	}
-	if gpuNeed > m.gpuFree && !m.ensureFree(gpuNeed) {
-		for _, b := range chain {
-			m.unref(b)
+	if gpuNeed > m.gpuFree {
+		if !m.ensureFree(gpuNeed) {
+			for _, b := range chain[:hitBlocks] {
+				m.unref(b)
+			}
+			m.stats.FailedAllocs++
+			return nil, PrefixAcquire{}, ErrNoSpace
 		}
-		m.stats.FailedAllocs++
-		return nil, PrefixAcquire{}, ErrNoSpace
+		// Reclaim may have trimmed the chain past the hit, or deleted
+		// the group when nothing of it was hit.
+		chain = m.prefix[group]
 	}
 	m.gpuFree -= gpuNeed
-	for _, b := range chain {
+	for _, b := range chain[:hitBlocks] {
 		if !b.onGPU {
 			b.onGPU = true
 			m.cpuFree++
@@ -221,13 +268,18 @@ func (m *Manager) AllocatePrefixed(h *Holder, id RequestID, tokens int,
 	}
 	// Publish missed blocks immediately: followers share them while this
 	// request is still prefilling, holding a reference the whole time.
+	// Slots past a chain's end are nil, as only nil slots are trimmed.
+	if len(chain) < nShare {
+		chain = slices.Grow(chain, nShare-len(chain))[:nShare]
+		m.prefix[group] = chain
+	}
 	for i := hitBlocks; i < nShare; i++ {
-		b := &pblock{group: group, idx: int32(i), refs: 1, heapIdx: -1, onGPU: true}
-		if stale, ok := m.prefix[b.key()]; ok {
+		if stale := chain[i]; stale != nil {
 			m.dropStale(stale)
 		}
-		m.prefix[b.key()] = b
-		chain = append(chain, b)
+		b := m.newBlock()
+		*b = pblock{group: group, idx: int32(i), refs: 1, heapIdx: -1, onGPU: true}
+		chain[i] = b
 	}
 	// Stamp recency tail-first so LRU eviction trims chains from the
 	// tail: within a group, lastUse stays strictly decreasing in idx.
@@ -257,7 +309,8 @@ func (m *Manager) AllocatePrefixed(h *Holder, id RequestID, tokens int,
 // block is about to replace. Holes open when a demotion finds the host
 // tier full and drops the victim, while an older block of its chain sits
 // on the host. The stale block is idle: a request holds its whole chain
-// from the head, so no request can reference a block past a hole.
+// from the head, so no request can reference a block past a hole. The
+// caller puts the fresh block in its chain slot.
 func (m *Manager) dropStale(b *pblock) {
 	heap.Remove(m.idleOf(b), int(b.heapIdx))
 	if b.onGPU {
@@ -266,13 +319,18 @@ func (m *Manager) dropStale(b *pblock) {
 		m.cpuFree++
 	}
 	m.stats.PrefixEvictions++
+	m.freeBlock(b)
 }
 
 // derefShared drops a releasing request's references on its shared
 // chain. Blocks stay cached at refs==0 until pressure evicts them.
 func (m *Manager) derefShared(t *Alloc) {
-	for i := 0; i < t.shared; i++ {
-		if b, ok := m.prefix[pkey{t.group, i}]; ok && b.refs > 0 {
+	if t.shared == 0 {
+		return
+	}
+	chain := m.prefix[t.group]
+	for _, b := range chain[:min(t.shared, len(chain))] {
+		if b != nil && b.refs > 0 {
 			m.unref(b)
 		}
 	}
@@ -331,7 +389,7 @@ func (m *Manager) evictPrefixBlocks(n int) {
 			heap.Push(&m.hostIdle, victim)
 			m.stats.PrefixDemotions++
 		} else {
-			delete(m.prefix, victim.key())
+			m.unlink(victim)
 			m.stats.PrefixEvictions++
 		}
 	}
@@ -353,7 +411,7 @@ func (m *Manager) ensureHostFree(need int) bool {
 		}
 		victim := heap.Pop(&m.hostIdle).(*pblock)
 		m.cpuFree++
-		delete(m.prefix, victim.key())
+		m.unlink(victim)
 		m.stats.PrefixEvictions++
 	}
 	return true

@@ -37,7 +37,7 @@ func TestSwapInFailureCounter(t *testing.T) {
 
 // prefixBlocks returns the cached shared blocks on (GPU, host) tiers.
 func prefixBlocks(m *Manager) (gpu, host int) {
-	for _, b := range m.prefix {
+	for _, b := range prefixMap(m) {
 		if b.onGPU {
 			gpu++
 		} else {
@@ -287,5 +287,51 @@ func TestBackupsReclaimedFirst(t *testing.T) {
 	}
 	if got := m.PeekPrefix(5, 32); got != 32 {
 		t.Fatalf("backup alloc damaged cache: peek = %d", got)
+	}
+}
+
+// TestPrefixHitAndMissAllocatesNothing is the prefix pool's allocation
+// budget. A tiered manager's host tier is full, and two conversations of
+// 12 shared blocks take turns on 16 GPU blocks: each turn hits the 3
+// blocks left of its chain, evicts 9 blocks of the other chain's tail to
+// fit its own 9-block miss, and releases. Once warm, a turn reuses the
+// evicted blocks, the chain's storage and the heaps, and allocates
+// nothing; its handle comes from a 32-handle chunk, below AllocsPerRun's
+// one-object resolution.
+func TestPrefixHitAndMissAllocatesNothing(t *testing.T) {
+	const bs = DefaultBlockSize
+	m := mustMgr(t, 16*bs, 4*bs)
+	m.EnablePrefixCache(true)
+	a, _, err := m.AllocatePrefixed(new(Holder), 1, 4*bs+1, 3, 4*bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if m.evictPrefixBlocks(4); m.cpuFree != 0 {
+		t.Fatalf("host tier has %d free blocks after warm-up, want 0", m.cpuFree)
+	}
+	var holders [2]Holder
+	turn := 0
+	step := func() {
+		g := turn % 2
+		turn++
+		a, acq, err := m.AllocatePrefixed(&holders[g], RequestID(turn), 12*bs+1, uint64(1+g), 12*bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if turn > 2 && (acq.HitTokens != 3*bs || acq.MissTokens != 9*bs+1) {
+			t.Fatalf("turn %d acquired %+v, want a 3-block hit and a 9-block miss", turn, acq)
+		}
+		if err := a.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs > 0 {
+		t.Fatalf("a prefix hit with a tail miss, then release, allocates %.1f objects, want 0", allocs)
 	}
 }

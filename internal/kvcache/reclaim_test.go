@@ -8,12 +8,34 @@ import (
 	"unsafe"
 )
 
+// pkey names one shared prefix block: its group and its place in the
+// group's chain.
+type pkey struct {
+	group uint64
+	idx   int
+}
+
+func (b *pblock) key() pkey { return pkey{b.group, int(b.idx)} }
+
+// prefixMap flattens the pool's chains into one map by block key.
+func prefixMap(m *Manager) map[pkey]*pblock {
+	pool := map[pkey]*pblock{}
+	for g, chain := range m.prefix {
+		for i, b := range chain {
+			if b != nil {
+				pool[pkey{g, i}] = b
+			}
+		}
+	}
+	return pool
+}
+
 // refVictim is the full-map scan reclaim used before the idle heaps, kept
 // as the executable specification of victim choice: the unreferenced
 // block on the given tier with the smallest recency stamp, or nil.
 func refVictim(m *Manager, onGPU bool) *pblock {
 	var victim *pblock
-	for _, b := range m.prefix {
+	for _, b := range prefixMap(m) {
 		if b.refs > 0 || b.onGPU != onGPU {
 			continue
 		}
@@ -29,7 +51,7 @@ func refVictim(m *Manager, onGPU bool) *pblock {
 // about to run, so not idle while it reclaims).
 func refOrder(m *Manager, onGPU bool, held map[pkey]bool) []pkey {
 	var idle []*pblock
-	for k, b := range m.prefix {
+	for k, b := range prefixMap(m) {
 		if b.refs == 0 && b.onGPU == onGPU && !held[k] {
 			idle = append(idle, b)
 		}
@@ -47,11 +69,14 @@ func refOrder(m *Manager, onGPU bool, held map[pkey]bool) []pkey {
 // heaps are heap-ordered, and that each heap's top is refVictim's pick.
 // It also checks the backup list and that each tier's used blocks are
 // exactly the pool's and the live allocations' blocks on it; live holds
-// every live handle on m.
+// every live handle on m. Last it checks the pool's storage (see
+// checkChains).
 func checkIdleHeaps(t *testing.T, m *Manager, live []*Alloc, where string) {
 	t.Helper()
+	checkChains(t, m, where)
+	pool := prefixMap(m)
 	idle := map[bool]int{}
-	for k, b := range m.prefix {
+	for k, b := range pool {
 		if b.key() != k {
 			t.Fatalf("%s: block under key %v carries key %v", where, k, b.key())
 		}
@@ -93,7 +118,7 @@ func checkIdleHeaps(t *testing.T, m *Manager, live []*Alloc, where string) {
 	}
 	backups := 0
 	used := map[bool]int{true: idle[true], false: idle[false]}
-	for _, b := range m.prefix {
+	for _, b := range pool {
 		if b.refs > 0 {
 			used[b.onGPU]++
 		}
@@ -119,21 +144,66 @@ func checkIdleHeaps(t *testing.T, m *Manager, live []*Alloc, where string) {
 	}
 }
 
+// checkChains asserts that each chain slot i holds a block of its group
+// with idx i or nil, that no chain ends in nil and no group maps to an
+// empty chain, that every free block is zeroed and sits in no chain, no
+// heap and once on the free list, and that the blocks carved from slabs
+// are exactly the pool's plus the free ones.
+func checkChains(t *testing.T, m *Manager, where string) {
+	t.Helper()
+	inPool := map[*pblock]bool{}
+	for g, chain := range m.prefix {
+		if len(chain) == 0 || chain[len(chain)-1] == nil {
+			t.Fatalf("%s: group %d maps to chain of %d ending in nil or empty", where, g, len(chain))
+		}
+		for i, b := range chain {
+			if b == nil {
+				continue
+			}
+			if b.group != g || int(b.idx) != i {
+				t.Fatalf("%s: slot %d of group %d holds block %v", where, i, g, b.key())
+			}
+			if inPool[b] {
+				t.Fatalf("%s: block %v sits in two chain slots", where, b.key())
+			}
+			inPool[b] = true
+		}
+	}
+	inHeap := map[*pblock]bool{}
+	for _, b := range m.gpuIdle {
+		inHeap[b] = true
+	}
+	for _, b := range m.hostIdle {
+		inHeap[b] = true
+	}
+	free := map[*pblock]bool{}
+	for _, b := range m.freeBlocks {
+		if *b != (pblock{}) || inPool[b] || inHeap[b] || free[b] {
+			t.Fatalf("%s: free block %+v is not zeroed, or sits in the pool, a heap or twice on the free list", where, *b)
+		}
+		free[b] = true
+	}
+	if m.carved != len(inPool)+len(free) {
+		t.Fatalf("%s: %d blocks carved from slabs, pool holds %d and free list %d", where, m.carved, len(inPool), len(free))
+	}
+}
+
 // checkVictims asserts that the blocks an operation reclaimed from a tier
 // are exactly the first ones of the tier's reference order taken before
 // it: a GPU victim was demoted or dropped, a host victim dropped.
 func checkVictims(t *testing.T, m *Manager, where string, onGPU bool, order []pkey) {
 	t.Helper()
+	pool := prefixMap(m)
 	n := 0
 	for n < len(order) {
-		b, ok := m.prefix[order[n]]
+		b, ok := pool[order[n]]
 		if ok && b.onGPU == onGPU {
 			break
 		}
 		n++
 	}
 	for _, k := range order[n:] {
-		if b, ok := m.prefix[k]; !ok || b.onGPU != onGPU {
+		if b, ok := pool[k]; !ok || b.onGPU != onGPU {
 			t.Fatalf("%s: onGPU=%v reclaimed %v out of LRU order (first %d of %d reclaimed before it)", where, onGPU, k, n, len(order))
 		}
 	}
@@ -226,14 +296,14 @@ func runReclaimScript(t *testing.T, tiered bool, seed int64) {
 		case x < 95:
 			what = "evict one"
 			if m.evictPrefixBlocks(1); len(gpuOrder) > 0 {
-				if b, ok := m.prefix[gpuOrder[0]]; ok && b.onGPU {
+				if b, ok := prefixMap(m)[gpuOrder[0]]; ok && b.onGPU {
 					t.Fatalf("tiered=%v seed %d op %d: single GPU reclaim left the reference victim %v", tiered, seed, op, gpuOrder[0])
 				}
 			}
 		case x < 98:
 			what = "drop one host block"
 			if m.ensureHostFree(m.cpuFree + 1); len(hostOrder) > 0 {
-				if _, ok := m.prefix[hostOrder[0]]; ok {
+				if _, ok := prefixMap(m)[hostOrder[0]]; ok {
 					t.Fatalf("tiered=%v seed %d op %d: single host reclaim left the reference victim %v", tiered, seed, op, hostOrder[0])
 				}
 			}

@@ -136,26 +136,44 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 // the streaming one. Two stream sizes share their set-up cost, so the
 // difference of their allocation counts is the streams' own. The one
 // allocation left per request is its flight, which every request pays
-// for: it must stay within the 256-byte size class.
+// for: it must stay within the 256-byte size class. The chat row runs
+// DistServe with the tiered prefix cache on multi-turn conversations,
+// where every turn acquires, publishes and releases cached prefix blocks;
+// its budget also covers each conversation's own chain and session state.
 func TestTestbedAllocsPerRequest(t *testing.T) {
 	if size := unsafe.Sizeof(flight{}); size > 256 {
 		t.Errorf("a flight is %d bytes, past the 256-byte size class", size)
 	}
-	rate := 3.0 * float64(cfg13B(t).TotalGPUs())
+	gpus := float64(cfg13B(t).TotalGPUs())
+	shareGPT := func(n int) workload.Source {
+		return workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 3 * gpus}, 42).Source(n)
+	}
+	chat, err := workload.ScenarioByName("chat")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sys := range []struct {
 		name   string
 		run    func(Config, workload.Source) (*Result, error)
 		stream bool
+		prefix bool
+		budget float64
 	}{
-		{"DistServe", RunDistServeFrom, false},
-		{"WindServe", RunWindServeFrom, false},
-		{"DistServe streaming", RunDistServeFrom, true},
-		{"WindServe streaming", RunWindServeFrom, true},
+		{"DistServe", RunDistServeFrom, false, false, 1.25},
+		{"WindServe", RunWindServeFrom, false, false, 1.25},
+		{"DistServe streaming", RunDistServeFrom, true, false, 1.25},
+		{"WindServe streaming", RunWindServeFrom, true, false, 1.25},
+		{"DistServe chat, tiered prefix cache", RunDistServeFrom, false, true, 3},
 	} {
 		cfg := cfg13B(t)
 		cfg.Stream.Enabled = sys.stream
+		source := shareGPT
+		if sys.prefix {
+			cfg.Prefix = PrefixPolicy{Enabled: true, Tiered: true}
+			source = func(n int) workload.Source { return chat.Source(n, gpus, 42) }
+		}
 		mallocs := func(n int) uint64 {
-			src := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 42).Source(n)
+			src := source(n)
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -172,8 +190,8 @@ func TestTestbedAllocsPerRequest(t *testing.T) {
 		small, large := mallocs(4_000), mallocs(16_000)
 		per := float64(large-small) / 12_000
 		t.Logf("%s: %.3f heap allocations per request (%d at 4k requests, %d at 16k)", sys.name, per, small, large)
-		if per > 1.25 {
-			t.Errorf("%s: %.3f heap allocations per request, budget 1.25", sys.name, per)
+		if per > sys.budget {
+			t.Errorf("%s: %.3f heap allocations per request, budget %g", sys.name, per, sys.budget)
 		}
 	}
 }

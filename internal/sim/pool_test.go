@@ -108,3 +108,26 @@ func BenchmarkSimulatorScheduleFireDeep(b *testing.B) {
 		s.Step()
 	}
 }
+
+// TestResizeReusesBuckets checks that calendar resizes keep their bucket
+// storage: once warm, a cycle that grows the pending set through seven
+// doublings and drains it again allocates nothing. The events are evenly
+// spaced (at exact binary fractions), so every cycle fills the buckets
+// alike and warm capacities suffice.
+func TestResizeReusesBuckets(t *testing.T) {
+	const n = 4096
+	s := New()
+	fn := func() {}
+	cycle := func() {
+		for i := 0; i < n; i++ {
+			s.Schedule(Duration(i)/1024, fn)
+		}
+		s.RunAll()
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs > 0 {
+		t.Fatalf("a grow-then-shrink cycle of %d events allocates %.1f objects, want 0", n, allocs)
+	}
+}

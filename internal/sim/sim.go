@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -100,8 +101,10 @@ type calendarQueue struct {
 	// peek-then-pop scans the cursor's bucket once per event, not twice.
 	// Invariant: head != nil implies head.epoch == curEpoch.
 	head *event
-	// sample is resize's scratch for width estimation.
+	// sample is resize's scratch for width estimation, moved its scratch
+	// for the events it re-places.
 	sample []float64
+	moved  []*event
 }
 
 const (
@@ -218,7 +221,9 @@ func (q *calendarQueue) peek() *event {
 // resize rebuilds the calendar with nb buckets and a width re-estimated
 // from the current population's spacing, keeping amortized bucket
 // occupancy O(1) as the pending count grows and shrinks. The minimum it
-// finds on the way refills the head cache.
+// finds on the way refills the head cache. Buckets keep their storage
+// across resizes, a shrink's spare ones included, so a population that
+// grows and shrinks again allocates nothing once warm.
 func (q *calendarQueue) resize(nb int) {
 	if nb < minBuckets {
 		nb = minBuckets
@@ -226,18 +231,23 @@ func (q *calendarQueue) resize(nb int) {
 	if w := q.estimateWidth(); w > 0 {
 		q.width = w
 	}
-	old := q.buckets
-	q.buckets = make([][]*event, nb)
+	moved := q.moved[:0]
+	for i, bkt := range q.buckets {
+		moved = append(moved, bkt...)
+		clear(bkt)
+		q.buckets[i] = bkt[:0]
+	}
+	q.buckets = slices.Grow(q.buckets[:0], nb)[:nb] // Grow keeps the spare buckets
 	q.mask = nb - 1
 	var min *event
-	for _, bkt := range old {
-		for _, ev := range bkt {
-			q.place(ev)
-			if min == nil || ev.before(min) {
-				min = ev
-			}
+	for _, ev := range moved {
+		q.place(ev)
+		if min == nil || ev.before(min) {
+			min = ev
 		}
 	}
+	clear(moved)
+	q.moved = moved[:0]
 	if min != nil {
 		q.curEpoch = min.epoch
 	}
