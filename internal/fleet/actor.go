@@ -8,12 +8,11 @@ import (
 )
 
 // The fleet is a set of actors exchanging messages over a shard.Group:
-// actor 0 is the router (always on shard 0, which executes on the
-// coordinating goroutine), actor i+1 is replica i (on shard i % Shards).
-// Actors never touch each other's memory — every interaction, including
-// the request ledger writes that used to go straight into the shared
-// recorder, is a message delayed by netDelay. That delay is the group's
-// conservative lookahead, which is what lets shards run concurrently.
+// actor 0 is the router (always on shard 0), actor i+1 is replica i (on
+// shard i % Shards). Actors never touch each other's memory — every
+// interaction, request ledger writes included, is a message delayed by
+// netDelay. That delay is the group's conservative lookahead, which is
+// what keeps the output identical at any shard count.
 
 // mkind enumerates the fleet's cross-shard message types.
 type mkind uint8

@@ -123,7 +123,7 @@ func elasticDigest(t *testing.T, cfg Config, seed int64) (string, [32]byte) {
 // TestElasticShardDeterminism extends the sharded-determinism gate to
 // role flips: mFlip/mFlipDone and the signal-bearing load reports cross
 // the netDelay wire, so results must stay byte-identical when the
-// replicas are split across worker goroutines.
+// replicas are split across shards.
 func TestElasticShardDeterminism(t *testing.T) {
 	cfg := elasticConfig(t)
 	cfg.FailoverTimeout = sim.Seconds(20)

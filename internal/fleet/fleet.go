@@ -11,13 +11,13 @@
 // router actor owns the request ledger, the workload source, admission
 // and failover policy; each replica actor owns its replica's entire
 // state and talks to the router only through netDelay-latent messages
-// (submits, evictions, load reports, ledger forwards). With Shards == 1
-// everything runs on one event loop; with Shards > 1 the replicas are
-// partitioned across shard simulators driven on separate goroutines with
-// a conservative-lookahead barrier — and because actors share no mutable
-// state and cross-shard messages merge in an order built only from
-// per-actor quantities, the results are byte-identical at any shard
-// count: same seed, same plan ⇒ same Result, same DecisionLog.
+// (submits, evictions, load reports, ledger forwards). With Shards > 1
+// the replicas are partitioned across shard simulators that run in
+// lockstep windows, one after another on the calling goroutine — and
+// because actors share no mutable state and cross-shard messages merge in
+// an order built only from per-actor quantities, the results are
+// byte-identical at any shard count: same seed, same plan ⇒ same Result,
+// same DecisionLog.
 package fleet
 
 import (
@@ -63,9 +63,9 @@ type Config struct {
 	NumReplicas int
 
 	// Shards partitions the replicas across this many shard simulators
-	// (the router on shard 0, replica i on shard i % Shards). With
-	// Shards > 1 the shards execute on separate goroutines. Results are
-	// byte-identical at any value. Default 1; clamped to NumReplicas.
+	// (the router on shard 0, replica i on shard i % Shards), all run on
+	// the calling goroutine. Results are byte-identical at any value; only
+	// ShardStats differ. Default 1; clamped to NumReplicas.
 	Shards int
 	// ShardStats, when non-nil, receives the shard group's window/barrier
 	// counters after the run. They are reported out of band because they
@@ -194,7 +194,7 @@ type reqState struct {
 
 // fleet is the router actor: the only actor that touches the recorder,
 // the workload source, the routing policy, and the request state table.
-// It runs on shard 0, which executes on the coordinating goroutine.
+// It runs on shard 0.
 type fleet struct {
 	g   *shard.Group[msg]
 	s   *sim.Simulator // shard 0's simulator — the router's clock
@@ -276,9 +276,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fleet: FailoverTimeout %v is below the %v minimum period (0 disables it)",
 			c.FailoverTimeout, sim.MinPeriod)
 	}
-	if c.Shards > 1 && c.Replica.Tracer != nil {
-		return fmt.Errorf("fleet: Replica.Tracer is single-threaded; set Shards <= 1 (got %d)", c.Shards)
-	}
 	if err := c.Elastic.Validate(); err != nil {
 		return err
 	}
@@ -327,7 +324,6 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 
 	// The lookahead may never exceed the drain cap.
 	g := shard.NewGroup[msg](cfg.Shards, min(netDelay, cfg.Horizon))
-	g.GrowActors(cfg.NumReplicas + 1)
 	f := &fleet{
 		g: g, s: g.Shard(0).Sim(), rec: cfg.Replica.Stream.Recorder(cfg.Replica.SLO), cfg: cfg,
 		down:        make([]bool, cfg.NumReplicas),
@@ -374,7 +370,7 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 
 	f.arr.Start(f.s, f.rec, src, f.admit, f.arrivalsEnded)
 
-	g.Run(cfg.Shards > 1)
+	g.Run()
 
 	if err := f.arr.Err(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)

@@ -13,7 +13,6 @@ import (
 	"windserve/internal/sched"
 	"windserve/internal/serve"
 	"windserve/internal/sim"
-	wstrace "windserve/internal/trace"
 	"windserve/internal/workload"
 )
 
@@ -306,7 +305,6 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		{"TTFTDeadline", func(c *Config) { c.TTFTDeadline = inf }},
 		{"Horizon", func(c *Config) { c.Horizon = -sim.Seconds(1) }},
 		{"Horizon", func(c *Config) { c.Horizon = nan }},
-		{"Replica.Tracer", func(c *Config) { c.Shards = 2; c.Replica.Tracer = wstrace.New() }},
 	}
 	for _, shards := range []int{1, 2} {
 		base := testConfig(t, 2)

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
+	"windserve/internal/obs"
 	"windserve/internal/sched"
 	"windserve/internal/sim"
+	wstrace "windserve/internal/trace"
 )
 
 // digest runs one fleet config and returns the printed Result plus a
@@ -28,8 +31,7 @@ func digest(t *testing.T, cfg Config, seed int64) (string, [32]byte) {
 }
 
 // TestShardedDeterminism is the tentpole property: partitioning the fleet
-// across shard simulators on worker goroutines must not change a single
-// byte of output. Every seed runs sequentially (Shards=1) and then at
+// across shard simulators must not change a single byte of output. Every seed runs sequentially (Shards=1) and then at
 // 2/4/8 shards under the same rcrash+rpart+cancel chaos; the printed
 // Result and the decision-log digest must match exactly across every
 // shard count.
@@ -63,8 +65,7 @@ func TestShardedDeterminism(t *testing.T) {
 }
 
 // TestShardedDeterminismSmoke is the fast always-on slice of the sweep:
-// one seed, chaos on, 1 vs 4 shards. CI runs the full sweep under -race
-// with GOMAXPROCS=4.
+// one seed, chaos on, 1 vs 4 shards. CI's race job runs the full sweep.
 func TestShardedDeterminismSmoke(t *testing.T) {
 	cfg := testConfig(t, 4)
 	cfg.Policy = "least-loaded"
@@ -102,5 +103,43 @@ func TestLookaheadClampedToHorizon(t *testing.T) {
 		} else if got != want {
 			t.Fatalf("result diverges at %d shards:\nsequential: %s\ngot:        %s", shards, want, got)
 		}
+	}
+}
+
+// TestTracedFleetAtAnyShardCount: a traced 2-shard chaos fleet produces
+// the same Result and decision log as the untraced 1-shard run, gives
+// every replica its own lanes and exports a Perfetto trace.
+func TestTracedFleetAtAnyShardCount(t *testing.T) {
+	const replicas = 4
+	cfg := testConfig(t, replicas)
+	cfg.Policy = "least-loaded"
+	cfg.FailoverTimeout = sim.Seconds(10)
+	cfg.Faults = mustPlan(t, "rcrash:r1@10+20; rpart:r3@25+10; cancel@30x0.1")
+	cfg.Faults.Seed = 2
+	cfg.Shards = 1
+	wantRes, wantDig := digest(t, cfg, 2)
+
+	tr := wstrace.New()
+	cfg.Shards = 2
+	cfg.Replica.Tracer = tr
+	gotRes, gotDig := digest(t, cfg, 2)
+	if gotRes != wantRes {
+		t.Fatalf("traced 2-shard result diverges:\nuntraced 1 shard: %s\ntraced 2 shards:  %s", wantRes, gotRes)
+	}
+	if gotDig != wantDig {
+		t.Fatal("traced 2-shard decision log diverges from the untraced 1-shard run")
+	}
+	lanes := strings.Join(tr.Lanes(), "\n")
+	for i := 0; i < replicas; i++ {
+		if p := fmt.Sprintf("r%d/", i); !strings.Contains(lanes, p) {
+			t.Errorf("no lane for replica %s in %q", p, tr.Lanes())
+		}
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, tr, nil); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Fatal("empty Chrome trace")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"windserve/internal/sim"
 )
@@ -42,12 +41,11 @@ func fixedGrid(tmin, L sim.Time) sim.Time {
 // event to exercise native/delivered interleaving. Returns the per-actor
 // traces, merged in actor order after the run.
 // windowEnd nil runs the adaptive derivation.
-func runRing(t *testing.T, nShards, nActors int, parallel bool, windowEnd func(tmin, L sim.Time) sim.Time) string {
+func runRing(t *testing.T, nShards, nActors int, windowEnd func(tmin, L sim.Time) sim.Time) string {
 	t.Helper()
 	const L = sim.Duration(0.5)
 	g := NewGroup[hopMsg](nShards, L)
 	g.windowEnd = windowEnd
-	g.GrowActors(nActors)
 	traces := make([][]string, nActors)
 	shardOf := func(a int) int { return a % nShards }
 	for i := 0; i < nShards; i++ {
@@ -75,7 +73,7 @@ func runRing(t *testing.T, nShards, nActors int, parallel bool, windowEnd func(t
 			sh.Send(shardOf((a+1)%nActors), a, L, hopMsg{token: a, hops: 12})
 		})
 	}
-	g.Run(parallel)
+	g.Run()
 	var b strings.Builder
 	for a := 0; a < nActors; a++ {
 		for _, line := range traces[a] {
@@ -87,22 +85,19 @@ func runRing(t *testing.T, nShards, nActors int, parallel bool, windowEnd func(t
 }
 
 // TestByteIdentityAcrossShardCounts is the core determinism property: the
-// merged trace must be identical at every shard count, sequential or
-// parallel, under the adaptive windows and the fixed reference grid.
+// merged trace must be identical at every shard count, under the adaptive
+// windows and the fixed reference grid.
 func TestByteIdentityAcrossShardCounts(t *testing.T) {
 	const actors = 7
-	want := runRing(t, 1, actors, false, nil)
+	want := runRing(t, 1, actors, nil)
 	if !strings.Contains(want, "recv") {
 		t.Fatalf("reference run produced no deliveries:\n%s", want)
 	}
 	grids := map[string]func(tmin, L sim.Time) sim.Time{"adaptive": nil, "fixed": fixedGrid}
 	for name, grid := range grids {
 		for _, shards := range []int{1, 2, 3, 4, 7} {
-			for _, parallel := range []bool{false, true} {
-				got := runRing(t, shards, actors, parallel, grid)
-				if got != want {
-					t.Errorf("grid=%s shards=%d parallel=%v diverged from sequential run", name, shards, parallel)
-				}
+			if got := runRing(t, shards, actors, grid); got != want {
+				t.Errorf("grid=%s shards=%d diverged from the one-shard run", name, shards)
 			}
 		}
 	}
@@ -119,7 +114,6 @@ func TestAdaptiveCutsCrossings(t *testing.T) {
 		const L = sim.Duration(0.5)
 		g := NewGroup[hopMsg](2, L)
 		g.windowEnd = windowEnd
-		g.GrowActors(2)
 		var trace strings.Builder
 		for i := 0; i < 2; i++ {
 			sh := g.Shard(i)
@@ -132,7 +126,7 @@ func TestAdaptiveCutsCrossings(t *testing.T) {
 			})
 		}
 		g.Shard(0).Sim().At(0, func() { g.Shard(0).Send(1, 0, 20, hopMsg{hops: 30}) })
-		g.Run(false)
+		g.Run()
 		return trace.String(), g.Stats()
 	}
 	aTrace, aStats := run(nil)
@@ -157,7 +151,6 @@ func TestAdaptiveCutsCrossings(t *testing.T) {
 // event actually executed.
 func TestEndCap(t *testing.T) {
 	g := NewGroup[int](2, 1)
-	g.GrowActors(2)
 	var fired []sim.Time
 	for i := 0; i < 2; i++ {
 		sh := g.Shard(i)
@@ -169,7 +162,7 @@ func TestEndCap(t *testing.T) {
 		}
 	}
 	g.SetEnd(9.5)
-	g.Run(false)
+	g.Run()
 	if len(fired) != 6 {
 		t.Fatalf("fired %d events, want 6 (three per shard at <= 9.5): %v", len(fired), fired)
 	}
@@ -185,7 +178,6 @@ func TestEndCap(t *testing.T) {
 // without executing one barrier per lookahead of empty virtual time.
 func TestWindowSkipping(t *testing.T) {
 	g := NewGroup[int](2, sim.Duration(0.001))
-	g.GrowActors(2)
 	var got []string
 	for i := 0; i < 2; i++ {
 		i := i
@@ -199,7 +191,7 @@ func TestWindowSkipping(t *testing.T) {
 		got = append(got, fmt.Sprintf("fire t=%.0f", s0.Now()))
 		g.Shard(0).Send(1, 0, 0.001, 42)
 	})
-	g.Run(false)
+	g.Run()
 	want := []string{"fire t=1000000", "msg shard=1 t=1000000.001 v=42"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -210,7 +202,6 @@ func TestWindowSkipping(t *testing.T) {
 // it silently breaks causality otherwise.
 func TestLookaheadViolationPanics(t *testing.T) {
 	g := NewGroup[int](2, 1)
-	g.GrowActors(1)
 	g.Shard(0).OnMessage(func(int, int) {})
 	g.Shard(1).OnMessage(func(int, int) {})
 	defer func() {
@@ -219,107 +210,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	g.Shard(0).Sim().At(0, func() { g.Shard(0).Send(1, 0, 0.5, 1) })
-	g.Run(false)
-}
-
-// TestParkedWorkerWakes: shard 1 sits idle through stretches of solo
-// windows long enough for its worker to exhaust its spin budget and park,
-// and is then woken by messages. The parallel trace must equal the
-// sequential one, and Run must return.
-func TestParkedWorkerWakes(t *testing.T) {
-	const wakes = 3
-	run := func(parallel bool) (string, Stats) {
-		g := NewGroup[int](2, 1)
-		g.GrowActors(2)
-		traces := make([][]string, 2)
-		s0, s1 := g.Shard(0).Sim(), g.Shard(1).Sim()
-		g.Shard(0).OnMessage(func(src, m int) {
-			traces[0] = append(traces[0], fmt.Sprintf("reply t=%.3f v=%d", s0.Now(), m))
-		})
-		g.Shard(1).OnMessage(func(src, m int) {
-			traces[1] = append(traces[1], fmt.Sprintf("recv t=%.3f v=%d", s1.Now(), m))
-			// Local work overlapping shard 0's ticks forces crossings.
-			for k := 1; k <= 8; k++ {
-				k := k
-				s1.Schedule(sim.Duration(k)*0.5, func() {
-					traces[1] = append(traces[1], fmt.Sprintf("work t=%.3f v=%d k=%d", s1.Now(), m, k))
-				})
-			}
-			g.Shard(1).Send(0, 1, 4.5, m*10)
-		})
-		// Shard 0 ticks every 2 s, one solo window per tick while shard 1
-		// is idle. Every 20th tick it waits for the worker to park, then
-		// messages shard 1.
-		tick, sent := 0, 0
-		var fire func()
-		fire = func() {
-			traces[0] = append(traces[0], fmt.Sprintf("tick t=%.3f", s0.Now()))
-			tick++
-			if tick%20 == 0 && sent < wakes {
-				if parallel {
-					waitParked(t, g.workers[0])
-				}
-				sent++
-				g.Shard(0).Send(1, 0, 1, sent)
-			}
-			if tick < 20*wakes+20 {
-				s0.Schedule(2, fire)
-			}
-		}
-		s0.At(0, fire)
-		g.Run(parallel)
-		return strings.Join(traces[0], "\n") + "\n" + strings.Join(traces[1], "\n"), g.Stats()
-	}
-	want, _ := run(false)
-	if strings.Count(want, "recv") != wakes || strings.Count(want, "reply") != wakes {
-		t.Fatalf("sequential run missed deliveries:\n%s", want)
-	}
-	got, st := run(true)
-	if got != want {
-		t.Fatalf("parallel trace diverged from sequential:\n%s\nvs\n%s", got, want)
-	}
-	if st.Crossings == 0 {
-		t.Fatal("no crossings: the woken worker never ran a window")
-	}
-}
-
-// TestBarrierStress drives thousands of crossings in which every shard
-// has work and messages, so the barrier's hand-offs interleave in every
-// order the scheduler allows (CI runs it with -race at several
-// GOMAXPROCS values). The parallel trace must equal the sequential one.
-func TestBarrierStress(t *testing.T) {
-	const shards, rounds = 4, 3000
-	run := func(parallel bool) string {
-		g := NewGroup[int](shards, 1)
-		g.GrowActors(shards)
-		traces := make([][]string, shards)
-		for i := 0; i < shards; i++ {
-			i := i
-			sh := g.Shard(i)
-			s := sh.Sim()
-			sh.OnMessage(func(src, m int) {
-				traces[i] = append(traces[i], fmt.Sprintf("t=%.2f src=%d m=%d", s.Now(), src, m))
-			})
-			n := 0
-			var tick func()
-			tick = func() {
-				if n++; n < rounds {
-					sh.Send((i+1)%shards, i, 1, n)
-					s.Schedule(1, tick)
-				}
-			}
-			s.At(sim.Time(i)*0.25, tick)
-		}
-		g.Run(parallel)
-		var b strings.Builder
-		for _, tr := range traces {
-			b.WriteString(strings.Join(tr, "\n"))
-		}
-		return b.String()
-	}
-	if want, got := run(false), run(true); got != want {
-		t.Fatal("parallel trace diverged from sequential")
-	}
+	g.Run()
 }
 
 // TestPendingQueueOrder checks a shard's delivery queue against its
@@ -361,35 +252,6 @@ func TestPendingQueueOrder(t *testing.T) {
 	}
 }
 
-// waitParked blocks until w has parked, failing after a generous bound.
-func waitParked(t *testing.T, w *waiter) {
-	deadline := time.Now().Add(10 * time.Second)
-	for w.state.Load() != parked {
-		if time.Now().After(deadline) {
-			t.Error("worker never parked")
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// TestSendPastActorBoundPanics: an actor id at or past the GrowActors
-// bound is a caller bug; Send must say which actor and which bound.
-func TestSendPastActorBoundPanics(t *testing.T) {
-	g := NewGroup[int](2, 1)
-	g.GrowActors(2)
-	g.Shard(0).OnMessage(func(int, int) {})
-	g.Shard(1).OnMessage(func(int, int) {})
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "actor 2") || !strings.Contains(msg, "bound 2") {
-			t.Fatalf("Send past the actor bound panicked with %q, want it to name actor 2 and bound 2", msg)
-		}
-	}()
-	g.Shard(0).Sim().At(0, func() { g.Shard(0).Send(1, 2, 1, 1) })
-	g.Run(false)
-}
-
 // BenchmarkBarrierCrossing measures a steady-state window + barrier with
 // empty mailboxes across 4 shards — the hot path of a sharded run. The CI
 // alloc-budget job gates this at 0 allocs/op.
@@ -408,15 +270,15 @@ func BenchmarkBarrierCrossing(b *testing.B) {
 	end := sim.Time(0)
 	for i := 0; i < b.N; i++ {
 		end++
-		g.runAll(false, windowCmd{end: end})
+		g.runAll(windowCmd{end: end})
 		g.deliver()
 	}
 }
 
 // BenchmarkShardBarrierIdle measures an adaptive solo-window step: only
-// one shard has events, so the coordinator derives the window end, runs
-// the active shard, parks the idle shards' clocks, and sweeps empty
-// outboxes — no worker handshake, and (CI-gated) no allocation.
+// one shard has events, so the step derives the window end, runs the
+// active shard, parks the idle shards' clocks, and sweeps empty outboxes
+// with (CI-gated) no allocation.
 func BenchmarkShardBarrierIdle(b *testing.B) {
 	g := NewGroup[int](4, 1)
 	for i := 0; i < 4; i++ {
@@ -429,7 +291,7 @@ func BenchmarkShardBarrierIdle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !g.step(false) {
+		if !g.step() {
 			b.Fatal("idle step drained")
 		}
 	}
@@ -446,7 +308,6 @@ func BenchmarkShardBarrierIdle(b *testing.B) {
 func BenchmarkBarrierMessages(b *testing.B) {
 	const n = 4
 	g := NewGroup[int](n, 1)
-	g.GrowActors(n)
 	for i := 0; i < n; i++ {
 		i := i
 		sh := g.Shard(i)
@@ -464,7 +325,7 @@ func BenchmarkBarrierMessages(b *testing.B) {
 	end := sim.Time(0)
 	for i := 0; i < b.N; i++ {
 		end++
-		g.runAll(false, windowCmd{end: end})
+		g.runAll(windowCmd{end: end})
 		g.deliver()
 	}
 }
