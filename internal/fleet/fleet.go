@@ -237,11 +237,21 @@ type fleet struct {
 
 	// arr is the front door the testbed runner shares: one pending
 	// arrival event, validated, recorded, then admitted here under shed,
-	// the admission rule the runner shares too. expire is deadlineAbort
-	// as a method value, built once.
-	arr    serve.Arrivals
-	shed   serve.ShedPolicy
-	expire func(uint64)
+	// the admission rule the runner shares too, whose TTFT deadlines
+	// abort through deadlineAbort.
+	arr       serve.Arrivals
+	shed      serve.ShedPolicy
+	deadlines *sim.Timers[uint64]
+	// hedges holds the failover timers, deferred the ones a brown-out
+	// re-arms; nil when FailoverTimeout is 0.
+	hedges, deferred *sim.Timers[failoverTimer]
+}
+
+// failoverTimer is one armed failover timer: the request it hedges and
+// the timerSeq it was armed under.
+type failoverTimer struct {
+	id  uint64
+	seq int
 }
 
 func (c *Config) validate() error {
@@ -332,7 +342,14 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 		recovered:   make(map[uint64]bool),
 		shed:        serve.ShedPolicy{MaxQueueDepth: cfg.MaxQueueDepth, TTFTDeadline: cfg.TTFTDeadline},
 	}
-	f.expire = f.deadlineAbort
+	f.deadlines = f.shed.Deadlines(f.s, f.rec, f.deadlineAbort)
+	if cfg.FailoverTimeout > 0 {
+		f.hedges = sim.NewTimers(f.s, cfg.FailoverTimeout, f.failoverTimerFired)
+		extra := sim.Duration(float64(cfg.FailoverTimeout) * (brownoutSlack - 1))
+		if extra > 0 {
+			f.deferred = sim.NewTimers(f.s, extra, f.failoverTimerFired)
+		}
+	}
 	if cfg.Decisions != nil {
 		f.dec = sched.NewDecisionLog()
 	}
@@ -456,7 +473,7 @@ func (f *fleet) arrivalsEnded() {
 // admit sheds or routes one recorded arrival.
 func (f *fleet) admit(w workload.Request) {
 	f.updateBrownout()
-	if !f.shed.Admit(f.s, f.rec, w.ID, f.totalQueueDepth, f.expire) {
+	if !f.shed.Admit(f.s, f.rec, w.ID, f.totalQueueDepth, f.deadlines) {
 		f.rejected++
 		f.dec.AddRoute(f.s.Now(), w.ID, "router", "admission-reject")
 		return
@@ -490,40 +507,31 @@ func (f *fleet) route(st *reqState, reason string) {
 	f.dec.AddRoute(f.s.Now(), st.w.ID, f.replicas[j].Name(), reason)
 	f.replicas[j].bump++
 	f.sendTo(j, msg{kind: mSubmit, id: st.w.ID, w: st.w})
-	f.armFailoverTimer(st.w.ID)
+	f.armFailoverTimer(st)
 }
 
 // armFailoverTimer hedges a routed request: if it still has no first
 // token when the (possibly brown-out-stretched) timeout fires, it moves.
-func (f *fleet) armFailoverTimer(id uint64) {
-	if f.cfg.FailoverTimeout <= 0 {
-		return
+func (f *fleet) armFailoverTimer(st *reqState) {
+	if f.hedges != nil {
+		f.hedges.Add(failoverTimer{st.w.ID, st.timerSeq})
 	}
-	st, ok := f.state[id]
-	if !ok {
-		return
-	}
-	seq := st.timerSeq
-	f.s.Schedule(f.cfg.FailoverTimeout, func() { f.failoverTimerFired(id, seq) })
 }
 
-func (f *fleet) failoverTimerFired(id uint64, seq int) {
-	st, ok := f.state[id]
-	if !ok || st.timerSeq != seq || st.replica < 0 || st.pendingEvict {
+func (f *fleet) failoverTimerFired(t failoverTimer) {
+	st, ok := f.state[t.id]
+	if !ok || st.timerSeq != t.seq || st.replica < 0 || st.pendingEvict {
 		return
 	}
-	if !f.rec.InFlight(id) || f.rec.HasFirstToken(id) {
+	if !f.rec.InFlight(t.id) || f.rec.HasFirstToken(t.id) {
 		return
 	}
 	f.updateBrownout()
-	if f.brownout {
+	if f.brownout && f.deferred != nil {
 		// Deferred, not cancelled: re-check after the slack interval. If
 		// the brown-out has ended by then the request finally moves.
-		extra := sim.Duration(float64(f.cfg.FailoverTimeout) * (brownoutSlack - 1))
-		if extra > 0 {
-			f.s.Schedule(extra, func() { f.failoverTimerFired(id, seq) })
-			return
-		}
+		f.deferred.Add(t)
+		return
 	}
 	f.startEvict(st, "failover-timeout")
 }

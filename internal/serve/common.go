@@ -61,9 +61,9 @@ type runner struct {
 	// all instances — the admission-control signal. Every system sets it
 	// before arrivals start.
 	queueDepth func() int
-	// expire is abortReq as a method value, built once for the shed
-	// policy's deadline timers.
-	expire func(uint64)
+	// deadlines are the shed policy's TTFT-deadline timers, which abort
+	// through abortReq; nil when the policy sets no deadline.
+	deadlines *sim.Timers[uint64]
 	// onAbort removes an aborted request from the owning system's
 	// structures (queues, running batches, KV, transfer queue). The
 	// request's Phase is already PhaseAborted when it is called.
@@ -96,7 +96,7 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 		cfg:  cfg,
 		live: make(map[uint64]*engine.Req),
 	}
-	r.expire = r.abortReq
+	r.deadlines = cfg.Shed.Deadlines(s, rec, r.abortReq)
 	return r, nil
 }
 
@@ -137,7 +137,7 @@ func (r *runner) scheduleStream(src workload.Source, submit func(*engine.Req)) {
 // admit applies the shed policy to one recorded arrival (a rejected
 // request does no work at all) and hands an admitted one to the system.
 func (r *runner) admit(w workload.Request) {
-	if !r.cfg.Shed.Admit(r.s, r.rec, w.ID, r.queueDepth, r.expire) {
+	if !r.cfg.Shed.Admit(r.s, r.rec, w.ID, r.queueDepth, r.deadlines) {
 		r.rejected++
 		return
 	}

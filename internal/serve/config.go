@@ -151,23 +151,31 @@ type ShedPolicy struct {
 // Admit is the one admission rule the testbed runner and the fleet router
 // share, applied to an arrival rec has just recorded. It rejects (and
 // records the rejection) when depth reports at least MaxQueueDepth
-// waiting requests; otherwise it arms the TTFT deadline, whose timer
-// calls expire if the request is still in flight without a first token,
-// and reports true. Callers hold expire in a field: a method value built
-// per arrival would cost an allocation each time.
-func (p ShedPolicy) Admit(s *sim.Simulator, rec *metrics.Recorder, id uint64, depth func() int, expire func(uint64)) bool {
+// waiting requests; otherwise it arms the request's TTFT deadline on
+// deadlines, the caller's queue from Deadlines, and reports true.
+func (p ShedPolicy) Admit(s *sim.Simulator, rec *metrics.Recorder, id uint64, depth func() int, deadlines *sim.Timers[uint64]) bool {
 	if p.MaxQueueDepth > 0 && depth() >= p.MaxQueueDepth {
 		rec.Reject(id, s.Now())
 		return false
 	}
 	if p.TTFTDeadline > 0 {
-		s.Schedule(p.TTFTDeadline, func() {
-			if rec.InFlight(id) && !rec.HasFirstToken(id) {
-				expire(id)
-			}
-		})
+		deadlines.Add(id)
 	}
 	return true
+}
+
+// Deadlines builds the TTFT-deadline timers Admit arms, once per runner
+// or router: each calls expire if its request is still in flight without
+// a first token. Nil when TTFTDeadline is 0.
+func (p ShedPolicy) Deadlines(s *sim.Simulator, rec *metrics.Recorder, expire func(uint64)) *sim.Timers[uint64] {
+	if p.TTFTDeadline <= 0 {
+		return nil
+	}
+	return sim.NewTimers(s, p.TTFTDeadline, func(id uint64) {
+		if rec.InFlight(id) && !rec.HasFirstToken(id) {
+			expire(id)
+		}
+	})
 }
 
 // WindOptions are WindServe's policy knobs and ablation switches.

@@ -140,6 +140,8 @@ func TestWindAsyncDecodeCrashUnderCopy(t *testing.T) {
 // DistServe with the tiered prefix cache on multi-turn conversations,
 // where every turn acquires, publishes and releases cached prefix blocks;
 // its budget also covers each conversation's own chain and session state.
+// The deadline row arms a TTFT deadline per request, which the shared
+// deadline timers hold without a closure.
 func TestTestbedAllocsPerRequest(t *testing.T) {
 	if size := unsafe.Sizeof(flight{}); size > 256 {
 		t.Errorf("a flight is %d bytes, past the 256-byte size class", size)
@@ -153,20 +155,25 @@ func TestTestbedAllocsPerRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range []struct {
-		name   string
-		run    func(Config, workload.Source) (*Result, error)
-		stream bool
-		prefix bool
-		budget float64
+		name     string
+		run      func(Config, workload.Source) (*Result, error)
+		stream   bool
+		prefix   bool
+		deadline bool
+		budget   float64
 	}{
-		{"DistServe", RunDistServeFrom, false, false, 1.25},
-		{"WindServe", RunWindServeFrom, false, false, 1.25},
-		{"DistServe streaming", RunDistServeFrom, true, false, 1.25},
-		{"WindServe streaming", RunWindServeFrom, true, false, 1.25},
-		{"DistServe chat, tiered prefix cache", RunDistServeFrom, false, true, 3},
+		{"DistServe", RunDistServeFrom, false, false, false, 1.25},
+		{"WindServe", RunWindServeFrom, false, false, false, 1.25},
+		{"DistServe streaming", RunDistServeFrom, true, false, false, 1.25},
+		{"WindServe streaming", RunWindServeFrom, true, false, false, 1.25},
+		{"WindServe, TTFT deadline", RunWindServeFrom, false, false, true, 1.25},
+		{"DistServe chat, tiered prefix cache", RunDistServeFrom, false, true, false, 3},
 	} {
 		cfg := cfg13B(t)
 		cfg.Stream.Enabled = sys.stream
+		if sys.deadline {
+			cfg.Shed.TTFTDeadline = 20 * cfg.SLO.TTFT
+		}
 		source := shareGPT
 		if sys.prefix {
 			cfg.Prefix = PrefixPolicy{Enabled: true, Tiered: true}

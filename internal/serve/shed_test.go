@@ -17,10 +17,10 @@ func TestShedPolicyAdmit(t *testing.T) {
 	rec := metrics.NewRecorder(metrics.SLO{}, 0)
 	p := ShedPolicy{MaxQueueDepth: 2, TTFTDeadline: sim.Seconds(1)}
 	var expired []uint64
-	expire := func(id uint64) { expired = append(expired, id) }
+	deadlines := p.Deadlines(s, rec, func(id uint64) { expired = append(expired, id) })
 	admit := func(id uint64, depth int) bool {
 		rec.Arrive(id, 8, 4, s.Now())
-		return p.Admit(s, rec, id, func() int { return depth }, expire)
+		return p.Admit(s, rec, id, func() int { return depth }, deadlines)
 	}
 
 	if admit(1, 2) {
@@ -46,8 +46,13 @@ func TestShedPolicyAdmit(t *testing.T) {
 		t.Fatalf("expired %v, want [2]", expired)
 	}
 
-	// The zero policy admits at any depth and arms no timer.
-	if !(ShedPolicy{}).Admit(s, rec, 5, func() int { return 1 << 20 }, expire) || s.Pending() != 0 {
+	// The zero policy builds no deadline timers, admits at any depth and
+	// arms no timer.
+	var zero ShedPolicy
+	if zero.Deadlines(s, rec, nil) != nil {
+		t.Fatal("zero policy built deadline timers")
+	}
+	if !zero.Admit(s, rec, 5, func() int { return 1 << 20 }, nil) || s.Pending() != 0 {
 		t.Fatalf("zero policy rejected or armed a timer (%d pending)", s.Pending())
 	}
 }

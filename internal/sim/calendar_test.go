@@ -10,11 +10,16 @@ import (
 // refHeap is the binary-heap pending set the kernel used before the
 // calendar queue, kept as an executable specification of the (at, seq)
 // total order for equivalence tests and as the baseline in the
-// event-queue benchmarks.
-type refHeap []*event
+// event-queue benchmarks. Its events carry their own heap index.
+type refHeap []*refEvent
+
+type refEvent struct {
+	event
+	index int // position in the heap, -1 once popped or removed
+}
 
 func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h refHeap) Less(i, j int) bool { return h[i].before(&h[j].event) }
 func (h refHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
@@ -22,7 +27,7 @@ func (h refHeap) Swap(i, j int) {
 }
 
 func (h *refHeap) Push(x any) {
-	ev := x.(*event)
+	ev := x.(*refEvent)
 	ev.index = len(*h)
 	*h = append(*h, ev)
 }
@@ -89,7 +94,10 @@ func checkHeapEquivalence(t *testing.T, script string, seed int64, delay func(*r
 	rng := rand.New(rand.NewSource(seed))
 	cq := newCalendarQueue()
 	var hq refHeap
-	type pair struct{ c, h *event }
+	type pair struct {
+		c *event
+		h *refEvent
+	}
 	live := map[uint64]pair{}
 	var liveSeqs []uint64
 	now := 0.0
@@ -100,7 +108,7 @@ func checkHeapEquivalence(t *testing.T, script string, seed int64, delay func(*r
 		case x < 0.55 || cq.n == 0:
 			at := Time(now) + Time(delay(rng))
 			ce := &event{at: at, seq: seq}
-			he := &event{at: at, seq: seq}
+			he := &refEvent{event: event{at: at, seq: seq}}
 			cq.push(ce)
 			heap.Push(&hq, he)
 			live[seq] = pair{ce, he}
@@ -117,7 +125,7 @@ func checkHeapEquivalence(t *testing.T, script string, seed int64, delay func(*r
 			heap.Remove(&hq, p.h.index)
 		default:
 			ce := cq.pop()
-			he := heap.Pop(&hq).(*event)
+			he := heap.Pop(&hq).(*refEvent)
 			if ce.at != he.at || ce.seq != he.seq {
 				t.Fatalf("%s seed %d op %d: calendar popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
 					script, seed, op, ce.at, ce.seq, he.at, he.seq)
@@ -139,7 +147,7 @@ func checkHeapEquivalence(t *testing.T, script string, seed int64, delay func(*r
 	// Drain: remaining events must come out in identical order.
 	for cq.n > 0 {
 		ce := cq.pop()
-		he := heap.Pop(&hq).(*event)
+		he := heap.Pop(&hq).(*refEvent)
 		if ce.at != he.at || ce.seq != he.seq {
 			t.Fatalf("%s seed %d drain: calendar popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
 				script, seed, ce.at, ce.seq, he.at, he.seq)
@@ -150,8 +158,8 @@ func checkHeapEquivalence(t *testing.T, script string, seed int64, delay func(*r
 // scanMin is peek's specification: the pending minimum by direct search.
 func scanMin(q *calendarQueue) *event {
 	var best *event
-	for _, bkt := range q.buckets {
-		for _, ev := range bkt {
+	for _, h := range q.buckets {
+		for ev := h; ev != nil; ev = ev.next {
 			if best == nil || ev.before(best) {
 				best = ev
 			}
@@ -274,13 +282,13 @@ func BenchmarkEventQueueHeap10k(b *testing.B) {
 	delays := benchDelays(4096, 20)
 	hq := make(refHeap, 0, 10001)
 	for i := 0; i < 10000; i++ {
-		heap.Push(&hq, &event{at: delays[i&4095], seq: uint64(i)})
+		heap.Push(&hq, &refEvent{event: event{at: delays[i&4095], seq: uint64(i)}})
 	}
 	seq := uint64(10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := heap.Pop(&hq).(*event)
+		ev := heap.Pop(&hq).(*refEvent)
 		ev.at += delays[i&4095]
 		ev.seq = seq
 		seq++
@@ -382,7 +390,7 @@ func (r *refSim) Pending() int { return r.h.Len() }
 func (r *refSim) Halt()        { r.halted = true }
 
 func (r *refSim) Schedule(d Duration, fn func()) func() bool {
-	ev := &event{at: r.now.Add(d), seq: r.seq, fn: fn}
+	ev := &refEvent{event: event{at: r.now.Add(d), seq: r.seq, fn: fn}}
 	r.seq++
 	heap.Push(&r.h, ev)
 	return func() bool {
@@ -398,7 +406,7 @@ func (r *refSim) Step() bool {
 	if r.h.Len() == 0 {
 		return false
 	}
-	ev := heap.Pop(&r.h).(*event)
+	ev := heap.Pop(&r.h).(*refEvent)
 	r.now = ev.at
 	ev.fn()
 	return true

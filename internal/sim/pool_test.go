@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math/bits"
+	"math/rand"
+	"testing"
+)
 
 // TestCancelStaleAfterFire pins the event-pool safety contract: an
 // EventID held past its event's firing must stay inert even after the
@@ -129,5 +133,61 @@ func TestResizeReusesBuckets(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs > 0 {
 		t.Fatalf("a grow-then-shrink cycle of %d events allocates %.1f objects, want 0", n, allocs)
+	}
+}
+
+// TestResizeReusesBucketsRandomSpacing is TestResizeReusesBuckets under
+// the spacing real traffic has: exponential gaps from a fixed seed, so
+// buckets fill unevenly and each cycle's occupancy peaks differ. The
+// buckets are lists threaded through the events, so a warm cycle still
+// allocates nothing.
+func TestResizeReusesBucketsRandomSpacing(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(7))
+	at := make([]Duration, n)
+	var sum Duration
+	for i := range at {
+		sum += Duration(rng.ExpFloat64() / 1024)
+		at[i] = sum
+	}
+	s := New()
+	fn := func() {}
+	cycle := func() {
+		for _, d := range at {
+			s.Schedule(d, fn)
+		}
+		s.RunAll()
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs > 0 {
+		t.Fatalf("a grow-then-shrink cycle of %d randomly spaced events allocates %.1f objects, want 0", n, allocs)
+	}
+}
+
+// TestFillAllocatesPerChunk checks that events are carved from chunks:
+// filling an empty simulator with n events allocates one chunk per
+// eventChunk events, one bucket array per calendar doubling, and a
+// constant rest (the simulator, its calendar, the width-sample scratch).
+func TestFillAllocatesPerChunk(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(7))
+	at := make([]Duration, n)
+	for i := range at {
+		at[i] = Duration(rng.Float64())
+	}
+	fn := func() {}
+	allocs := testing.AllocsPerRun(5, func() {
+		s := New()
+		for _, d := range at {
+			s.Schedule(d, fn)
+		}
+	})
+	chunks := (n + eventChunk - 1) / eventChunk
+	doublings := bits.Len(n/minBuckets) - 1
+	if budget := chunks + doublings + 12; allocs > float64(budget) {
+		t.Fatalf("filling with %d events allocates %.0f objects, budget %d (%d chunks, %d doublings)",
+			n, allocs, budget, chunks, doublings)
 	}
 }

@@ -5,12 +5,16 @@
 // and workload generators schedule request arrivals. The kernel guarantees a
 // total order over events (time, then insertion sequence), so a run with a
 // fixed seed is bit-for-bit reproducible.
+//
+// The kernel allocates nothing per event once warm: events are carved from
+// chunks and recycled through a free list, the calendar's buckets are
+// lists threaded through the events, and Timers gives constant-delay
+// timers one shared callback instead of a closure each.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -57,13 +61,15 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fms", float64(d)*1e3)
 // by a later Schedule. gen distinguishes the incarnations, so an EventID
 // held across a recycle can never cancel the wrong event.
 type event struct {
-	at     Time
-	seq    uint64 // tie-breaker: FIFO among same-time events
-	fn     func()
-	epoch  int64  // absolute calendar-bucket number at insertion width
-	bucket int    // owning bucket, fixed by epoch & mask
-	index  int    // position within the bucket, -1 when popped/cancelled
-	gen    uint64 // incarnation counter, bumped on every recycle
+	at    Time
+	seq   uint64 // tie-breaker: FIFO among same-time events
+	fn    func()
+	epoch int64 // absolute calendar-bucket number at insertion width
+	// next and prev link the event into its calendar bucket's list; next
+	// also links the free list.
+	next, prev *event
+	bucket     int    // owning bucket, fixed by epoch & mask; laneBucket in the lane
+	gen        uint64 // incarnation counter, bumped on every recycle
 }
 
 // before reports whether e fires ahead of other in the kernel's total
@@ -88,9 +94,14 @@ func (e *event) before(other *event) bool {
 // accumulated float boundaries), and within a window the minimum is chosen
 // by (at, seq) — so firing order, including FIFO among equal timestamps,
 // is identical to the heap's total order.
+//
+// Each bucket is an intrusive doubly-linked list threaded through the
+// events themselves, so placing, unlinking and re-placing an event never
+// allocates. Order within a bucket carries no meaning: peek picks by
+// (at, seq) and estimateWidth sorts its sample.
 type calendarQueue struct {
-	buckets [][]*event
-	mask    int // len(buckets)-1; len is a power of two
+	buckets []*event // list heads
+	mask    int      // len(buckets)-1; len is a power of two
 	n       int
 	width   Time
 	// curEpoch is the window the sweep cursor is on. Invariant: no pending
@@ -101,10 +112,8 @@ type calendarQueue struct {
 	// peek-then-pop scans the cursor's bucket once per event, not twice.
 	// Invariant: head != nil implies head.epoch == curEpoch.
 	head *event
-	// sample is resize's scratch for width estimation, moved its scratch
-	// for the events it re-places.
+	// sample is resize's scratch for width estimation.
 	sample []float64
-	moved  []*event
 }
 
 const (
@@ -118,7 +127,7 @@ const (
 
 func newCalendarQueue() *calendarQueue {
 	return &calendarQueue{
-		buckets: make([][]*event, minBuckets),
+		buckets: make([]*event, minBuckets),
 		mask:    minBuckets - 1,
 		width:   1,
 	}
@@ -151,29 +160,30 @@ func (q *calendarQueue) push(ev *event) {
 	}
 }
 
-// place computes the event's window at the current width and appends it to
-// its bucket.
+// place computes the event's window at the current width and pushes it
+// onto its bucket's list.
 func (q *calendarQueue) place(ev *event) {
 	ev.epoch = q.epochOf(ev.at)
 	b := int(ev.epoch) & q.mask
 	ev.bucket = b
-	ev.index = len(q.buckets[b])
-	q.buckets[b] = append(q.buckets[b], ev)
+	h := q.buckets[b]
+	ev.prev, ev.next = nil, h
+	if h != nil {
+		h.prev = ev
+	}
+	q.buckets[b] = ev
 }
 
-// remove unlinks a pending event from its bucket in O(1) by swapping the
-// bucket's last event into its slot.
+// remove unlinks a pending event from its bucket in O(1).
 func (q *calendarQueue) remove(ev *event) {
-	b := q.buckets[ev.bucket]
-	last := len(b) - 1
-	if ev.index != last {
-		moved := b[last]
-		b[ev.index] = moved
-		moved.index = ev.index
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		q.buckets[ev.bucket] = ev.next
 	}
-	b[last] = nil
-	q.buckets[ev.bucket] = b[:last]
-	ev.index = -1
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
 	q.n--
 	if ev == q.head {
 		q.head = nil
@@ -194,7 +204,7 @@ func (q *calendarQueue) peek() *event {
 	}
 	for i := 0; i <= q.mask; i++ {
 		var best *event
-		for _, ev := range q.buckets[int(q.curEpoch)&q.mask] {
+		for ev := q.buckets[int(q.curEpoch)&q.mask]; ev != nil; ev = ev.next {
 			if ev.epoch == q.curEpoch && (best == nil || ev.before(best)) {
 				best = ev
 			}
@@ -206,8 +216,8 @@ func (q *calendarQueue) peek() *event {
 		q.curEpoch++
 	}
 	var best *event
-	for _, bkt := range q.buckets {
-		for _, ev := range bkt {
+	for _, h := range q.buckets {
+		for ev := h; ev != nil; ev = ev.next {
 			if best == nil || ev.before(best) {
 				best = ev
 			}
@@ -221,9 +231,9 @@ func (q *calendarQueue) peek() *event {
 // resize rebuilds the calendar with nb buckets and a width re-estimated
 // from the current population's spacing, keeping amortized bucket
 // occupancy O(1) as the pending count grows and shrinks. The minimum it
-// finds on the way refills the head cache. Buckets keep their storage
-// across resizes, a shrink's spare ones included, so a population that
-// grows and shrinks again allocates nothing once warm.
+// finds on the way refills the head cache. The pending events are chained
+// into one list through next and re-placed from it, and the bucket array
+// keeps its storage across a shrink, so a warm resize allocates nothing.
 func (q *calendarQueue) resize(nb int) {
 	if nb < minBuckets {
 		nb = minBuckets
@@ -231,23 +241,30 @@ func (q *calendarQueue) resize(nb int) {
 	if w := q.estimateWidth(); w > 0 {
 		q.width = w
 	}
-	moved := q.moved[:0]
-	for i, bkt := range q.buckets {
-		moved = append(moved, bkt...)
-		clear(bkt)
-		q.buckets[i] = bkt[:0]
+	var all *event
+	for i, ev := range q.buckets {
+		for ev != nil {
+			next := ev.next
+			ev.next, all = all, ev
+			ev = next
+		}
+		q.buckets[i] = nil
 	}
-	q.buckets = slices.Grow(q.buckets[:0], nb)[:nb] // Grow keeps the spare buckets
+	if cap(q.buckets) >= nb {
+		q.buckets = q.buckets[:nb] // the spare buckets are empty
+	} else {
+		q.buckets = make([]*event, nb)
+	}
 	q.mask = nb - 1
 	var min *event
-	for _, ev := range moved {
+	for ev := all; ev != nil; {
+		next := ev.next
 		q.place(ev)
 		if min == nil || ev.before(min) {
 			min = ev
 		}
+		ev = next
 	}
-	clear(moved)
-	q.moved = moved[:0]
 	if min != nil {
 		q.curEpoch = min.epoch
 	}
@@ -269,7 +286,7 @@ func (q *calendarQueue) estimateWidth() Time {
 	const widthSample = 64
 	ts := q.sample[:0]
 	for i, e := 0, q.curEpoch; i <= q.mask && len(ts) < widthSample; i, e = i+1, e+1 {
-		for _, ev := range q.buckets[int(e)&q.mask] {
+		for ev := q.buckets[int(e)&q.mask]; ev != nil; ev = ev.next {
 			if ev.epoch == e {
 				ts = append(ts, float64(ev.at))
 			}
@@ -341,11 +358,18 @@ type Simulator struct {
 	laneHead int
 	laneN    int
 	laneAt   Time
-	// free recycles fired/cancelled event structs. Bounded by the peak
-	// number of simultaneously pending events, it eliminates the
-	// per-Schedule heap allocation on the kernel's hottest path.
-	free []*event
+	// free lists the fired and cancelled event structs through their next
+	// links, for reuse by the next Schedule. chunk holds the events carved
+	// but never used yet: alloc takes from free first and from chunk
+	// next, and allocates a new chunk of eventChunk events only when both
+	// are empty, so a run makes one allocation per eventChunk events of
+	// peak population and none on the kernel's hottest path.
+	free  *event
+	chunk []event
 }
+
+// eventChunk is how many events alloc carves from one allocation.
+const eventChunk = 256
 
 // New returns an empty simulator at time 0.
 func New() *Simulator {
@@ -398,7 +422,7 @@ func (s *Simulator) pushLane(ev *event) {
 		clear(s.lane[n:])
 		s.lane, s.laneHead = s.lane[:n], 0
 	}
-	ev.bucket, ev.index = laneBucket, 0
+	ev.bucket = laneBucket
 	s.lane = append(s.lane, laneEntry{ev: ev, gen: ev.gen})
 	s.laneN++
 	s.laneAt = ev.at
@@ -420,8 +444,7 @@ func (s *Simulator) laneFront() *event {
 
 // unlinkLane takes a live event out of the lane's count; the lane is
 // emptied, tombstones included, once none is left.
-func (s *Simulator) unlinkLane(ev *event) {
-	ev.index = -1
+func (s *Simulator) unlinkLane() {
 	s.laneN--
 	if s.laneN == 0 {
 		clear(s.lane)
@@ -438,34 +461,38 @@ func (s *Simulator) next() *event {
 	return c
 }
 
-// alloc takes an event off the free list, or allocates the list's first
-// incarnation of one.
+// alloc takes an event off the free list, or carves the first incarnation
+// of one from the current chunk.
 func (s *Simulator) alloc() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if ev := s.free; ev != nil {
+		s.free, ev.next = ev.next, nil
 		return ev
 	}
-	return &event{}
+	if len(s.chunk) == 0 {
+		s.chunk = make([]event, eventChunk)
+	}
+	ev := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return ev
 }
 
 // recycle retires an event to the free list. Bumping gen first
-// invalidates every outstanding EventID for this incarnation.
+// invalidates every outstanding EventID for this incarnation, so an event
+// whose id still matches is pending.
 func (s *Simulator) recycle(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	s.free = append(s.free, ev)
+	ev.next, s.free = s.free, ev
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op and returns false.
 func (s *Simulator) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
+	if id.ev == nil || id.ev.gen != id.gen {
 		return false
 	}
 	if id.ev.bucket == laneBucket {
-		s.unlinkLane(id.ev)
+		s.unlinkLane()
 	} else {
 		s.q.remove(id.ev)
 	}
@@ -486,7 +513,7 @@ func (s *Simulator) Step() bool {
 	if ev.bucket == laneBucket {
 		s.lane[s.laneHead] = laneEntry{}
 		s.laneHead++
-		s.unlinkLane(ev)
+		s.unlinkLane()
 	} else {
 		s.q.remove(ev)
 	}
