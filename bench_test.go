@@ -39,7 +39,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.ExpTable3(io.Discard); err != nil {
+		if _, err := bench.ExpTable3(benchOpts(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -148,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exhibits := map[string]func(io.Writer) error{
 		"table1":   bench.ExpTable1,
 		"table2":   func(w io.Writer) error { _, err := bench.ExpTable2(o, w); return err },
-		"table3":   bench.ExpTable3,
+		"table3":   func(w io.Writer) error { _, err := bench.ExpTable3(o, w); return err },
 		"table4":   bench.ExpTable4,
 		"fig1":     func(w io.Writer) error { _, err := bench.ExpFig1(o, w); return err },
 		"fig2":     func(w io.Writer) error { _, err := bench.ExpFig2(o, w); return err },
@@ -279,7 +279,7 @@ usage: windbench [-n requests] [-seed N] exhibit [exhibit ...]
 exhibits:
   table1  per-layer FLOPs/IO accounting
   table2  dataset statistics vs paper
-  table3  placement strategies
+  table3  placement strategies by simulated placement search (§5.1)
   table4  SLOs
   fig1    motivation: DistServe degradation under load
   fig2    prefill/decode instance utilization

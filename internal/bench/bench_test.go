@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -257,11 +258,44 @@ func TestExpFig9AndTables(t *testing.T) {
 		t.Error("Fig 9 output missing topology")
 	}
 	sb.Reset()
-	if err := ExpTable3(&sb); err != nil {
+	rows, err := ExpTable3(small(), &sb)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "TP-2,PP-2") {
-		t.Error("Table 3 missing placements")
+	// Every model has a runnable winner, and its line carries the paper's
+	// placement, its rank among the candidates, and a winner column.
+	lines := strings.Split(sb.String(), "\n")
+	for i, name := range []string{"OPT-13B", "LLaMA2-13B", "OPT-66B", "LLaMA2-70B"} {
+		r := rows[i]
+		if r.Model != name {
+			t.Fatalf("row %d is %s, want %s", i, r.Model, name)
+		}
+		win := r.Winners()
+		if len(win) == 0 || win[0].GoodputPerGPU <= 0 {
+			t.Errorf("%s: no winner with positive goodput in %v", name, r.Ranked)
+			continue
+		}
+		_, rank, _ := r.PaperRank()
+		var line string
+		for _, l := range lines {
+			if strings.HasPrefix(l, name+" ") {
+				line = l
+			}
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 10 {
+			t.Errorf("%s: line %q lacks a winner column", name, line)
+			continue
+		}
+		if got, want := strings.Join(fields[1:4], " "), r.Paper.String(); got != want {
+			t.Errorf("%s: paper placement %q, want %q", name, got, want)
+		}
+		if got, want := strings.Join(fields[5:8], " "), fmt.Sprintf("%d of %d", rank, len(r.Ranked)); got != want {
+			t.Errorf("%s: rank %q, want %q", name, got, want)
+		}
+		if !strings.Contains(line, win[0].Candidate.String()) {
+			t.Errorf("%s: line %q misses winner %v", name, line, win[0].Candidate)
+		}
 	}
 	sb.Reset()
 	if err := ExpTable4(&sb); err != nil {

@@ -10,6 +10,7 @@ import (
 	"windserve/internal/model"
 	"windserve/internal/par"
 	"windserve/internal/perf"
+	"windserve/internal/plan"
 	"windserve/internal/sched"
 	"windserve/internal/serve"
 	"windserve/internal/sim"
@@ -526,16 +527,100 @@ func ExpFig9(w io.Writer) error {
 	return err
 }
 
-// ExpTable3 prints the placement strategies per model.
-func ExpTable3(w io.Writer) error {
-	fmt.Fprintln(w, "Table 3: placement strategies")
-	tw := table(w)
-	fmt.Fprintln(tw, "model\tprefill placement\tdecode placement")
-	for _, m := range []model.Config{model.OPT13B, model.LLaMA213B, model.OPT66B, model.LLaMA270B} {
-		p, d := serve.PaperPlacement(m)
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", m.Name, p, d)
+// Table3Row is one model's placement search: every candidate on the GPU
+// budget of the paper's placement, ranked best-first by per-GPU goodput.
+type Table3Row struct {
+	Model  string
+	Paper  plan.Candidate
+	Ranked []plan.Evaluation
+}
+
+// PaperRank returns the paper placement's goodput, its 1-based rank (one
+// more than the number of candidates with strictly higher goodput), and
+// whether another candidate shares that goodput exactly.
+func (r Table3Row) PaperRank() (goodput float64, rank int, tied bool) {
+	for _, ev := range r.Ranked {
+		if ev.Candidate == r.Paper {
+			goodput = ev.GoodputPerGPU
+		}
 	}
-	return tw.Flush()
+	rank = 1
+	for _, ev := range r.Ranked {
+		if ev.Err == nil && ev.Candidate != r.Paper {
+			if ev.GoodputPerGPU > goodput {
+				rank++
+			}
+			tied = tied || ev.GoodputPerGPU == goodput
+		}
+	}
+	return goodput, rank, tied
+}
+
+// Winners returns every runnable candidate sharing the top goodput, in
+// enumeration order.
+func (r Table3Row) Winners() []plan.Evaluation {
+	n := 0
+	for n < len(r.Ranked) && r.Ranked[n].Err == nil && r.Ranked[n].GoodputPerGPU == r.Ranked[0].GoodputPerGPU {
+		n++
+	}
+	return r.Ranked[:n]
+}
+
+// ExpTable3 reproduces Table 3 by the paper's method (§5.1): DistServe's
+// simulation-based placement search. For each model it enumerates every
+// candidate on the GPU budget of the paper's placement, bisects each
+// candidate's per-GPU goodput over [0, twice the top rate of the model's
+// Fig. 10 sweep], and prints the paper's placement with its goodput and
+// rank next to the search's winners.
+func ExpTable3(o Options, w io.Writer) ([]Table3Row, error) {
+	o = o.withDefaults()
+	scs := []scenario{chatbot13B(), summarize13B(), chatbot66B(), summarize70B()}
+	rows := make([]Table3Row, len(scs))
+	sizes := make([]int, len(scs))
+	var thunks []func() (plan.Evaluation, error)
+	for i, sc := range scs {
+		pre, dec := serve.PaperPlacement(sc.model)
+		rows[i] = Table3Row{Model: sc.model.Name, Paper: plan.Candidate{Prefill: pre, Decode: dec}}
+		top := 2 * sc.rates[len(sc.rates)-1]
+		cands := plan.Candidates(sc.model, rows[i].Paper.GPUs(), plan.MaxGPUsPerInstance)
+		sizes[i] = len(cands)
+		for _, c := range cands {
+			thunks = append(thunks, func() (plan.Evaluation, error) {
+				return plan.Goodput(sc.model, sc.dataset, c, top, o.Requests, o.Seed), nil
+			})
+		}
+	}
+	evals, err := fanOut(o, thunks)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w, "Table 3: placement strategies, by DistServe's simulated placement search (§5.1)")
+	fmt.Fprintf(w, "goodput/GPU: highest per-GPU rate (req/s) at which >= %.0f%% of requests meet both SLOs under DistServe\n", 100*plan.Target)
+	tw := table(w)
+	fmt.Fprintln(tw, "model\tpaper placement\tgoodput/GPU\trank\tsearch winner\tgoodput/GPU")
+	for i := range rows {
+		r := &rows[i]
+		r.Ranked, evals = evals[:sizes[i]:sizes[i]], evals[sizes[i]:]
+		plan.Rank(r.Ranked)
+		if best := r.Ranked[0]; best.Err != nil {
+			return nil, fmt.Errorf("table3: no placement of %s could run: %w", r.Model, best.Err)
+		}
+		goodput, rank, tied := r.PaperRank()
+		cells := fmt.Sprintf("%s\t%v\t%.3f\t%d of %d", r.Model, r.Paper, goodput, rank, len(r.Ranked))
+		if tied {
+			cells += " (tie)"
+		}
+		winners := r.Winners()
+		for _, win := range winners {
+			fmt.Fprintf(tw, "%s\t%v\t%.3f", cells, win.Candidate, win.GoodputPerGPU)
+			if len(winners) > 1 {
+				fmt.Fprintf(tw, " (%d-way tie)", len(winners))
+			}
+			fmt.Fprintln(tw)
+			cells = "\t\t\t"
+		}
+	}
+	return rows, tw.Flush()
 }
 
 // ExpTable4 prints the SLOs per model and scenario.

@@ -73,8 +73,10 @@ type Config struct {
 	// digest identity across configurations.
 	ShardStats *shard.Stats
 
-	// Policy picks the router: "round-robin", "least-loaded", or
-	// "weighted" (health/SLO-aware scoring). Default "round-robin".
+	// Policy picks the router: "round-robin", "least-loaded", "weighted"
+	// (health/SLO-aware scoring), or "prefix-affinity" (keep a session's
+	// requests on the replica holding its cached prefix). Default
+	// "round-robin".
 	Policy string
 
 	// FailoverTimeout fails a request over to another replica when it has

@@ -1,12 +1,12 @@
 // Package plan implements simulation-based placement search: the method
 // DistServe uses — and WindServe adopts (paper §5.1, "Placement
 // Strategies") — to choose each instance's tensor/pipeline parallelism.
-// Candidate placements are enumerated over a GPU budget, each is evaluated
-// by simulating a calibration workload, and candidates are ranked by SLO
-// attainment with per-GPU goodput as the tiebreaker.
+// Candidate placements are enumerated over a GPU budget, each candidate's
+// per-GPU goodput is found by bisecting the request rate over simulated
+// DistServe runs, and candidates are ranked by that goodput.
 //
-// This is also the tool behind the paper's Table 3: running the search
-// over the paper's scenarios reproduces its placement choices.
+// `windbench table3` runs the search for the paper's four models and sets
+// each winner next to the paper's Table 3 placement.
 package plan
 
 import (
@@ -17,6 +17,18 @@ import (
 	"windserve/internal/perf"
 	"windserve/internal/serve"
 	"windserve/internal/workload"
+)
+
+const (
+	// Target is the SLO attainment a rate must reach to count toward
+	// goodput: DistServe's 90% of requests meeting both TTFT and TPOT.
+	Target = 0.9
+	// Halvings is the bisection depth: the bracket [0, top] is halved this
+	// many times, so a goodput is exact to top/2^Halvings.
+	Halvings = 10
+	// MaxGPUsPerInstance bounds each instance: one larger than half the
+	// 8-GPU testbed leaves too little for the other phase.
+	MaxGPUsPerInstance = 4
 )
 
 // Candidate is one prefill/decode placement pair.
@@ -35,44 +47,12 @@ func (c Candidate) String() string {
 // Evaluation is one candidate's simulated outcome.
 type Evaluation struct {
 	Candidate Candidate
-	// Attainment is the fraction of requests meeting both SLOs.
-	Attainment float64
-	// GoodputPerGPU is SLO-satisfying requests per second per GPU — the
-	// goodput metric DistServe optimizes.
+	// GoodputPerGPU is the highest per-GPU request rate at which at least
+	// Target of the requests meet both SLOs — the metric DistServe
+	// optimizes. 0 means no rate in the bracket qualified.
 	GoodputPerGPU float64
-	// TTFTP50Ms and TPOTP99Ms summarize the latency profile.
-	TTFTP50Ms, TPOTP99Ms float64
 	// Err notes candidates that could not run (e.g. weights don't fit).
 	Err error
-}
-
-// Options tunes the search.
-type Options struct {
-	// System evaluates candidates under this system ("windserve" or
-	// "distserve"); default "distserve", matching the paper's planner.
-	System string
-	// Requests per candidate simulation.
-	Requests int
-	Seed     int64
-	// MaxGPUsPerInstance bounds each instance (placements beyond TP-4 ×
-	// PP-2 are rarely sensible on an 8-GPU node).
-	MaxGPUsPerInstance int
-}
-
-func (o Options) withDefaults() Options {
-	if o.System == "" {
-		o.System = "distserve"
-	}
-	if o.Requests <= 0 {
-		o.Requests = 300
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.MaxGPUsPerInstance <= 0 {
-		o.MaxGPUsPerInstance = 4
-	}
-	return o
 }
 
 // placements enumerates the TP×PP shapes valid for the model with at most
@@ -104,72 +84,66 @@ func Candidates(m model.Config, gpuBudget, maxPerInstance int) []Candidate {
 	return out
 }
 
-// Search simulates every candidate on the calibration workload and
-// returns evaluations sorted best-first (highest attainment, then
-// goodput). The trace is regenerated per candidate so the total request
-// rate follows each candidate's GPU count — the linear scaling rule.
-func Search(m model.Config, ds workload.Dataset, ratePerGPU float64, gpuBudget int, o Options) ([]Evaluation, error) {
-	o = o.withDefaults()
-	cands := Candidates(m, gpuBudget, o.MaxGPUsPerInstance)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("plan: no valid candidates for %s on %d GPUs", m.Name, gpuBudget)
+// attainment serves requests from ds at ratePerGPU under DistServe on the
+// candidate's placement and returns the fraction meeting both SLOs. The
+// total rate follows the candidate's GPU count — the linear scaling rule.
+func attainment(m model.Config, ds workload.Dataset, c Candidate, ratePerGPU float64, requests int, seed int64) (float64, error) {
+	cfg, err := serve.DefaultConfig(m)
+	if err != nil {
+		return 0, err
 	}
-	var evals []Evaluation
-	for _, cand := range cands {
-		ev := Evaluation{Candidate: cand}
-		cfg, err := serve.DefaultConfig(m)
-		if err != nil {
-			return nil, err
-		}
-		cfg.PrefillPlace = cand.Prefill
-		cfg.DecodePlace = cand.Decode
-		if ds.MaxContext > m.MaxContext {
-			ds.MaxContext = m.MaxContext
-		}
-		g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: ratePerGPU * float64(cand.GPUs())}, o.Seed)
-		reqs := g.Generate(o.Requests)
-		var res *serve.Result
-		switch o.System {
-		case "windserve":
-			res, err = serve.RunWindServe(cfg, reqs)
-		case "distserve":
-			res, err = serve.RunDistServe(cfg, reqs)
-		default:
-			return nil, fmt.Errorf("plan: unknown system %q", o.System)
-		}
-		if err != nil {
+	cfg.PrefillPlace, cfg.DecodePlace = c.Prefill, c.Decode
+	if ds.MaxContext > m.MaxContext {
+		ds.MaxContext = m.MaxContext
+	}
+	g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: ratePerGPU * float64(c.GPUs())}, seed)
+	res, err := serve.RunDistServe(cfg, g.Generate(requests))
+	if err != nil {
+		return 0, err
+	}
+	return res.Summary.Attainment, nil
+}
+
+// Goodput bisects [0, top] for the candidate's per-GPU goodput. It
+// simulates top first and returns it if it qualifies; otherwise it keeps
+// a qualifying low end and a failing high end through Halvings halvings
+// and returns the low end.
+func Goodput(m model.Config, ds workload.Dataset, c Candidate, top float64, requests int, seed int64) Evaluation {
+	ev := Evaluation{Candidate: c}
+	att, err := attainment(m, ds, c, top, requests, seed)
+	if err != nil {
+		ev.Err = err
+		return ev
+	}
+	if att >= Target {
+		ev.GoodputPerGPU = top
+		return ev
+	}
+	lo, hi := 0.0, top
+	for i := 0; i < Halvings; i++ {
+		mid := (lo + hi) / 2
+		if att, err = attainment(m, ds, c, mid, requests, seed); err != nil {
 			ev.Err = err
-			evals = append(evals, ev)
-			continue
+			return ev
 		}
-		s := res.Summary
-		ev.Attainment = s.Attainment
-		ev.GoodputPerGPU = s.ThroughputRPS * s.Attainment / float64(cand.GPUs())
-		ev.TTFTP50Ms = s.TTFTP50.Milliseconds()
-		ev.TPOTP99Ms = s.TPOTP99.Milliseconds()
-		evals = append(evals, ev)
+		if att >= Target {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
+	ev.GoodputPerGPU = lo
+	return ev
+}
+
+// Rank sorts evaluations best-first: runnable candidates by descending
+// goodput, then failed ones. Exact ties keep their input order.
+func Rank(evals []Evaluation) {
 	sort.SliceStable(evals, func(i, j int) bool {
 		a, b := evals[i], evals[j]
 		if (a.Err == nil) != (b.Err == nil) {
 			return a.Err == nil
 		}
-		if a.Attainment != b.Attainment {
-			return a.Attainment > b.Attainment
-		}
 		return a.GoodputPerGPU > b.GoodputPerGPU
 	})
-	return evals, nil
-}
-
-// Best runs Search and returns only the winner.
-func Best(m model.Config, ds workload.Dataset, ratePerGPU float64, gpuBudget int, o Options) (Evaluation, error) {
-	evals, err := Search(m, ds, ratePerGPU, gpuBudget, o)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	if evals[0].Err != nil {
-		return Evaluation{}, fmt.Errorf("plan: no candidate could run: %w", evals[0].Err)
-	}
-	return evals[0], nil
 }

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"windserve/internal/model"
@@ -51,71 +53,97 @@ func TestCandidatesRespectBudget(t *testing.T) {
 	}
 }
 
+// The exhibit's settings: 600 requests at seed 42, bisected over twice the
+// top rate of OPT-13B's Fig. 10 sweep.
+const (
+	requests = 600
+	seed     = 42
+	top13B   = 12.0
+)
+
 func TestSearchRanksPaperPlacementHighly(t *testing.T) {
-	// At the paper's OPT-13B operating point, the search should prefer a
-	// balanced [TP-2 | TP-2] (Table 3) over starved-decode shapes.
-	evals, err := Search(model.OPT13B, workload.ShareGPT(), 2.5, 4, Options{Requests: 200})
-	if err != nil {
-		t.Fatal(err)
+	// OPT-13B's winner on 4 GPUs is Table 3's balanced [TP-2 | TP-2], and
+	// it wins outright: no other candidate ties it.
+	var evals []Evaluation
+	for _, c := range Candidates(model.OPT13B, 4, MaxGPUsPerInstance) {
+		evals = append(evals, Goodput(model.OPT13B, workload.ShareGPT(), c, top13B, requests, seed))
 	}
-	if len(evals) < 2 {
-		t.Fatalf("evals = %d", len(evals))
-	}
+	Rank(evals)
 	best := evals[0]
 	if best.Err != nil {
 		t.Fatalf("best candidate failed: %v", best.Err)
 	}
-	if best.Attainment <= 0.5 {
-		t.Errorf("best attainment = %.2f", best.Attainment)
+	if got, want := best.Candidate.String(), "[TP-2,PP-1 | TP-2,PP-1]"; got != want {
+		t.Errorf("winner = %s, want Table 3's %s (ranking %v)", got, want, evals)
 	}
-	// The winner must dominate the worst runnable candidate.
-	var worst Evaluation
-	for i := len(evals) - 1; i >= 0; i-- {
-		if evals[i].Err == nil {
-			worst = evals[i]
-			break
-		}
-	}
-	if best.Attainment < worst.Attainment {
-		t.Errorf("ranking broken: best %.2f < worst %.2f", best.Attainment, worst.Attainment)
-	}
-	// Paper's choice gives the decode side 2 GPUs; the planner should not
-	// pick a 1-GPU decode instance at this rate (Fig. 3's bad case).
-	if best.Candidate.Decode.GPUs() < 2 {
-		t.Errorf("planner picked starved decode: %v", best.Candidate)
+	if best.GoodputPerGPU <= evals[1].GoodputPerGPU {
+		t.Errorf("winner %v ties or trails the runner-up %v", best, evals[1])
 	}
 }
 
-func TestSearchWindServeSystem(t *testing.T) {
-	evals, err := Search(model.OPT13B, workload.ShareGPT(), 3, 4, Options{Requests: 150, System: "windserve"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evals[0].Err != nil {
-		t.Fatal(evals[0].Err)
-	}
-	if evals[0].GoodputPerGPU <= 0 {
-		t.Error("goodput not computed")
+func TestGoodputBisection(t *testing.T) {
+	// The returned rate qualifies, and one resolution step above it does
+	// not: the bisection kept the qualifying side and halved to the end.
+	ds := workload.ShareGPT()
+	step := top13B / (1 << Halvings)
+	for _, c := range Candidates(model.OPT13B, 4, MaxGPUsPerInstance) {
+		ev := Goodput(model.OPT13B, ds, c, top13B, requests, seed)
+		if ev.Err != nil {
+			t.Fatalf("%v: %v", c, ev.Err)
+		}
+		if ev.GoodputPerGPU <= 0 {
+			t.Fatalf("%v: no qualifying rate in [0, %g]", c, top13B)
+		}
+		att, err := attainment(model.OPT13B, ds, c, ev.GoodputPerGPU, requests, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if att < Target {
+			t.Errorf("%v: attainment %.3f at goodput %.4f is below %.2f", c, att, ev.GoodputPerGPU, Target)
+		}
+		if ev.GoodputPerGPU == top13B {
+			continue
+		}
+		above, err := attainment(model.OPT13B, ds, c, ev.GoodputPerGPU+step, requests, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if above >= Target {
+			t.Errorf("%v: attainment %.3f one step above goodput %.4f still meets %.2f", c, above, ev.GoodputPerGPU, Target)
+		}
 	}
 }
 
 func TestSearchErrors(t *testing.T) {
-	if _, err := Search(model.OPT13B, workload.ShareGPT(), 1, 4, Options{System: "bogus", Requests: 10}); err == nil {
-		t.Error("unknown system accepted")
+	// 70B on a 2-GPU budget: no candidate holds the weights, so every
+	// evaluation carries an error and ranks as failed.
+	cands := Candidates(model.LLaMA270B, 2, MaxGPUsPerInstance)
+	if len(cands) == 0 {
+		t.Fatal("no 2-GPU candidates")
 	}
-	// 70B on a 2-GPU budget: every candidate fails to hold weights, so
-	// Best must surface an error.
-	if _, err := Best(model.LLaMA270B, workload.LongBench(), 0.1, 2, Options{Requests: 10}); err == nil {
-		t.Error("impossible budget should fail")
+	for _, c := range cands {
+		if ev := Goodput(model.LLaMA270B, workload.LongBench(), c, 0.6, 10, seed); ev.Err == nil {
+			t.Errorf("%v: impossible budget should fail", c)
+		}
 	}
 }
 
-func TestBestReturnsWinner(t *testing.T) {
-	best, err := Best(model.OPT13B, workload.ShareGPT(), 2, 4, Options{Requests: 120})
-	if err != nil {
-		t.Fatal(err)
+func TestRankOrdersByGoodputKeepingTies(t *testing.T) {
+	c := func(tp int) Candidate {
+		return Candidate{Prefill: perf.Placement{TP: tp, PP: 1}, Decode: perf.Placement{TP: 1, PP: 1}}
 	}
-	if best.Candidate.GPUs() != 4 {
-		t.Errorf("best = %v", best.Candidate)
+	evals := []Evaluation{
+		{Candidate: c(1), Err: errors.New("weights do not fit")},
+		{Candidate: c(2), GoodputPerGPU: 0.5},
+		{Candidate: c(4), GoodputPerGPU: 1},
+		{Candidate: c(8), GoodputPerGPU: 0.5},
+	}
+	Rank(evals)
+	var got []int
+	for _, ev := range evals {
+		got = append(got, ev.Candidate.Prefill.TP)
+	}
+	if want := []int{4, 2, 8, 1}; !slices.Equal(got, want) {
+		t.Errorf("rank order by prefill TP = %v, want %v", got, want)
 	}
 }
